@@ -30,9 +30,11 @@ int main(int argc, char** argv) {
     const int p = procs[i];
     const double dyn = swept[i * 2];
     const double sta = swept[i * 2 + 1];
+    std::string penalty = "+";
+    penalty += TextTable::num(100.0 * (sta / dyn - 1.0), 1);
+    penalty += "%";
     table.row({std::to_string(p), TextTable::num(dyn, 1),
-               TextTable::num(sta, 1),
-               "+" + TextTable::num(100.0 * (sta / dyn - 1.0), 1) + "%"});
+               TextTable::num(sta, 1), penalty});
   }
   table.render(std::cout);
   std::cout << "\nExpected shape: the static penalty grows with processor "

@@ -32,12 +32,6 @@ class Session {
   /// Resolved --jobs value (see obs::RunSession::jobs()).
   [[nodiscard]] int jobs() const { return run_->jobs(); }
 
-  /// Resolved --lanes value (see obs::RunSession::lanes()).
-  [[nodiscard]] int lanes() const { return run_->lanes(); }
-
-  /// Resolved --run-threads value (see obs::RunSession::run_threads()).
-  [[nodiscard]] int run_threads() const { return run_->run_threads(); }
-
  private:
   std::unique_ptr<obs::RunSession> run_;
 };

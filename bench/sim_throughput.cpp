@@ -23,17 +23,9 @@
 // live status bus, cross-run aggregation and SweepReport + Chrome-trace +
 // LiveStatus serialization);
 // scripts/check.sh gates the telemetry regime at >= 0.95x the plain one
-// (< 5% overhead). sweep_batched runs the identical 100 points through the
-// batched lockstep engine (mta::run_batched_sweep, --lanes in-flight
-// machines with arena-recycled sync memory); scripts/check.sh gates its
-// points_per_sec at >= 5x sweep_plain. sweep_flight_off re-measures
-// sweep_plain with the always-on flight recorder disabled, pinning the
-// recorder's cost (check.sh gates sweep_plain >= 0.98x sweep_flight_off).
-// The single_run_partitioned family runs ONE large simulation (1024
-// processors saturated by 100k compute-dominant streams) through the
-// intra-run partitioned engine (mta::run_partitioned, --run-threads) at
-// K = 1/2/4/8 host threads; K=1 is the plain scalar run(). On hosts with
-// >= 4 cores scripts/check.sh gates k8 at >= 3x the k1 row.
+// (< 5% overhead). sweep_flight_off re-measures sweep_plain with the
+// always-on flight recorder disabled, pinning the recorder's cost
+// (check.sh gates sweep_plain >= 0.98x sweep_flight_off).
 //
 // Each scenario runs `--reps` times (default 3); the median wall time
 // produces two RunReport rows per scenario ("<name>.cycles_per_sec" and
@@ -54,11 +46,8 @@
 #include <vector>
 
 #include "core/cli.hpp"
-#include "core/contracts.hpp"
 #include "core/table.hpp"
-#include "mta/batched_machine.hpp"
 #include "mta/machine.hpp"
-#include "mta/partitioned_machine.hpp"
 #include "mta/runtime.hpp"
 #include "mta/stream_program.hpp"
 #include "obs/aggregate.hpp"
@@ -190,59 +179,6 @@ Measurement measure(const Scenario& s, int reps) {
   return out;
 }
 
-/// The partitioned-engine scenario: 1024 processors saturated by 100k
-/// compute-dominant streams (~98 per processor, every slot occupied, every
-/// cycle issues somewhere). Every 250th stream adds one load so the
-/// deferred-service barrier path stays exercised without serializing the
-/// run on the shared network queue — the regime intra-run partitioning
-/// targets, where one simulation is too big for sweep-level parallelism
-/// to help.
-Scenario partitioned_scenario() {
-  Scenario s;
-  s.name = "single_run_partitioned";
-  s.cfg.num_processors = 1024;
-  s.build = [](mta::Machine& m, mta::ProgramPool& pool) {
-    for (int i = 0; i < 100000; ++i) {
-      mta::VectorProgram* p = pool.make_vector();
-      // Equal-length streams: the whole population stays in lockstep, so
-      // quit hazards cluster into one short serial drain instead of
-      // smearing into a long hazard-dense tail.
-      p->compute(100);
-      // A sprinkle of loads keeps the deferred-service barrier path
-      // exercised; the network is a global serial queue (~0.45 ops per
-      // cycle), so more than a few hundred would turn the run's tail into
-      // a network-drain trickle instead of a compute regime.
-      if (i % 250 == 0) p->load(static_cast<mta::Address>(i & 0xffff));
-      m.add_stream(p);
-    }
-  };
-  return s;
-}
-
-/// measure() with the run routed through the partitioned engine at
-/// `threads` host workers (threads 1 = the plain scalar run, the baseline
-/// the kN rows are compared against).
-Measurement measure_partitioned(const Scenario& s, int reps, int threads) {
-  Measurement out;
-  std::vector<double> times;
-  for (int rep = 0; rep < reps; ++rep) {
-    mta::Machine machine(s.cfg);
-    mta::ProgramPool pool;
-    s.build(machine, pool);
-    const auto start = std::chrono::steady_clock::now();
-    const mta::MtaRunResult r = threads > 1
-                                    ? mta::run_partitioned(machine, threads)
-                                    : machine.run();
-    const auto stop = std::chrono::steady_clock::now();
-    times.push_back(std::chrono::duration<double>(stop - start).count());
-    out.cycles = r.cycles;
-    out.instructions = r.instructions_issued;
-  }
-  std::sort(times.begin(), times.end());
-  out.median_seconds = times[times.size() / 2];
-  return out;
-}
-
 /// One cheap MTA point for the sweep regimes: a single compute/load stream
 /// small enough that 100 points finish in well under a second, so the
 /// run_sweep machinery (queueing, per-point stores, merge) is a visible
@@ -320,56 +256,6 @@ double measure_sweep_regime(int reps, int jobs, std::size_t points,
   }
   obs::set_sweep_sched_store(prev);
   obs::set_live_bus(prev_bus);
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
-}
-
-/// The sweep_point workload as batch points for the batched lockstep
-/// engine — identical program per index, so sweep_batched measures the
-/// same work as sweep_plain with only the execution engine swapped.
-std::vector<mta::BatchPoint> sweep_batch_points(std::size_t count) {
-  std::vector<mta::BatchPoint> batch;
-  batch.reserve(count);
-  for (std::size_t index = 0; index < count; ++index) {
-    mta::BatchPoint p;
-    p.config.num_processors = 1;
-    p.build = [index](mta::Machine& machine, mta::ProgramPool& pool) {
-      mta::VectorProgram* v = pool.make_vector();
-      for (int r = 0; r < 200; ++r) {
-        v->compute(8);
-        v->load(static_cast<mta::Address>((index * 64 + r) & 0xffff));
-      }
-      machine.add_stream(v);
-    };
-    batch.push_back(std::move(p));
-  }
-  return batch;
-}
-
-/// Median wall seconds for the same 100-point sweep routed through
-/// mta::run_batched_sweep instead of one Machine per point. Per-rep
-/// record-store scoping mirrors measure_sweep_regime so the two regimes
-/// differ only in the execution engine.
-double measure_sweep_batched(int reps, int lanes, int jobs,
-                             std::size_t points) {
-  std::vector<double> times;
-  obs::SweepSchedStore* prev = obs::sweep_sched_store();
-  obs::set_sweep_sched_store(nullptr);
-  const std::vector<mta::BatchPoint> batch = sweep_batch_points(points);
-  {
-    obs::RunRecordStore warmup_records;
-    obs::ScopedRunRecords warmup_scope(warmup_records);
-    mta::run_batched_sweep(batch, lanes, jobs);
-  }
-  for (int rep = 0; rep < reps; ++rep) {
-    obs::RunRecordStore records;
-    obs::ScopedRunRecords rec_scope(records);
-    const auto start = std::chrono::steady_clock::now();
-    mta::run_batched_sweep(batch, lanes, jobs);
-    const auto stop = std::chrono::steady_clock::now();
-    times.push_back(std::chrono::duration<double>(stop - start).count());
-  }
-  obs::set_sweep_sched_store(prev);
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
 }
@@ -490,40 +376,6 @@ int main(int argc, char** argv) {
   }
 
   {
-    // Partitioned single-run regime: one 1024-processor, 100k-stream
-    // simulation at K = 1/2/4/8 --run-threads workers. The k1 row is the
-    // plain scalar run; results are bit-identical at every K (pinned by
-    // tests/mta_golden_test.cpp), so the rows differ only in wall time.
-    // scripts/check.sh gates k8 >= 3x k1 on hosts with >= 4 cores.
-    const Scenario part = partitioned_scenario();
-    std::uint64_t part_cycles = 0;
-    std::uint64_t part_instr = 0;
-    for (int k : {1, 2, 4, 8}) {
-      const Measurement m = measure_partitioned(part, reps, k);
-      if (k == 1) {
-        part_cycles = m.cycles;
-        part_instr = m.instructions;
-      } else {
-        // Cheap cross-check on top of the golden suite: the partitioned
-        // engine must simulate the identical machine.
-        TC3I_ASSERT(m.cycles == part_cycles);
-        TC3I_ASSERT(m.instructions == part_instr);
-      }
-      const double cps = static_cast<double>(m.cycles) / m.median_seconds;
-      const double ips =
-          static_cast<double>(m.instructions) / m.median_seconds;
-      const std::string name =
-          part.name + ".k" + std::to_string(k);
-      table.row({name, std::to_string(m.cycles),
-                 std::to_string(m.instructions),
-                 TextTable::num(m.median_seconds * 1e3, 2),
-                 TextTable::num(cps / 1e6, 1), TextTable::num(ips / 1e6, 1)});
-      run.report().add_row(name + ".cycles_per_sec", 1.0, cps);
-      run.report().add_row(name + ".instr_per_sec", 1.0, ips);
-    }
-  }
-
-  {
     // Sweep-telemetry regime pair: the same 100-point sweep measured bare
     // and with the full --sweep-report-out + --sweep-trace-out stack
     // active (see measure_sweep_regime). The points_per_sec ratio is the
@@ -557,18 +409,6 @@ int main(int argc, char** argv) {
                TextTable::num(flight_off * 1e3, 2), "-", "-"});
     run.report().add_row("sweep_flight_off.points_per_sec", 1.0,
                          static_cast<double>(kPoints) / flight_off);
-
-    // Batched lockstep regime: the identical 100 points through
-    // mta::run_batched_sweep (SoA multi-lane engine, arena-recycled sync
-    // memory). scripts/check.sh gates points_per_sec at >= 5x sweep_plain.
-    const int sweep_lanes = run.lanes();
-    run.report().set_config("sweep_lanes", static_cast<double>(sweep_lanes));
-    const double batched =
-        measure_sweep_batched(reps, sweep_lanes, sweep_jobs, kPoints);
-    table.row({"sweep_batched", "-", "-", TextTable::num(batched * 1e3, 2),
-               "-", "-"});
-    run.report().add_row("sweep_batched.points_per_sec", 1.0,
-                         static_cast<double>(kPoints) / batched);
   }
   table.render(std::cout);
 

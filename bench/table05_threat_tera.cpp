@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
       {platforms::mta_threat_chunked_point(tb, 256, 1),
        platforms::mta_threat_chunked_point(tb, 256, 2),
        platforms::mta_threat_seq_point(tb)},
-      session.lanes(), session.jobs(), session.run_threads());
+      session.jobs());
   const double t1 = swept[0];
   const double t2 = swept[1];
 

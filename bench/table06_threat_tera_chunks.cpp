@@ -17,8 +17,7 @@ int main(int argc, char** argv) {
   for (const auto& row : rows)
     points.push_back(platforms::mta_threat_chunked_point(tb, row.chunks, 2));
   const std::vector<double> swept =
-      platforms::run_mta_points(points, session.lanes(), session.jobs(),
-                                session.run_threads());
+      platforms::run_mta_points(points, session.jobs());
 
   TextTable table(
       "Table 6: Threat Analysis on Tera MTA vs number of chunks (2 procs)");

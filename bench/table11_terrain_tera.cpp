@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       {platforms::mta_terrain_fine_point(tb, 1),
        platforms::mta_terrain_fine_point(tb, 2),
        platforms::mta_terrain_seq_point(tb)},
-      session.lanes(), session.jobs(), session.run_threads());
+      session.jobs());
   const double t1 = swept[0];
   const double t2 = swept[1];
 

@@ -115,61 +115,39 @@ grep -q '"sweep scheduler"' "$SMOKE_DIR/sw_trace.json" ||
     exit 1; }
 echo "sweep report matches independent recomputation"
 
-echo "== batched sweep engine (lanes byte-identity) =="
-# The batched lockstep engine must be invisible in the output: the same
-# table 5 sweep at --lanes 1 (scalar fallback) and --lanes 4 must produce
-# byte-identical reports modulo wall-clock timings.
-"$BUILD_DIR"/bench/table05_threat_tera --lanes 1 \
-    --report-out "$SMOKE_DIR/lanes1.json" >/dev/null
-"$BUILD_DIR"/bench/table05_threat_tera --lanes 4 \
-    --report-out "$SMOKE_DIR/lanes4.json" >/dev/null
-"$BUILD_DIR"/tools/report_diff "$SMOKE_DIR/lanes1.json" \
-    "$SMOKE_DIR/lanes4.json" --ignore mta.run.wall_seconds >/dev/null ||
-  { echo "FAIL: --lanes 4 report differs from --lanes 1"; exit 1; }
-echo "lanes=4 report byte-identical to lanes=1 (modulo wall time)"
-
-# The flight recorder is sampled, never merged: the same sweep with the
-# recorder disabled (TC3I_FLIGHT=0) and at a different jobs x lanes shape
-# must still produce the identical report.
-TC3I_FLIGHT=0 "$BUILD_DIR"/bench/table05_threat_tera --lanes 4 --jobs 3 \
-    --report-out "$SMOKE_DIR/lanes4_noflight.json" >/dev/null
-"$BUILD_DIR"/tools/report_diff "$SMOKE_DIR/lanes1.json" \
-    "$SMOKE_DIR/lanes4_noflight.json" --ignore mta.run.wall_seconds \
-    >/dev/null ||
-  { echo "FAIL: report changes when the flight recorder is disabled"; \
-    exit 1; }
-echo "report byte-identical with flight recorder on or off"
-
-echo "== partitioned single-run engine (--run-threads byte-identity) =="
-# The intra-run partitioning tentpole must be invisible in the output:
-# every table bench at --run-threads 8 must print the same stdout and
-# produce the same report as the scalar --run-threads 1 run, modulo wall
-# time and the partition rollups only the partitioned run adds. Identity
-# is gated on every host; the speedup claim is gated separately below,
-# only where real cores exist.
+echo "== parallel identity (--jobs 1 vs --jobs 4) =="
+# --jobs is the only parallel axis and must be invisible in the output:
+# every MTA table bench at --jobs 4 must print the same stdout and produce
+# the same report as the serial --jobs 1 run, modulo wall-clock timings.
 for T in table05_threat_tera table06_threat_tera_chunks table11_terrain_tera
 do
   # grep -v: the harness's "[obs] report: <path>" sideband line names the
   # output file, which legitimately differs between the two runs.
-  "$BUILD_DIR"/bench/"$T" --run-threads 1 \
-      --report-out "$SMOKE_DIR/rt1.json" |
-    grep -v '^\[obs\]' > "$SMOKE_DIR/rt1.out"
-  "$BUILD_DIR"/bench/"$T" --run-threads 8 \
-      --report-out "$SMOKE_DIR/rt8.json" |
-    grep -v '^\[obs\]' > "$SMOKE_DIR/rt8.out"
-  diff "$SMOKE_DIR/rt1.out" "$SMOKE_DIR/rt8.out" >/dev/null ||
-    { echo "FAIL: $T stdout differs at --run-threads 8"; exit 1; }
-  "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/rt8.json"
-  "$BUILD_DIR"/tools/report_diff "$SMOKE_DIR/rt1.json" \
-      "$SMOKE_DIR/rt8.json" --ignore mta.run.wall_seconds \
-      --ignore mta.partition --ignore partitions >/dev/null ||
-    { echo "FAIL: $T report differs at --run-threads 8"; exit 1; }
-  grep -q '"partitions":' "$SMOKE_DIR/rt8.json" ||
-    { echo "FAIL: $T --run-threads 8 report has no partition rollups"; \
-      exit 1; }
+  "$BUILD_DIR"/bench/"$T" --jobs 1 \
+      --report-out "$SMOKE_DIR/$T.j1.json" |
+    grep -v '^\[obs\]' > "$SMOKE_DIR/$T.j1.out"
+  "$BUILD_DIR"/bench/"$T" --jobs 4 \
+      --report-out "$SMOKE_DIR/$T.j4.json" |
+    grep -v '^\[obs\]' > "$SMOKE_DIR/$T.j4.out"
+  diff "$SMOKE_DIR/$T.j1.out" "$SMOKE_DIR/$T.j4.out" >/dev/null ||
+    { echo "FAIL: $T stdout differs at --jobs 4"; exit 1; }
+  "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/$T.j4.json"
+  "$BUILD_DIR"/tools/report_diff "$SMOKE_DIR/$T.j1.json" \
+      "$SMOKE_DIR/$T.j4.json" --ignore mta.run.wall_seconds >/dev/null ||
+    { echo "FAIL: $T report differs at --jobs 4"; exit 1; }
 done
-echo "run-threads=8 identical to scalar for tables 05/06/11 (modulo wall" \
-     "time + partition rollups)"
+echo "jobs=4 identical to jobs=1 for tables 05/06/11 (modulo wall time)"
+
+# The flight recorder is sampled, never merged: the same sweep with the
+# recorder disabled (TC3I_FLIGHT=0) and at a different --jobs must still
+# produce the identical report.
+TC3I_FLIGHT=0 "$BUILD_DIR"/bench/table05_threat_tera --jobs 3 \
+    --report-out "$SMOKE_DIR/noflight.json" >/dev/null
+"$BUILD_DIR"/tools/report_diff "$SMOKE_DIR/table05_threat_tera.j1.json" \
+    "$SMOKE_DIR/noflight.json" --ignore mta.run.wall_seconds >/dev/null ||
+  { echo "FAIL: report changes when the flight recorder is disabled"; \
+    exit 1; }
+echo "report byte-identical with flight recorder on or off"
 
 echo "== live status bus (--status-out + sweep_monitor) =="
 # The live-telemetry tentpole: a sweep run with --status-out must publish
@@ -236,7 +214,7 @@ echo "== flight recorder (forced anomaly -> dump -> report/validate) =="
 FSTATUS="$SMOKE_DIR/flight_live.json"
 FDUMP="$SMOKE_DIR/flight.json"
 TC3I_INJECT_SLOW_POINT="1:600" "$BUILD_DIR"/bench/table05_threat_tera \
-    --lanes 1 --jobs 2 \
+    --jobs 2 \
     --status-out "$FSTATUS" --status-period 25 \
     --watchdog-timeout 0.2 \
     --flight-out "$FDUMP" >/dev/null ||
@@ -297,13 +275,6 @@ if printf 'int main(){return 0;}' |
   "$TSAN_DIR"/tests/obs_live_test >/dev/null ||
     { echo "FAIL: obs_live_test failed under TSan"; exit 1; }
   echo "obs_live_test clean under ThreadSanitizer"
-  # Drive the partitioned single-run scheduler (worker pool + window
-  # barriers + owner-written hazard bounds) through a real table sweep
-  # under TSan as well.
-  cmake --build "$TSAN_DIR" --target table05_threat_tera -j >/dev/null
-  "$TSAN_DIR"/bench/table05_threat_tera --run-threads 4 >/dev/null ||
-    { echo "FAIL: table05 --run-threads 4 failed under TSan"; exit 1; }
-  echo "partitioned --run-threads 4 clean under ThreadSanitizer"
 else
   echo "skipped: toolchain lacks -fsanitize=thread support"
 fi
@@ -325,6 +296,14 @@ if printf 'int main(){return 0;}' |
 else
   echo "skipped: toolchain lacks -fsanitize=address support"
 fi
+
+echo "== Release build (-O3, -Werror) =="
+# The documented build types must all compile warning-free; Release
+# inlines more deeply than RelWithDebInfo and surfaces different warnings.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release -DTC3I_WERROR=ON \
+    >/dev/null
+cmake --build build-release -j "$(nproc)" >/dev/null
+echo "Release build clean under -Werror"
 
 echo "== perf smoke (sim_throughput vs committed baseline) =="
 # Fails (exit 1) when any throughput metric drops below 70% of the
@@ -377,49 +356,18 @@ awk -v sp="$SP" -v sfo="$SFO" 'BEGIN { exit !(sp >= 0.98 * sfo) }' ||
 echo "flight recorder overhead within budget ($SP vs recorder-off $SFO" \
      "points/s)"
 
-# The batched lockstep engine must actually pay for itself: sweep_batched
-# throughput at least 5x sweep_plain. The measured margin is ~40x (see
-# docs/PERFORMANCE.md); the 5x floor leaves room for noisy CI hosts while
-# still catching a lost arena-recycling path instantly.
-SB="$(extract_measured 'sweep_batched.points_per_sec')"
-[ -n "$SB" ] ||
-  { echo "FAIL: sim_throughput report missing sweep_batched row"; exit 1; }
-awk -v sp="$SP" -v sb="$SB" 'BEGIN { exit !(sb >= 5.0 * sp) }' ||
-  { echo "FAIL: sweep_batched $SB < 5 x sweep_plain $SP points/s"; exit 1; }
-echo "batched sweep throughput above floor ($SB vs plain $SP points/s)"
-
-# Intra-run partitioning must pay for itself where real cores exist: on
-# hosts with >= 4 hardware threads, single_run_partitioned.k8 must reach
-# at least 3x the k1 (scalar) row. Byte-identity is gated unconditionally
-# above; the speedup claim is meaningless on a 1-2 core host, where the
-# partitions serialize and the row measures pure engine overhead.
-PK1="$(extract_measured 'single_run_partitioned.k1.cycles_per_sec')"
-PK8="$(extract_measured 'single_run_partitioned.k8.cycles_per_sec')"
-[ -n "$PK1" ] && [ -n "$PK8" ] ||
-  { echo "FAIL: sim_throughput report missing single_run_partitioned rows"; \
-    exit 1; }
-if [ "$(nproc)" -ge 4 ]; then
-  awk -v k1="$PK1" -v k8="$PK8" 'BEGIN { exit !(k8 >= 3.0 * k1) }' ||
-    { echo "FAIL: single_run_partitioned k8 $PK8 < 3 x k1 $PK1 cycles/s"; \
-      exit 1; }
-  echo "partitioned single-run speedup above floor (k8 $PK8 vs k1 $PK1" \
-       "cycles/s)"
-else
-  echo "skipped partitioned speedup gate: host has $(nproc) hardware" \
-       "threads (< 4)"
-fi
-
 echo "== perf trend gate (bench/BENCH_history.jsonl) =="
-# Every check run contributes a datapoint: append this run's sim_throughput
-# rows to the committed history, then gate the newest entry against the
-# trailing window (median - k x MAD robust floor, plus a minimum-drop
-# threshold; see tools/perf_trend.cpp). The gate must also demonstrably
-# fire: the same run appended to a scratch copy at a 2x slowdown must fail.
-"$BUILD_DIR"/tools/perf_trend append bench/BENCH_history.jsonl \
+# Append this run's sim_throughput rows to a scratch copy of the committed
+# history (the check never modifies committed files), then gate the newest
+# entry against the trailing window (median - k x MAD robust floor, plus a
+# minimum-drop threshold; see tools/perf_trend.cpp). The gate must also
+# demonstrably fire: the same run appended at a 2x slowdown must fail.
+cp bench/BENCH_history.jsonl "$SMOKE_DIR/history.jsonl"
+"$BUILD_DIR"/tools/perf_trend append "$SMOKE_DIR/history.jsonl" \
     "$SMOKE_DIR/sim_throughput.json"
-"$BUILD_DIR"/tools/perf_trend check bench/BENCH_history.jsonl ||
+"$BUILD_DIR"/tools/perf_trend check "$SMOKE_DIR/history.jsonl" ||
   { echo "FAIL: perf trend gate flagged this run as a regression"; exit 1; }
-cp bench/BENCH_history.jsonl "$SMOKE_DIR/hist_bad.jsonl"
+cp "$SMOKE_DIR/history.jsonl" "$SMOKE_DIR/hist_bad.jsonl"
 "$BUILD_DIR"/tools/perf_trend append "$SMOKE_DIR/hist_bad.jsonl" \
     "$SMOKE_DIR/sim_throughput.json" --scale 0.5
 if "$BUILD_DIR"/tools/perf_trend check "$SMOKE_DIR/hist_bad.jsonl" \

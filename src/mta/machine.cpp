@@ -22,8 +22,6 @@ bool slow_sim_env() {
 
 }  // namespace
 
-bool slow_sim_forced() { return slow_sim_env(); }
-
 std::string MtaConfig::validate() const {
   std::ostringstream os;
   if (num_processors < 1) os << "num_processors < 1; ";
@@ -43,11 +41,7 @@ std::string MtaConfig::validate() const {
 }
 
 Machine::Machine(MtaConfig config)
-    : Machine(std::move(config), SyncMemory::Arena{}) {}
-
-Machine::Machine(MtaConfig config, SyncMemory::Arena&& arena)
-    : config_(std::move(config)),
-      memory_(config_.memory_words, std::move(arena)) {
+    : config_(std::move(config)), memory_(config_.memory_words) {
   const std::string err = config_.validate();
   if (!err.empty())
     contract_failure("MtaConfig", err.c_str(), __FILE__, __LINE__);
@@ -133,10 +127,6 @@ void Machine::push_wake(std::uint64_t at, StreamId sid, StallReason why) {
   s.wait_reason = why;
   ++acct_[static_cast<std::size_t>(s.proc)]
         .waiting[static_cast<std::size_t>(why)];
-  if (part_ != nullptr) {
-    part_route_wake(at, sid);
-    return;
-  }
   if (slow_) {
     heap_.push(Wake{at, sid});
   } else {
@@ -150,7 +140,6 @@ void Machine::park_sync(StreamId sid) {
   s.wait_reason = StallReason::kSync;
   ++acct_[static_cast<std::size_t>(s.proc)]
         .waiting[static_cast<std::size_t>(StallReason::kSync)];
-  if (part_ != nullptr) part_note_sync_park(sid);
 }
 
 void Machine::runaway_abort(std::uint64_t now) const {
@@ -709,30 +698,20 @@ void Machine::finish_timeline(std::uint64_t now) {
 }
 
 MtaRunResult Machine::run(std::uint64_t max_cycles) {
-  begin_run(max_cycles);
-  if (slow_)
-    run_slow_loop();
-  else
-    advance_until(kNoLimit);
-  return finish_run();
-}
-
-void Machine::begin_run(std::uint64_t max_cycles) {
   TC3I_EXPECTS(!ran_);
   ran_ = true;
-  begun_ = true;
   max_cycles_ = max_cycles;
   obs_.runs->add();
   run_start_ns_ = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-  tracing_ = obs_.sink != nullptr;
   // Per-bucket counter tracks for the trace (issue utilization and memory
   // traffic); defaults to 4096-cycle buckets when no timeline is requested.
   const std::uint64_t bucket = config_.timeline_bucket_cycles;
   trace_bucket_ = bucket > 0 ? bucket : 4096;
   trace_next_ = trace_bucket_;
+  return finish_run(slow_ ? run_slow_loop() : run_fast_loop());
 }
 
 void Machine::emit_trace_buckets(std::uint64_t upto, bool final) {
@@ -756,11 +735,10 @@ void Machine::emit_trace_buckets(std::uint64_t upto, bool final) {
   }
 }
 
-void Machine::run_slow_loop() {
-  TC3I_EXPECTS(begun_ && slow_);
-  std::uint64_t now = now_;
+std::uint64_t Machine::run_slow_loop() {
+  std::uint64_t now = 0;
   const std::uint64_t max_cycles = max_cycles_;
-  const bool tracing = tracing_;
+  const bool tracing = obs_.sink != nullptr;
   const std::uint64_t bucket = config_.timeline_bucket_cycles;
   {
     // Reference loop: the pre-timing-wheel simulator, kept verbatim for
@@ -813,25 +791,20 @@ void Machine::run_slow_loop() {
       }
     }
   }
-  now_ = now;
+  return now;
 }
 
-bool Machine::advance_until(std::uint64_t until) {
-  TC3I_EXPECTS(begun_ && !slow_);
-  std::uint64_t now = now_;
+std::uint64_t Machine::run_fast_loop() {
+  std::uint64_t now = 0;
   // Hoisted so the issue loop branches on register-resident locals instead
   // of reloading members every iteration (issue() may alias them).
   const std::uint64_t max_cycles = max_cycles_;
-  const bool tracing = tracing_;
+  const bool tracing = obs_.sink != nullptr;
   const std::uint64_t bucket = config_.timeline_bucket_cycles;
   {
     const auto spacing =
         static_cast<std::uint64_t>(config_.issue_spacing_cycles);
-    // `until` bounds when the loop stops being (re)entered, not the issue
-    // window: a window that started before `until` may overshoot it by up
-    // to `spacing` cycles, and an idle jump may land past it. Lanes are
-    // independent runs, so overshoot never changes simulated behavior.
-    while ((live_streams_ > 0 || !pending_.empty()) && now < until) {
+    while (live_streams_ > 0 || !pending_.empty()) {
       if (now >= max_cycles) runaway_abort(now);
       if (tracing) emit_trace_buckets(now, /*final=*/false);
 
@@ -917,14 +890,11 @@ bool Machine::advance_until(std::uint64_t until) {
       }
     }
   }
-  now_ = now;
-  return live_streams_ == 0 && pending_.empty();
+  return now;
 }
 
-MtaRunResult Machine::finish_run() {
-  TC3I_EXPECTS(begun_ && live_streams_ == 0 && pending_.empty());
-  begun_ = false;
-  const std::uint64_t now = now_;
+MtaRunResult Machine::finish_run(std::uint64_t now) {
+  TC3I_EXPECTS(live_streams_ == 0 && pending_.empty());
   const std::uint64_t bucket = config_.timeline_bucket_cycles;
 
   std::uint64_t used = 0;
@@ -1005,9 +975,8 @@ MtaRunResult Machine::finish_run() {
   }
 
   // Per-region counters (named after the regions actually used) and the
-  // run's accounting record for the report's "machine_runs" section. The
-  // registry was captured at construction: under the batched engine,
-  // finalization runs outside the per-point registry scope.
+  // run's accounting record for the report's "machine_runs" section, in
+  // the registry captured at construction.
   obs::CounterRegistry& reg = *obs_.registry;
   std::vector<obs::RegionRollup> rollups;
   for (std::size_t rid = 0; rid < region_tallies_.size(); ++rid) {
@@ -1030,7 +999,6 @@ MtaRunResult Machine::finish_run() {
     rec.slots = slots_total;
     rec.network_utilization = result.network_utilization;
     rec.regions = std::move(rollups);
-    rec.partitions = std::move(partition_rollups_);
     rec.elapsed_seconds = result.seconds;
     rec.utilization = result.processor_utilization;
     cap_finish_run(now, &rec);

@@ -45,8 +45,6 @@ class TraceSink;
 
 namespace tc3i::mta {
 
-class PartitionedMachine;
-
 struct MtaConfig {
   std::string name = "Tera MTA";
   int num_processors = 1;
@@ -120,12 +118,6 @@ class Machine {
  public:
   explicit Machine(MtaConfig config);
 
-  /// Arena-recycling constructor (the batched sweep engine's fast path):
-  /// when `arena` holds a released word array of exactly
-  /// `config.memory_words` cells, it is adopted instead of allocating and
-  /// zeroing a fresh one. Simulation behavior is bit-identical either way.
-  Machine(MtaConfig config, SyncMemory::Arena&& arena);
-
   [[nodiscard]] const MtaConfig& config() const { return config_; }
   [[nodiscard]] SyncMemory& memory() { return memory_; }
   [[nodiscard]] const SyncMemory& memory() const { return memory_; }
@@ -136,56 +128,9 @@ class Machine {
 
   /// Runs until all streams have quit. Aborts (deadlock) if streams remain
   /// but none can ever become ready. `max_cycles` is a runaway guard.
-  /// Exactly begin_run(max_cycles) + the full simulation loop +
-  /// finish_run(); the windowed API below exposes the same loop in
-  /// resumable slices for the batched lockstep engine.
   MtaRunResult run(std::uint64_t max_cycles = (1ull << 62));
 
-  // --- Windowed execution (mta::BatchedMachine's interface) --------------
-  // A run may be split into begin_run(), any number of advance_until()
-  // slices, and finish_run(). Every slice executes the same fast-path loop
-  // body run() executes, so counters, slot accounts, and RunRecords are
-  // bit-identical to a monolithic run() at any slicing. The slow reference
-  // path does not support slicing (advance_until contract-checks !slow_);
-  // batched callers must route slow-reference configs through run().
-
-  /// No-limit sentinel for advance_until (the runaway guard `max_cycles`
-  /// still applies).
-  static constexpr std::uint64_t kNoLimit = ~0ull;
-
-  /// Starts a run (streams must already be added). Call exactly once.
-  void begin_run(std::uint64_t max_cycles = (1ull << 62));
-
-  /// Advances the simulation until all streams have quit or the clock
-  /// reaches `limit`, whichever is first. Returns true when the run is
-  /// complete and finish_run() may be called. Fast path only.
-  bool advance_until(std::uint64_t limit);
-
-  /// Finalizes a completed run: slot-account invariants, counter
-  /// publication, RunRecord emission. Call exactly once, after
-  /// advance_until returned true.
-  MtaRunResult finish_run();
-
-  /// Current simulation cycle (valid between begin_run and finish_run).
-  [[nodiscard]] std::uint64_t now() const { return now_; }
-
-  /// True when this machine runs the slow reference loop (config flag or
-  /// TC3I_SLOW_SIM), which the windowed API does not support.
-  [[nodiscard]] bool uses_slow_reference() const { return slow_; }
-
-  /// Releases the sync-memory backing store for reuse by a later machine
-  /// of the same memory_words (call only after the run finished).
-  [[nodiscard]] SyncMemory::Arena release_memory_arena() && {
-    return std::move(memory_).release_arena();
-  }
-
  private:
-  /// The intra-run partitioned scheduler drives the machine through the
-  /// same private mutation points the scalar loop uses (issue, account_idle,
-  /// activate, the wake queue) so the two paths stay bit-identical by
-  /// construction. See partitioned_machine.hpp.
-  friend class PartitionedMachine;
-
   /// Why a parked stream is not ready. Mirrors the stall categories of
   /// obs::IssueSlotAccount; kept per stream (wait_reason) and as a per-
   /// processor census (ProcAcct::waiting) so every idle issue slot can be
@@ -272,10 +217,8 @@ class Machine {
     obs::Histogram* run_utilization = nullptr;
     obs::Histogram* run_wall_seconds = nullptr;
     obs::Histogram* stream_instructions = nullptr;
-    /// The registry the metric pointers above resolve into, kept so
-    /// finish_run() publishes dynamically named per-region counters into
-    /// the same (possibly thread-scoped) registry the run was built under
-    /// even when finalization happens on another scope (batched engine).
+    /// The registry the metric pointers above resolve into; the end of
+    /// run() publishes the dynamically named per-region counters there too.
     obs::CounterRegistry* registry = nullptr;
     obs::TraceSink* sink = nullptr;
     obs::RunRecordStore* records = nullptr;  ///< active_run_records() at ctor
@@ -365,20 +308,19 @@ class Machine {
   /// Returns the cycle the generic loop resumes at.
   std::uint64_t run_solo(std::uint64_t now, std::uint64_t max_cycles);
   /// The reference simulation loop (slow_ only): binary-heap wake queue,
-  /// one cycle at a time, run in a single unsliced pass by run().
-  void run_slow_loop();
+  /// one cycle at a time. Returns the final cycle.
+  std::uint64_t run_slow_loop();
+  /// The fast simulation loop: timing-wheel wakes, run_solo fast-forwarding
+  /// and issue-window batching. Returns the final cycle.
+  std::uint64_t run_fast_loop();
+  /// Finalizes a completed run at cycle `now`: slot-account invariants,
+  /// counter publication, RunRecord emission.
+  MtaRunResult finish_run(std::uint64_t now);
   /// Trips the `max_cycles` runaway guard: dumps the cycle, live/pending
   /// stream totals, and the per-category parked-stream census to stderr
   /// (so a deadlocked large scenario is diagnosable from the abort alone),
   /// then aborts via contract_failure.
   [[noreturn]] void runaway_abort(std::uint64_t now) const;
-  // Partitioned-run hooks (part_ != nullptr iff a PartitionedMachine is
-  // driving this run). push_wake routes wakes to the owning partition's
-  // wheel instead of wheel_, and park_sync refreshes the scheduler's
-  // hazard bound; both are defined in partitioned_machine.cpp next to the
-  // scheduler state they feed.
-  void part_route_wake(std::uint64_t at, StreamId sid);
-  void part_note_sync_park(StreamId sid);
   /// Per-bucket counter tracks for the trace sink (issue utilization and
   /// memory traffic); no-op without a sink.
   void emit_trace_buckets(std::uint64_t upto, bool final);
@@ -469,12 +411,6 @@ class Machine {
   std::uint32_t cap_spawn_parent_ = 0;
   std::uint32_t cap_spawn_via_ = 0;  // kNoNode when not slot-limited
 
-  /// Non-null while a PartitionedMachine drives this run (--run-threads).
-  PartitionedMachine* part_ = nullptr;
-  /// Per-partition issue/stream rollups the partitioned scheduler leaves
-  /// for finish_run() to embed in the RunRecord (empty on scalar runs).
-  std::vector<obs::PartitionRollup> partition_rollups_;
-
   Obs obs_;
   int live_streams_ = 0;
   std::uint64_t instructions_ = 0;
@@ -491,13 +427,9 @@ class Machine {
   std::uint64_t sync_handoffs_ = 0;
   bool ran_ = false;
 
-  // Windowed-run state (begin_run .. finish_run). advance_until works on a
-  // local copy of `now_` so the hot loop keeps it in a register, writing it
-  // back before returning.
-  std::uint64_t now_ = 0;
-  std::uint64_t max_cycles_ = 0;
-  bool begun_ = false;      ///< between begin_run and finish_run
-  bool tracing_ = false;    ///< obs_.sink != nullptr, hoisted at begin_run
+  // Per-run state set at the start of run(). The loops keep the clock in a
+  // local so the hot path holds it in a register.
+  std::uint64_t max_cycles_ = 0;    ///< runaway guard (runaway_abort)
   std::uint64_t run_start_ns_ = 0;  ///< wall clock for mta.run.wall_seconds
   std::uint64_t trace_bucket_ = 0;
   std::uint64_t trace_next_ = 0;
@@ -505,10 +437,5 @@ class Machine {
   std::uint64_t trace_last_mem_ = 0;
   std::vector<std::uint64_t> bucket_issues_;  // timeline_bucket_cycles only
 };
-
-/// True when the TC3I_SLOW_SIM environment variable forces every machine
-/// onto the slow reference loop (used by batched-sweep compatibility
-/// checks, which must then fall back to scalar run()).
-[[nodiscard]] bool slow_sim_forced();
 
 }  // namespace tc3i::mta

@@ -110,15 +110,6 @@ class VectorProgram final : public StreamProgram {
   }
   [[nodiscard]] VectorProgram* as_vector() override { return this; }
 
-  /// The full instruction sequence and the fetch cursor (index of the next
-  /// entry next() returns). next() is a pure cursor advance, so the
-  /// partitioned scheduler may prefetch and inspect the remaining program
-  /// to bound when the stream can next issue a serializing instruction.
-  [[nodiscard]] const std::vector<Instr>& instructions() const {
-    return instrs_;
-  }
-  [[nodiscard]] std::size_t position() const { return pos_; }
-
  private:
   std::vector<Instr> instrs_;
   std::size_t pos_ = 0;

@@ -4,48 +4,23 @@
 
 namespace tc3i::mta {
 
-SyncMemory::SyncMemory(std::size_t size) : SyncMemory(size, Arena{}) {}
-
-SyncMemory::SyncMemory(std::size_t size, Arena&& arena) {
+SyncMemory::SyncMemory(std::size_t size) {
   TC3I_EXPECTS(size > 0);
-  if (arena.cells.size() == size) {
-    // Adopt the released array and advance the generation: every cell whose
-    // epoch now lags reads as {0, EMPTY}. On wrap-around the stamps become
-    // ambiguous, so fall back to a hard clear (once every 2^32 recycles).
-    words_ = std::move(arena.cells);
-    epoch_ = arena.epoch + 1;
-    if (epoch_ == 0) words_.assign(size, Cell{});
-  } else {
-    words_.resize(size);
-  }
+  words_.resize(size);
   obs::CounterRegistry& reg = obs::default_registry();
   c_ops_ = &reg.counter("mta.syncmem.ops");
   c_retries_ = &reg.counter("mta.syncmem.failed_attempts");
   c_handoffs_ = &reg.counter("mta.syncmem.handoffs");
 }
 
-SyncMemory::Arena SyncMemory::release_arena() && {
-  Arena arena;
-  arena.cells = std::move(words_);
-  arena.epoch = epoch_;
-  return arena;
-}
-
 SyncMemory::Cell& SyncMemory::cell(Address addr) {
   TC3I_EXPECTS(addr < words_.size());
-  Cell& c = words_[addr];
-  if (c.epoch != epoch_) {
-    c.value = 0;
-    c.full = false;
-    c.epoch = epoch_;
-  }
-  return c;
+  return words_[addr];
 }
 
 Word SyncMemory::load(Address addr) const {
   TC3I_EXPECTS(addr < words_.size());
-  const Cell& c = words_[addr];
-  return c.epoch == epoch_ ? c.value : 0;
+  return words_[addr].value;
 }
 
 void SyncMemory::store(Address addr, Word value) { cell(addr).value = value; }
@@ -68,8 +43,7 @@ void SyncMemory::reset_empty(Address addr) {
 
 bool SyncMemory::is_full(Address addr) const {
   TC3I_EXPECTS(addr < words_.size());
-  const Cell& c = words_[addr];
-  return c.epoch == epoch_ && c.full;
+  return words_[addr].full;
 }
 
 SyncAttempt SyncMemory::try_sync_load(Address addr, StreamId stream) {

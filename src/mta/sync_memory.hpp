@@ -38,44 +38,16 @@ class SyncMemory {
   // Deliberately no default member initializers: a trivially-default-
   // constructible Cell lets the 16 MiB `words_` fill lower to one memset
   // (measurably faster than the per-member store loop NSDMIs force), and
-  // every construction site value-initializes (`Cell{}`, vector resize),
-  // which zeroes all members anyway.
+  // the vector resize that creates the cells value-initializes them, which
+  // zeroes all members anyway.
   struct Cell {
     Word value;
-    std::uint32_t epoch;  ///< generation stamp; stale cells read as fresh
     bool full;
   };
 
  public:
-  /// Recyclable backing storage. A finished memory can release its word
-  /// array into an Arena and a later SyncMemory of the same size can adopt
-  /// it in O(1): instead of zeroing the array, the new memory bumps the
-  /// generation counter, making every cell whose `epoch` lags read as
-  /// `{value 0, EMPTY}` until first touched. This is what makes batched
-  /// sweeps cheap — the dominant per-run cost of a fresh machine is
-  /// allocating and faulting in the (default 16 MiB) word array.
-  class Arena {
-   public:
-    Arena() = default;
-    [[nodiscard]] std::size_t size() const { return cells.size(); }
-
-   private:
-    friend class SyncMemory;
-    std::vector<Cell> cells;
-    std::uint32_t epoch = 0;
-  };
-
   /// Creates a memory of `size` words, all EMPTY with value 0.
   explicit SyncMemory(std::size_t size);
-
-  /// As above, but when `arena` holds a released array of exactly `size`
-  /// cells it is adopted (O(1) logical reset via the epoch stamp) instead
-  /// of allocating and zeroing a fresh one.
-  SyncMemory(std::size_t size, Arena&& arena);
-
-  /// Releases the word array for reuse by a later same-sized SyncMemory.
-  /// The memory must not be used afterwards.
-  [[nodiscard]] Arena release_arena() &&;
 
   [[nodiscard]] std::size_t size() const { return words_.size(); }
 
@@ -130,15 +102,10 @@ class SyncMemory {
  private:
   void cascade(Address addr);
 
-  /// Mutable access normalizes a stale (previous-generation) cell to
-  /// `{0, EMPTY}` before handing it out, so all writers see fresh state.
+  /// Bounds-checked mutable access.
   Cell& cell(Address addr);
 
   std::vector<Cell> words_;
-  // Current generation. Freshly allocated cells are zero-initialized with
-  // epoch 0 matching `epoch_ = 0`, so the scalar (non-recycled) path never
-  // takes the normalization branch.
-  std::uint32_t epoch_ = 0;
   // Waiter queues are sparse: only contended addresses ever allocate one.
   std::unordered_map<Address, std::deque<StreamId>> load_waiters_;
   std::unordered_map<Address, std::deque<std::pair<StreamId, Word>>>

@@ -72,8 +72,6 @@ struct Global {
   std::atomic<std::uint64_t> points_done{0};
   std::atomic<std::uint64_t> cache_hits{0};
   std::atomic<std::uint64_t> cache_misses{0};
-  std::atomic<std::uint64_t> arena_adopts{0};
-  std::atomic<std::uint64_t> arena_misses{0};
 
   std::mutex reg_mu;  ///< ring free-list + label writers
   std::uint32_t free_list[kMaxRings] = {};
@@ -304,10 +302,6 @@ void write_dump_signal_safe(int fd, int sig, void* const* frames,
   sw_u64(fd, G.cache_hits.load(std::memory_order_relaxed));
   sw(fd, ",\"cache_misses\":");
   sw_u64(fd, G.cache_misses.load(std::memory_order_relaxed));
-  sw(fd, ",\"arena_adopts\":");
-  sw_u64(fd, G.arena_adopts.load(std::memory_order_relaxed));
-  sw(fd, ",\"arena_misses\":");
-  sw_u64(fd, G.arena_misses.load(std::memory_order_relaxed));
   sw(fd, "},\"anomalies\":[],\"rings\":[");
   const std::uint32_t used = G.rings_used.load(std::memory_order_acquire);
   bool first_ring = true;
@@ -468,20 +462,10 @@ const char* event_kind_name(EventKind kind) noexcept {
       return "point_begin";
     case EventKind::kPointEnd:
       return "point_end";
-    case EventKind::kLaneAdmit:
-      return "lane_admit";
-    case EventKind::kLaneRetire:
-      return "lane_retire";
-    case EventKind::kArenaAdopt:
-      return "arena_adopt";
-    case EventKind::kArenaMiss:
-      return "arena_miss";
     case EventKind::kCacheHit:
       return "cache_hit";
     case EventKind::kCacheMiss:
       return "cache_miss";
-    case EventKind::kHeartbeat:
-      return "heartbeat";
     case EventKind::kWorkerIdle:
       return "worker_idle";
     case EventKind::kCounterTick:
@@ -490,10 +474,6 @@ const char* event_kind_name(EventKind kind) noexcept {
       return "anomaly";
     case EventKind::kMark:
       return "mark";
-    case EventKind::kRunWindow:
-      return "run_window";
-    case EventKind::kRunBarrier:
-      return "run_barrier";
   }
   return "unknown";
 }
@@ -526,12 +506,6 @@ void emit(EventKind kind, std::uint64_t a, std::uint64_t b) noexcept {
       break;
     case EventKind::kCacheMiss:
       G.cache_misses.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EventKind::kArenaAdopt:
-      G.arena_adopts.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EventKind::kArenaMiss:
-      G.arena_misses.fetch_add(1, std::memory_order_relaxed);
       break;
     default:
       break;
@@ -641,8 +615,6 @@ void write_dump_json(std::ostream& out, const std::string& reason,
   w.field("points_done", t.points_done);
   w.field("cache_hits", t.cache_hits);
   w.field("cache_misses", t.cache_misses);
-  w.field("arena_adopts", t.arena_adopts);
-  w.field("arena_misses", t.arena_misses);
   w.end_object();
   if (status != nullptr) {
     w.key("live_status");
@@ -755,8 +727,6 @@ Totals totals() noexcept {
   t.points_done = G.points_done.load(std::memory_order_relaxed);
   t.cache_hits = G.cache_hits.load(std::memory_order_relaxed);
   t.cache_misses = G.cache_misses.load(std::memory_order_relaxed);
-  t.arena_adopts = G.arena_adopts.load(std::memory_order_relaxed);
-  t.arena_misses = G.arena_misses.load(std::memory_order_relaxed);
   const std::uint32_t used = G.rings_used.load(std::memory_order_acquire);
   for (std::uint32_t r = 0; r < used && r < kMaxRings; ++r) {
     const std::uint64_t head = G.rings[r].head.load(std::memory_order_relaxed);

@@ -5,12 +5,11 @@
 // anomaly or a crashed run leaves no evidence. The flight recorder
 // closes that gap the way an aircraft recorder does: every thread that
 // emits telemetry owns a fixed-size ring of compact structured events
-// (point begin/end, lane admit/retire, arena adopt/miss, cache hit/miss,
-// scheduler decisions, heartbeats, coarse counter ticks), written
-// wait-free — a steady-clock read plus four relaxed atomic stores into
-// the thread's own ring slot. Old events are overwritten in place, so
-// memory is bounded and the rings always hold the *last* window of
-// activity, which is the window that matters after an incident.
+// (sweep and point begin/end, cache hit/miss, worker idle, coarse counter
+// ticks), written wait-free — a steady-clock read plus four relaxed atomic
+// stores into the thread's own ring slot. Old events are overwritten in
+// place, so memory is bounded and the rings always hold the *last* window
+// of activity, which is the window that matters after an incident.
 //
 // Capture is always on (overhead is gated at <=2% of the sweep_plain
 // bench regime by scripts/check.sh; TC3I_FLIGHT=0 or set_enabled(false)
@@ -35,7 +34,7 @@
 //
 // Determinism contract: like LiveBus, the recorder is sampled and never
 // merged into any deterministic output — reports stay byte-identical at
-// any --jobs x --lanes with the recorder on or off.
+// any --jobs with the recorder on or off.
 #pragma once
 
 #include <atomic>
@@ -50,28 +49,22 @@ struct LiveStatus;  // live.hpp
 namespace tc3i::obs::flight {
 
 /// Compact event vocabulary. Values are stable (they appear in dumps as
-/// names via event_kind_name); append new kinds at the end.
+/// names via event_kind_name); append new kinds at the end and never reuse
+/// the numbers of deleted ones (6-9, 12, 17, 18).
 enum class EventKind : std::uint32_t {
   kThreadAttach = 0,  ///< a thread claimed this ring; a = owner serial
   kPhase = 1,         ///< a = label id (see dump "labels")
   kSweepBegin = 2,    ///< a = points, b = workers
   kSweepEnd = 3,      ///< a = points
   kPointBegin = 4,    ///< a = point, b = worker
-  kPointEnd = 5,      ///< a = point, b = duration_ns (0 on scalar paths:
-                      ///< pair with the matching kPointBegin instead)
-  kLaneAdmit = 6,     ///< a = point, b = lane (batched backfill/admit)
-  kLaneRetire = 7,    ///< a = point, b = lane
-  kArenaAdopt = 8,    ///< a = arena words recycled (lane-local or bank)
-  kArenaMiss = 9,     ///< a = arena words freshly allocated (no match)
+  kPointEnd = 5,      ///< a = point (pair with the matching kPointBegin
+                      ///< for its duration)
   kCacheHit = 10,     ///< testbed profile cache
   kCacheMiss = 11,
-  kHeartbeat = 12,    ///< a = lanes occupied, b = worker
   kWorkerIdle = 13,   ///< a = worker drained its queue
   kCounterTick = 14,  ///< a = ring events since last tick, b = total ever
   kAnomaly = 15,      ///< a = anomaly ordinal, b = worker
   kMark = 16,         ///< a = label id (freeform user mark)
-  kRunWindow = 17,    ///< a = window start cycle, b = window end cycle
-  kRunBarrier = 18,   ///< a = barrier cycle, b = partition count
 };
 
 /// Stable dump name for `kind` ("point_begin", ...); "unknown" if out of
@@ -165,8 +158,6 @@ struct Totals {
   std::uint64_t points_done = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
-  std::uint64_t arena_adopts = 0;
-  std::uint64_t arena_misses = 0;
 };
 [[nodiscard]] Totals totals() noexcept;
 

@@ -142,8 +142,10 @@ void SweepSchedStore::write_chrome_trace(std::ostream& out) const {
   TraceSink sink;
   const std::uint32_t track = sink.register_track("sweep scheduler");
   for (const SweepJobSpan& s : sorted) {
-    const std::string tag =
-        "s" + std::to_string(s.sweep) + ".p" + std::to_string(s.point);
+    std::string tag = "s";
+    tag += std::to_string(s.sweep);
+    tag += ".p";
+    tag += std::to_string(s.point);
     if (s.start_us > s.submit_us)
       sink.complete(Category::Sched, "queue " + tag, s.submit_us,
                     s.start_us - s.submit_us, track, s.worker);

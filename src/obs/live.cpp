@@ -84,15 +84,7 @@ void LiveBus::complete_point(std::uint32_t w, std::uint64_t point,
 void LiveBus::idle(std::uint32_t w) {
   Cell& c = cells_[w % kMaxWorkers];
   c.current_point.store(kNoPoint, std::memory_order_relaxed);
-  c.lanes.store(0, std::memory_order_relaxed);
   c.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-}
-
-void LiveBus::heartbeat(std::uint32_t w, std::uint32_t lanes) {
-  Cell& c = cells_[w % kMaxWorkers];
-  c.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-  c.lanes.store(lanes, std::memory_order_relaxed);
-  c.touched.store(1, std::memory_order_relaxed);
 }
 
 void LiveBus::record_cache(bool hit) {
@@ -186,7 +178,6 @@ LiveStatus LiveBus::snapshot(bool done) {
     ws.current_point = c.current_point.load(std::memory_order_relaxed);
     ws.running = ws.current_point != kNoPoint;
     ws.points_done = c.points_done.load(std::memory_order_relaxed);
-    ws.lanes = c.lanes.load(std::memory_order_relaxed);
     const double hb =
         static_cast<double>(c.heartbeat_ns.load(std::memory_order_relaxed)) *
         1e-9;
@@ -201,8 +192,7 @@ LiveStatus LiveBus::snapshot(bool done) {
         found.push_back(LiveAnomaly{"slow_point", w, ws.current_point, now_s,
                                     ws.point_age_seconds, slow_threshold});
     }
-    const bool holds_work = ws.running || ws.lanes > 0;
-    if (holds_work &&
+    if (ws.running &&
         ws.heartbeat_age_seconds > watchdog_.heartbeat_timeout_seconds)
       found.push_back(LiveAnomaly{"stalled_worker", w, ws.current_point,
                                   now_s, ws.heartbeat_age_seconds,
@@ -304,7 +294,6 @@ void LiveBus::write_status_json(const LiveStatus& status, std::ostream& out) {
     w.field("state", ws.running ? "running" : "idle");
     if (ws.running) w.field("point", ws.current_point);
     w.field("points_done", ws.points_done);
-    w.field("lanes", static_cast<std::uint64_t>(ws.lanes));
     w.field("heartbeat_age_seconds", ws.heartbeat_age_seconds);
     w.field("point_age_seconds", ws.point_age_seconds);
     w.end_object();

@@ -28,7 +28,7 @@
 // timelines are untouched; workers only feed the bus when one is
 // installed (live_bus() != nullptr), and the feed is a handful of relaxed
 // stores per *point*, not per simulated event — so reports stay
-// byte-identical at any --jobs x --lanes and the sweep_telemetry bench
+// byte-identical at any --jobs and the sweep_telemetry bench
 // regime stays within its <=5% overhead budget with the bus enabled.
 #pragma once
 
@@ -61,8 +61,8 @@ struct WatchdogConfig {
   /// a microsecond median, and scheduling jitter alone would trip it.
   double slow_point_min_seconds = 0.25;
   /// A worker still holding work whose heartbeat is older than this is
-  /// stalled (the heartbeat is refreshed on every point boundary and
-  /// every batched-engine window, so silence means a wedged advance).
+  /// stalled (the heartbeat is refreshed on every point boundary, so
+  /// silence means a wedged point).
   double heartbeat_timeout_seconds = 5.0;
 };
 
@@ -83,7 +83,6 @@ struct LiveWorkerStatus {
   bool running = false;
   std::uint64_t current_point = 0;  ///< valid when running
   std::uint64_t points_done = 0;
-  std::uint32_t lanes = 0;  ///< batched-engine lane occupancy (0 = scalar)
   double heartbeat_age_seconds = 0.0;
   double point_age_seconds = 0.0;  ///< 0 when idle
 };
@@ -110,7 +109,7 @@ struct LiveStatus {
 };
 
 /// The bus. Worker-side calls (add_points / begin_point / end_point /
-/// complete_point / heartbeat / record_cache) are wait-free: each is a
+/// complete_point / idle / record_cache) are wait-free: each is a
 /// few relaxed atomic operations on the caller's own cell, safe from any
 /// number of threads concurrently with the publisher's snapshot() fold.
 /// Publisher-side calls (snapshot, set_phase, anomalies) serialize on an
@@ -132,30 +131,26 @@ class LiveBus {
 
   // --- worker side (wait-free) ---
 
-  /// Announces `n` more sweep points (run_sweep / run_batched_sweep entry).
+  /// Announces `n` more sweep points (run_sweep entry).
   void add_points(std::uint64_t n);
 
   /// Worker `w` starts executing sweep point `point`.
   void begin_point(std::uint32_t w, std::uint64_t point);
 
-  /// Worker `w` finished its current point (scalar path: the duration is
-  /// measured from the matching begin_point).
+  /// Worker `w` finished its current point (the duration is measured from
+  /// the matching begin_point).
   void end_point(std::uint32_t w);
 
-  /// Worker `w` finished sweep point `point` after `duration_ns` (batched
-  /// path: lanes interleave, so the engine supplies each point's own
-  /// duration). Clears the running-point marker when it still names
-  /// `point` (a newer admit may have overwritten it).
+  /// Worker `w` finished sweep point `point` after `duration_ns`, for
+  /// callers that time points themselves. Clears the running-point marker
+  /// when it still names `point` (a newer begin_point may have
+  /// overwritten it).
   void complete_point(std::uint32_t w, std::uint64_t point,
                       std::uint64_t duration_ns);
 
-  /// Worker `w` drained its queue: clears the running-point marker and
-  /// lane occupancy so the watchdog stops ageing this worker.
+  /// Worker `w` drained its queue: clears the running-point marker so the
+  /// watchdog stops ageing this worker.
   void idle(std::uint32_t w);
-
-  /// Liveness pulse from worker `w`; `lanes` is the batched-engine lane
-  /// occupancy (pass 0 from scalar paths).
-  void heartbeat(std::uint32_t w, std::uint32_t lanes);
 
   /// Testbed profile cache outcome (platforms::load_or_build_testbed).
   void record_cache(bool hit);
@@ -211,7 +206,6 @@ class LiveBus {
     std::atomic<std::uint64_t> point_start_ns{0};
     std::atomic<std::uint64_t> current_point{kNoPoint};
     std::atomic<std::uint64_t> points_done{0};
-    std::atomic<std::uint32_t> lanes{0};
     std::atomic<std::uint32_t> touched{0};
   };
 

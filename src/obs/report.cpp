@@ -150,17 +150,6 @@ std::vector<RunRecord> machine_runs_from_json(const JsonValue& report) {
         r.regions.push_back(std::move(reg));
       }
     }
-    if (const JsonValue* partitions = jr.find_array("partitions")) {
-      for (const JsonValue& jpart : partitions->array) {
-        if (!jpart.is_object()) continue;
-        PartitionRollup part;
-        part.partition = static_cast<int>(jpart.number_or("partition", 0.0));
-        part.processors = static_cast<int>(jpart.number_or("processors", 0.0));
-        part.instructions = u64_or(jpart, "instructions");
-        part.streams = u64_or(jpart, "streams");
-        r.partitions.push_back(part);
-      }
-    }
     r.elapsed_seconds = jr.number_or("elapsed_seconds", 0.0);
     r.bus_utilization = jr.number_or("bus_utilization", 0.0);
     r.lock_wait_share = jr.number_or("lock_wait_share", 0.0);
@@ -320,21 +309,6 @@ void RunReport::write_json(std::ostream& out,
         w.end_object();
       }
       w.end_array();
-      // Present only on --run-threads > 1 runs, so scalar reports keep
-      // their existing byte layout (mirrors the scenario field's rule).
-      if (!r.partitions.empty()) {
-        w.key("partitions");
-        w.begin_array();
-        for (const PartitionRollup& part : r.partitions) {
-          w.begin_object();
-          w.field("partition", part.partition);
-          w.field("processors", part.processors);
-          w.field("instructions", part.instructions);
-          w.field("streams", part.streams);
-          w.end_object();
-        }
-        w.end_array();
-      }
     }
     if (r.critical_path.present) write_critical_path(w, r.critical_path);
     w.end_object();

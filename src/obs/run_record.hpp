@@ -63,20 +63,6 @@ struct RegionRollup {
   bool operator==(const RegionRollup&) const = default;
 };
 
-/// Per-host-partition rollup of an MTA run executed under --run-threads:
-/// which slice of the machine each worker thread simulated and how much
-/// work landed there. Purely observational — partitioning never changes
-/// simulated results (the partitioned path is bit-exact with scalar), so
-/// diff tooling treats these like region rollups (report_diff --ignore
-/// partitions).
-struct PartitionRollup {
-  int partition = 0;                ///< partition index in [0, K)
-  int processors = 0;               ///< simulated processors in the slice
-  std::uint64_t instructions = 0;   ///< instructions issued by the slice
-  std::uint64_t streams = 0;        ///< streams that completed on the slice
-  bool operator==(const PartitionRollup&) const = default;
-};
-
 /// One machine run's accounting. `model` selects which fields are
 /// meaningful: "mta" fills cycles/slots/regions and the utilizations,
 /// "smp" fills elapsed_seconds/bus_utilization/lock_wait_share (with
@@ -97,9 +83,6 @@ struct RunRecord {
   IssueSlotAccount slots;
   double network_utilization = 0.0;
   std::vector<RegionRollup> regions;
-  /// Host-partition rollups (--run-threads > 1 runs only; empty otherwise,
-  /// which keeps scalar reports byte-identical to their pre-partition form).
-  std::vector<PartitionRollup> partitions;
 
   // SMP fluid model.
   double elapsed_seconds = 0.0;

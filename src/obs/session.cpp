@@ -55,15 +55,6 @@ void RunSession::add_cli_flags(CliParser& cli) {
   cli.add_flag("jobs", "0",
                "host threads for independent simulation points "
                "(0 = hardware concurrency; incompatible with --trace-out)");
-  cli.add_flag("lanes", "0",
-               "simulation runs kept in flight per host thread by the "
-               "batched sweep engine (0 = default 8, 1 = scalar path; "
-               "composes with --jobs; --trace-out/--critpath pin to 1)");
-  cli.add_flag("run-threads", "1",
-               "host threads partitioning each single MTA simulation "
-               "(intra-run parallelism; 1 = scalar, 0 = hardware "
-               "concurrency; composes with --jobs x --lanes; --trace-out/"
-               "--critpath pin to 1)");
   cli.add_flag("critpath", "false",
                "capture per-run dependency graphs and attach critical-path "
                "attribution + what-if projections to machine runs "
@@ -150,47 +141,6 @@ RunSession::RunSession(std::string name, const CliParser& cli)
     jobs_ = hc == 0 ? 1 : static_cast<int>(hc);
   } else {
     jobs_ = static_cast<int>(jobs_flag);
-  }
-  const std::int64_t lanes_flag = cli.get_int("lanes");
-  if (lanes_flag < 0) {
-    std::fprintf(stderr, "error: --lanes must be >= 0 (got %lld)\n",
-                 static_cast<long long>(lanes_flag));
-    std::exit(2);
-  }
-  if (!trace_path_.empty() && cli.is_set("lanes") && lanes_flag > 1) {
-    std::fprintf(stderr,
-                 "error: --trace-out requires --lanes 1 (tracing pins the "
-                 "scalar simulation path)\n");
-    std::exit(2);
-  }
-  if (!trace_path_.empty() || cli.get_bool("critpath")) {
-    // Both modes observe individual instructions of a single machine;
-    // mta::run_batched_sweep refuses them too, this just keeps lanes()
-    // honest about the path actually taken.
-    lanes_ = 1;
-  } else {
-    lanes_ = lanes_flag == 0 ? kDefaultLanes : static_cast<int>(lanes_flag);
-  }
-  const std::int64_t rt_flag = cli.get_int("run-threads");
-  if (rt_flag < 0) {
-    std::fprintf(stderr, "error: --run-threads must be >= 0 (got %lld)\n",
-                 static_cast<long long>(rt_flag));
-    std::exit(2);
-  }
-  if ((!trace_path_.empty() || cli.get_bool("critpath")) &&
-      cli.is_set("run-threads") && rt_flag != 1) {
-    std::fprintf(stderr,
-                 "error: --trace-out/--critpath require --run-threads 1 "
-                 "(both observe a single machine's instruction stream)\n");
-    std::exit(2);
-  }
-  if (!trace_path_.empty() || cli.get_bool("critpath")) {
-    run_threads_ = 1;
-  } else if (rt_flag == 0) {
-    const unsigned hc = std::thread::hardware_concurrency();
-    run_threads_ = hc == 0 ? 1 : static_cast<int>(hc);
-  } else {
-    run_threads_ = static_cast<int>(rt_flag);
   }
   if (!trace_path_.empty()) {
     sink_ = std::make_unique<TraceSink>();

@@ -36,19 +36,6 @@
 //                         single deterministic event stream, so --trace-out
 //                         forces jobs to 1 (an explicit --jobs > 1 with
 //                         --trace-out is an error).
-//   --lanes <n>           simulation runs kept in flight per host thread by
-//                         the batched sweep engine (0 = default 8; 1 =
-//                         scalar path; composes with --jobs for lanes x
-//                         threads scaling). Output is byte-identical at any
-//                         value; --trace-out and --critpath pin lanes to 1
-//                         because both observe a single machine's
-//                         instruction stream.
-//   --run-threads <k>     host threads partitioning each single MTA
-//                         simulation (0 = hardware concurrency; 1 =
-//                         scalar). Composes with --jobs x --lanes. Output
-//                         is byte-identical at any value; --trace-out and
-//                         --critpath pin to 1 for the same reason as
-//                         --lanes.
 //
 // Construction installs the global trace sink (when --trace-out is given)
 // and the process-wide RunRecordStore / TimelineStore the machine models
@@ -118,22 +105,6 @@ class RunSession {
   /// runs pinned to 1. Always >= 1.
   [[nodiscard]] int jobs() const { return jobs_; }
 
-  /// Default in-flight lane count per worker for the batched sweep engine
-  /// (--lanes 0).
-  static constexpr int kDefaultLanes = 8;
-
-  /// Resolved lane count for mta::run_batched_sweep: the --lanes flag with
-  /// 0 replaced by kDefaultLanes; --trace-out and --critpath pin to 1 (the
-  /// scalar path, mirroring how tracing pins --jobs). Always >= 1.
-  [[nodiscard]] int lanes() const { return lanes_; }
-
-  /// Resolved intra-run thread count for mta::run_partitioned: the
-  /// --run-threads flag with 0 replaced by hardware concurrency;
-  /// --trace-out and --critpath pin to 1 (both observe a single machine's
-  /// instruction stream, which the partitioned engine refuses anyway).
-  /// Always >= 1.
-  [[nodiscard]] int run_threads() const { return run_threads_; }
-
   /// Writes trace/report/counter outputs now (idempotent; the destructor
   /// calls it). Prints one line per file written.
   void finish();
@@ -148,8 +119,6 @@ class RunSession {
   std::string status_path_;
   std::string flight_path_;
   int jobs_ = 1;
-  int lanes_ = 1;
-  int run_threads_ = 1;
   bool dump_counters_ = false;
   bool finished_ = false;
   std::unique_ptr<TraceSink> sink_;

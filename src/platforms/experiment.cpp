@@ -6,7 +6,6 @@
 #include "c3i/terrain/scenario_gen.hpp"
 #include "c3i/threat/scenario_gen.hpp"
 #include "core/contracts.hpp"
-#include "mta/partitioned_machine.hpp"
 #include "obs/run_record.hpp"
 #include "platforms/paper.hpp"
 #include "sim/sweep.hpp"
@@ -247,14 +246,14 @@ double terrain_coarse_static_seconds(const Testbed& tb,
 
 namespace {
 
-/// Runs one point on a scalar machine, byte-for-byte the pre-batched code
-/// shape (the seconds functions below are often called from inside an
-/// outer sim::run_sweep, so they must not start a nested sweep).
-double run_point_scalar(const MtaPoint& p) {
-  const obs::ScopedScenarioLabel scenario_label(p.batch.scenario);
-  mta::Machine machine(p.batch.config);
+/// Runs one point on its own machine (the seconds functions below are
+/// often called from inside an outer sim::run_sweep, so they must not
+/// start a nested sweep).
+double run_point(const MtaPoint& p) {
+  const obs::ScopedScenarioLabel scenario_label(p.scenario);
+  mta::Machine machine(p.config);
   mta::ProgramPool pool;
-  p.batch.build(machine, pool);
+  p.build(machine, pool);
   return machine.run().seconds * p.seconds_factor;
 }
 
@@ -262,9 +261,9 @@ double run_point_scalar(const MtaPoint& p) {
 
 MtaPoint mta_threat_seq_point(const Testbed& tb) {
   MtaPoint p;
-  p.batch.config = make_mta_config(1);
-  p.batch.scenario = "threat_seq";
-  p.batch.build = [&tb](mta::Machine& machine, mta::ProgramPool& pool) {
+  p.config = make_mta_config(1);
+  p.scenario = "threat_seq";
+  p.build = [&tb](mta::Machine& machine, mta::ProgramPool& pool) {
     threat::build_mta_sequential(pool, machine, tb.threat_profile_scaled,
                                  tb.threat_costs_scaled);
   };
@@ -275,10 +274,9 @@ MtaPoint mta_threat_seq_point(const Testbed& tb) {
 MtaPoint mta_threat_chunked_point(const Testbed& tb, int chunks,
                                   int processors) {
   MtaPoint p;
-  p.batch.config = make_mta_config(processors);
-  p.batch.scenario = "threat_chunked";
-  p.batch.build = [&tb, chunks](mta::Machine& machine,
-                                mta::ProgramPool& pool) {
+  p.config = make_mta_config(processors);
+  p.scenario = "threat_chunked";
+  p.build = [&tb, chunks](mta::Machine& machine, mta::ProgramPool& pool) {
     threat::build_mta_chunked(pool, machine, tb.threat_profile_scaled,
                               static_cast<std::size_t>(chunks),
                               tb.threat_costs_scaled);
@@ -289,9 +287,9 @@ MtaPoint mta_threat_chunked_point(const Testbed& tb, int chunks,
 
 MtaPoint mta_threat_finegrained_point(const Testbed& tb, int processors) {
   MtaPoint p;
-  p.batch.config = make_mta_config(processors);
-  p.batch.scenario = "threat_fine";
-  p.batch.build = [&tb](mta::Machine& machine, mta::ProgramPool& pool) {
+  p.config = make_mta_config(processors);
+  p.scenario = "threat_fine";
+  p.build = [&tb](mta::Machine& machine, mta::ProgramPool& pool) {
     threat::build_mta_finegrained(pool, machine, tb.threat_profile_scaled,
                                   tb.threat_costs_scaled);
   };
@@ -301,9 +299,9 @@ MtaPoint mta_threat_finegrained_point(const Testbed& tb, int processors) {
 
 MtaPoint mta_terrain_seq_point(const Testbed& tb) {
   MtaPoint p;
-  p.batch.config = make_mta_config(1);
-  p.batch.scenario = "terrain_seq";
-  p.batch.build = [&tb](mta::Machine& machine, mta::ProgramPool& pool) {
+  p.config = make_mta_config(1);
+  p.scenario = "terrain_seq";
+  p.build = [&tb](mta::Machine& machine, mta::ProgramPool& pool) {
     terrain::build_mta_sequential(pool, machine, tb.terrain_profile_scaled,
                                   tb.terrain_costs_scaled);
   };
@@ -318,10 +316,9 @@ MtaPoint mta_terrain_fine_point(const Testbed& tb, int processors) {
 MtaPoint mta_terrain_fine_point(const Testbed& tb, int processors,
                                 const terrain::MtaFineParams& params) {
   MtaPoint p;
-  p.batch.config = make_mta_config(processors);
-  p.batch.scenario = "terrain_fine";
-  p.batch.build = [&tb, params](mta::Machine& machine,
-                                mta::ProgramPool& pool) {
+  p.config = make_mta_config(processors);
+  p.scenario = "terrain_fine";
+  p.build = [&tb, params](mta::Machine& machine, mta::ProgramPool& pool) {
     terrain::build_mta_finegrained(pool, machine, tb.terrain_profile_scaled,
                                    tb.terrain_costs_scaled, params);
   };
@@ -330,47 +327,26 @@ MtaPoint mta_terrain_fine_point(const Testbed& tb, int processors,
 }
 
 std::vector<double> run_mta_points(const std::vector<MtaPoint>& points,
-                                   int lanes, int jobs, int run_threads) {
-  if (run_threads > 1) {
-    // Intra-run parallelism: each point's single simulation is partitioned
-    // across run_threads host workers; --jobs still schedules whole points
-    // concurrently on top.
-    return sim::run_sweep(points.size(), jobs, [&](std::size_t i) {
-      const MtaPoint& p = points[i];
-      const obs::ScopedScenarioLabel scenario_label(p.batch.scenario);
-      mta::Machine machine(p.batch.config);
-      mta::ProgramPool pool;
-      p.batch.build(machine, pool);
-      return mta::run_partitioned(machine, run_threads).seconds *
-             p.seconds_factor;
-    });
-  }
-  std::vector<mta::BatchPoint> batch;
-  batch.reserve(points.size());
-  for (const MtaPoint& p : points) batch.push_back(p.batch);
-  const std::vector<mta::MtaRunResult> results =
-      mta::run_batched_sweep(batch, lanes, jobs);
-  std::vector<double> seconds(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i)
-    seconds[i] = results[i].seconds * points[i].seconds_factor;
-  return seconds;
+                                   int jobs) {
+  return sim::run_sweep(points.size(), jobs,
+                        [&](std::size_t i) { return run_point(points[i]); });
 }
 
 double mta_threat_seq_seconds(const Testbed& tb) {
-  return run_point_scalar(mta_threat_seq_point(tb));
+  return run_point(mta_threat_seq_point(tb));
 }
 
 double mta_threat_chunked_seconds(const Testbed& tb, int chunks,
                                   int processors) {
-  return run_point_scalar(mta_threat_chunked_point(tb, chunks, processors));
+  return run_point(mta_threat_chunked_point(tb, chunks, processors));
 }
 
 double mta_threat_finegrained_seconds(const Testbed& tb, int processors) {
-  return run_point_scalar(mta_threat_finegrained_point(tb, processors));
+  return run_point(mta_threat_finegrained_point(tb, processors));
 }
 
 double mta_terrain_seq_seconds(const Testbed& tb) {
-  return run_point_scalar(mta_terrain_seq_point(tb));
+  return run_point(mta_terrain_seq_point(tb));
 }
 
 double mta_terrain_fine_seconds(const Testbed& tb, int processors) {
@@ -380,7 +356,7 @@ double mta_terrain_fine_seconds(const Testbed& tb, int processors) {
 
 double mta_terrain_fine_seconds(const Testbed& tb, int processors,
                                 const terrain::MtaFineParams& params) {
-  return run_point_scalar(mta_terrain_fine_point(tb, processors, params));
+  return run_point(mta_terrain_fine_point(tb, processors, params));
 }
 
 }  // namespace tc3i::platforms

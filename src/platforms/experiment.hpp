@@ -5,6 +5,8 @@
 // come from a single code path.
 #pragma once
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "c3i/cost_model.hpp"
@@ -14,7 +16,8 @@
 #include "c3i/threat/scenario_gen.hpp"
 #include "c3i/threat/sequential.hpp"
 #include "c3i/threat/trace_builder.hpp"
-#include "mta/batched_machine.hpp"
+#include "mta/machine.hpp"
+#include "mta/stream_program.hpp"
 #include "platforms/calibration.hpp"
 #include "platforms/platform.hpp"
 #include "smp/machine.hpp"
@@ -122,19 +125,21 @@ struct TestbedProfiles {
     const Testbed& tb, int processors,
     const c3i::terrain::MtaFineParams& params);
 
-// --- Batched MTA sweep points ----------------------------------------------
-// The mta_*_seconds functions above run one scalar machine per call. The
-// point constructors below expose the same experiments as
-// mta::BatchPoint values so the table benches can hand a whole grid to the
-// batched lockstep engine (--lanes x --jobs); the seconds functions are
-// implemented over the same points, so every reported number still flows
-// through one code path. `seconds_factor` is the testbed's
-// instruction-scaling extrapolation (threat_mta_factor /
-// terrain_mta_factor), applied to MtaRunResult::seconds by
-// run_mta_points(). A point's build closure captures `tb` by reference;
-// the testbed must outlive the point.
+// --- MTA sweep points -------------------------------------------------------
+// The mta_*_seconds functions above run one machine per call. The point
+// constructors below expose the same experiments as values so the table
+// benches can hand a whole grid to run_mta_points (--jobs); the seconds
+// functions are implemented over the same points, so every reported number
+// flows through one code path. A point is a machine configuration, the
+// workload builder that populates it, and `scenario`, which labels the
+// run's RunRecords (obs::ScopedScenarioLabel). `seconds_factor` is the
+// testbed's instruction-scaling extrapolation (threat_mta_factor /
+// terrain_mta_factor), applied to MtaRunResult::seconds. A point's build
+// closure captures `tb` by reference; the testbed must outlive the point.
 struct MtaPoint {
-  mta::BatchPoint batch;
+  mta::MtaConfig config;
+  std::string scenario;
+  std::function<void(mta::Machine&, mta::ProgramPool&)> build;
   double seconds_factor = 1.0;
 };
 
@@ -150,16 +155,10 @@ struct MtaPoint {
     const Testbed& tb, int processors,
     const c3i::terrain::MtaFineParams& params);
 
-/// Runs the points through mta::run_batched_sweep (scalar fallback rules
-/// apply; see batched_machine.hpp) and returns the extrapolated seconds per
-/// point in submission order. run_threads > 1 instead partitions each
-/// point's single simulation across that many host threads
-/// (mta::run_partitioned, with its own scalar-fallback rules) while --jobs
-/// still schedules whole points concurrently; the batched lane engine and
-/// the partitioned engine are mutually exclusive per run, so lanes is
-/// ignored on that path. Output is byte-identical either way.
+/// Runs each point on its own machine through sim::run_sweep at `jobs`
+/// and returns the extrapolated seconds per point in submission order
+/// (byte-identical output at any `jobs`; see sim/sweep.hpp).
 [[nodiscard]] std::vector<double> run_mta_points(
-    const std::vector<MtaPoint>& points, int lanes, int jobs,
-    int run_threads = 1);
+    const std::vector<MtaPoint>& points, int jobs);
 
 }  // namespace tc3i::platforms

@@ -125,27 +125,6 @@ class TimerWheel {
     for (const Entry& e : scratch_) fn(e.at, e.payload);
   }
 
-  /// Invokes fn(at, payload) for every pending entry in unspecified order
-  /// and leaves the wheel empty (current() unchanged, fully reusable).
-  /// Unlike drain_due there is no ordering contract: callers redistribute
-  /// the entries into other wheels whose own drain_due re-establishes the
-  /// (at, payload) delivery order. fn must not push into *this* wheel.
-  template <typename Fn>
-  void drain_all(Fn&& fn) {
-    for (const Entry& e : late_) fn(e.at, e.payload);
-    late_.clear();
-    for (std::vector<Entry>& b : buckets_) {
-      for (const Entry& e : b) fn(e.at, e.payload);
-      b.clear();
-    }
-    std::fill(bitmap_.begin(), bitmap_.end(), 0);
-    while (!overflow_.empty()) {
-      fn(overflow_.top().at, overflow_.top().payload);
-      overflow_.pop();
-    }
-    size_ = 0;
-  }
-
  private:
   struct Entry {
     std::uint64_t at;

@@ -7,7 +7,7 @@ namespace {
 
 DepContext ctx_i() {
   DepContext ctx;
-  ctx.loop_var = "i";
+  ctx.loop_var = std::string("i");
   ctx.invariants = {"n", "k"};
   return ctx;
 }

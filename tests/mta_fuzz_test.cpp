@@ -1,7 +1,8 @@
 // Randomized structural tests of the MTA simulator: ring pipelines of
 // randomly sized streams (deadlock-free by construction) must always
 // terminate, deterministically, with conserved instruction counts —
-// across random configurations.
+// across random configurations — and the fast path must match the slow
+// reference loop on every one of them.
 #include <gtest/gtest.h>
 
 #include "core/rng.hpp"
@@ -15,12 +16,15 @@ struct FuzzResult {
   std::uint64_t instructions;
   std::uint64_t memory_ops;
   std::uint64_t completed;
+  obs::IssueSlotAccount slots;
 };
 
 /// Builds a ring pipeline: stream i sync-loads cell i-1, does random local
 /// work, then sync-stores cell i. Cell N-1 is pre-filled, so the chain
 /// always makes progress; every cell sees exactly one store and one load.
-FuzzResult run_ring(std::uint64_t seed) {
+/// `slow_reference` selects the simulation loop; the configuration and
+/// program drawn from `seed` are the same either way.
+FuzzResult run_ring(std::uint64_t seed, bool slow_reference = false) {
   Rng rng(seed);
   MtaConfig cfg;
   cfg.num_processors = 1 + static_cast<int>(rng.next_below(3));
@@ -35,6 +39,7 @@ FuzzResult run_ring(std::uint64_t seed) {
     cfg.hash_addresses = rng.chance(0.5);
   }
   cfg.memory_words = 1u << 12;
+  cfg.slow_reference = slow_reference;
   Machine machine(cfg);
 
   const int n = 2 + static_cast<int>(rng.next_below(40));
@@ -61,7 +66,7 @@ FuzzResult run_ring(std::uint64_t seed) {
 
   const auto result = machine.run(/*max_cycles=*/1ull << 34);
   FuzzResult out{result.cycles, result.instructions_issued, result.memory_ops,
-                 result.streams_completed};
+                 result.streams_completed, result.slots};
   EXPECT_EQ(result.instructions_issued, expected_instr) << "seed " << seed;
   EXPECT_EQ(result.streams_completed, static_cast<std::uint64_t>(n));
   return out;
@@ -77,6 +82,20 @@ TEST_P(MtaFuzzTest, RingPipelineTerminatesDeterministically) {
   EXPECT_EQ(a.memory_ops, b.memory_ops);
   EXPECT_EQ(a.completed, b.completed);
   EXPECT_GT(a.cycles, 0u);
+}
+
+TEST_P(MtaFuzzTest, FastPathMatchesSlowReference) {
+  const FuzzResult fast = run_ring(GetParam(), /*slow_reference=*/false);
+  const FuzzResult slow = run_ring(GetParam(), /*slow_reference=*/true);
+  EXPECT_EQ(fast.cycles, slow.cycles);
+  EXPECT_EQ(fast.instructions, slow.instructions);
+  EXPECT_EQ(fast.memory_ops, slow.memory_ops);
+  EXPECT_EQ(fast.slots.used, slow.slots.used);
+  EXPECT_EQ(fast.slots.no_stream, slow.slots.no_stream);
+  EXPECT_EQ(fast.slots.spacing, slow.slots.spacing);
+  EXPECT_EQ(fast.slots.spawn, slow.slots.spawn);
+  EXPECT_EQ(fast.slots.memory, slow.slots.memory);
+  EXPECT_EQ(fast.slots.sync, slow.slots.sync);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MtaFuzzTest,

@@ -4,7 +4,7 @@
 // (MtaConfig::slow_reference, the binary-heap one-cycle-at-a-time
 // simulation) bit-for-bit on every counter the paper's results depend on.
 //
-// Three layers of defense:
+// Four layers of defense:
 //   1. a synthetic matrix over lookahead x memory_banks x processors with a
 //      mixed compute/memory/sync/spawn workload, plus a sync-heavy
 //      full/empty ring and spawn-virtualization scenarios;
@@ -14,16 +14,10 @@
 //   3. the real table 5/6/11 experiment configurations (scaled threat
 //      chunked/sequential and terrain fine/sequential programs from the
 //      testbed), the workloads every headline number runs through;
-//   4. lane-vs-scalar cross-checks of the batched sweep engine
-//      (mta::run_batched_sweep): every workload above, plus mixed-config
-//      lane packs and early-retire/backfill edges, must produce run
-//      results, RunRecords, and counter snapshots bit-identical to a
-//      point-at-a-time scalar sweep;
-//   5. partitioned-vs-scalar cross-checks of the intra-run parallel engine
-//      (mta::run_partitioned, --run-threads): the same workloads plus an
-//      adversarial window-boundary sync scenario must be bit-identical to
-//      the scalar run() for every thread count, and ineligible configs
-//      must take the scalar fallback.
+//   4. --jobs cross-checks of the sweep runner (platforms::run_mta_points):
+//      the workloads above, swept on several host threads, must produce
+//      seconds, RunRecords, and counter snapshots bit-identical to a
+//      point-at-a-time serial loop.
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -33,9 +27,7 @@
 
 #include "c3i/terrain/trace_builder.hpp"
 #include "c3i/threat/trace_builder.hpp"
-#include "mta/batched_machine.hpp"
 #include "mta/machine.hpp"
-#include "mta/partitioned_machine.hpp"
 #include "mta/runtime.hpp"
 #include "mta/stream_program.hpp"
 #include "obs/counters.hpp"
@@ -336,94 +328,78 @@ TEST(MtaGolden, Table11TerrainSequential) {
       "table11 sequential");
 }
 
-// --- 4. lane-vs-scalar cross-checks (batched sweep engine) ------------------
-
-void expect_result_eq(const MtaRunResult& b, const MtaRunResult& s,
-                      const std::string& label) {
-  EXPECT_EQ(b.cycles, s.cycles) << label;
-  EXPECT_EQ(b.instructions_issued, s.instructions_issued) << label;
-  EXPECT_EQ(b.memory_ops, s.memory_ops) << label;
-  EXPECT_EQ(b.spawns, s.spawns) << label;
-  EXPECT_EQ(b.streams_completed, s.streams_completed) << label;
-  EXPECT_EQ(b.peak_live_streams, s.peak_live_streams) << label;
-  EXPECT_DOUBLE_EQ(b.seconds, s.seconds) << label;
-  EXPECT_DOUBLE_EQ(b.processor_utilization, s.processor_utilization) << label;
-  EXPECT_DOUBLE_EQ(b.network_utilization, s.network_utilization) << label;
-  EXPECT_EQ(b.slots, s.slots) << label;
-  EXPECT_EQ(b.processor_slots, s.processor_slots) << label;
-  EXPECT_EQ(b.utilization_timeline, s.utilization_timeline) << label;
-}
+// --- 4. --jobs sweep cross-checks -------------------------------------------
 
 /// Counter snapshots must match metric-for-metric, except wall-clock
 /// timings (host-time histograms are the one legitimately nondeterministic
 /// family).
-void expect_registries_match(const obs::CounterRegistry& batched,
-                             const obs::CounterRegistry& scalar,
+void expect_registries_match(const obs::CounterRegistry& swept,
+                             const obs::CounterRegistry& serial,
                              const std::string& label) {
   const auto keep = [](const obs::MetricSnapshot& m) {
     return m.name.find("wall_seconds") == std::string::npos;
   };
-  std::vector<obs::MetricSnapshot> sb;
-  std::vector<obs::MetricSnapshot> ss;
-  for (const auto& m : batched.snapshot())
-    if (keep(m)) sb.push_back(m);
-  for (const auto& m : scalar.snapshot())
-    if (keep(m)) ss.push_back(m);
-  ASSERT_EQ(sb.size(), ss.size()) << label;
-  for (std::size_t i = 0; i < sb.size(); ++i) {
-    EXPECT_EQ(sb[i].name, ss[i].name) << label;
-    EXPECT_EQ(static_cast<int>(sb[i].kind), static_cast<int>(ss[i].kind))
-        << label << " " << sb[i].name;
-    EXPECT_EQ(sb[i].count, ss[i].count) << label << " " << sb[i].name;
-    EXPECT_DOUBLE_EQ(sb[i].value, ss[i].value) << label << " " << sb[i].name;
-    EXPECT_DOUBLE_EQ(sb[i].p50, ss[i].p50) << label << " " << sb[i].name;
-    EXPECT_DOUBLE_EQ(sb[i].p90, ss[i].p90) << label << " " << sb[i].name;
-    EXPECT_DOUBLE_EQ(sb[i].p99, ss[i].p99) << label << " " << sb[i].name;
-    EXPECT_DOUBLE_EQ(sb[i].max, ss[i].max) << label << " " << sb[i].name;
+  std::vector<obs::MetricSnapshot> a;
+  std::vector<obs::MetricSnapshot> b;
+  for (const auto& m : swept.snapshot())
+    if (keep(m)) a.push_back(m);
+  for (const auto& m : serial.snapshot())
+    if (keep(m)) b.push_back(m);
+  ASSERT_EQ(a.size(), b.size()) << label;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].name, b[i].name) << label;
+    EXPECT_EQ(static_cast<int>(a[i].kind), static_cast<int>(b[i].kind))
+        << label << " " << a[i].name;
+    EXPECT_EQ(a[i].count, b[i].count) << label << " " << a[i].name;
+    EXPECT_DOUBLE_EQ(a[i].value, b[i].value) << label << " " << a[i].name;
+    EXPECT_DOUBLE_EQ(a[i].p50, b[i].p50) << label << " " << a[i].name;
+    EXPECT_DOUBLE_EQ(a[i].p90, b[i].p90) << label << " " << a[i].name;
+    EXPECT_DOUBLE_EQ(a[i].p99, b[i].p99) << label << " " << a[i].name;
+    EXPECT_DOUBLE_EQ(a[i].max, b[i].max) << label << " " << a[i].name;
   }
 }
 
-/// Runs `points` once through the scalar point-at-a-time loop and once
-/// through run_batched_sweep at the given lane count, each pass under its
-/// own counter registry and record store, and requires identical results,
-/// RunRecords (in submission order), and counter snapshots.
-void expect_lanes_match(const std::vector<mta::BatchPoint>& points, int lanes,
-                        const std::string& label) {
-  obs::CounterRegistry scalar_reg;
-  obs::RunRecordStore scalar_recs;
-  std::vector<MtaRunResult> scalar;
+/// Runs `points` once point-at-a-time on the calling thread and once
+/// through platforms::run_mta_points at 3 jobs (per-point stores merged in
+/// submission order), each pass under its own counter registry and record
+/// store, and requires identical seconds, RunRecords (in submission order),
+/// and counter snapshots.
+void expect_jobs_match(const std::vector<platforms::MtaPoint>& points,
+                       const std::string& label) {
+  obs::CounterRegistry serial_reg;
+  obs::RunRecordStore serial_recs;
+  std::vector<double> serial;
   {
-    const obs::ScopedRegistry reg(scalar_reg);
-    const obs::ScopedRunRecords rec(scalar_recs);
-    for (const mta::BatchPoint& p : points) {
+    const obs::ScopedRegistry reg(serial_reg);
+    const obs::ScopedRunRecords rec(serial_recs);
+    for (const platforms::MtaPoint& p : points) {
       const obs::ScopedScenarioLabel scen(p.scenario);
       Machine m(p.config);
       ProgramPool pool;
       p.build(m, pool);
-      scalar.push_back(m.run());
+      serial.push_back(m.run().seconds * p.seconds_factor);
     }
   }
 
-  obs::CounterRegistry lane_reg;
-  obs::RunRecordStore lane_recs;
-  std::vector<MtaRunResult> batched;
+  obs::CounterRegistry swept_reg;
+  obs::RunRecordStore swept_recs;
+  std::vector<double> swept;
   {
-    const obs::ScopedRegistry reg(lane_reg);
-    const obs::ScopedRunRecords rec(lane_recs);
-    batched = mta::run_batched_sweep(points, lanes, /*jobs=*/1);
+    const obs::ScopedRegistry reg(swept_reg);
+    const obs::ScopedRunRecords rec(swept_recs);
+    swept = platforms::run_mta_points(points, /*jobs=*/3);
   }
 
-  ASSERT_EQ(batched.size(), scalar.size()) << label;
-  for (std::size_t i = 0; i < batched.size(); ++i)
-    expect_result_eq(batched[i], scalar[i],
-                     label + " point " + std::to_string(i));
+  ASSERT_EQ(swept.size(), serial.size()) << label;
+  for (std::size_t i = 0; i < swept.size(); ++i)
+    EXPECT_DOUBLE_EQ(swept[i], serial[i]) << label << " point " << i;
   // RunRecords carry no wall-clock state, so memberwise equality is exact.
-  EXPECT_TRUE(lane_recs.records() == scalar_recs.records()) << label;
-  expect_registries_match(lane_reg, scalar_reg, label);
+  EXPECT_TRUE(swept_recs.records() == serial_recs.records()) << label;
+  expect_registries_match(swept_reg, serial_reg, label);
 }
 
-std::vector<mta::BatchPoint> synthetic_matrix_points() {
-  std::vector<mta::BatchPoint> points;
+TEST(MtaGolden, JobsMatchSerialSyntheticMatrix) {
+  std::vector<platforms::MtaPoint> points;
   for (int lookahead : {0, 4}) {
     for (int procs : {1, 2}) {
       MtaConfig cfg;
@@ -434,19 +410,11 @@ std::vector<mta::BatchPoint> synthetic_matrix_points() {
       points.push_back({cfg, "mixed", build_mixed});
     }
   }
-  return points;
+  expect_jobs_match(points, "synthetic matrix");
 }
 
-TEST(MtaGolden, LanesMatchScalarSyntheticMatrix) {
-  const auto points = synthetic_matrix_points();
-  for (int lanes : {2, 3, 8}) {
-    expect_lanes_match(points, lanes,
-                       "synthetic matrix lanes=" + std::to_string(lanes));
-  }
-}
-
-TEST(MtaGolden, LanesMatchScalarSyncRingAndSpawnTrees) {
-  std::vector<mta::BatchPoint> points;
+TEST(MtaGolden, JobsMatchSerialSyncRingAndSpawnTrees) {
+  std::vector<platforms::MtaPoint> points;
   for (int procs : {1, 2}) {
     MtaConfig cfg;
     cfg.num_processors = procs;
@@ -465,290 +433,20 @@ TEST(MtaGolden, LanesMatchScalarSyncRingAndSpawnTrees) {
     cfg.streams_per_processor = 8;
     points.push_back({cfg, "spawn_flat", build_spawn_flat});
   }
-  expect_lanes_match(points, /*lanes=*/3, "sync ring + spawn trees");
+  expect_jobs_match(points, "sync ring + spawn trees");
 }
 
-TEST(MtaGolden, LanesMatchScalarTableWorkloads) {
+TEST(MtaGolden, JobsMatchSerialTableWorkloads) {
+  // The points tables 5, 6 and 11 hand to run_mta_points.
   const auto& tb = golden_testbed();
-  std::vector<mta::BatchPoint> points;
-  for (int procs : {1, 2}) {
-    points.push_back({platforms::make_mta_config(procs), "threat_chunked",
-                      [&tb](Machine& m, ProgramPool& pool) {
-                        c3i::threat::build_mta_chunked(
-                            pool, m, tb.threat_profile_scaled, 256,
-                            tb.threat_costs_scaled);
-                      }});
-  }
-  points.push_back({platforms::make_mta_config(1), "threat_seq",
-                    [&tb](Machine& m, ProgramPool& pool) {
-                      c3i::threat::build_mta_sequential(
-                          pool, m, tb.threat_profile_scaled,
-                          tb.threat_costs_scaled);
-                    }});
-  for (int procs : {1, 2}) {
-    points.push_back({platforms::make_mta_config(procs), "terrain_fine",
-                      [&tb](Machine& m, ProgramPool& pool) {
-                        c3i::terrain::build_mta_finegrained(
-                            pool, m, tb.terrain_profile_scaled,
-                            tb.terrain_costs_scaled,
-                            c3i::terrain::MtaFineParams{});
-                      }});
-  }
-  points.push_back({platforms::make_mta_config(1), "terrain_seq",
-                    [&tb](Machine& m, ProgramPool& pool) {
-                      c3i::terrain::build_mta_sequential(
-                          pool, m, tb.terrain_profile_scaled,
-                          tb.terrain_costs_scaled);
-                    }});
-  expect_lanes_match(points, /*lanes=*/4, "table 5/11 workloads");
-}
-
-TEST(MtaGolden, LanesMatchScalarMixedConfigPack) {
-  // Three distinct memory_words sizes interleaved, so arena recycling must
-  // match by size (adopting a wrong-sized arena would clear-and-resize,
-  // which is still correct but must also still be bit-exact — and a
-  // size-keyed pool hit must not leak a previous run's full/empty state).
-  std::vector<mta::BatchPoint> points;
-  for (int rep = 0; rep < 2; ++rep) {
-    {
-      MtaConfig cfg;
-      cfg.num_processors = 2;
-      cfg.streams_per_processor = 32;
-      cfg.memory_words = 1u << 16;
-      points.push_back({cfg, "mixed_small", build_mixed});
-    }
-    {
-      MtaConfig cfg;
-      cfg.num_processors = 1;
-      cfg.streams_per_processor = 32;
-      cfg.memory_words = 1u << 17;
-      points.push_back({cfg, "ring_mid", build_sync_ring});
-    }
-    {
-      MtaConfig cfg;
-      cfg.num_processors = 1;
-      cfg.streams_per_processor = 8;
-      cfg.memory_words = 1u << 14;
-      points.push_back({cfg, "flat_tiny", build_spawn_flat});
-    }
-  }
-  expect_lanes_match(points, /*lanes=*/3, "mixed-config lane pack");
-}
-
-TEST(MtaGolden, LanesMatchScalarEarlyRetireBackfill) {
-  // Alternating short and long runs on 2 lanes: every short point retires
-  // within its first window and backfills from the queue while the long
-  // point in the other lane keeps advancing — the lane-lifecycle edge the
-  // lockstep engine must get right without cross-lane time skew.
-  std::vector<mta::BatchPoint> points;
-  for (int i = 0; i < 10; ++i) {
-    const bool long_run = (i % 2) == 1;
-    points.push_back(
-        {MtaConfig{}, long_run ? "long" : "short",
-         [long_run, i](Machine& m, ProgramPool& pool) {
-           VectorProgram* p = pool.make_vector();
-           p->compute(long_run ? 20000 : 50);
-           p->load(static_cast<mta::Address>(100 + i), 2);
-           p->compute(long_run ? 9000 : 10);
-           p->store(static_cast<mta::Address>(200 + i), 1);
-           m.add_stream(p);
-         }});
-  }
-  expect_lanes_match(points, /*lanes=*/2, "early retire + backfill");
-  // More lanes than points: the tail of the lane array never activates.
-  expect_lanes_match({points.begin(), points.begin() + 3}, /*lanes=*/16,
-                     "lanes > points");
-  // lanes=1 takes the scalar fallback inside run_batched_sweep; equality
-  // here pins the fallback to the reference loop too.
-  expect_lanes_match({points.begin(), points.begin() + 3}, /*lanes=*/1,
-                     "lanes=1 fallback");
-}
-
-// --- 5. partitioned-vs-scalar cross-checks (--run-threads engine) -----------
-
-/// Like expect_registries_match, but also drops the mta.partition.* family
-/// (the partitioned engine's own rollups, absent by design on scalar runs).
-void expect_registries_match_sans_partition(
-    const obs::CounterRegistry& partitioned,
-    const obs::CounterRegistry& scalar, const std::string& label) {
-  const auto keep = [](const obs::MetricSnapshot& m) {
-    return m.name.find("wall_seconds") == std::string::npos &&
-           m.name.rfind("mta.partition.", 0) != 0;
-  };
-  std::vector<obs::MetricSnapshot> sp;
-  std::vector<obs::MetricSnapshot> ss;
-  for (const auto& m : partitioned.snapshot())
-    if (keep(m)) sp.push_back(m);
-  for (const auto& m : scalar.snapshot())
-    if (keep(m)) ss.push_back(m);
-  ASSERT_EQ(sp.size(), ss.size()) << label;
-  for (std::size_t i = 0; i < sp.size(); ++i) {
-    EXPECT_EQ(sp[i].name, ss[i].name) << label;
-    EXPECT_EQ(sp[i].count, ss[i].count) << label << " " << sp[i].name;
-    EXPECT_DOUBLE_EQ(sp[i].value, ss[i].value) << label << " " << sp[i].name;
-  }
-}
-
-/// Runs `build` once through the scalar loop and once through
-/// run_partitioned for each thread count, each pass under its own registry
-/// and record store, and requires bit-identical results, RunRecords (minus
-/// the partition rollups only the partitioned run carries), and counters.
-void expect_partitioned_matches(
-    const MtaConfig& cfg,
-    const std::function<void(Machine&, ProgramPool&)>& build,
-    const std::string& label) {
-  obs::CounterRegistry scalar_reg;
-  obs::RunRecordStore scalar_recs;
-  MtaRunResult s{};
-  {
-    const obs::ScopedRegistry reg(scalar_reg);
-    const obs::ScopedRunRecords rec(scalar_recs);
-    Machine m(cfg);
-    ProgramPool pool;
-    build(m, pool);
-    s = m.run();
-  }
-
-  for (int threads : {2, 3, 8}) {
-    obs::CounterRegistry part_reg;
-    obs::RunRecordStore part_recs;
-    MtaRunResult p{};
-    {
-      const obs::ScopedRegistry reg(part_reg);
-      const obs::ScopedRunRecords rec(part_recs);
-      Machine m(cfg);
-      ProgramPool pool;
-      build(m, pool);
-      p = mta::run_partitioned(m, threads);
-    }
-    const std::string l = label + " threads=" + std::to_string(threads);
-    expect_result_eq(p, s, l);
-    std::vector<obs::RunRecord> pr = part_recs.records();
-    for (obs::RunRecord& r : pr) r.partitions.clear();
-    EXPECT_TRUE(pr == scalar_recs.records()) << l;
-    expect_registries_match_sans_partition(part_reg, scalar_reg, l);
-  }
-}
-
-TEST(MtaPartitioned, MatchesScalarSyntheticWorkloads) {
-  for (int procs : {2, 4, 8}) {
-    MtaConfig cfg;
-    cfg.num_processors = procs;
-    cfg.streams_per_processor = 32;
-    cfg.memory_banks = 64;
-    const std::string suffix = " procs=" + std::to_string(procs);
-    expect_partitioned_matches(cfg, build_mixed, "mixed" + suffix);
-    expect_partitioned_matches(cfg, build_sync_ring, "sync ring" + suffix);
-  }
-}
-
-TEST(MtaPartitioned, MatchesScalarSpawnTrees) {
-  {
-    MtaConfig cfg;
-    cfg.num_processors = 2;
-    cfg.streams_per_processor = 16;
-    expect_partitioned_matches(cfg, build_spawn_tree, "spawn tree");
-  }
-  {
-    // One processor: the engine clamps to a single partition and takes the
-    // scalar fallback — equality pins the fallback path too.
-    MtaConfig cfg;
-    cfg.num_processors = 1;
-    cfg.streams_per_processor = 8;
-    expect_partitioned_matches(cfg, build_spawn_flat, "spawn flat fallback");
-  }
-}
-
-/// Adversarial window-boundary scenario: sync hand-offs whose hazard
-/// cycles land just before, at, and just after conservative-window
-/// boundaries (the window span is memory_latency + 1 = 71 cycles under the
-/// default config), with hardware and software spawns sprinkled in so
-/// stream activation interleaves with window dispatch. Every pair uses a
-/// different compute pad so the hazards sweep across the boundary.
-void build_window_boundary(Machine& m, ProgramPool& pool) {
-  constexpr int kPairs = 12;
-  constexpr mta::Address kBase = 90000;
-  for (int i = 0; i < kPairs; ++i) {
-    const auto pad = static_cast<std::uint64_t>(65 + i);
-    VectorProgram* producer = pool.make_vector();
-    producer->compute(pad);
-    producer->sync_store(kBase + static_cast<mta::Address>(i),
-                         static_cast<mta::Word>(i + 1));
-    producer->compute(3);
-    producer->store(kBase + 100 + static_cast<mta::Address>(i), 1);
-    VectorProgram* consumer = pool.make_vector();
-    consumer->compute(static_cast<std::uint64_t>(1 + i % 3));
-    consumer->sync_load(kBase + static_cast<mta::Address>(i));
-    consumer->compute(pad);
-    consumer->store(kBase + 200 + static_cast<mta::Address>(i), 1);
-    m.add_stream(producer);
-    m.add_stream(consumer);
-  }
-  VectorProgram* parent = pool.make_vector();
-  for (int i = 0; i < 8; ++i) {
-    VectorProgram* w = pool.make_vector();
-    w->compute(static_cast<std::uint64_t>(70 + i));
-    w->store(kBase + 300 + static_cast<mta::Address>(i), 1);
-    parent->spawn(w, /*software=*/(i % 2) == 1);
-  }
-  parent->compute(71);
-  m.add_stream(parent);
-}
-
-TEST(MtaPartitioned, MatchesScalarWindowBoundarySync) {
-  for (int procs : {2, 4, 8}) {
-    MtaConfig cfg;
-    cfg.num_processors = procs;
-    cfg.streams_per_processor = 32;
-    expect_partitioned_matches(
-        cfg, build_window_boundary,
-        "window boundary procs=" + std::to_string(procs));
-  }
-}
-
-TEST(MtaPartitioned, MatchesScalarTableWorkloads) {
-  const auto& tb = golden_testbed();
-  for (int procs : {2, 4}) {
-    expect_partitioned_matches(
-        platforms::make_mta_config(procs),
-        [&](Machine& m, ProgramPool& pool) {
-          c3i::threat::build_mta_chunked(pool, m, tb.threat_profile_scaled,
-                                         256, tb.threat_costs_scaled);
-        },
-        "table5 chunked-256 procs=" + std::to_string(procs));
-  }
-  expect_partitioned_matches(
-      platforms::make_mta_config(2),
-      [&](Machine& m, ProgramPool& pool) {
-        c3i::terrain::build_mta_finegrained(pool, m, tb.terrain_profile_scaled,
-                                            tb.terrain_costs_scaled,
-                                            c3i::terrain::MtaFineParams{});
-      },
-      "table11 fine procs=2");
-}
-
-TEST(MtaPartitioned, IneligibleConfigsFallBackToScalar) {
-  {
-    // Lookahead pins the scalar issue ordering; the engine must refuse.
-    MtaConfig cfg;
-    cfg.num_processors = 4;
-    cfg.streams_per_processor = 32;
-    cfg.lookahead = 4;
-    Machine probe(cfg);
-    EXPECT_FALSE(mta::PartitionedMachine::eligible(probe, 8));
-    expect_partitioned_matches(cfg, build_mixed, "lookahead fallback");
-  }
-  {
-    // Latency shorter than the issue spacing breaks the deferred-service
-    // census rule; the engine must refuse.
-    MtaConfig cfg;
-    cfg.num_processors = 4;
-    cfg.streams_per_processor = 32;
-    cfg.memory_latency_cycles = 10;
-    Machine probe(cfg);
-    EXPECT_FALSE(mta::PartitionedMachine::eligible(probe, 8));
-    expect_partitioned_matches(cfg, build_mixed, "short-latency fallback");
-  }
+  expect_jobs_match({platforms::mta_threat_chunked_point(tb, 256, 1),
+                     platforms::mta_threat_chunked_point(tb, 256, 2),
+                     platforms::mta_threat_chunked_point(tb, 64, 2),
+                     platforms::mta_threat_seq_point(tb),
+                     platforms::mta_terrain_fine_point(tb, 1),
+                     platforms::mta_terrain_fine_point(tb, 2),
+                     platforms::mta_terrain_seq_point(tb)},
+                    "table 5/6/11 workloads");
 }
 
 }  // namespace

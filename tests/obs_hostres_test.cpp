@@ -1,10 +1,8 @@
 // Host resource sampling and sweep-scheduler telemetry: usage samples and
 // deltas behave sanely (monotone wall clock, high-water RSS), the
 // SweepSchedStore collects exactly one span per sweep point with worker
-// lanes inside the requested job count — on the scalar run_sweep pool AND
-// under the batched lockstep engine (--lanes > 1), where points retire out
-// of admission order — its Chrome trace serializes as valid JSON, and its
-// summary totals match the recorded spans.
+// lanes inside the requested job count, its Chrome trace serializes as
+// valid JSON, and its summary totals match the recorded spans.
 #include "obs/hostres.hpp"
 
 #include <gtest/gtest.h>
@@ -13,10 +11,7 @@
 #include <sstream>
 #include <vector>
 
-#include "mta/batched_machine.hpp"
-#include "mta/stream_program.hpp"
 #include "obs/json.hpp"
-#include "obs/live.hpp"
 #include "sim/sweep.hpp"
 
 namespace tc3i::obs {
@@ -91,86 +86,6 @@ TEST(SweepSchedStore, SummaryTotalsMatchSpans) {
   // (5 + 2 + 30) us of queue wait, (25 + 18 + 30) us of execution.
   EXPECT_NEAR(s.queue_wait_seconds, 37e-6, 1e-12);
   EXPECT_NEAR(s.execute_seconds, 73e-6, 1e-12);
-}
-
-/// Small mixed compute/memory points for the batched engine: enough work
-/// that lanes stay in flight across several windows, cheap enough for a
-/// unit test (tiny sync-memory array).
-std::vector<mta::BatchPoint> tiny_batch_points(std::size_t count) {
-  std::vector<mta::BatchPoint> points;
-  for (std::size_t i = 0; i < count; ++i) {
-    mta::MtaConfig cfg;
-    cfg.num_processors = 1;
-    cfg.streams_per_processor = 8;
-    cfg.memory_words = 1u << 12;
-    points.push_back({cfg, "tiny",
-                      [i](mta::Machine& m, mta::ProgramPool& pool) {
-                        mta::VectorProgram* p = pool.make_vector();
-                        p->compute(200 + 13 * static_cast<int>(i));
-                        p->load(static_cast<mta::Address>(8 * i), 4);
-                        p->compute(100);
-                        p->store(static_cast<mta::Address>(8 * i + 4), 1, 2);
-                        m.add_stream(p);
-                      }});
-  }
-  return points;
-}
-
-TEST(SweepSchedStore, BatchedEngineRecordsOneSpanPerPoint) {
-  SweepSchedStore store;
-  SweepSchedStore* prev = sweep_sched_store();
-  set_sweep_sched_store(&store);
-  const int kJobs = 2;
-  const std::size_t kPoints = 7;
-  const auto results =
-      mta::run_batched_sweep(tiny_batch_points(kPoints), /*lanes=*/3, kJobs);
-  set_sweep_sched_store(prev);
-
-  ASSERT_EQ(results.size(), kPoints);
-  for (const mta::MtaRunResult& r : results) EXPECT_GT(r.cycles, 0u);
-  ASSERT_EQ(store.size(), kPoints);
-  ASSERT_EQ(store.sweeps().size(), 1u);
-  EXPECT_EQ(store.sweeps()[0].points, kPoints);
-  std::vector<bool> seen(kPoints, false);
-  for (const SweepJobSpan& s : store.spans()) {
-    ASSERT_LT(s.point, kPoints);
-    EXPECT_FALSE(seen[s.point]) << "duplicate span for point " << s.point;
-    seen[s.point] = true;
-    EXPECT_LT(s.worker, static_cast<std::uint32_t>(kJobs));
-    EXPECT_LE(s.submit_us, s.start_us);
-    EXPECT_LE(s.start_us, s.end_us);
-  }
-}
-
-TEST(HostRes, BatchedSweepAdvancesUsageAndFeedsLiveBus) {
-  LiveBus bus;
-  set_live_bus(&bus);
-  const HostResUsage before = sample_host_usage();
-  const std::size_t kPoints = 5;
-  const auto results =
-      mta::run_batched_sweep(tiny_batch_points(kPoints), /*lanes=*/2,
-                             /*jobs=*/1);
-  const HostResUsage after = sample_host_usage();
-  set_live_bus(nullptr);
-
-  ASSERT_EQ(results.size(), kPoints);
-  EXPECT_GE(after.wall_seconds, before.wall_seconds);
-  EXPECT_GE(after.max_rss_kb, before.max_rss_kb);
-
-  // The engine announced and completed every point on the bus, and the
-  // drained worker went idle (no lanes held, no running point), so the
-  // watchdog has nothing to age.
-  const LiveStatus s = bus.snapshot();
-  EXPECT_EQ(s.points_total, kPoints);
-  EXPECT_EQ(s.points_done, kPoints);
-  EXPECT_GT(s.median_point_seconds, 0.0);
-  ASSERT_EQ(s.workers.size(), 1u);
-  EXPECT_FALSE(s.workers[0].running);
-  EXPECT_EQ(s.workers[0].lanes, 0u);
-  EXPECT_EQ(s.workers[0].points_done, kPoints);
-  EXPECT_TRUE(s.anomalies.empty());
-  // Host sampling rode along in the snapshot too.
-  EXPECT_GE(s.host.max_rss_kb, before.max_rss_kb);
 }
 
 TEST(SweepSchedStore, ChromeTraceIsValidJson) {

@@ -53,12 +53,12 @@ obs::JsonValue parse_status_file(const std::filesystem::path& path) {
 TEST(LiveBusTest, SnapshotCountsMatchWorkerSum) {
   obs::LiveBus bus;
   bus.add_points(10);
-  // Worker 0 completes three points scalar-style, worker 2 one batched.
+  // Worker 0 completes three points begin/end-style, worker 2 one with a
+  // caller-measured duration.
   for (std::uint64_t i = 0; i < 3; ++i) {
     bus.begin_point(0, i);
     bus.end_point(0);
   }
-  bus.heartbeat(2, 4);
   bus.complete_point(2, 7, 1'000'000);
 
   obs::LiveStatus s = bus.snapshot();
@@ -73,7 +73,6 @@ TEST(LiveBusTest, SnapshotCountsMatchWorkerSum) {
   EXPECT_EQ(s.workers[0].worker, 0u);
   EXPECT_FALSE(s.workers[0].running);
   EXPECT_EQ(s.workers[1].worker, 2u);
-  EXPECT_EQ(s.workers[1].lanes, 4u);
   EXPECT_TRUE(s.anomalies.empty());
 
   // Version advances per snapshot so a poller can detect staleness.
@@ -290,7 +289,6 @@ TEST(LivePublisherTest, PublishesUnderWorkerConcurrency) {
         for (std::uint64_t i = 0; i < 200; ++i) {
           const std::uint64_t point = w * 200 + i;
           bus.begin_point(w, point);
-          bus.heartbeat(w, w % 3);
           bus.record_cache(i % 2 == 0);
           bus.complete_point(w, point, 10'000);
         }

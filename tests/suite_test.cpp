@@ -60,8 +60,13 @@ std::vector<SuiteCase> all_cases() {
 INSTANTIATE_TEST_SUITE_P(
     AllProblems, SuiteRunTest, ::testing::ValuesIn(all_cases()),
     [](const auto& info) {
-      return "p" + std::to_string(info.param.problem) + "_" +
-             info.param.variant + "_s" + std::to_string(info.param.scenario);
+      std::string name = "p";
+      name += std::to_string(info.param.problem);
+      name += "_";
+      name += info.param.variant;
+      name += "_s";
+      name += std::to_string(info.param.scenario);
+      return name;
     });
 
 TEST(SuiteDeathTest, UnknownVariantAborts) {

@@ -88,8 +88,11 @@ INSTANTIATE_TEST_SUITE_P(
                       CoarseCase{8, 10}, CoarseCase{4, 1}, CoarseCase{4, 3},
                       CoarseCase{3, 16}),
     [](const auto& info) {
-      return "t" + std::to_string(info.param.threads) + "_b" +
-             std::to_string(info.param.blocks);
+      std::string name = "t";
+      name += std::to_string(info.param.threads);
+      name += "_b";
+      name += std::to_string(info.param.blocks);
+      return name;
     });
 
 class FineEquivalenceTest : public ::testing::TestWithParam<int> {};

@@ -50,8 +50,7 @@ struct Anomaly {
 
 /// Events that carry a sweep point index in `a`.
 bool kind_has_point(const std::string& kind) {
-  return kind == "point_begin" || kind == "point_end" ||
-         kind == "lane_admit" || kind == "lane_retire";
+  return kind == "point_begin" || kind == "point_end";
 }
 
 int usage() {
@@ -209,15 +208,8 @@ int main(int argc, char** argv) {
     std::string detail;
     if (has_point) {
       detail = " point=" + std::to_string(ev.a);
-      if (ev.kind == "point_begin") {
+      if (ev.kind == "point_begin")
         detail += " worker=" + std::to_string(ev.b);
-      } else if (ev.kind == "point_end") {
-        if (ev.b > 0)
-          detail += " duration_s=" +
-                    std::to_string(static_cast<double>(ev.b) / 1e9);
-      } else {
-        detail += " lane=" + std::to_string(ev.b);
-      }
     } else if (ev.kind == "phase" || ev.kind == "mark") {
       detail = " label=" +
                (ev.a < labels.size() ? labels[ev.a] : std::to_string(ev.a));
@@ -226,11 +218,6 @@ int main(int argc, char** argv) {
                " workers=" + std::to_string(ev.b);
     } else if (ev.kind == "sweep_end") {
       detail = " points=" + std::to_string(ev.a);
-    } else if (ev.kind == "heartbeat") {
-      detail = " lanes=" + std::to_string(ev.a) +
-               " worker=" + std::to_string(ev.b);
-    } else if (ev.kind == "arena_adopt" || ev.kind == "arena_miss") {
-      detail = " words=" + std::to_string(ev.a);
     } else if (ev.kind == "counter_tick") {
       detail = " delta=" + std::to_string(ev.a) +
                " total=" + std::to_string(ev.b);

@@ -176,25 +176,6 @@ std::string check_report_schema(const JsonValue& doc) {
         return "counters." + name + " is negative";
     }
   }
-  {
-    // The mta.partition.* counter group (emitted only by --run-threads > 1
-    // runs) travels together: window/serial-cycle tallies plus at least the
-    // p0 per-partition rollup. A partial group means a writer bug.
-    const JsonValue* counters = doc.find_object("counters");
-    bool per_part = false;
-    for (const auto& [name, value] : counters->object)
-      if (name.rfind("mta.partition.p", 0) == 0) per_part = true;
-    const bool windows = counters->find("mta.partition.windows") != nullptr;
-    const bool serial =
-        counters->find("mta.partition.serial_cycles") != nullptr;
-    if (windows != serial || windows != per_part)
-      return "mta.partition.* counters are partial: windows, serial_cycles "
-             "and p<k> rollups travel together";
-    if (per_part &&
-        (counters->find("mta.partition.p0.instructions") == nullptr ||
-         counters->find("mta.partition.p0.streams") == nullptr))
-      return "mta.partition per-partition counters missing the p0 rollup";
-  }
   for (const auto& [name, value] : doc.find_object("histograms")->object) {
     if (!valid_metric_name(name))
       return "histogram name \"" + name + "\" outside [a-z0-9_.]";
@@ -250,34 +231,6 @@ std::string check_report_schema(const JsonValue& doc) {
     if (std::fabs(total - expect) > 0.5)
       return at + ".slots sum to " + std::to_string(total) +
              ", expected cycles x processors = " + std::to_string(expect);
-    if (const JsonValue* parts = run.find("partitions")) {
-      // Partitioned (--run-threads > 1) runs record one rollup per
-      // partition; partitions are contiguous processor ranges, so their
-      // processor counts tile the machine exactly.
-      if (!parts->is_array()) return at + ".partitions is not an array";
-      if (parts->array.size() < 2)
-        return at + ".partitions has fewer than 2 partitions";
-      double part_procs = 0.0;
-      for (std::size_t k = 0; k < parts->array.size(); ++k) {
-        const JsonValue& part = parts->array[k];
-        const std::string pat = at + ".partitions[" + std::to_string(k) + "]";
-        if (!part.is_object()) return pat + " is not an object";
-        if (part.number_or("partition", -1.0) != static_cast<double>(k))
-          return pat + ".partition does not match its index";
-        const double pp = part.number_or("processors", 0.0);
-        if (pp < 1.0) return pat + ".processors < 1";
-        part_procs += pp;
-        for (const char* field : {"instructions", "streams"}) {
-          const JsonValue* v = part.find_number(field);
-          if (v == nullptr || v->number < 0.0)
-            return pat + "." + field + " missing or negative";
-        }
-      }
-      if (part_procs != procs)
-        return at + ".partitions processors sum to " +
-               std::to_string(part_procs) + ", expected " +
-               std::to_string(procs);
-    }
   }
   if (version->number >= 5.0) {
     // Referential pass: an anomaly's pinned point must name one of the
@@ -476,8 +429,8 @@ std::string check_live_status_schema(const JsonValue& doc) {
       return at + ".state is not \"running\" or \"idle\"";
     if (state == "running" && ws.find_number("point") == nullptr)
       return at + " running but missing point";
-    for (const char* field : {"points_done", "lanes", "heartbeat_age_seconds",
-                              "point_age_seconds"}) {
+    for (const char* field :
+         {"points_done", "heartbeat_age_seconds", "point_age_seconds"}) {
       const JsonValue* v = ws.find_number(field);
       if (v == nullptr || v->number < 0.0)
         return at + "." + field + " missing or negative";
@@ -544,8 +497,8 @@ std::string check_flight_dump_schema(const JsonValue& doc) {
   const JsonValue* counters = doc.find_object("counters");
   if (counters == nullptr) return "missing object \"counters\"";
   for (const char* field :
-       {"events", "points_begun", "points_done", "cache_hits", "cache_misses",
-        "arena_adopts", "arena_misses"}) {
+       {"events", "points_begun", "points_done", "cache_hits",
+        "cache_misses"}) {
     const JsonValue* v = counters->find_number(field);
     if (v == nullptr || v->number < 0.0)
       return std::string("counters.") + field + " missing or negative";
@@ -588,11 +541,9 @@ std::string check_flight_dump_schema(const JsonValue& doc) {
       if (e.number_or("t_ns", -1.0) < 0.0)
         return eat + ".t_ns missing or negative";
       static const char* const kKinds[] = {
-          "thread_attach", "phase",        "sweep_begin", "sweep_end",
-          "point_begin",   "point_end",    "lane_admit",  "lane_retire",
-          "arena_adopt",   "arena_miss",   "cache_hit",   "cache_miss",
-          "heartbeat",     "worker_idle",  "counter_tick", "anomaly",
-          "mark",          "run_window",   "run_barrier"};
+          "thread_attach", "phase",      "sweep_begin", "sweep_end",
+          "point_begin",   "point_end",  "cache_hit",   "cache_miss",
+          "worker_idle",   "counter_tick", "anomaly",   "mark"};
       const std::string kind = e.string_or("kind", "");
       bool known = false;
       for (const char* k : kKinds) known = known || kind == k;

@@ -23,12 +23,7 @@
 // "machine_runs" entries carrying a "reps" count (RunReport's run-length
 // encoding of consecutive identical records) are expanded before the
 // comparison, so compact and expanded reports diff clean against each
-// other. Per-run "partitions" rollups (--run-threads > 1) diff like any
-// other per-run section: positionally — the partition index is the
-// identity, so paths read machine_runs[3].partitions[1].instructions —
-// and `--ignore partitions` drops the whole group, which is how the
-// check.sh identity stage compares partitioned runs against scalar ones.
-// Exits 0 when the reports match, 1 when they differ, 2 on usage or
+// other. Exits 0 when the reports match, 1 when they differ, 2 on usage or
 // parse errors.
 #include <cmath>
 #include <cstdio>

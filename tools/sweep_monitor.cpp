@@ -59,7 +59,6 @@ struct Status {
     std::string state;
     double point = -1.0;
     double points_done = 0.0;
-    double lanes = 0.0;
     double heartbeat_age = 0.0;
     double point_age = 0.0;
   };
@@ -120,7 +119,6 @@ bool read_status(const char* path, Status* out, std::string* error,
       ws.state = w.string_or("state", "?");
       ws.point = w.number_or("point", -1.0);
       ws.points_done = w.number_or("points_done", 0.0);
-      ws.lanes = w.number_or("lanes", 0.0);
       ws.heartbeat_age = w.number_or("heartbeat_age_seconds", 0.0);
       ws.point_age = w.number_or("point_age_seconds", 0.0);
       s.workers.push_back(ws);
@@ -182,15 +180,12 @@ int render_frame(const Status& s) {
   ++lines;
   for (const Status::Worker& w : s.workers) {
     if (w.state == "running")
-      std::printf("\x1b[K  w%-3.0f running p%-6.0f done %-5.0f lanes %-3.0f "
+      std::printf("\x1b[K  w%-3.0f running p%-6.0f done %-5.0f "
                   "hb %.1fs  age %.1fs\n",
-                  w.id, w.point, w.points_done, w.lanes, w.heartbeat_age,
-                  w.point_age);
+                  w.id, w.point, w.points_done, w.heartbeat_age, w.point_age);
     else
-      std::printf("\x1b[K  w%-3.0f %-7s %7s done %-5.0f lanes %-3.0f "
-                  "hb %.1fs\n",
-                  w.id, w.state.c_str(), "", w.points_done, w.lanes,
-                  w.heartbeat_age);
+      std::printf("\x1b[K  w%-3.0f %-7s %7s done %-5.0f hb %.1fs\n",
+                  w.id, w.state.c_str(), "", w.points_done, w.heartbeat_age);
     ++lines;
   }
   for (const Status::Anomaly& a : s.anomalies) {
