@@ -18,10 +18,11 @@
 // --critpath-style dependency-graph capture installed and pins that cost
 // (budget: at least half the uninstrumented saturated throughput). The
 // sweep_plain / sweep_telemetry pair measures sim::run_sweep itself on a
-// 100-point sweep of a cheap MTA machine — first bare, then with the full
-// sweep-telemetry stack active (scheduler span store, per-run records,
-// live status bus, cross-run aggregation and SweepReport + Chrome-trace +
-// LiveStatus serialization);
+// 100-point sweep of a cheap MTA machine — first bare (no bus, so no
+// clock reads of run_sweep's own), then with the full sweep-telemetry
+// stack active (the live bus recording each point once, per-run records,
+// cross-run aggregation and SweepReport + sweep-trace + LiveStatus
+// serialization);
 // scripts/check.sh gates the telemetry regime at >= 0.95x the plain one
 // (< 5% overhead). sweep_flight_off re-measures sweep_plain with the
 // always-on flight recorder disabled, pinning the recorder's cost
@@ -53,7 +54,7 @@
 #include "obs/aggregate.hpp"
 #include "obs/critpath.hpp"
 #include "obs/flight.hpp"
-#include "obs/hostres.hpp"
+#include "obs/live.hpp"
 #include "obs/run_record.hpp"
 #include "obs/session.hpp"
 #include "obs/timeline.hpp"
@@ -199,35 +200,30 @@ std::uint64_t sweep_point(std::size_t index) {
 }
 
 /// Median wall seconds for one 100-point sweep at `jobs`, with the full
-/// sweep-telemetry stack active when `telemetry` is set: a scheduler span
-/// store collecting one span per point, per-run records, and — after the
-/// sweep — cross-run aggregation plus SweepReport and Chrome-trace
-/// serialization (to in-memory sinks), i.e. everything --sweep-report-out
-/// + --sweep-trace-out would add to a real sweep.
+/// sweep-telemetry stack active when `telemetry` is set: a live bus
+/// recording every point (what --status-out, --progress,
+/// --sweep-report-out and --sweep-trace-out install), per-run records,
+/// and — after the sweep — cross-run aggregation plus SweepReport, sweep
+/// Chrome-trace and live-status serialization (to in-memory sinks), i.e.
+/// everything those flags add to a real sweep.
 double measure_sweep_regime(int reps, int jobs, std::size_t points,
                             bool telemetry) {
   std::vector<double> times;
-  obs::SweepSchedStore* prev = obs::sweep_sched_store();
+  obs::LiveBus* prev_bus = obs::live_bus();
   // Untimed warm-up sweep: the first sweep of the process pays thread
   // startup and page-fault costs that would otherwise land entirely on
   // whichever regime runs first and swamp the <5% telemetry budget.
-  obs::set_sweep_sched_store(nullptr);
+  obs::set_live_bus(nullptr);
   {
     obs::RunRecordStore warmup_records;
     obs::ScopedRunRecords warmup_scope(warmup_records);
     sim::run_sweep(points, jobs, [](std::size_t i) { return sweep_point(i); });
   }
-  obs::LiveBus* prev_bus = obs::live_bus();
   for (int rep = 0; rep < reps; ++rep) {
     obs::RunRecordStore records;
     obs::ScopedRunRecords rec_scope(records);
-    obs::SweepSchedStore sched;
-    obs::set_sweep_sched_store(telemetry ? &sched : nullptr);
-    // The telemetry regime also feeds a live bus (the per-point wait-free
-    // cell writes every monitored sweep pays) and folds one status
-    // snapshot, so the 0.95x gate covers --status-out's worker-side cost.
     obs::LiveBus bus;
-    obs::set_live_bus(telemetry ? &bus : prev_bus);
+    obs::set_live_bus(telemetry ? &bus : nullptr);
     const auto start = std::chrono::steady_clock::now();
     sim::run_sweep(points, jobs, [](std::size_t i) {
       return sweep_point(i);
@@ -236,7 +232,7 @@ double measure_sweep_regime(int reps, int jobs, std::size_t points,
       const obs::SweepAggregator agg =
           obs::aggregate_records(records.records());
       obs::SweepHostSection host;
-      const obs::SweepSchedStore::Summary s = sched.summary();
+      const obs::LiveBus::Summary s = bus.summary();
       host.sweeps = s.sweeps;
       host.points = s.points;
       host.jobs = s.max_jobs;
@@ -246,15 +242,14 @@ double measure_sweep_regime(int reps, int jobs, std::size_t points,
       agg.write_report_json(report_sink, "sim_throughput", host,
                             bus.anomalies());
       std::ostringstream trace_sink;
-      sched.write_chrome_trace(trace_sink);
+      bus.write_chrome_trace(trace_sink);
       std::ostringstream status_sink;
-      obs::LiveBus::write_status_json(bus.snapshot(/*done=*/true),
-                                      status_sink);
+      obs::LiveBus::write_status_json(
+          bus.snapshot(bus.now_seconds(), /*done=*/true), status_sink);
     }
     const auto stop = std::chrono::steady_clock::now();
     times.push_back(std::chrono::duration<double>(stop - start).count());
   }
-  obs::set_sweep_sched_store(prev);
   obs::set_live_bus(prev_bus);
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];

@@ -152,13 +152,16 @@ echo "report byte-identical with flight recorder on or off"
 echo "== live status bus (--status-out + sweep_monitor) =="
 # The live-telemetry tentpole: a sweep run with --status-out must publish
 # monotonically-advancing snapshots while it runs, finish with a done=true
-# snapshot whose point counts match the SweepReport's scheduler section,
-# validate against json_check's live_status schema, and be readable by
-# sweep_monitor in both CI (--once) and follow modes.
+# snapshot, validate against json_check's live_status schema, and be
+# readable by sweep_monitor in both CI (--once) and follow modes. The bus
+# records each point once, so the final status counts, the SweepReport's
+# scheduler section and the sweep trace's "run s<i>.p<j>" spans must all
+# name the same number of points.
 STATUS="$SMOKE_DIR/live.json"
 "$BUILD_DIR"/bench/table05_threat_tera --jobs 2 \
     --status-out "$STATUS" --status-period 50 \
-    --sweep-report-out "$SMOKE_DIR/live_sweep.json" >/dev/null &
+    --sweep-report-out "$SMOKE_DIR/live_sweep.json" \
+    --sweep-trace-out "$SMOKE_DIR/live_trace.json" >/dev/null &
 LIVE_PID=$!
 LAST_VER=0
 MONO=ok
@@ -192,17 +195,21 @@ LIVE_TOTAL="$(grep -o '"total":[0-9][0-9]*' "$STATUS" | head -1 |
 SCHED_PTS="$(sed -n \
     's/.*"sched":{"sweeps":[0-9]*,"points":\([0-9]*\).*/\1/p' \
     "$SMOKE_DIR/live_sweep.json")"
+"$BUILD_DIR"/tools/json_check "$SMOKE_DIR/live_trace.json" >/dev/null
+RUN_SPANS="$(grep -o '"name":"run s[0-9]*\.p[0-9]*"' \
+             "$SMOKE_DIR/live_trace.json" | wc -l)"
 [ -n "$LIVE_DONE" ] && [ "$LIVE_DONE" = "$LIVE_TOTAL" ] &&
-    [ "$LIVE_DONE" = "$SCHED_PTS" ] ||
+    [ "$LIVE_DONE" = "$SCHED_PTS" ] && [ "$LIVE_DONE" -eq "$RUN_SPANS" ] ||
   { echo "FAIL: status counts done=$LIVE_DONE total=$LIVE_TOTAL disagree" \
-         "with sweep report points=$SCHED_PTS"; exit 1; }
+         "with sweep report points=$SCHED_PTS or trace run spans" \
+         "$RUN_SPANS"; exit 1; }
 "$BUILD_DIR"/tools/sweep_monitor "$STATUS" --once | grep -q 'done=1' ||
   { echo "FAIL: sweep_monitor --once did not report done=1"; exit 1; }
 # done=true is already on disk, so follow mode must exit 0 immediately.
 "$BUILD_DIR"/tools/sweep_monitor "$STATUS" --follow --timeout 10 >/dev/null ||
   { echo "FAIL: sweep_monitor --follow did not exit cleanly"; exit 1; }
 echo "live status: $LAST_VER snapshots, final counts match sweep report" \
-     "($LIVE_DONE/$LIVE_TOTAL points)"
+     "and trace ($LIVE_DONE/$LIVE_TOTAL points)"
 
 echo "== flight recorder (forced anomaly -> dump -> report/validate) =="
 # The black-box tentpole: a sweep with an injected 600ms stall on point 1
@@ -261,20 +268,25 @@ sed 's/"point":5/"point":0/' "$SMOKE_DIR/bad_anomaly.json" \
   { echo "FAIL: json_check rejected an in-range anomaly fixture"; exit 1; }
 echo "referential anomaly validation rejects out-of-range point"
 
-echo "== TSan smoke (obs_live_test under -fsanitize=thread) =="
-# The bus's worker path is wait-free by design; prove it data-race-free
-# under ThreadSanitizer where the toolchain supports it (the
-# LivePublisherTest cases hammer worker cells against the publisher fold).
+echo "== TSan smoke (obs_live_test + sim_sweep_test under -fsanitize=thread) =="
+# Prove the bus and run_sweep's pooled path data-race-free under
+# ThreadSanitizer where the toolchain supports it: the LivePublisherTest
+# cases race worker point records against the publisher fold, and
+# sim_sweep_test drives the shared per-point body from pool workers with
+# a bus installed.
 if printf 'int main(){return 0;}' |
     c++ -fsanitize=thread -x c++ - -o "$SMOKE_DIR/tsan_probe" 2>/dev/null &&
     "$SMOKE_DIR/tsan_probe" 2>/dev/null; then
   TSAN_DIR="build-tsan"
   cmake -B "$TSAN_DIR" -S . -DTC3I_SANITIZE=thread -DTC3I_WERROR=ON \
       >/dev/null
-  cmake --build "$TSAN_DIR" --target obs_live_test -j >/dev/null
+  cmake --build "$TSAN_DIR" --target obs_live_test sim_sweep_test -j \
+      >/dev/null
   "$TSAN_DIR"/tests/obs_live_test >/dev/null ||
     { echo "FAIL: obs_live_test failed under TSan"; exit 1; }
-  echo "obs_live_test clean under ThreadSanitizer"
+  "$TSAN_DIR"/tests/sim_sweep_test >/dev/null ||
+    { echo "FAIL: sim_sweep_test failed under TSan"; exit 1; }
+  echo "obs_live_test and sim_sweep_test clean under ThreadSanitizer"
 else
   echo "skipped: toolchain lacks -fsanitize=thread support"
 fi
@@ -331,7 +343,7 @@ awk -v sat="$SAT" -v cpo="$CPO" 'BEGIN { exit !(cpo >= 0.5 * sat) }' ||
 echo "critpath overhead within budget ($CPO vs saturated $SAT cycles/s)"
 
 # Sweep telemetry must stay cheap too: running a 100-point sweep with the
-# full telemetry stack (sched store + aggregation + report/trace
+# full telemetry stack (live bus + aggregation + report/trace
 # serialization) must keep at least 95% of the plain sweep throughput.
 SP="$(extract_measured 'sweep_plain.points_per_sec')"
 ST="$(extract_measured 'sweep_telemetry.points_per_sec')"

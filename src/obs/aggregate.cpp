@@ -22,15 +22,6 @@ void QuantileSketch::insert(double value, double weight) {
   compress_if_needed();
 }
 
-void QuantileSketch::merge_from(const QuantileSketch& other) {
-  if (other.points_.empty()) return;
-  points_.insert(points_.end(), other.points_.begin(), other.points_.end());
-  total_weight_ += other.total_weight_;
-  rank_error_ += other.rank_error_;
-  sorted_ = false;
-  compress_if_needed();
-}
-
 void QuantileSketch::ensure_sorted() const {
   if (sorted_) return;
   // Stable so equal values keep insertion order: the fold stays a pure
@@ -104,20 +95,6 @@ void MetricAggregate::add(double value) {
   sketch.insert(value);
 }
 
-void MetricAggregate::merge_from(const MetricAggregate& other) {
-  if (other.count == 0) return;
-  if (count == 0) {
-    min = other.min;
-    max = other.max;
-  } else {
-    min = std::min(min, other.min);
-    max = std::max(max, other.max);
-  }
-  count += other.count;
-  sum += other.sum;
-  sketch.merge_from(other.sketch);
-}
-
 // --- SweepAggregator ---------------------------------------------------------
 
 const char* slot_share_name(std::size_t i) {
@@ -163,22 +140,6 @@ void SweepAggregator::add(const RunRecord& record) {
     for (std::size_t i = 0; i < 6; ++i)
       g.slot_share[i].add(total > 0.0 ? values[i] / total : 0.0);
   }
-}
-
-void SweepAggregator::merge_from(const SweepAggregator& other) {
-  const std::uint64_t offset = runs_;
-  for (const SweepGroup& og : other.groups_) {
-    SweepGroup& g = group_for(og.key);
-    if (g.wall_unit.empty()) g.wall_unit = og.wall_unit;
-    g.wall.merge_from(og.wall);
-    g.utilization.merge_from(og.utilization);
-    g.threads.merge_from(og.threads);
-    for (std::size_t i = 0; i < 6; ++i)
-      g.slot_share[i].merge_from(og.slot_share[i]);
-    for (const auto& [run, wall] : og.wall_by_run)
-      g.wall_by_run.emplace_back(run + offset, wall);
-  }
-  runs_ += other.runs_;
 }
 
 namespace {

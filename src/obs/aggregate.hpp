@@ -5,9 +5,9 @@
 // scale. This module folds RunRecords into a SweepReport: per-group
 // (model, platform name, scenario, processors) rollups of wall time,
 // utilization, thread counts and the six issue-slot stall shares, each
-// summarized by exact count/sum/min/max/mean plus a mergeable quantile
-// sketch, with robust outlier flagging (runs beyond k x MAD from their
-// group median wall time). Aggregation is deterministic: groups appear in
+// summarized by exact count/sum/min/max/mean plus a quantile sketch, with
+// robust outlier flagging (runs beyond k x MAD from their group median
+// wall time). Aggregation is deterministic: groups appear in
 // first-seen submission order and every statistic is a pure fold over the
 // records in submission order, so a sweep aggregated after sim::run_sweep's
 // submission-order merge serializes byte-identically at any --jobs.
@@ -31,7 +31,7 @@ namespace tc3i::obs {
 class JsonWriter;
 struct LiveAnomaly;
 
-/// Deterministic mergeable quantile summary of a weighted value stream.
+/// Deterministic quantile summary of a weighted value stream.
 ///
 /// Exact (rank error 0) while the number of distinct stored points stays
 /// under `capacity`; past that, compress() folds the sorted weighted points
@@ -40,17 +40,13 @@ struct LiveAnomaly;
 /// rank error is tracked explicitly and exposed as rank_error_bound(), so
 /// callers (and tests) get a per-instance guarantee instead of an asymptotic
 /// one: for any value v, |rank(v) - true_rank(v)| <= rank_error_bound().
-/// merge_from() concatenates point sets and adds error bounds, so merging k
-/// shards is guaranteed to agree with the sketch of the concatenated stream
-/// within the sum of both sketches' bounds. All operations are
-/// deterministic (no randomization), so a fixed insertion/merge order
-/// yields bit-identical state.
+/// All operations are deterministic (no randomization), so a fixed
+/// insertion order yields bit-identical state.
 class QuantileSketch {
  public:
   explicit QuantileSketch(std::size_t capacity = 1024);
 
   void insert(double value, double weight = 1.0);
-  void merge_from(const QuantileSketch& other);
 
   [[nodiscard]] double total_weight() const { return total_weight_; }
   [[nodiscard]] bool empty() const { return total_weight_ <= 0.0; }
@@ -93,7 +89,6 @@ struct MetricAggregate {
   QuantileSketch sketch;
 
   void add(double value);
-  void merge_from(const MetricAggregate& other);
   [[nodiscard]] double mean() const {
     return count == 0 ? 0.0 : sum / static_cast<double>(count);
   }
@@ -133,7 +128,8 @@ struct SweepGroup {
 /// Host-side accounting attached to a SweepReport (all optional; zeroed
 /// fields are emitted as zeros). Wall/cpu seconds and max RSS come from
 /// obs::sample_host_usage() deltas; cache hits/misses from the
-/// testbed.cache.* counters; the sched section from obs::SweepSchedStore.
+/// testbed.cache.* counters; the sched section from the spans recorded by
+/// obs::LiveBus (LiveBus::summary()).
 struct SweepHostSection {
   double wall_seconds = 0.0;
   double user_cpu_seconds = 0.0;
@@ -152,20 +148,13 @@ struct SweepHostSection {
 };
 
 /// Folds RunRecords into per-group aggregates. add() order is the record
-/// submission order; merge_from() appends another aggregator's runs after
-/// this one's (re-indexing its run ids), matching RunRecordStore::merge_from
-/// semantics. Sharded aggregation over contiguous submission-order chunks
-/// reproduces the serial fold exactly for counts, extremes, sketches and
-/// outliers; `sum` (and so `mean`) reassociates the floating-point
-/// addition, drifting by at most an ulp or two per shard boundary. The
-/// byte-identical-at-any---jobs guarantee does not rely on merge_from:
-/// RunSession aggregates the submission-order-merged records serially.
+/// submission order. The byte-identical-at-any---jobs guarantee comes from
+/// RunSession aggregating the submission-order-merged records serially.
 class SweepAggregator {
  public:
   explicit SweepAggregator(double outlier_k = 5.0);
 
   void add(const RunRecord& record);
-  void merge_from(const SweepAggregator& other);
 
   [[nodiscard]] std::uint64_t runs() const { return runs_; }
   [[nodiscard]] double outlier_k() const { return outlier_k_; }

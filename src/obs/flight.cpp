@@ -12,6 +12,7 @@
 #include <fstream>
 #include <mutex>
 #include <sstream>
+#include <vector>
 
 #include "obs/json.hpp"
 #include "obs/live.hpp"
@@ -28,6 +29,7 @@ namespace {
 
 constexpr std::size_t kLabelLen = 48;
 constexpr std::size_t kPathLen = 512;
+constexpr std::size_t kBenchLen = 128;
 /// Coarse counter-tick period: one kCounterTick per ring per 250 ms of
 /// activity (emitted piggybacked on the next event, so idle threads cost
 /// nothing).
@@ -79,11 +81,11 @@ struct Global {
 
   std::mutex cfg_mu;  ///< dump path, bench, signal install state
   std::string dump_path;
-  std::string bench;
   std::atomic<bool> watchdog_dumped{false};
 
-  // Signal state. Paths live in fixed buffers so handlers never touch
-  // std::string.
+  // The bench name and the signal paths live in fixed buffers so signal
+  // handlers never touch std::string.
+  char bench[kBenchLen] = {};
   char sig_path[kPathLen] = {};        ///< SIGUSR1 dump target
   char sig_crash_path[kPathLen] = {};  ///< fatal-signal dump target
   std::atomic<int> crash_fd{-1};       ///< pre-opened at install time
@@ -179,166 +181,203 @@ Ring& ring_for_thread(std::uint32_t* index_out) {
   return *t_ring.ring;
 }
 
-// --- async-signal-safe formatting (write(2) only, no allocation) ---
+// --- the one dump serializer (write(2) only, no allocation) ---
 
-void sig_write(int fd, const char* s, std::size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, s, n);
-    if (w <= 0) {
-      if (w < 0 && errno == EINTR) continue;
-      return;
+/// An fd sink that remembers whether every write landed. Only write(2)
+/// and integer formatting, so it is usable from a signal handler.
+struct FdOut {
+  int fd = -1;
+  bool ok = true;
+
+  void put(const char* s, std::size_t n) {
+    while (n > 0) {
+      const ssize_t w = ::write(fd, s, n);
+      if (w <= 0) {
+        if (w < 0 && errno == EINTR) continue;
+        ok = false;
+        return;
+      }
+      s += w;
+      n -= static_cast<std::size_t>(w);
     }
-    s += w;
-    n -= static_cast<std::size_t>(w);
   }
-}
+  void put(const char* s) { put(s, std::strlen(s)); }
 
-void sw(int fd, const char* s) { sig_write(fd, s, std::strlen(s)); }
-
-void sw_u64(int fd, std::uint64_t v) {
-  char buf[24];
-  char* p = buf + sizeof(buf);
-  do {
-    *--p = static_cast<char>('0' + v % 10);
-    v /= 10;
-  } while (v != 0);
-  sig_write(fd, p, static_cast<std::size_t>(buf + sizeof(buf) - p));
-}
-
-/// ns as a decimal seconds literal ("1.234567890") with integer math only.
-void sw_seconds(int fd, std::uint64_t ns) {
-  sw_u64(fd, ns / 1'000'000'000);
-  char frac[11] = ".000000000";
-  std::uint64_t rem = ns % 1'000'000'000;
-  for (int i = 9; i >= 1; --i) {
-    frac[i] = static_cast<char>('0' + rem % 10);
-    rem /= 10;
+  void put_u64(std::uint64_t v) {
+    char buf[24];
+    char* p = buf + sizeof(buf);
+    do {
+      *--p = static_cast<char>('0' + v % 10);
+      v /= 10;
+    } while (v != 0);
+    put(p, static_cast<std::size_t>(buf + sizeof(buf) - p));
   }
-  sig_write(fd, frac, 10);
-}
 
-void sw_hex(int fd, std::uint64_t v) {
-  static const char* digits = "0123456789abcdef";
-  char buf[18];
-  char* p = buf + sizeof(buf);
-  do {
-    *--p = digits[v & 0xF];
-    v >>= 4;
-  } while (v != 0);
-  *--p = 'x';
-  *--p = '0';
-  sig_write(fd, p, static_cast<std::size_t>(buf + sizeof(buf) - p));
-}
-
-/// Labels are interned from trusted call sites (phase names, bench
-/// names); the signal path still escapes conservatively by dropping any
-/// byte that would need escaping.
-void sw_json_label(int fd, const char* s) {
-  sig_write(fd, "\"", 1);
-  for (; *s != '\0'; ++s) {
-    const unsigned char c = static_cast<unsigned char>(*s);
-    if (c == '"' || c == '\\' || c < 0x20) continue;
-    sig_write(fd, s, 1);
+  /// ns as a decimal seconds literal ("1.234567890") with integer math only.
+  void put_seconds(std::uint64_t ns) {
+    put_u64(ns / 1'000'000'000);
+    char frac[11] = ".000000000";
+    std::uint64_t rem = ns % 1'000'000'000;
+    for (int i = 9; i >= 1; --i) {
+      frac[i] = static_cast<char>('0' + rem % 10);
+      rem /= 10;
+    }
+    put(frac, 10);
   }
-  sig_write(fd, "\"", 1);
-}
 
-const char* signal_name(int sig) {
-  switch (sig) {
-    case SIGSEGV:
-      return "SIGSEGV";
-    case SIGABRT:
-      return "SIGABRT";
-    case SIGBUS:
-      return "SIGBUS";
-    case SIGUSR1:
-      return "SIGUSR1";
-    default:
-      return "SIG?";
+  void put_hex(std::uint64_t v) {
+    static const char* digits = "0123456789abcdef";
+    char buf[18];
+    char* p = buf + sizeof(buf);
+    do {
+      *--p = digits[v & 0xF];
+      v >>= 4;
+    } while (v != 0);
+    *--p = 'x';
+    *--p = '0';
+    put(p, static_cast<std::size_t>(buf + sizeof(buf) - p));
   }
-}
 
-/// The whole flight_dump document via async-signal-safe calls only. Same
-/// schema as write_dump_json minus live_status (the bus mutex is off
-/// limits here); anomalies is always []. `frames` is the backtrace (may
-/// be empty).
-void write_dump_signal_safe(int fd, int sig, void* const* frames,
-                            int frame_count) {
+  /// A JSON string literal. Labels, bench names and reasons come from
+  /// trusted call sites; any byte that would need escaping is dropped.
+  void put_string(const char* s) {
+    put("\"", 1);
+    for (; *s != '\0'; ++s) {
+      const unsigned char c = static_cast<unsigned char>(*s);
+      if (c == '"' || c == '\\' || c < 0x20) continue;
+      put(s, 1);
+    }
+    put("\"", 1);
+  }
+};
+
+/// The trigger-specific members of a dump ("trigger", optional
+/// "live_status", "anomalies"), each written with a leading comma.
+using DumpMembers = void (*)(FdOut& out, const void* ctx);
+
+/// The one flight_dump (schema v1) serializer: the header fields, the
+/// caller's trigger members, then the label table, the counters and every
+/// ring. It makes no allocation, takes no lock and uses no stdio, so every
+/// trigger calls it: the watchdog and dump() with members pre-rendered by
+/// JsonWriter, SIGUSR1 and the fatal-signal handlers with members written
+/// in place. Async-signal-safe whenever `members` is.
+void write_dump(FdOut& out, const char* reason, const char* bench,
+                DumpMembers members, const void* ctx) {
   Global& G = g();
-  const std::uint64_t t = now_ns();
-  sw(fd, "{\"kind\":\"flight_dump\",\"schema_version\":1,\"reason\":");
-  sw(fd, "\"signal:");
-  sw(fd, signal_name(sig));
-  sw(fd, "\",\"bench\":");
-  // bench lives in a std::string guarded by cfg_mu; handlers skip it.
-  sw(fd, "\"\",\"at_seconds\":");
-  sw_seconds(fd, t);
-  sw(fd, ",\"ring_capacity\":");
-  sw_u64(fd, kRingCapacity);
-  sw(fd, ",\"trigger\":{\"reason\":\"signal\",\"signal\":");
-  sw_u64(fd, static_cast<std::uint64_t>(sig));
-  sw(fd, ",\"name\":\"");
-  sw(fd, signal_name(sig));
-  sw(fd, "\",\"backtrace\":[");
-  for (int i = 0; i < frame_count; ++i) {
-    if (i > 0) sw(fd, ",");
-    sig_write(fd, "\"", 1);
-    sw_hex(fd, reinterpret_cast<std::uint64_t>(frames[i]));
-    sig_write(fd, "\"", 1);
-  }
-  sw(fd, "]},\"labels\":[");
+  out.put("{\"kind\":\"flight_dump\",\"schema_version\":1,\"reason\":");
+  out.put_string(reason);
+  out.put(",\"bench\":");
+  out.put_string(bench);
+  out.put(",\"at_seconds\":");
+  out.put_seconds(now_ns());
+  out.put(",\"ring_capacity\":");
+  out.put_u64(kRingCapacity);
+  members(out, ctx);
+  out.put(",\"labels\":[");
   const std::uint32_t labels = G.label_count.load(std::memory_order_acquire);
   for (std::uint32_t i = 0; i < labels; ++i) {
-    if (i > 0) sw(fd, ",");
-    sw_json_label(fd, G.labels[i]);
+    if (i > 0) out.put(",");
+    out.put_string(G.labels[i]);
   }
-  sw(fd, "],\"counters\":{\"events\":");
-  sw_u64(fd, G.events.load(std::memory_order_relaxed));
-  sw(fd, ",\"points_begun\":");
-  sw_u64(fd, G.points_begun.load(std::memory_order_relaxed));
-  sw(fd, ",\"points_done\":");
-  sw_u64(fd, G.points_done.load(std::memory_order_relaxed));
-  sw(fd, ",\"cache_hits\":");
-  sw_u64(fd, G.cache_hits.load(std::memory_order_relaxed));
-  sw(fd, ",\"cache_misses\":");
-  sw_u64(fd, G.cache_misses.load(std::memory_order_relaxed));
-  sw(fd, "},\"anomalies\":[],\"rings\":[");
+  const Totals t = totals();
+  out.put("],\"counters\":{\"events\":");
+  out.put_u64(t.events);
+  out.put(",\"points_begun\":");
+  out.put_u64(t.points_begun);
+  out.put(",\"points_done\":");
+  out.put_u64(t.points_done);
+  out.put(",\"cache_hits\":");
+  out.put_u64(t.cache_hits);
+  out.put(",\"cache_misses\":");
+  out.put_u64(t.cache_misses);
+  out.put("},\"rings\":[");
   const std::uint32_t used = G.rings_used.load(std::memory_order_acquire);
   bool first_ring = true;
   for (std::uint32_t r = 0; r < used && r < kMaxRings; ++r) {
     const Ring& ring = G.rings[r];
     const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
     if (head == 0) continue;
-    if (!first_ring) sw(fd, ",");
+    if (!first_ring) out.put(",");
     first_ring = false;
     const std::uint64_t count = head < kRingCapacity ? head : kRingCapacity;
-    sw(fd, "{\"ring\":");
-    sw_u64(fd, r);
-    sw(fd, ",\"owner\":");
-    sw_u64(fd, ring.owner.load(std::memory_order_relaxed));
-    sw(fd, ",\"events_total\":");
-    sw_u64(fd, head);
-    sw(fd, ",\"dropped\":");
-    sw_u64(fd, head - count);
-    sw(fd, ",\"events\":[");
+    out.put("{\"ring\":");
+    out.put_u64(r);
+    out.put(",\"owner\":");
+    out.put_u64(ring.owner.load(std::memory_order_relaxed));
+    out.put(",\"events_total\":");
+    out.put_u64(head);
+    out.put(",\"dropped\":");
+    out.put_u64(head - count);
+    out.put(",\"events\":[");
     for (std::uint64_t i = 0; i < count; ++i) {
       const std::uint64_t idx = (head - count + i) & (kRingCapacity - 1);
       const Slot& s = ring.slots[idx];
       const std::uint64_t kw = s.kw.load(std::memory_order_relaxed);
-      if (i > 0) sw(fd, ",");
-      sw(fd, "{\"t_ns\":");
-      sw_u64(fd, s.t.load(std::memory_order_relaxed));
-      sw(fd, ",\"kind\":\"");
-      sw(fd, event_kind_name(static_cast<EventKind>(kw >> 32)));
-      sw(fd, "\",\"a\":");
-      sw_u64(fd, s.a.load(std::memory_order_relaxed));
-      sw(fd, ",\"b\":");
-      sw_u64(fd, s.b.load(std::memory_order_relaxed));
-      sw(fd, "}");
+      if (i > 0) out.put(",");
+      out.put("{\"t_ns\":");
+      out.put_u64(s.t.load(std::memory_order_relaxed));
+      out.put(",\"kind\":\"");
+      out.put(event_kind_name(static_cast<EventKind>(kw >> 32)));
+      out.put("\",\"a\":");
+      out.put_u64(s.a.load(std::memory_order_relaxed));
+      out.put(",\"b\":");
+      out.put_u64(s.b.load(std::memory_order_relaxed));
+      out.put("}");
     }
-    sw(fd, "]}");
+    out.put("]}");
   }
-  sw(fd, "]}\n");
+  out.put("]}\n");
+}
+
+/// "signal:<NAME>", the dump reason of a signal-triggered dump; the bare
+/// signal name starts after the 7-byte "signal:" prefix.
+const char* signal_reason(int sig) {
+  switch (sig) {
+    case SIGSEGV:
+      return "signal:SIGSEGV";
+    case SIGABRT:
+      return "signal:SIGABRT";
+    case SIGBUS:
+      return "signal:SIGBUS";
+    case SIGUSR1:
+      return "signal:SIGUSR1";
+    default:
+      return "signal:SIG?";
+  }
+}
+
+const char* signal_name(int sig) { return signal_reason(sig) + 7; }
+
+struct SignalTrigger {
+  int sig = 0;
+  void* const* frames = nullptr;  ///< backtrace (may be empty)
+  int frame_count = 0;
+};
+
+/// Signal-dump members, written in place: the signal trigger with its
+/// backtrace, and an empty anomalies list (the bus mutex is off limits in
+/// a handler, so live_status is omitted).
+void put_signal_members(FdOut& out, const void* ctx) {
+  const auto& trig = *static_cast<const SignalTrigger*>(ctx);
+  out.put(",\"trigger\":{\"reason\":\"signal\",\"signal\":");
+  out.put_u64(static_cast<std::uint64_t>(trig.sig));
+  out.put(",\"name\":\"");
+  out.put(signal_name(trig.sig));
+  out.put("\",\"backtrace\":[");
+  for (int i = 0; i < trig.frame_count; ++i) {
+    if (i > 0) out.put(",");
+    out.put("\"", 1);
+    out.put_hex(reinterpret_cast<std::uint64_t>(trig.frames[i]));
+    out.put("\"", 1);
+  }
+  out.put("]},\"anomalies\":[]");
+}
+
+void write_signal_dump(int fd, int sig, void* const* frames,
+                       int frame_count) {
+  FdOut out{fd};
+  const SignalTrigger trig{sig, frames, frame_count};
+  write_dump(out, signal_reason(sig), g().bench, put_signal_members, &trig);
 }
 
 void fatal_handler(int sig) {
@@ -355,13 +394,14 @@ void fatal_handler(int sig) {
 #endif
   const int fd = G.crash_fd.load(std::memory_order_relaxed);
   if (fd >= 0) {
-    write_dump_signal_safe(fd, sig, frames, frame_count);
+    write_signal_dump(fd, sig, frames, frame_count);
     ::fsync(fd);
-    sw(2, "[obs] flight crash dump: ");
-    sw(2, G.sig_crash_path);
-    sw(2, " (");
-    sw(2, signal_name(sig));
-    sw(2, ")\n");
+    FdOut err{2};
+    err.put("[obs] flight crash dump: ");
+    err.put(G.sig_crash_path);
+    err.put(" (");
+    err.put(signal_name(sig));
+    err.put(")\n");
   }
   ::signal(sig, SIG_DFL);
   ::raise(sig);
@@ -373,7 +413,7 @@ void usr1_handler(int) {
   const int fd =
       ::open(G.sig_path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return;
-  write_dump_signal_safe(fd, SIGUSR1, nullptr, 0);
+  write_signal_dump(fd, SIGUSR1, nullptr, 0);
   ::close(fd);
 }
 
@@ -399,11 +439,14 @@ void uninstall_locked(Global& G) {
   G.handlers_installed = false;
 }
 
-/// Copies the first anomaly (the trigger) plus the embedded status into
-/// the writer. Kept out of write_dump_json so the manual-dump path can
-/// pass status == nullptr.
-void write_trigger_json(JsonWriter& w, const std::string& reason,
-                        const LiveStatus* status) {
+/// Renders the watchdog / programmatic dump members with JsonWriter: the
+/// trigger (cross-linking the first anomaly when a status rode along),
+/// the embedded live status, and the anomaly list.
+std::string render_members(const std::string& reason,
+                           const LiveStatus* status) {
+  std::ostringstream os;
+  JsonWriter w(os);
+  w.begin_object();
   w.key("trigger");
   w.begin_object();
   w.field("reason", reason);
@@ -413,30 +456,68 @@ void write_trigger_json(JsonWriter& w, const std::string& reason,
     w.begin_object();
     w.field("kind", a.kind);
     w.field("worker", static_cast<std::uint64_t>(a.worker));
-    if (a.point != ~std::uint64_t{0}) w.field("point", a.point);
+    if (a.point != LiveBus::kNoPoint) w.field("point", a.point);
     w.field("at_seconds", a.at_seconds);
     w.field("observed_seconds", a.observed_seconds);
     w.field("threshold_seconds", a.threshold_seconds);
     w.end_object();
   }
   w.end_object();
+  if (status != nullptr) {
+    w.key("live_status");
+    w.begin_object();
+    w.field("version", status->version);
+    w.field("at_seconds", status->at_seconds);
+    w.field("phase", status->phase);
+    w.key("points");
+    w.begin_object();
+    w.field("total", status->points_total);
+    w.field("done", status->points_done);
+    w.end_object();
+    w.field("throughput_points_per_sec", status->throughput_points_per_sec);
+    w.field("eta_seconds", status->eta_seconds);
+    w.field("median_point_seconds", status->median_point_seconds);
+    w.field("workers", static_cast<std::uint64_t>(status->workers.size()));
+    w.end_object();
+  }
+  w.key("anomalies");
+  write_anomalies_json(w, status != nullptr ? status->anomalies
+                                            : std::vector<LiveAnomaly>{});
+  w.end_object();
+  // Splice the object's members into the dump: "{m1,m2}" -> ",m1,m2".
+  std::string members = os.str();
+  members.front() = ',';
+  members.pop_back();
+  return members;
+}
+
+void put_rendered_members(FdOut& out, const void* ctx) {
+  const auto& members = *static_cast<const std::string*>(ctx);
+  out.put(members.data(), members.size());
 }
 
 bool dump_impl(const std::string& path, const std::string& reason,
                const LiveStatus* status, std::string* error) {
-  const std::string tmp = path + ".tmp";
+  const std::string members = render_members(reason, status);
+  Global& G = g();
+  char bench[kBenchLen];
   {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out.is_open()) {
-      if (error != nullptr) *error = "cannot open " + tmp;
-      return false;
-    }
-    write_dump_json(out, reason, status);
-    out.flush();
-    if (!out.good()) {
-      if (error != nullptr) *error = "write failed for " + tmp;
-      return false;
-    }
+    std::lock_guard<std::mutex> lock(G.cfg_mu);
+    std::memcpy(bench, G.bench, kBenchLen);
+  }
+  const std::string tmp = path + ".tmp";
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    if (error != nullptr) *error = "cannot open " + tmp;
+    return false;
+  }
+  FdOut out{fd};
+  write_dump(out, reason.c_str(), bench, put_rendered_members, &members);
+  if (::close(fd) != 0 || !out.ok) {
+    if (error != nullptr) *error = "write failed for " + tmp;
+    std::remove(tmp.c_str());
+    return false;
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     if (error != nullptr) *error = "rename to " + path + " failed";
@@ -549,7 +630,7 @@ void phase(const std::string& label) {
 void set_bench(const std::string& bench) {
   Global& G = g();
   std::lock_guard<std::mutex> lock(G.cfg_mu);
-  G.bench = bench;
+  std::snprintf(G.bench, kBenchLen, "%s", bench.c_str());
 }
 
 double now_seconds() {
@@ -583,95 +664,6 @@ void on_first_anomaly(const LiveStatus& status) {
   } else {
     std::fprintf(stderr, "[obs] flight dump failed: %s\n", err.c_str());
   }
-}
-
-void write_dump_json(std::ostream& out, const std::string& reason,
-                     const LiveStatus* status) {
-  Global& G = g();
-  std::string bench;
-  {
-    std::lock_guard<std::mutex> lock(G.cfg_mu);
-    bench = G.bench;
-  }
-  JsonWriter w(out);
-  w.begin_object();
-  w.field("kind", "flight_dump");
-  w.field("schema_version", std::uint64_t{1});
-  w.field("reason", reason);
-  w.field("bench", bench);
-  w.field("at_seconds", now_seconds());
-  w.field("ring_capacity", std::uint64_t{kRingCapacity});
-  write_trigger_json(w, reason, status);
-  w.key("labels");
-  w.begin_array();
-  const std::uint32_t labels = G.label_count.load(std::memory_order_acquire);
-  for (std::uint32_t i = 0; i < labels; ++i) w.value(G.labels[i]);
-  w.end_array();
-  const Totals t = totals();
-  w.key("counters");
-  w.begin_object();
-  w.field("events", t.events);
-  w.field("points_begun", t.points_begun);
-  w.field("points_done", t.points_done);
-  w.field("cache_hits", t.cache_hits);
-  w.field("cache_misses", t.cache_misses);
-  w.end_object();
-  if (status != nullptr) {
-    w.key("live_status");
-    w.begin_object();
-    w.field("version", status->version);
-    w.field("at_seconds", status->at_seconds);
-    w.field("phase", status->phase);
-    w.key("points");
-    w.begin_object();
-    w.field("total", status->points_total);
-    w.field("done", status->points_done);
-    w.end_object();
-    w.field("throughput_points_per_sec", status->throughput_points_per_sec);
-    w.field("eta_seconds", status->eta_seconds);
-    w.field("median_point_seconds", status->median_point_seconds);
-    w.field("workers", static_cast<std::uint64_t>(status->workers.size()));
-    w.end_object();
-  }
-  w.key("anomalies");
-  if (status != nullptr) {
-    write_anomalies_json(w, status->anomalies);
-  } else {
-    w.begin_array();
-    w.end_array();
-  }
-  w.key("rings");
-  w.begin_array();
-  const std::uint32_t used = G.rings_used.load(std::memory_order_acquire);
-  for (std::uint32_t r = 0; r < used && r < kMaxRings; ++r) {
-    const Ring& ring = G.rings[r];
-    const std::uint64_t head = ring.head.load(std::memory_order_relaxed);
-    if (head == 0) continue;
-    const std::uint64_t count = head < kRingCapacity ? head : kRingCapacity;
-    w.begin_object();
-    w.field("ring", static_cast<std::uint64_t>(r));
-    w.field("owner", ring.owner.load(std::memory_order_relaxed));
-    w.field("events_total", head);
-    w.field("dropped", head - count);
-    w.key("events");
-    w.begin_array();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const std::uint64_t idx = (head - count + i) & (kRingCapacity - 1);
-      const Slot& s = ring.slots[idx];
-      const std::uint64_t kw = s.kw.load(std::memory_order_relaxed);
-      w.begin_object();
-      w.field("t_ns", s.t.load(std::memory_order_relaxed));
-      w.field("kind", event_kind_name(static_cast<EventKind>(kw >> 32)));
-      w.field("a", s.a.load(std::memory_order_relaxed));
-      w.field("b", s.b.load(std::memory_order_relaxed));
-      w.end_object();
-    }
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  out << "\n";
 }
 
 bool dump(const std::string& path, const std::string& reason,

@@ -23,10 +23,15 @@
 //       cross-linked to the anomaly record.
 //   (b) fatal signal — SIGSEGV / SIGABRT / SIGBUS handlers write the
 //       rings and a backtrace through a pre-opened fd ("<path>.crash")
-//       using only async-signal-safe calls (write/openat-free integer
+//       using only async-signal-safe calls (write(2), integer
 //       formatting, no malloc, no stdio), then re-raise so the exit
 //       status still reflects the signal.
 //   (c) on demand — SIGUSR1, or a programmatic obs::flight::dump().
+//
+// All four triggers serialize through one write(2)-only routine, so every
+// dump — crash and SIGUSR1 dumps included — carries the same header
+// (bench name too), labels, counters and rings; only the trigger-specific
+// members differ.
 //
 // tools/flight_report merges the per-thread rings into one global
 // timeline and renders the last N ms before the trigger; tools/json_check
@@ -39,7 +44,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <ostream>
 #include <string>
 
 namespace tc3i::obs {
@@ -109,7 +113,9 @@ inline constexpr std::size_t kMaxLabels = 64;
 /// the c3ipbs driver.
 void phase(const std::string& label);
 
-/// Names the "bench" field of subsequent dumps (RunSession sets it).
+/// Names the "bench" field of subsequent dumps, signal-triggered ones
+/// included (RunSession sets it). Kept in a fixed buffer, so names past
+/// 127 bytes are truncated.
 void set_bench(const std::string& bench);
 
 /// Seconds on the recorder clock (steady, anchored at first use).
@@ -127,12 +133,6 @@ void set_dump_path(const std::string& path);
 /// cross-linking the triggering anomaly. No-op without a dump path, and
 /// at most one watchdog dump per process.
 void on_first_anomaly(const LiveStatus& status);
-
-/// Serializes the current rings as a flight_dump JSON document.
-/// `status` (optional) embeds the live status snapshot that triggered
-/// the dump. Not async-signal-safe (use the installed handlers for that).
-void write_dump_json(std::ostream& out, const std::string& reason,
-                     const LiveStatus* status);
 
 /// Programmatic dump to `path` (temp file + rename, like the status
 /// publisher). Returns false with *error set on I/O failure.

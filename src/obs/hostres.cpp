@@ -5,10 +5,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <filesystem>
-#include <fstream>
-
-#include "obs/trace_sink.hpp"
 
 namespace tc3i::obs {
 
@@ -31,8 +27,6 @@ double tv_seconds(const timeval& tv) {
   return static_cast<double>(tv.tv_sec) +
          static_cast<double>(tv.tv_usec) * 1e-6;
 }
-
-SweepSchedStore* g_sched_store = nullptr;
 
 }  // namespace
 
@@ -81,96 +75,5 @@ HostResUsage host_usage_delta(const HostResUsage& begin,
       std::min(end.involuntary_ctx_switches, begin.involuntary_ctx_switches);
   return d;
 }
-
-// --- SweepSchedStore ---------------------------------------------------------
-
-SweepSchedStore::SweepSchedStore() : anchor_ns_(steady_ns()) {}
-
-std::uint32_t SweepSchedStore::begin_sweep(std::uint64_t points, int jobs) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::uint32_t id = next_sweep_++;
-  sweeps_.push_back(SweepInfo{id, points, jobs});
-  return id;
-}
-
-double SweepSchedStore::now_us() const {
-  return static_cast<double>(steady_ns() - anchor_ns_) * 1e-3;
-}
-
-void SweepSchedStore::add_span(SweepJobSpan span) {
-  std::lock_guard<std::mutex> lock(mu_);
-  spans_.push_back(span);
-}
-
-std::vector<SweepJobSpan> SweepSchedStore::spans() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_;
-}
-
-std::vector<SweepInfo> SweepSchedStore::sweeps() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return sweeps_;
-}
-
-std::size_t SweepSchedStore::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
-}
-
-SweepSchedStore::Summary SweepSchedStore::summary() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  Summary s;
-  s.sweeps = sweeps_.size();
-  for (const SweepInfo& info : sweeps_) s.max_jobs = std::max(s.max_jobs, info.jobs);
-  s.points = spans_.size();
-  for (const SweepJobSpan& span : spans_) {
-    s.queue_wait_seconds += (span.start_us - span.submit_us) * 1e-6;
-    s.execute_seconds += (span.end_us - span.start_us) * 1e-6;
-  }
-  return s;
-}
-
-void SweepSchedStore::write_chrome_trace(std::ostream& out) const {
-  // Spans are copied and sorted into (sweep, point) order so the trace is
-  // independent of completion interleaving.
-  std::vector<SweepJobSpan> sorted = spans();
-  std::sort(sorted.begin(), sorted.end(),
-            [](const SweepJobSpan& a, const SweepJobSpan& b) {
-              if (a.sweep != b.sweep) return a.sweep < b.sweep;
-              return a.point < b.point;
-            });
-  TraceSink sink;
-  const std::uint32_t track = sink.register_track("sweep scheduler");
-  for (const SweepJobSpan& s : sorted) {
-    std::string tag = "s";
-    tag += std::to_string(s.sweep);
-    tag += ".p";
-    tag += std::to_string(s.point);
-    if (s.start_us > s.submit_us)
-      sink.complete(Category::Sched, "queue " + tag, s.submit_us,
-                    s.start_us - s.submit_us, track, s.worker);
-    sink.complete(Category::Sched, "run " + tag, s.start_us,
-                  std::max(0.0, s.end_us - s.start_us), track, s.worker);
-  }
-  sink.write_chrome_json(out);
-}
-
-bool SweepSchedStore::write_chrome_trace_file(const std::string& path,
-                                              std::string* error) const {
-  std::error_code ec;
-  const auto parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  std::ofstream out(path);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  write_chrome_trace(out);
-  return static_cast<bool>(out);
-}
-
-SweepSchedStore* sweep_sched_store() { return g_sched_store; }
-
-void set_sweep_sched_store(SweepSchedStore* store) { g_sched_store = store; }
 
 }  // namespace tc3i::obs

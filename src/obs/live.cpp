@@ -9,17 +9,11 @@
 #include "core/contracts.hpp"
 #include "obs/flight.hpp"
 #include "obs/json.hpp"
+#include "obs/trace_sink.hpp"
 
 namespace tc3i::obs {
 
 namespace {
-
-std::uint64_t steady_ns_now() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 
 LiveBus* g_live_bus = nullptr;
 
@@ -30,65 +24,54 @@ LiveBus* live_bus() { return g_live_bus; }
 void set_live_bus(LiveBus* bus) { g_live_bus = bus; }
 
 LiveBus::LiveBus(WatchdogConfig watchdog)
-    : anchor_ns_(steady_ns_now()), watchdog_(watchdog) {
+    : anchor_(std::chrono::steady_clock::now()), watchdog_(watchdog) {
   TC3I_EXPECTS(watchdog_.slow_point_k > 0.0 &&
                watchdog_.heartbeat_timeout_seconds > 0.0);
 }
 
-std::uint64_t LiveBus::now_ns() const { return steady_ns_now() - anchor_ns_; }
-
 double LiveBus::now_seconds() const {
-  return static_cast<double>(now_ns()) * 1e-9;
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       anchor_)
+      .count();
 }
 
-void LiveBus::add_points(std::uint64_t n) {
-  points_total_.fetch_add(n, std::memory_order_relaxed);
+std::uint32_t LiveBus::begin_sweep(std::uint64_t points, int jobs,
+                                   double submit_s) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  const auto id = static_cast<std::uint32_t>(sweeps_.size());
+  sweeps_.push_back(SweepInfo{points, jobs, submit_s});
+  points_total_ += points;
+  return id;
 }
 
-void LiveBus::begin_point(std::uint32_t w, std::uint64_t point) {
-  Cell& c = cells_[w % kMaxWorkers];
-  const std::uint64_t now = now_ns();
-  c.current_point.store(point, std::memory_order_relaxed);
-  c.point_start_ns.store(now, std::memory_order_relaxed);
-  c.heartbeat_ns.store(now, std::memory_order_relaxed);
-  c.touched.store(1, std::memory_order_relaxed);
+void LiveBus::begin_point(std::uint32_t w, std::uint32_t sweep,
+                          std::uint64_t point, double start_s) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  TC3I_EXPECTS(sweep < sweeps_.size());
+  if (w >= workers_.size()) workers_.resize(std::size_t{w} + 1);
+  WorkerSlot& slot = workers_[w];
+  slot.running = true;
+  slot.sweep = sweep;
+  slot.point = point;
+  slot.start_seconds = start_s;
+  slot.heartbeat_seconds = start_s;
 }
 
-void LiveBus::end_point(std::uint32_t w) {
-  Cell& c = cells_[w % kMaxWorkers];
-  const std::uint64_t now = now_ns();
-  const std::uint64_t start = c.point_start_ns.load(std::memory_order_relaxed);
-  const std::uint64_t idx =
-      sample_head_.fetch_add(1, std::memory_order_relaxed) % kSampleCap;
-  samples_ns_[idx].store(now > start ? now - start : 0,
-                         std::memory_order_relaxed);
-  c.current_point.store(kNoPoint, std::memory_order_relaxed);
-  c.points_done.fetch_add(1, std::memory_order_relaxed);
-  c.heartbeat_ns.store(now, std::memory_order_relaxed);
-}
-
-void LiveBus::complete_point(std::uint32_t w, std::uint64_t point,
-                             std::uint64_t duration_ns) {
-  Cell& c = cells_[w % kMaxWorkers];
-  const std::uint64_t idx =
-      sample_head_.fetch_add(1, std::memory_order_relaxed) % kSampleCap;
-  samples_ns_[idx].store(duration_ns, std::memory_order_relaxed);
-  c.points_done.fetch_add(1, std::memory_order_relaxed);
-  std::uint64_t expected = point;
-  c.current_point.compare_exchange_strong(expected, kNoPoint,
-                                          std::memory_order_relaxed);
-  c.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
-  c.touched.store(1, std::memory_order_relaxed);
-}
-
-void LiveBus::idle(std::uint32_t w) {
-  Cell& c = cells_[w % kMaxWorkers];
-  c.current_point.store(kNoPoint, std::memory_order_relaxed);
-  c.heartbeat_ns.store(now_ns(), std::memory_order_relaxed);
+void LiveBus::end_point(std::uint32_t w, double end_s) {
+  const std::lock_guard<std::mutex> lock(mu_);
+  TC3I_EXPECTS(w < workers_.size() && workers_[w].running);
+  WorkerSlot& slot = workers_[w];
+  spans_.push_back(PointSpan{slot.sweep, slot.point, w,
+                             sweeps_[slot.sweep].submit_seconds,
+                             slot.start_seconds, end_s});
+  slot.running = false;
+  slot.heartbeat_seconds = end_s;
+  ++slot.points_done;
 }
 
 void LiveBus::record_cache(bool hit) {
-  (hit ? cache_hits_ : cache_misses_).fetch_add(1, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(mu_);
+  ++(hit ? cache_hits_ : cache_misses_);
 }
 
 void LiveBus::set_bench(const std::string& bench) {
@@ -101,44 +84,37 @@ void LiveBus::set_phase(const std::string& phase) {
   phase_ = phase;
 }
 
-double LiveBus::median_sample_seconds() const {
-  const std::uint64_t head = sample_head_.load(std::memory_order_relaxed);
-  const std::size_t n =
-      static_cast<std::size_t>(std::min<std::uint64_t>(head, kSampleCap));
-  if (n == 0) return 0.0;
-  std::vector<std::uint64_t> copy(n);
-  for (std::size_t i = 0; i < n; ++i)
-    copy[i] = samples_ns_[i].load(std::memory_order_relaxed);
-  const std::size_t mid = n / 2;
-  std::nth_element(copy.begin(),
-                   copy.begin() + static_cast<std::ptrdiff_t>(mid),
-                   copy.end());
-  return static_cast<double>(copy[mid]) * 1e-9;
+LiveBus::Progress LiveBus::progress(double now_s) const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return progress_locked(now_s);
 }
 
-std::uint32_t LiveBus::workers_seen() const {
-  std::uint32_t seen = 0;
-  for (const Cell& c : cells_)
-    if (c.touched.load(std::memory_order_relaxed) != 0) ++seen;
-  return seen;
-}
-
-LiveBus::Progress LiveBus::progress() const {
+LiveBus::Progress LiveBus::progress_locked(double now_s) const {
   Progress p;
-  p.total = points_total_.load(std::memory_order_relaxed);
-  for (const Cell& c : cells_)
-    p.done += c.points_done.load(std::memory_order_relaxed);
+  p.total = points_total_;
+  p.done = spans_.size();
+  if (!spans_.empty()) {
+    std::vector<double> durations;
+    durations.reserve(spans_.size());
+    for (const PointSpan& s : spans_)
+      durations.push_back(std::max(0.0, s.end_seconds - s.start_seconds));
+    const std::size_t mid = durations.size() / 2;
+    std::nth_element(durations.begin(),
+                     durations.begin() + static_cast<std::ptrdiff_t>(mid),
+                     durations.end());
+    p.median_point_seconds = durations[mid];
+  }
   // Zero completed points early in a sweep must yield zero rate and zero
   // ETA (rendered as "eta ?" by the ticker), never a division by zero.
-  const double elapsed = now_seconds();
-  if (p.done > 0 && elapsed > 0.0)
-    p.points_per_sec = static_cast<double>(p.done) / elapsed;
-  p.median_point_seconds = median_sample_seconds();
+  if (p.done > 0 && now_s > 0.0)
+    p.points_per_sec = static_cast<double>(p.done) / now_s;
   const std::uint64_t remaining = p.total > p.done ? p.total - p.done : 0;
   // Prefer the robust per-point median spread over the workers actually
   // seen; before any point completes, extrapolate from cumulative rate.
   if (remaining > 0) {
-    const std::uint32_t seen = std::max<std::uint32_t>(1, workers_seen());
+    const auto seen = std::max<std::ptrdiff_t>(
+        1, std::count_if(workers_.begin(), workers_.end(),
+                         [](const WorkerSlot& s) { return s.touched(); }));
     if (p.median_point_seconds > 0.0)
       p.eta_seconds = p.median_point_seconds *
                       static_cast<double>(remaining) /
@@ -149,83 +125,51 @@ LiveBus::Progress LiveBus::progress() const {
   return p;
 }
 
-LiveStatus LiveBus::snapshot(bool done) {
+LiveStatus LiveBus::snapshot(double now_s, bool done) {
   LiveStatus s;
-  const double now_s = now_seconds();
   s.at_seconds = now_s;
   s.done = done;
-  s.median_point_seconds = median_sample_seconds();
-  s.cache_hits = cache_hits_.load(std::memory_order_relaxed);
-  s.cache_misses = cache_misses_.load(std::memory_order_relaxed);
   s.host = sample_host_usage();
-
-  // One fold over the cells produces the worker list, the points-done sum
-  // AND the watchdog candidates, so the snapshot is internally consistent
-  // (points.done always equals the workers' sum) even while workers keep
-  // advancing. The cells are read with the same relaxed loads the workers
-  // write with; a snapshot is a sample, not a barrier.
-  const double slow_threshold =
-      std::max(watchdog_.slow_point_k * s.median_point_seconds,
-               watchdog_.slow_point_min_seconds);
-  const std::uint64_t samples = sample_head_.load(std::memory_order_relaxed);
-  const bool slow_armed = samples >= watchdog_.slow_point_min_samples;
-  std::vector<LiveAnomaly> found;
-  for (std::uint32_t w = 0; w < kMaxWorkers; ++w) {
-    const Cell& c = cells_[w];
-    if (c.touched.load(std::memory_order_relaxed) == 0) continue;
-    LiveWorkerStatus ws;
-    ws.worker = w;
-    ws.current_point = c.current_point.load(std::memory_order_relaxed);
-    ws.running = ws.current_point != kNoPoint;
-    ws.points_done = c.points_done.load(std::memory_order_relaxed);
-    const double hb =
-        static_cast<double>(c.heartbeat_ns.load(std::memory_order_relaxed)) *
-        1e-9;
-    ws.heartbeat_age_seconds = std::max(0.0, now_s - hb);
-    if (ws.running) {
-      const double start =
-          static_cast<double>(
-              c.point_start_ns.load(std::memory_order_relaxed)) *
-          1e-9;
-      ws.point_age_seconds = std::max(0.0, now_s - start);
-      if (slow_armed && ws.point_age_seconds > slow_threshold)
-        found.push_back(LiveAnomaly{"slow_point", w, ws.current_point, now_s,
-                                    ws.point_age_seconds, slow_threshold});
-    }
-    if (ws.running &&
-        ws.heartbeat_age_seconds > watchdog_.heartbeat_timeout_seconds)
-      found.push_back(LiveAnomaly{"stalled_worker", w, ws.current_point,
-                                  now_s, ws.heartbeat_age_seconds,
-                                  watchdog_.heartbeat_timeout_seconds});
-    s.points_done += ws.points_done;
-    s.workers.push_back(ws);
-  }
-  // Read the total AFTER the fold: every completed point's add_points call
-  // preceded its completion, so this order keeps done <= total even while
-  // workers race the snapshot.
-  s.points_total = points_total_.load(std::memory_order_relaxed);
-  // Same zero-completed guard as progress(): rate and ETA stay 0 (not
-  // estimable) until the first point lands, never NaN/inf.
-  if (s.points_done > 0 && now_s > 0.0)
-    s.throughput_points_per_sec =
-        static_cast<double>(s.points_done) / now_s;
-  const std::uint64_t remaining =
-      s.points_total > s.points_done ? s.points_total - s.points_done : 0;
-  if (remaining > 0) {
-    const std::uint32_t seen = std::max<std::uint32_t>(
-        1, static_cast<std::uint32_t>(s.workers.size()));
-    if (s.median_point_seconds > 0.0)
-      s.eta_seconds = s.median_point_seconds *
-                      static_cast<double>(remaining) /
-                      static_cast<double>(seen);
-    else if (s.throughput_points_per_sec > 0.0)
-      s.eta_seconds =
-          static_cast<double>(remaining) / s.throughput_points_per_sec;
-  }
-
   bool first_anomaly = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
+    const Progress p = progress_locked(now_s);
+    s.points_total = p.total;
+    s.points_done = p.done;
+    s.throughput_points_per_sec = p.points_per_sec;
+    s.eta_seconds = p.eta_seconds;
+    s.median_point_seconds = p.median_point_seconds;
+    s.cache_hits = cache_hits_;
+    s.cache_misses = cache_misses_;
+
+    const double slow_threshold =
+        std::max(watchdog_.slow_point_k * s.median_point_seconds,
+                 watchdog_.slow_point_min_seconds);
+    const bool slow_armed = spans_.size() >= watchdog_.slow_point_min_samples;
+    std::vector<LiveAnomaly> found;
+    for (std::uint32_t w = 0; w < workers_.size(); ++w) {
+      const WorkerSlot& slot = workers_[w];
+      if (!slot.touched()) continue;
+      LiveWorkerStatus ws;
+      ws.worker = w;
+      ws.running = slot.running;
+      ws.current_point = slot.running ? slot.point : kNoPoint;
+      ws.points_done = slot.points_done;
+      ws.heartbeat_age_seconds = std::max(0.0, now_s - slot.heartbeat_seconds);
+      if (ws.running) {
+        ws.point_age_seconds = std::max(0.0, now_s - slot.start_seconds);
+        if (slow_armed && ws.point_age_seconds > slow_threshold)
+          found.push_back(LiveAnomaly{"slow_point", w, ws.current_point,
+                                      now_s, ws.point_age_seconds,
+                                      slow_threshold});
+        if (ws.heartbeat_age_seconds > watchdog_.heartbeat_timeout_seconds)
+          found.push_back(LiveAnomaly{"stalled_worker", w, ws.current_point,
+                                      now_s, ws.heartbeat_age_seconds,
+                                      watchdog_.heartbeat_timeout_seconds});
+      }
+      s.workers.push_back(ws);
+    }
+
     const bool had_anomalies = !anomalies_.empty();
     for (LiveAnomaly& a : found) {
       const AnomalyKey key{
@@ -244,7 +188,7 @@ LiveStatus LiveBus::snapshot(bool done) {
   }
   // Black-box trigger: the first anomaly ever raised snapshots the flight
   // rings (no-op unless --flight-out configured a dump path). Outside
-  // mu_ so the dump's file I/O never blocks other publisher-side calls.
+  // mu_ so the dump's file I/O never blocks the workers.
   if (first_anomaly) flight::on_first_anomaly(s);
   return s;
 }
@@ -252,6 +196,72 @@ LiveStatus LiveBus::snapshot(bool done) {
 std::vector<LiveAnomaly> LiveBus::anomalies() const {
   const std::lock_guard<std::mutex> lock(mu_);
   return anomalies_;
+}
+
+LiveBus::Summary LiveBus::summary() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  Summary s;
+  s.sweeps = sweeps_.size();
+  for (const SweepInfo& info : sweeps_)
+    s.max_jobs = std::max(s.max_jobs, info.jobs);
+  s.points = spans_.size();
+  for (const PointSpan& span : spans_) {
+    s.queue_wait_seconds += span.start_seconds - span.submit_seconds;
+    s.execute_seconds += span.end_seconds - span.start_seconds;
+  }
+  return s;
+}
+
+std::vector<PointSpan> LiveBus::spans() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return spans_;
+}
+
+std::vector<SweepInfo> LiveBus::sweeps() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return sweeps_;
+}
+
+void LiveBus::write_chrome_trace(std::ostream& out) const {
+  // Spans are copied and sorted into (sweep, point) order so the trace is
+  // independent of completion interleaving.
+  std::vector<PointSpan> sorted = spans();
+  std::sort(sorted.begin(), sorted.end(),
+            [](const PointSpan& a, const PointSpan& b) {
+              if (a.sweep != b.sweep) return a.sweep < b.sweep;
+              return a.point < b.point;
+            });
+  TraceSink sink;
+  const std::uint32_t track = sink.register_track("sweep scheduler");
+  for (const PointSpan& s : sorted) {
+    std::string tag = "s";
+    tag += std::to_string(s.sweep);
+    tag += ".p";
+    tag += std::to_string(s.point);
+    const double submit_us = s.submit_seconds * 1e6;
+    const double start_us = s.start_seconds * 1e6;
+    const double end_us = s.end_seconds * 1e6;
+    if (start_us > submit_us)
+      sink.complete(Category::Sched, "queue " + tag, submit_us,
+                    start_us - submit_us, track, s.worker);
+    sink.complete(Category::Sched, "run " + tag, start_us,
+                  std::max(0.0, end_us - start_us), track, s.worker);
+  }
+  sink.write_chrome_json(out);
+}
+
+bool LiveBus::write_chrome_trace_file(const std::string& path,
+                                      std::string* error) const {
+  std::error_code ec;
+  const auto parent = std::filesystem::path(path).parent_path();
+  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
+  std::ofstream out(path);
+  if (!out) {
+    if (error != nullptr) *error = "cannot open " + path;
+    return false;
+  }
+  write_chrome_trace(out);
+  return static_cast<bool>(out);
 }
 
 void LiveBus::write_status_json(const LiveStatus& status, std::ostream& out) {
@@ -365,7 +375,7 @@ void LivePublisher::run() {
     cv_.wait_for(lock, period_, [this]() { return stop_; });
     if (stop_) return;
     lock.unlock();
-    const LiveStatus status = bus_.snapshot(/*done=*/false);
+    const LiveStatus status = bus_.snapshot(bus_.now_seconds());
     std::string error;
     const bool ok = LiveBus::write_status_file(status, path_, &error);
     lock.lock();
@@ -389,7 +399,8 @@ std::uint64_t LivePublisher::finish() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  const LiveStatus status = bus_.snapshot(/*done=*/true);
+  const LiveStatus status =
+      bus_.snapshot(bus_.now_seconds(), /*done=*/true);
   std::string error;
   if (LiveBus::write_status_file(status, path_, &error)) {
     const std::lock_guard<std::mutex> lock(mu_);

@@ -1,39 +1,42 @@
-// Live sweep telemetry: a lock-free status bus with watchdog anomaly
-// detection.
+// Live sweep telemetry: the one record of every sweep point, with watchdog
+// anomaly detection.
 //
 // Everything else in src/obs/ is post-hoc — counters, records and reports
 // materialize when the run ends, which is useless for steering (or even
-// just trusting) an hour-long sweep. LiveBus closes that gap: workers
-// write per-worker progress cells wait-free (relaxed atomics on
-// cache-line-isolated cells, no locks, no allocation on the worker path),
-// and a background publisher folds the cells into a versioned LiveStatus
-// snapshot — points done/total, cumulative throughput, an ETA derived
-// from the median completed-point duration, testbed-cache hit rate, host
-// RSS/CPU via obs::hostres, and one state line per worker — published
-// atomically (write temp file, rename) to the --status-out JSON path
-// every --status-period milliseconds, so readers never observe a torn
-// file.
+// just trusting) an hour-long sweep. LiveBus closes that gap, and it is
+// also the only host-side record of a sweep: sim::run_sweep reports each
+// point to it once (begin_sweep / begin_point / end_point, with explicit
+// bus-clock timestamps), and one mutex guards the two things those calls
+// maintain — the list of completed point spans (sweep, point, worker,
+// submit / start / end) and a small per-worker slot (current point,
+// heartbeat, points done) that grows on demand. Everything else is derived
+// from those two:
 //
-// The same fold runs a watchdog: a point that has been executing longer
-// than watchdog.slow_point_k x the median completed-point duration, or a
-// worker whose heartbeat has been silent past
-// watchdog.heartbeat_timeout_seconds while it still holds work, raises a
-// LiveAnomaly ("slow_point" / "stalled_worker"). Anomalies appear live in
-// the status file and are persisted by RunSession into the RunReport and
-// SweepReport "anomalies" sections (schema v5), so a stuck run is
-// diagnosable both while it hangs and after it is killed.
+//   - the LiveStatus snapshot — points done/total, cumulative throughput,
+//     an ETA from the median completed-point duration, testbed-cache hit
+//     rate, host RSS/CPU via obs::hostres, one state line per worker —
+//     which LivePublisher writes atomically (temp file + rename) to the
+//     --status-out path every --status-period ms;
+//   - the watchdog: a point running longer than watchdog.slow_point_k x
+//     the median completed-point duration, or a worker whose heartbeat
+//     has been silent past watchdog.heartbeat_timeout_seconds while it
+//     still holds work, raises a LiveAnomaly ("slow_point" /
+//     "stalled_worker"), shown live in the status file and persisted by
+//     RunSession into the RunReport / SweepReport "anomalies" sections;
+//   - the --progress ticker's throughput and ETA (progress());
+//   - the --sweep-trace-out Chrome trace of the sweep scheduler and the
+//     SweepReport host.sched totals (write_chrome_trace(), summary()).
+//
+// The traffic is one lock per point boundary, and a bench runs tens of
+// points, so the mutex costs nothing measurable.
 //
 // Determinism contract: the bus is sampled, never merged into any
 // deterministic output. Simulation results, counters, RunRecords and
-// timelines are untouched; workers only feed the bus when one is
-// installed (live_bus() != nullptr), and the feed is a handful of relaxed
-// stores per *point*, not per simulated event — so reports stay
-// byte-identical at any --jobs and the sweep_telemetry bench
-// regime stays within its <=5% overhead budget with the bus enabled.
+// timelines are untouched, and run_sweep feeds the bus (and reads the
+// clock) only when one is installed (live_bus() != nullptr), so reports
+// stay byte-identical at any --jobs with or without it.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstddef>
@@ -108,49 +111,48 @@ struct LiveStatus {
   std::vector<LiveAnomaly> anomalies;     ///< cumulative since bus creation
 };
 
-/// The bus. Worker-side calls (add_points / begin_point / end_point /
-/// complete_point / idle / record_cache) are wait-free: each is a
-/// few relaxed atomic operations on the caller's own cell, safe from any
-/// number of threads concurrently with the publisher's snapshot() fold.
-/// Publisher-side calls (snapshot, set_phase, anomalies) serialize on an
-/// internal mutex and are intended for one publisher thread plus
-/// occasional foreground reads.
+/// One run_sweep invocation, recorded at begin_sweep; its id is its index.
+struct SweepInfo {
+  std::uint64_t points = 0;
+  int jobs = 0;
+  double submit_seconds = 0.0;  ///< bus clock; every point is queued then
+};
+
+/// One completed sweep point's life on the host, on the bus clock:
+/// submitted with its sweep, picked up by `worker`, finished.
+struct PointSpan {
+  std::uint32_t sweep = 0;   ///< index into LiveBus::sweeps()
+  std::uint64_t point = 0;   ///< point index within the sweep
+  std::uint32_t worker = 0;  ///< worker lane that executed the point
+  double submit_seconds = 0.0;
+  double start_seconds = 0.0;
+  double end_seconds = 0.0;
+};
+
+/// The bus. Every call is thread-safe and serializes on one internal
+/// mutex. Timestamps are seconds on the bus clock (now_seconds()); the
+/// worker calls take them explicitly, so tests can set point durations
+/// and ages directly.
 class LiveBus {
  public:
-  /// Worker cells available; worker indices wrap modulo this, so an
-  /// oversized --jobs merely shares cells (monitoring degrades gracefully,
-  /// correctness is unaffected).
-  static constexpr std::uint32_t kMaxWorkers = 256;
-  /// Completed-point duration samples retained for the median (ring).
-  static constexpr std::size_t kSampleCap = 512;
   static constexpr std::uint64_t kNoPoint = ~std::uint64_t{0};
 
   explicit LiveBus(WatchdogConfig watchdog = {});
   LiveBus(const LiveBus&) = delete;
   LiveBus& operator=(const LiveBus&) = delete;
 
-  // --- worker side (wait-free) ---
+  // --- worker side (sim::run_sweep) ---
 
-  /// Announces `n` more sweep points (run_sweep entry).
-  void add_points(std::uint64_t n);
+  /// Registers one sweep of `points` points on `jobs` workers, all
+  /// submitted at `submit_s`; returns its id.
+  std::uint32_t begin_sweep(std::uint64_t points, int jobs, double submit_s);
 
-  /// Worker `w` starts executing sweep point `point`.
-  void begin_point(std::uint32_t w, std::uint64_t point);
+  /// Worker `w` starts point `point` of sweep `sweep` at `start_s`.
+  void begin_point(std::uint32_t w, std::uint32_t sweep, std::uint64_t point,
+                   double start_s);
 
-  /// Worker `w` finished its current point (the duration is measured from
-  /// the matching begin_point).
-  void end_point(std::uint32_t w);
-
-  /// Worker `w` finished sweep point `point` after `duration_ns`, for
-  /// callers that time points themselves. Clears the running-point marker
-  /// when it still names `point` (a newer begin_point may have
-  /// overwritten it).
-  void complete_point(std::uint32_t w, std::uint64_t point,
-                      std::uint64_t duration_ns);
-
-  /// Worker `w` drained its queue: clears the running-point marker so the
-  /// watchdog stops ageing this worker.
-  void idle(std::uint32_t w);
+  /// Worker `w` finishes its current point at `end_s`, completing one span.
+  void end_point(std::uint32_t w, double end_s);
 
   /// Testbed profile cache outcome (platforms::load_or_build_testbed).
   void record_cache(bool hit);
@@ -163,17 +165,17 @@ class LiveBus {
   /// Labels subsequent snapshots ("table05", "threat-analysis/finegrained").
   void set_phase(const std::string& phase);
 
-  /// Folds the cells into a status snapshot, runs the watchdog (new
-  /// findings are appended to the cumulative anomaly list exactly once
-  /// per (kind, worker, point)), and bumps the version.
-  [[nodiscard]] LiveStatus snapshot(bool done = false);
+  /// Folds the record into a status snapshot as of `now_s`, runs the
+  /// watchdog (new findings are appended to the cumulative anomaly list
+  /// exactly once per (kind, worker, point)), and bumps the version.
+  [[nodiscard]] LiveStatus snapshot(double now_s, bool done = false);
 
   /// Cumulative watchdog findings so far, without folding a snapshot.
   [[nodiscard]] std::vector<LiveAnomaly> anomalies() const;
 
   /// Cheap progress fold for the stderr ticker: completed/total points,
-  /// cumulative throughput, and the median-based ETA. No watchdog pass,
-  /// no host sampling, no version bump.
+  /// cumulative throughput, and the median-based ETA as of `now_s`. No
+  /// watchdog pass, no host sampling, no version bump.
   struct Progress {
     std::uint64_t done = 0;
     std::uint64_t total = 0;
@@ -181,12 +183,34 @@ class LiveBus {
     double eta_seconds = 0.0;
     double median_point_seconds = 0.0;
   };
-  [[nodiscard]] Progress progress() const;
+  [[nodiscard]] Progress progress(double now_s) const;
+
+  /// Scheduler totals for the SweepReport host.sched section.
+  struct Summary {
+    std::uint64_t sweeps = 0;
+    std::uint64_t points = 0;
+    int max_jobs = 0;
+    double queue_wait_seconds = 0.0;  ///< sum of start - submit
+    double execute_seconds = 0.0;     ///< sum of end - start
+  };
+  [[nodiscard]] Summary summary() const;
+
+  [[nodiscard]] std::vector<PointSpan> spans() const;
+  [[nodiscard]] std::vector<SweepInfo> sweeps() const;
+
+  /// Chrome trace of the sweep scheduler: one "sweep scheduler" track,
+  /// one lane (tid) per worker, and per point a Sched "queue s<i>.p<j>"
+  /// span (submit -> start) followed by an execute span "run s<i>.p<j>"
+  /// (start -> end), in (sweep, point) order.
+  void write_chrome_trace(std::ostream& out) const;
+
+  /// Writes the trace to `path` (creating parent directories). Returns
+  /// false with *error set on I/O failure.
+  [[nodiscard]] bool write_chrome_trace_file(const std::string& path,
+                                             std::string* error) const;
 
   /// Seconds on the bus clock (steady, anchored at construction).
   [[nodiscard]] double now_seconds() const;
-
-  [[nodiscard]] const WatchdogConfig& watchdog() const { return watchdog_; }
 
   /// Serializes a snapshot as the LiveStatus JSON documented in
   /// docs/OBSERVABILITY.md (kind "live_status", schema_version 1).
@@ -201,30 +225,30 @@ class LiveBus {
                                               std::string* error);
 
  private:
-  struct alignas(64) Cell {
-    std::atomic<std::uint64_t> heartbeat_ns{0};
-    std::atomic<std::uint64_t> point_start_ns{0};
-    std::atomic<std::uint64_t> current_point{kNoPoint};
-    std::atomic<std::uint64_t> points_done{0};
-    std::atomic<std::uint32_t> touched{0};
+  struct WorkerSlot {
+    bool running = false;
+    std::uint32_t sweep = 0;
+    std::uint64_t point = 0;
+    double start_seconds = 0.0;
+    double heartbeat_seconds = 0.0;
+    std::uint64_t points_done = 0;
+
+    /// False for slots that never began a point (not reported).
+    [[nodiscard]] bool touched() const { return running || points_done > 0; }
   };
 
-  [[nodiscard]] std::uint64_t now_ns() const;
-  /// Median of the retained duration samples, in seconds (0 when empty).
-  [[nodiscard]] double median_sample_seconds() const;
-  /// Count of workers that have ever touched the bus.
-  [[nodiscard]] std::uint32_t workers_seen() const;
+  [[nodiscard]] Progress progress_locked(double now_s) const;
 
-  const std::uint64_t anchor_ns_;
+  const std::chrono::steady_clock::time_point anchor_;
   const WatchdogConfig watchdog_;
-  std::atomic<std::uint64_t> points_total_{0};
-  std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> cache_misses_{0};
-  std::atomic<std::uint64_t> sample_head_{0};
-  std::array<std::atomic<std::uint64_t>, kSampleCap> samples_ns_{};
-  std::array<Cell, kMaxWorkers> cells_{};
 
-  mutable std::mutex mu_;  // phase, anomalies, version (publisher side)
+  mutable std::mutex mu_;  // guards every member below
+  std::vector<SweepInfo> sweeps_;
+  std::vector<PointSpan> spans_;
+  std::vector<WorkerSlot> workers_;
+  std::uint64_t points_total_ = 0;
+  std::uint64_t cache_hits_ = 0;
+  std::uint64_t cache_misses_ = 0;
   std::string bench_;
   std::string phase_;
   std::uint64_t version_ = 0;
@@ -247,9 +271,9 @@ class LiveBus {
 void write_anomalies_json(JsonWriter& w,
                           const std::vector<LiveAnomaly>& anomalies);
 
-/// The process-global bus workers feed, or null (the default — the
-/// worker-side hooks compile to a pointer test). RunSession installs one
-/// for --status-out and --progress.
+/// The process-global bus sim::run_sweep feeds, or null (the default — no
+/// record, no clock calls). RunSession installs one for --status-out,
+/// --progress, --sweep-report-out and --sweep-trace-out.
 [[nodiscard]] LiveBus* live_bus();
 void set_live_bus(LiveBus* bus);
 
@@ -266,8 +290,6 @@ class LivePublisher {
   /// Stops the publisher thread and writes the final done=true snapshot.
   /// Idempotent. Returns the number of snapshots published (incl. final).
   std::uint64_t finish();
-
-  [[nodiscard]] const std::string& path() const { return path_; }
 
  private:
   void run();

@@ -76,9 +76,6 @@ void RunSession::add_cli_flags(CliParser& cli) {
                "--status-period ms via atomic rename");
   cli.add_flag("status-period", "500",
                "publish interval in milliseconds for --status-out");
-  cli.add_flag("watchdog-k", "8",
-               "flag a running sweep point as a slow_point anomaly past "
-               "k x the median completed-point duration");
   cli.add_flag("watchdog-timeout", "5",
                "flag a worker as a stalled_worker anomaly when its "
                "heartbeat is silent this many seconds while holding work");
@@ -153,20 +150,17 @@ RunSession::RunSession(std::string name, const CliParser& cli)
     set_process_critpath(critpath_.get());
   }
   set_sweep_progress_requested(cli.get_bool("progress"));
-  if (!sweep_report_path_.empty() || !sweep_trace_path_.empty()) {
-    sched_ = std::make_unique<SweepSchedStore>();
-    set_sweep_sched_store(sched_.get());
-  }
   if (!timeline_path_.empty()) {
     timeline_ = std::make_unique<TimelineStore>(
         static_cast<std::uint64_t>(sample_period));
     set_process_timeline(timeline_.get());
   }
-  // The live bus backs both --status-out (publisher thread) and the
-  // --progress ticker (throughput/ETA fold); install it when either asks.
-  if (!status_path_.empty() || cli.get_bool("progress")) {
+  // The live bus is the one record of every sweep point: --status-out
+  // (publisher thread), the --progress ticker, --sweep-trace-out and the
+  // SweepReport's host.sched totals all read it.
+  if (!status_path_.empty() || cli.get_bool("progress") ||
+      !sweep_report_path_.empty() || !sweep_trace_path_.empty()) {
     const std::int64_t status_period = cli.get_int("status-period");
-    const double watchdog_k = cli.get_double("watchdog-k");
     const double watchdog_timeout = cli.get_double("watchdog-timeout");
     if (status_period < 1) {
       std::fprintf(stderr, "error: --status-period must be >= 1 ms (got "
@@ -174,13 +168,11 @@ RunSession::RunSession(std::string name, const CliParser& cli)
                    static_cast<long long>(status_period));
       std::exit(2);
     }
-    if (!(watchdog_k > 0.0) || !(watchdog_timeout > 0.0)) {
-      std::fprintf(stderr,
-                   "error: --watchdog-k and --watchdog-timeout must be > 0\n");
+    if (!(watchdog_timeout > 0.0)) {
+      std::fprintf(stderr, "error: --watchdog-timeout must be > 0\n");
       std::exit(2);
     }
     WatchdogConfig watchdog;
-    watchdog.slow_point_k = watchdog_k;
     watchdog.heartbeat_timeout_seconds = watchdog_timeout;
     live_ = std::make_unique<LiveBus>(watchdog);
     live_->set_bench(name_);
@@ -213,8 +205,6 @@ RunSession::~RunSession() {
     set_process_timeline(nullptr);
   if (critpath_ != nullptr && process_critpath() == critpath_.get())
     set_process_critpath(nullptr);
-  if (sched_ != nullptr && sweep_sched_store() == sched_.get())
-    set_sweep_sched_store(nullptr);
   // Publisher first (it still reads the bus), then the workers' pointer.
   publisher_.reset();
   if (live_ != nullptr && live_bus() == live_.get()) set_live_bus(nullptr);
@@ -243,7 +233,7 @@ void RunSession::finish() {
                   static_cast<unsigned long long>(published),
                   published == 1 ? "" : "s");
     } else {
-      (void)live_->snapshot(/*done=*/true);
+      (void)live_->snapshot(live_->now_seconds(), /*done=*/true);
     }
     anomalies = live_->anomalies();
     report_.set_anomalies(anomalies);
@@ -276,12 +266,13 @@ void RunSession::finish() {
     }
   }
 
-  if (sched_ != nullptr && !sweep_trace_path_.empty()) {
+  if (!sweep_trace_path_.empty()) {
     std::string error;
-    if (sched_->write_chrome_trace_file(sweep_trace_path_, &error)) {
-      std::printf("[obs] sweep trace: %s (%zu point spans; open in "
+    if (live_->write_chrome_trace_file(sweep_trace_path_, &error)) {
+      std::printf("[obs] sweep trace: %s (%llu point spans; open in "
                   "chrome://tracing or ui.perfetto.dev)\n",
-                  sweep_trace_path_.c_str(), sched_->size());
+                  sweep_trace_path_.c_str(),
+                  static_cast<unsigned long long>(live_->summary().points));
     } else {
       std::fprintf(stderr, "[obs] sweep trace write failed: %s\n",
                    error.c_str());
@@ -304,14 +295,12 @@ void RunSession::finish() {
     CounterRegistry& reg = default_registry();
     host.testbed_cache_hits = reg.counter("testbed.cache.hit").value();
     host.testbed_cache_misses = reg.counter("testbed.cache.miss").value();
-    if (sched_ != nullptr) {
-      const SweepSchedStore::Summary s = sched_->summary();
-      host.sweeps = s.sweeps;
-      host.points = s.points;
-      host.jobs = s.max_jobs;
-      host.queue_wait_seconds = s.queue_wait_seconds;
-      host.execute_seconds = s.execute_seconds;
-    }
+    const LiveBus::Summary s = live_->summary();
+    host.sweeps = s.sweeps;
+    host.points = s.points;
+    host.jobs = s.max_jobs;
+    host.queue_wait_seconds = s.queue_wait_seconds;
+    host.execute_seconds = s.execute_seconds;
     std::error_code ec;
     const auto parent =
         std::filesystem::path(sweep_report_path_).parent_path();

@@ -17,8 +17,6 @@
 //                         readers like tools/sweep_monitor never see a torn
 //                         file); the final snapshot carries done=true
 //   --status-period <ms>  publish interval for --status-out (default 500)
-//   --watchdog-k <k>      a running point is anomalous past k x the median
-//                         completed-point duration (default 8)
 //   --watchdog-timeout <s>  a worker heartbeat silent past this many
 //                         seconds while holding work is a stalled_worker
 //                         anomaly (default 5)
@@ -39,10 +37,15 @@
 //
 // Construction installs the global trace sink (when --trace-out is given)
 // and the process-wide RunRecordStore / TimelineStore the machine models
-// feed; destruction (or finish()) writes all requested outputs. Exactly one
-// session may be active at a time; RunSession::active() lets shared helper
-// code (e.g. the bench harness row formatter) feed the report without
-// threading a pointer through every call site.
+// feed. Whenever --status-out, --progress, --sweep-report-out or
+// --sweep-trace-out is given it also installs one obs::LiveBus, the single
+// record of every sim::run_sweep point: the status publisher, the
+// watchdog, the ticker, the sweep trace and the SweepReport host.sched
+// totals all read it. Destruction (or finish()) writes all requested
+// outputs. Exactly one session may be active at a time;
+// RunSession::active() lets shared helper code (e.g. the bench harness row
+// formatter) feed the report without threading a pointer through every
+// call site.
 #pragma once
 
 #include <memory>
@@ -92,13 +95,6 @@ class RunSession {
   /// machine models capture dependency graphs; summaries land in the
   /// RunRecords, the graphs themselves are not retained).
   [[nodiscard]] CritPathStore* critpath() { return critpath_.get(); }
-  /// Non-null iff --sweep-report-out or --sweep-trace-out was given
-  /// (installed as the global store sim::run_sweep feeds spans to).
-  [[nodiscard]] SweepSchedStore* sweep_sched() { return sched_.get(); }
-  /// Non-null iff --status-out or --progress was given (installed as the
-  /// global bus sweep workers feed; the --progress ticker and the
-  /// --status-out publisher both read it).
-  [[nodiscard]] LiveBus* live() { return live_.get(); }
 
   /// Resolved host worker-thread count for sim::run_sweep: the --jobs flag
   /// with 0 replaced by std::thread::hardware_concurrency() and tracing
@@ -125,7 +121,6 @@ class RunSession {
   std::unique_ptr<RunRecordStore> records_;
   std::unique_ptr<TimelineStore> timeline_;
   std::unique_ptr<CritPathStore> critpath_;
-  std::unique_ptr<SweepSchedStore> sched_;
   std::unique_ptr<LiveBus> live_;
   std::unique_ptr<LivePublisher> publisher_;
   HostResUsage host_begin_;

@@ -50,63 +50,39 @@ void maybe_inject_slow_point(std::size_t point) {
   std::this_thread::sleep_for(std::chrono::milliseconds(inject.millis));
 }
 
-const char* SweepProgress::format_eta(double eta_seconds, char* buf,
-                                      std::size_t len) {
-  if (!(eta_seconds > 0.0) || !std::isfinite(eta_seconds)) return "?";
-  std::snprintf(buf, len, "%.1fs", eta_seconds);
-  return buf;
-}
-
 SweepProgress::SweepProgress(std::size_t count)
     : count_(count),
-      enabled_(count > 0 && obs::sweep_progress_requested() &&
-               ::isatty(STDERR_FILENO) != 0),
-      start_(std::chrono::steady_clock::now()) {}
+      bus_(obs::sweep_progress_requested() && ::isatty(STDERR_FILENO) != 0
+               ? obs::live_bus()
+               : nullptr) {
+  if (bus_ != nullptr) start_s_ = bus_->now_seconds();
+}
 
 void SweepProgress::tick() {
-  if (!enabled_) return;
+  if (bus_ == nullptr) return;
   std::lock_guard<std::mutex> lock(mu_);
   ++done_;
-  // Prefer the live bus: its throughput is cumulative across the whole
-  // session and its ETA comes from the median completed-point duration
-  // spread over the workers actually running — far steadier than the
-  // per-sweep linear extrapolation fallback below.
-  char eta_buf[32];
-  if (obs::LiveBus* bus = obs::live_bus(); bus != nullptr) {
-    const obs::LiveBus::Progress p = bus->progress();
-    // Zero completed points means no throughput and no ETA yet; render
-    // "eta ?" rather than a meaningless 0.0s (or worse, NaN).
-    std::fprintf(stderr, "\r[sweep] %zu/%zu  %.1f pts/s eta %s   ", done_,
-                 count_, p.points_per_sec,
-                 format_eta(p.eta_seconds, eta_buf, sizeof(eta_buf)));
-    std::fflush(stderr);
-    return;
-  }
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
-  const double eta =
-      done_ == 0 ? 0.0
-                 : elapsed / static_cast<double>(done_) *
-                       static_cast<double>(count_ - done_);
-  std::fprintf(stderr, "\r[sweep] %zu/%zu eta %s   ", done_, count_,
-               done_ == count_
-                   ? "0.0s"
-                   : format_eta(eta, eta_buf, sizeof(eta_buf)));
+  // Throughput is cumulative across the whole session and the ETA comes
+  // from the median completed-point duration spread over the workers
+  // actually running. Zero completed points means no throughput and no
+  // ETA yet; render "eta ?" rather than a meaningless 0.0s (or NaN).
+  const obs::LiveBus::Progress p = bus_->progress(bus_->now_seconds());
+  char eta[32] = "?";
+  if (p.eta_seconds > 0.0 && std::isfinite(p.eta_seconds))
+    std::snprintf(eta, sizeof(eta), "%.1fs", p.eta_seconds);
+  std::fprintf(stderr, "\r[sweep] %zu/%zu  %.1f pts/s eta %s   ", done_,
+               count_, p.points_per_sec, eta);
   std::fflush(stderr);
 }
 
 SweepProgress::~SweepProgress() {
-  if (!enabled_ || done_ == 0) return;
+  if (bus_ == nullptr || done_ == 0) return;
   // Replace the carriage-returned ticker with a final, newline-terminated
   // summary. A bare "\r"-blanked line left the cursor mid-line, so when a
   // sweep finished instantly (e.g. every point served from the testbed
   // cache) the last update was clobbered by whatever stdout printed next.
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-          .count();
   std::fprintf(stderr, "\r%*s\r[sweep] %zu/%zu done in %.1fs\n", 60, "",
-               done_, count_, elapsed);
+               done_, count_, bus_->now_seconds() - start_s_);
   std::fflush(stderr);
 }
 

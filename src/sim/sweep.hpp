@@ -19,16 +19,18 @@
 // no pool and no isolation: byte-for-byte identical to the pre-sweep serial
 // code path.
 //
-// Scheduler telemetry: when a session installed an obs::SweepSchedStore
-// (--sweep-trace-out / --sweep-report-out), every point additionally
-// records a host-time span (submit/start/end + worker lane) so the sweep
-// scheduler itself can be traced and its queue-wait vs execute time
-// attributed. With no store installed the sweep makes no clock calls.
+// Telemetry: both paths run each point through one per-point body, which
+// records the point once on the session's obs::LiveBus (when one is
+// installed — RunSession does so for --status-out, --progress,
+// --sweep-report-out and --sweep-trace-out) and emits its begin/end pair
+// into the always-on flight recorder. The bus derives the live status,
+// the watchdog, the --progress ETA, the sweep-scheduler trace and the
+// SweepReport host.sched totals from that one record. With no bus
+// installed the sweep makes no clock calls of its own.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <memory>
@@ -41,7 +43,6 @@
 #include "core/contracts.hpp"
 #include "obs/counters.hpp"
 #include "obs/flight.hpp"
-#include "obs/hostres.hpp"
 #include "obs/live.hpp"
 #include "obs/run_record.hpp"
 #include "obs/timeline.hpp"
@@ -56,29 +57,25 @@ namespace tc3i::sim {
 namespace detail {
 
 /// Stderr progress ticker behind the session --progress flag: one
-/// carriage-returned "[sweep] k/N eta Xs" line per completed point, with
-/// the ETA extrapolated from completed-point wall times. Enabled only when
-/// the flag is set *and* stderr is a TTY; never touches stdout, so the
+/// carriage-returned "[sweep] k/N  X pts/s eta Ys" line per completed
+/// point, with throughput and ETA from the live bus (RunSession installs
+/// one whenever --progress is set). Enabled only when the flag is set,
+/// a bus is installed *and* stderr is a TTY; never touches stdout, so the
 /// byte-identical-output guarantees of run_sweep are unaffected.
 class SweepProgress {
  public:
   explicit SweepProgress(std::size_t count);
   SweepProgress(const SweepProgress&) = delete;
   SweepProgress& operator=(const SweepProgress&) = delete;
-  ~SweepProgress();  // clears the ticker line
+  ~SweepProgress();  // replaces the ticker with a final summary line
 
   /// Marks one point complete (thread-safe).
   void tick();
 
  private:
-  /// "12.3s" when `eta_seconds` is a finite positive estimate, else "?"
-  /// (zero completed points, or the bus has no estimate yet).
-  static const char* format_eta(double eta_seconds, char* buf,
-                                std::size_t len);
-
   std::size_t count_;
-  bool enabled_;
-  std::chrono::steady_clock::time_point start_;
+  obs::LiveBus* bus_;  ///< null when the ticker is disabled
+  double start_s_ = 0.0;
   std::mutex mu_;
   std::size_t done_ = 0;
 };
@@ -102,45 +99,30 @@ auto run_sweep(std::size_t count, int jobs, Fn&& fn)
                 "sweep points must return a value (return 0 for effects)");
   TC3I_EXPECTS(jobs >= 1);
   std::vector<Result> results(count);
-  detail::SweepProgress progress(count);
-  // Scheduler telemetry (opt-in): one span per point with submit/start/end
-  // host timestamps and the worker lane, fed to the session's
-  // SweepSchedStore. Null store means no clock calls at all, so the
-  // default path is unchanged.
-  obs::SweepSchedStore* sched = obs::sweep_sched_store();
-  // Live telemetry (opt-in, sampled — never merged into results): announce
-  // the points and mark each begin/end on the worker's bus cell. Null bus
-  // means the hooks compile down to a pointer test.
+  if (count == 0) return results;
+  const std::size_t workers =
+      std::min(static_cast<std::size_t>(jobs), count);
   obs::LiveBus* bus = obs::live_bus();
-  if (bus != nullptr && count > 0) bus->add_points(count);
-  // Flight recorder (always-on, sampled — never merged into results):
-  // sweep-begin plus a begin/end pair per point lands in the caller's
-  // black-box ring for postmortem dumps.
-  if (count > 0)
-    obs::flight::emit(obs::flight::EventKind::kSweepBegin, count,
-                      jobs == 1 || count <= 1
-                          ? 1
-                          : std::min(static_cast<std::size_t>(jobs), count));
-  if (jobs == 1 || count <= 1) {
-    const std::uint32_t sweep_id =
-        sched != nullptr && count > 0 ? sched->begin_sweep(count, 1) : 0;
-    const double submit_us = sched != nullptr ? sched->now_us() : 0.0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const double start_us = sched != nullptr ? sched->now_us() : 0.0;
-      if (bus != nullptr) bus->begin_point(0, i);
-      obs::flight::emit(obs::flight::EventKind::kPointBegin, i, 0);
-      detail::maybe_inject_slow_point(i);
-      results[i] = fn(i);
-      obs::flight::emit(obs::flight::EventKind::kPointEnd, i, 0);
-      if (bus != nullptr) bus->end_point(0);
-      if (sched != nullptr)
-        sched->add_span(obs::SweepJobSpan{
-            sweep_id, static_cast<std::uint32_t>(i), 0, submit_us, start_us,
-            sched->now_us()});
-      progress.tick();
-    }
-    if (count > 0)
-      obs::flight::emit(obs::flight::EventKind::kSweepEnd, count);
+  const std::uint32_t sweep =
+      bus != nullptr ? bus->begin_sweep(count, static_cast<int>(workers),
+                                        bus->now_seconds())
+                     : 0;
+  detail::SweepProgress progress(count);
+  obs::flight::emit(obs::flight::EventKind::kSweepBegin, count, workers);
+  // The one per-point body of both paths: the point's single bus record
+  // (clock reads only when a bus is installed) and its flight breadcrumbs.
+  const auto run_point = [&](std::size_t i, std::uint32_t w) {
+    if (bus != nullptr) bus->begin_point(w, sweep, i, bus->now_seconds());
+    obs::flight::emit(obs::flight::EventKind::kPointBegin, i, w);
+    detail::maybe_inject_slow_point(i);
+    results[i] = fn(i);
+    obs::flight::emit(obs::flight::EventKind::kPointEnd, i, 0);
+    if (bus != nullptr) bus->end_point(w, bus->now_seconds());
+    progress.tick();
+  };
+  if (workers == 1) {
+    for (std::size_t i = 0; i < count; ++i) run_point(i, 0);
+    obs::flight::emit(obs::flight::EventKind::kSweepEnd, count);
     return results;
   }
 
@@ -160,13 +142,6 @@ auto run_sweep(std::size_t count, int jobs, Fn&& fn)
           parent_timeline->sample_period_cycles());
   }
   std::atomic<std::size_t> next{0};
-  const std::size_t workers =
-      std::min(static_cast<std::size_t>(jobs), count);
-  const std::uint32_t sweep_id =
-      sched != nullptr
-          ? sched->begin_sweep(count, static_cast<int>(workers))
-          : 0;
-  const double submit_us = sched != nullptr ? sched->now_us() : 0.0;
   {
     std::vector<sthreads::Thread> pool;
     pool.reserve(workers);
@@ -174,26 +149,13 @@ auto run_sweep(std::size_t count, int jobs, Fn&& fn)
       pool.emplace_back([&, w]() {
         for (std::size_t i = next.fetch_add(1); i < count;
              i = next.fetch_add(1)) {
-          const double start_us = sched != nullptr ? sched->now_us() : 0.0;
           obs::ScopedRegistry scope(*registries[i]);
           std::optional<obs::ScopedRunRecords> rec_scope;
           if (record_stores[i] != nullptr) rec_scope.emplace(*record_stores[i]);
           std::optional<obs::ScopedTimeline> tl_scope;
           if (timeline_stores[i] != nullptr)
             tl_scope.emplace(*timeline_stores[i]);
-          if (bus != nullptr)
-            bus->begin_point(static_cast<std::uint32_t>(w), i);
-          obs::flight::emit(obs::flight::EventKind::kPointBegin, i, w);
-          detail::maybe_inject_slow_point(i);
-          results[i] = fn(i);
-          obs::flight::emit(obs::flight::EventKind::kPointEnd, i, 0);
-          if (bus != nullptr) bus->end_point(static_cast<std::uint32_t>(w));
-          if (sched != nullptr)
-            sched->add_span(obs::SweepJobSpan{
-                sweep_id, static_cast<std::uint32_t>(i),
-                static_cast<std::uint32_t>(w), submit_us, start_us,
-                sched->now_us()});
-          progress.tick();
+          run_point(i, static_cast<std::uint32_t>(w));
         }
         obs::flight::emit(obs::flight::EventKind::kWorkerIdle, w);
       });

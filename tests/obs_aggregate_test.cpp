@@ -1,10 +1,9 @@
 // Correctness of the sweep aggregation layer: quantile-sketch rank
-// guarantees (exact under capacity, bounded after compression, preserved
-// under sharded merges including empty and single-element shards), group
+// guarantees (exact under capacity, bounded after compression), group
 // rollup statistics against direct recomputation, MAD outlier flagging,
 // and the determinism contract — the aggregate's serialized groups are
 // byte-identical whether the runs came from a serial sweep, a jobs-4
-// sweep, a sharded merge, or a round trip through RunReport JSON.
+// sweep, or a round trip through RunReport JSON.
 #include "obs/aggregate.hpp"
 
 #include <gtest/gtest.h>
@@ -110,57 +109,6 @@ TEST(QuantileSketch, CompressedRanksStayWithinDocumentedBound) {
   }
 }
 
-TEST(QuantileSketch, ShardedMergeMatchesConcatenatedStream) {
-  // Shards of very different sizes, including an empty shard and a
-  // single-element shard — the edge cases the merge bound must survive.
-  const std::vector<std::size_t> shard_sizes = {0, 1, 7, 500, 3000};
-  std::vector<double> all;
-  QuantileSketch merged(256);
-  QuantileSketch concat(256);
-  std::uint64_t x = 99;
-  for (const std::size_t n : shard_sizes) {
-    QuantileSketch shard(256);
-    for (std::size_t i = 0; i < n; ++i) {
-      x = x * 6364136223846793005ull + 1442695040888963407ull;
-      const double v = static_cast<double>(x >> 44);
-      all.push_back(v);
-      shard.insert(v);
-      concat.insert(v);
-    }
-    merged.merge_from(shard);
-  }
-  EXPECT_EQ(merged.total_weight(), static_cast<double>(all.size()));
-  // Both sketches must honor their own bounds against the true stream...
-  std::vector<double> sorted = all;
-  std::sort(sorted.begin(), sorted.end());
-  for (const double q : {0.1, 0.5, 0.9}) {
-    const double v =
-        sorted[static_cast<std::size_t>(q * static_cast<double>(
-                                                sorted.size() - 1))];
-    EXPECT_NEAR(merged.rank(v), true_rank(all, v), merged.rank_error_bound());
-    EXPECT_NEAR(concat.rank(v), true_rank(all, v), concat.rank_error_bound());
-    // ...and therefore agree with each other within the summed bounds.
-    EXPECT_NEAR(merged.rank(v), concat.rank(v),
-                merged.rank_error_bound() + concat.rank_error_bound());
-  }
-}
-
-TEST(QuantileSketch, MergeIsDeterministic) {
-  const auto build = [] {
-    QuantileSketch s(32);
-    for (int i = 0; i < 500; ++i)
-      s.insert(static_cast<double>((i * 131) % 997));
-    return s;
-  };
-  QuantileSketch a = build();
-  QuantileSketch b = build();
-  a.merge_from(build());
-  b.merge_from(build());
-  for (const double q : {0.1, 0.3, 0.5, 0.7, 0.9})
-    EXPECT_EQ(a.quantile(q), b.quantile(q));
-  EXPECT_EQ(a.rank_error_bound(), b.rank_error_bound());
-}
-
 // --- SweepAggregator ---------------------------------------------------------
 
 RunRecord mta_record(const std::string& scenario, int processors,
@@ -252,51 +200,6 @@ std::string groups_json(const SweepAggregator& agg) {
   agg.write_groups_json(w);
   w.end_object();
   return os.str();
-}
-
-TEST(SweepAggregator, ShardedMergeReproducesSerialFold) {
-  std::vector<RunRecord> records;
-  for (int i = 0; i < 40; ++i)
-    records.push_back(mta_record(i % 2 == 0 ? "threat_seq" : "terrain_fine",
-                                 1 + i % 4,
-                                 static_cast<std::uint64_t>(1000 + 13 * i),
-                                 0.25 + 0.01 * static_cast<double>(i % 10)));
-  const SweepAggregator serial = aggregate_records(records);
-
-  // Shard in contiguous submission-order chunks (as run_sweep's
-  // submission-order merge produces), including an empty shard.
-  SweepAggregator merged;
-  const std::size_t cuts[] = {0, 10, 10, 25, 40};
-  for (std::size_t c = 0; c + 1 < std::size(cuts); ++c) {
-    SweepAggregator shard;
-    for (std::size_t i = cuts[c]; i < cuts[c + 1]; ++i)
-      shard.add(records[i]);
-    merged.merge_from(shard);
-  }
-  // Counts, extremes, sketches and outliers are exact; sums reassociate
-  // the fp addition at shard boundaries (see SweepAggregator doc), so
-  // they match to ulp-level relative tolerance rather than byte-for-byte.
-  ASSERT_EQ(merged.runs(), serial.runs());
-  ASSERT_EQ(merged.groups().size(), serial.groups().size());
-  for (std::size_t g = 0; g < serial.groups().size(); ++g) {
-    const SweepGroup& sg = serial.groups()[g];
-    const SweepGroup& mg = merged.groups()[g];
-    EXPECT_TRUE(mg.key == sg.key);
-    const auto check = [](const MetricAggregate& a, const MetricAggregate& b) {
-      EXPECT_EQ(a.count, b.count);
-      EXPECT_EQ(a.min, b.min);
-      EXPECT_EQ(a.max, b.max);
-      EXPECT_NEAR(a.sum, b.sum, 1e-12 * std::fabs(b.sum));
-      for (const double q : {0.1, 0.5, 0.9})
-        EXPECT_EQ(a.sketch.quantile(q), b.sketch.quantile(q));
-    };
-    check(mg.wall, sg.wall);
-    check(mg.utilization, sg.utilization);
-    check(mg.threads, sg.threads);
-    for (std::size_t i = 0; i < 6; ++i)
-      check(mg.slot_share[i], sg.slot_share[i]);
-    EXPECT_EQ(merged.outlier_runs(mg), serial.outlier_runs(sg));
-  }
 }
 
 // --- End-to-end with real machine runs ---------------------------------------

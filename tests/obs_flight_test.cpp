@@ -16,7 +16,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
@@ -121,13 +120,13 @@ TEST(FlightEmitTest, ConcurrentEmitStormIsSafe) {
   constexpr int kThreads = 8;
   constexpr std::uint64_t kPerThread = 10'000;
   const flight::Totals before = flight::totals();
+  const std::filesystem::path path = temp_dump_path("storm");
   std::atomic<bool> stop{false};
-  std::thread reader([&stop]() {
+  std::thread reader([&stop, &path]() {
     while (!stop.load(std::memory_order_relaxed)) {
-      std::ostringstream sink;
-      flight::write_dump_json(sink, "stress", nullptr);
       std::string error;
-      EXPECT_TRUE(obs::json_parse(sink.str(), &error).has_value()) << error;
+      ASSERT_TRUE(flight::dump(path.string(), "stress", &error)) << error;
+      (void)parse_file(path);
     }
   });
   std::vector<std::thread> writers;
@@ -142,6 +141,7 @@ TEST(FlightEmitTest, ConcurrentEmitStormIsSafe) {
   reader.join();
   const flight::Totals after = flight::totals();
   EXPECT_GE(after.events - before.events, kThreads * kPerThread);
+  std::filesystem::remove(path);
 }
 
 TEST(FlightDumpTest, ProgrammaticDumpWritesSchema) {
@@ -196,16 +196,16 @@ TEST(FlightDumpTest, WatchdogAnomalyTriggersDumpOnce) {
   wd.heartbeat_timeout_seconds = 0.01;
   obs::LiveBus bus(wd);
   bus.set_bench("flight_watchdog");
-  bus.add_points(2);
-  bus.begin_point(1, 0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  const obs::LiveStatus s = bus.snapshot();
+  const std::uint32_t sweep = bus.begin_sweep(2, 2, 0.0);
+  bus.begin_point(1, sweep, 0, 0.0);
+  const obs::LiveStatus s = bus.snapshot(0.015);
   ASSERT_FALSE(s.anomalies.empty());
   ASSERT_TRUE(std::filesystem::exists(path)) << path;
 
   const obs::JsonValue doc = parse_file(path);
   EXPECT_EQ(doc.string_or("kind", ""), "flight_dump");
   EXPECT_EQ(doc.string_or("reason", ""), "watchdog");
+  EXPECT_EQ(doc.string_or("bench", ""), "flight_watchdog");
   const obs::JsonValue* trigger = doc.find_object("trigger");
   ASSERT_NE(trigger, nullptr);
   const obs::JsonValue* anomaly = trigger->find_object("anomaly");
@@ -224,16 +224,16 @@ TEST(FlightDumpTest, WatchdogAnomalyTriggersDumpOnce) {
   obs::WatchdogConfig wd2;
   wd2.heartbeat_timeout_seconds = 0.01;
   obs::LiveBus bus2(wd2);
-  bus2.add_points(1);
-  bus2.begin_point(0, 0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  (void)bus2.snapshot();
+  const std::uint32_t sweep2 = bus2.begin_sweep(1, 1, 0.0);
+  bus2.begin_point(0, sweep2, 0, 0.0);
+  (void)bus2.snapshot(0.015);
   EXPECT_FALSE(std::filesystem::exists(path));
   flight::reset_for_test();
 }
 
 TEST(FlightSignalTest, Sigusr1WritesOnDemandDump) {
   const std::filesystem::path path = temp_dump_path("usr1");
+  flight::set_bench("flight_usr1");
   flight::install_signal_handlers(path.string());
   flight::emit(flight::EventKind::kMark, 42);
   ASSERT_EQ(::raise(SIGUSR1), 0);  // handler runs before raise returns
@@ -241,6 +241,8 @@ TEST(FlightSignalTest, Sigusr1WritesOnDemandDump) {
   const obs::JsonValue doc = parse_file(path);
   EXPECT_EQ(doc.string_or("kind", ""), "flight_dump");
   EXPECT_EQ(doc.string_or("reason", ""), "signal:SIGUSR1");
+  // Signal dumps carry the bench name from its fixed buffer too.
+  EXPECT_EQ(doc.string_or("bench", ""), "flight_usr1");
   const obs::JsonValue* trigger = doc.find_object("trigger");
   ASSERT_NE(trigger, nullptr);
   EXPECT_EQ(trigger->number_or("signal", -1.0),
@@ -262,6 +264,7 @@ TEST(FlightSignalTest, FatalSignalWritesParseableCrashDump) {
     // Child: arm the crash path, leave some evidence, then die the way a
     // real bug would. The handler must dump through the pre-opened fd and
     // re-raise, so the exit status still says SIGABRT.
+    flight::set_bench("flight_crash");
     flight::install_signal_handlers(path.string());
     flight::emit(flight::EventKind::kPointBegin, 7, 0);
     flight::emit(flight::EventKind::kMark, 1);
@@ -276,6 +279,7 @@ TEST(FlightSignalTest, FatalSignalWritesParseableCrashDump) {
   const obs::JsonValue doc = parse_file(crash);
   EXPECT_EQ(doc.string_or("kind", ""), "flight_dump");
   EXPECT_EQ(doc.string_or("reason", ""), "signal:SIGABRT");
+  EXPECT_EQ(doc.string_or("bench", ""), "flight_crash");
   const obs::JsonValue* trigger = doc.find_object("trigger");
   ASSERT_NE(trigger, nullptr);
   EXPECT_EQ(trigger->string_or("reason", ""), "signal");

@@ -1,8 +1,10 @@
-// Tests for the live telemetry bus (obs/live): wait-free worker cells,
-// snapshot consistency, watchdog anomalies (slow point / stalled worker),
-// status JSON serialization, atomic file publishing, and the background
-// publisher under worker concurrency (the TSan smoke target — see
-// TC3I_SANITIZE in the top-level CMakeLists and scripts/check.sh).
+// Tests for the live telemetry bus (obs/live), the one record of every
+// sweep point: snapshot consistency, watchdog anomalies (slow point /
+// stalled worker) and the ETA on explicit bus-clock timestamps, the
+// sweep-scheduler spans, summary and Chrome trace, status JSON
+// serialization, atomic file publishing, and the background publisher
+// under worker concurrency (the TSan smoke target — see TC3I_SANITIZE in
+// the top-level CMakeLists and scripts/check.sh).
 #include "obs/live.hpp"
 
 #include <gtest/gtest.h>
@@ -52,16 +54,16 @@ obs::JsonValue parse_status_file(const std::filesystem::path& path) {
 
 TEST(LiveBusTest, SnapshotCountsMatchWorkerSum) {
   obs::LiveBus bus;
-  bus.add_points(10);
-  // Worker 0 completes three points begin/end-style, worker 2 one with a
-  // caller-measured duration.
+  const std::uint32_t sweep = bus.begin_sweep(10, 3, 0.0);
+  // Worker 0 completes three instant points, worker 2 one 1ms point.
   for (std::uint64_t i = 0; i < 3; ++i) {
-    bus.begin_point(0, i);
-    bus.end_point(0);
+    bus.begin_point(0, sweep, i, 0.0);
+    bus.end_point(0, 0.0);
   }
-  bus.complete_point(2, 7, 1'000'000);
+  bus.begin_point(2, sweep, 7, 0.0);
+  bus.end_point(2, 0.001);
 
-  obs::LiveStatus s = bus.snapshot();
+  obs::LiveStatus s = bus.snapshot(0.001);
   EXPECT_EQ(s.points_total, 10u);
   EXPECT_EQ(s.points_done, 4u);
   EXPECT_EQ(s.version, 1u);
@@ -76,19 +78,22 @@ TEST(LiveBusTest, SnapshotCountsMatchWorkerSum) {
   EXPECT_TRUE(s.anomalies.empty());
 
   // Version advances per snapshot so a poller can detect staleness.
-  EXPECT_EQ(bus.snapshot().version, 2u);
+  EXPECT_EQ(bus.snapshot(0.001).version, 2u);
 }
 
 TEST(LiveBusTest, ProgressComputesMedianEtaAndThroughput) {
   obs::LiveBus bus;
-  bus.add_points(8);
+  const std::uint32_t sweep = bus.begin_sweep(8, 1, 0.0);
   // Four completed points with a known duration spread: 1, 2, 3, 100 ms.
-  bus.complete_point(0, 0, 1'000'000);
-  bus.complete_point(0, 1, 2'000'000);
-  bus.complete_point(0, 2, 3'000'000);
-  bus.complete_point(0, 3, 100'000'000);
+  double t = 0.0;
+  std::uint64_t point = 0;
+  for (const double ms : {1.0, 2.0, 3.0, 100.0}) {
+    bus.begin_point(0, sweep, point++, t);
+    t += ms * 1e-3;
+    bus.end_point(0, t);
+  }
 
-  const obs::LiveBus::Progress p = bus.progress();
+  const obs::LiveBus::Progress p = bus.progress(t);
   EXPECT_EQ(p.done, 4u);
   EXPECT_EQ(p.total, 8u);
   EXPECT_GT(p.points_per_sec, 0.0);
@@ -100,10 +105,9 @@ TEST(LiveBusTest, ProgressComputesMedianEtaAndThroughput) {
 
 TEST(LiveBusTest, EtaFallsBackToCumulativeRateBeforeFirstCompletion) {
   obs::LiveBus bus;
-  bus.add_points(100);
-  bus.begin_point(0, 0);
-  sleep_ms(2);
-  const obs::LiveBus::Progress p = bus.progress();
+  const std::uint32_t sweep = bus.begin_sweep(100, 1, 0.0);
+  bus.begin_point(0, sweep, 0, 0.0);
+  const obs::LiveBus::Progress p = bus.progress(0.002);
   EXPECT_EQ(p.done, 0u);
   EXPECT_EQ(p.median_point_seconds, 0.0);
   EXPECT_EQ(p.eta_seconds, 0.0);  // no completions, no rate yet
@@ -119,7 +123,7 @@ TEST(LiveBusTest, RunSweepFeedsInstalledBus) {
   });
   obs::set_live_bus(nullptr);
   EXPECT_EQ(ran.load(), 12);
-  const obs::LiveBus::Progress p = bus.progress();
+  const obs::LiveBus::Progress p = bus.progress(bus.now_seconds());
   EXPECT_EQ(p.total, 12u);
   EXPECT_EQ(p.done, 12u);
 }
@@ -128,13 +132,12 @@ TEST(LiveWatchdogTest, StalledWorkerRaisesWithinTwoFolds) {
   obs::WatchdogConfig wd;
   wd.heartbeat_timeout_seconds = 0.02;
   obs::LiveBus bus(wd);
-  bus.add_points(2);
+  const std::uint32_t sweep = bus.begin_sweep(2, 2, 0.0);
   // Injected stall: the worker claims a point and then goes silent.
-  bus.begin_point(1, 0);
-  obs::LiveStatus first = bus.snapshot();
+  bus.begin_point(1, sweep, 0, 0.0);
+  obs::LiveStatus first = bus.snapshot(0.0);
   EXPECT_TRUE(first.anomalies.empty());  // heartbeat is still fresh
-  sleep_ms(30);
-  obs::LiveStatus second = bus.snapshot();
+  obs::LiveStatus second = bus.snapshot(0.030);
   ASSERT_EQ(second.anomalies.size(), 1u);
   const obs::LiveAnomaly& a = second.anomalies[0];
   EXPECT_EQ(a.kind, "stalled_worker");
@@ -148,13 +151,11 @@ TEST(LiveWatchdogTest, StalledAnomalyDeduplicatesAcrossSnapshots) {
   obs::WatchdogConfig wd;
   wd.heartbeat_timeout_seconds = 0.01;
   obs::LiveBus bus(wd);
-  bus.add_points(1);
-  bus.begin_point(0, 0);
-  sleep_ms(15);
-  EXPECT_EQ(bus.snapshot().anomalies.size(), 1u);
-  sleep_ms(15);
+  const std::uint32_t sweep = bus.begin_sweep(1, 1, 0.0);
+  bus.begin_point(0, sweep, 0, 0.0);
+  EXPECT_EQ(bus.snapshot(0.015).anomalies.size(), 1u);
   // Same (kind, worker, point) — still one cumulative anomaly.
-  EXPECT_EQ(bus.snapshot().anomalies.size(), 1u);
+  EXPECT_EQ(bus.snapshot(0.030).anomalies.size(), 1u);
   EXPECT_EQ(bus.anomalies().size(), 1u);
 }
 
@@ -162,13 +163,11 @@ TEST(LiveWatchdogTest, IdleWorkerIsNotStalled) {
   obs::WatchdogConfig wd;
   wd.heartbeat_timeout_seconds = 0.01;
   obs::LiveBus bus(wd);
-  bus.add_points(1);
-  bus.begin_point(0, 0);
-  bus.end_point(0);
-  bus.idle(0);
-  sleep_ms(15);
+  const std::uint32_t sweep = bus.begin_sweep(1, 1, 0.0);
+  bus.begin_point(0, sweep, 0, 0.0);
+  bus.end_point(0, 0.0);
   // Heartbeat is stale but the worker holds no work: no anomaly.
-  EXPECT_TRUE(bus.snapshot().anomalies.empty());
+  EXPECT_TRUE(bus.snapshot(0.015).anomalies.empty());
 }
 
 TEST(LiveWatchdogTest, SlowPointRequiresArmedBaseline) {
@@ -178,21 +177,22 @@ TEST(LiveWatchdogTest, SlowPointRequiresArmedBaseline) {
   wd.slow_point_min_seconds = 0.0;
   wd.heartbeat_timeout_seconds = 60.0;  // isolate the slow-point check
   obs::LiveBus bus(wd);
-  bus.add_points(8);
+  const std::uint32_t sweep = bus.begin_sweep(8, 2, 0.0);
 
   // Not armed yet: only one completed sample, so a long-running point
   // must NOT trip (a median of one point is not a baseline).
-  bus.complete_point(0, 0, 1'000'000);
-  bus.begin_point(1, 5);
-  sleep_ms(10);
-  EXPECT_TRUE(bus.snapshot().anomalies.empty());
+  bus.begin_point(0, sweep, 0, 0.0);
+  bus.end_point(0, 0.001);
+  bus.begin_point(1, sweep, 5, 0.001);
+  EXPECT_TRUE(bus.snapshot(0.011).anomalies.empty());
 
   // Arm with three more 1ms samples; the running point is now far past
   // 2 x 1ms and must trip.
-  bus.complete_point(0, 1, 1'000'000);
-  bus.complete_point(0, 2, 1'000'000);
-  bus.complete_point(0, 3, 1'000'000);
-  obs::LiveStatus s = bus.snapshot();
+  for (std::uint64_t i = 1; i <= 3; ++i) {
+    bus.begin_point(0, sweep, i, 0.001 * static_cast<double>(i));
+    bus.end_point(0, 0.001 * static_cast<double>(i + 1));
+  }
+  obs::LiveStatus s = bus.snapshot(0.011);
   ASSERT_EQ(s.anomalies.size(), 1u);
   EXPECT_EQ(s.anomalies[0].kind, "slow_point");
   EXPECT_EQ(s.anomalies[0].worker, 1u);
@@ -205,25 +205,26 @@ TEST(LiveWatchdogTest, AbsoluteFloorSuppressesMicrosecondJitter) {
   wd.slow_point_min_samples = 1;
   wd.slow_point_min_seconds = 10.0;  // floor far above any test runtime
   obs::LiveBus bus(wd);
-  bus.add_points(4);
-  bus.complete_point(0, 0, 1'000);  // 1us median
-  bus.begin_point(1, 1);
-  sleep_ms(5);  // 5000 x median, but well under the floor
-  EXPECT_TRUE(bus.snapshot().anomalies.empty());
+  const std::uint32_t sweep = bus.begin_sweep(4, 2, 0.0);
+  bus.begin_point(0, sweep, 0, 0.0);
+  bus.end_point(0, 1e-6);  // 1us median
+  bus.begin_point(1, sweep, 1, 0.0);
+  // 5000 x median, but well under the floor.
+  EXPECT_TRUE(bus.snapshot(0.005).anomalies.empty());
 }
 
 TEST(LiveStatusJsonTest, SerializesSchemaAndRoundTrips) {
   obs::LiveBus bus;
   bus.set_bench("unit");
   bus.set_phase("sweep");
-  bus.add_points(4);
-  bus.begin_point(0, 2);
+  const std::uint32_t sweep = bus.begin_sweep(4, 1, 0.0);
+  bus.begin_point(0, sweep, 2, 0.0);
   bus.record_cache(true);
   bus.record_cache(false);
   bus.record_cache(true);
 
   std::ostringstream out;
-  obs::LiveBus::write_status_json(bus.snapshot(), out);
+  obs::LiveBus::write_status_json(bus.snapshot(0.0), out);
   const obs::JsonValue doc = parse_status_string(out.str());
   EXPECT_EQ(doc.string_or("kind", ""), "live_status");
   EXPECT_EQ(doc.number_or("schema_version", 0.0), 1.0);
@@ -253,14 +254,14 @@ TEST(LiveStatusJsonTest, SerializesSchemaAndRoundTrips) {
 TEST(LiveStatusJsonTest, WriteStatusFileReplacesAtomically) {
   const std::filesystem::path path = temp_status_path("file");
   obs::LiveBus bus;
-  bus.add_points(2);
+  const std::uint32_t sweep = bus.begin_sweep(2, 1, 0.0);
   std::string error;
-  ASSERT_TRUE(obs::LiveBus::write_status_file(bus.snapshot(), path.string(),
-                                              &error))
+  ASSERT_TRUE(obs::LiveBus::write_status_file(bus.snapshot(0.0),
+                                              path.string(), &error))
       << error;
-  bus.begin_point(0, 0);
-  bus.end_point(0);
-  ASSERT_TRUE(obs::LiveBus::write_status_file(bus.snapshot(true),
+  bus.begin_point(0, sweep, 0, 0.0);
+  bus.end_point(0, 0.0);
+  ASSERT_TRUE(obs::LiveBus::write_status_file(bus.snapshot(0.0, true),
                                               path.string(), &error))
       << error;
   // No leftover temp file, and the final snapshot won the rename.
@@ -274,25 +275,25 @@ TEST(LiveStatusJsonTest, WriteStatusFileReplacesAtomically) {
 }
 
 TEST(LivePublisherTest, PublishesUnderWorkerConcurrency) {
-  // The TSan smoke target: four workers hammer their cells while the
+  // The TSan smoke target: four workers record points while the
   // publisher folds snapshots at a 1ms period.
   const std::filesystem::path path = temp_status_path("publisher");
   obs::LiveBus bus;
   bus.set_bench("stress");
-  bus.add_points(4 * 200);
+  const std::uint32_t sweep = bus.begin_sweep(4 * 200, 4, 0.0);
   std::uint64_t published = 0;
   {
     obs::LivePublisher publisher(bus, path.string(), 1);
     std::vector<std::thread> workers;
     for (std::uint32_t w = 0; w < 4; ++w)
-      workers.emplace_back([&bus, w]() {
+      workers.emplace_back([&bus, sweep, w]() {
         for (std::uint64_t i = 0; i < 200; ++i) {
           const std::uint64_t point = w * 200 + i;
-          bus.begin_point(w, point);
+          const double t = 1e-5 * static_cast<double>(i);
+          bus.begin_point(w, sweep, point, t);
           bus.record_cache(i % 2 == 0);
-          bus.complete_point(w, point, 10'000);
+          bus.end_point(w, t + 1e-5);
         }
-        bus.idle(w);
       });
     for (std::thread& t : workers) t.join();
     sleep_ms(5);  // let at least one periodic snapshot land
@@ -316,9 +317,9 @@ TEST(LiveBusTest, SnapshotWithZeroCompletedPointsHasFiniteRates) {
   // divide by zero — throughput/ETA stay 0 (rendered as "eta=?" by the
   // --progress ticker) instead of going NaN/inf.
   obs::LiveBus bus;
-  bus.add_points(50);
-  bus.begin_point(0, 0);
-  const obs::LiveStatus s = bus.snapshot();
+  const std::uint32_t sweep = bus.begin_sweep(50, 1, 0.0);
+  bus.begin_point(0, sweep, 0, 0.0);
+  const obs::LiveStatus s = bus.snapshot(0.001);
   EXPECT_EQ(s.points_done, 0u);
   EXPECT_EQ(s.throughput_points_per_sec, 0.0);
   EXPECT_EQ(s.eta_seconds, 0.0);
@@ -333,7 +334,7 @@ TEST(LivePublisherTest, ConcurrentReaderNeverSeesTornSnapshot) {
   const std::filesystem::path path = temp_status_path("torn");
   obs::LiveBus bus;
   bus.set_bench("torn");
-  bus.add_points(2 * 400);
+  const std::uint32_t sweep = bus.begin_sweep(2 * 400, 2, 0.0);
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> reads{0};
   std::thread reader([&]() {
@@ -355,14 +356,14 @@ TEST(LivePublisherTest, ConcurrentReaderNeverSeesTornSnapshot) {
     obs::LivePublisher publisher(bus, path.string(), 1);
     std::vector<std::thread> workers;
     for (std::uint32_t w = 0; w < 2; ++w)
-      workers.emplace_back([&bus, w]() {
+      workers.emplace_back([&bus, sweep, w]() {
         for (std::uint64_t i = 0; i < 400; ++i) {
           const std::uint64_t point = w * 400 + i;
-          bus.begin_point(w, point);
-          bus.complete_point(w, point, 10'000);
+          bus.begin_point(w, sweep, point, bus.now_seconds());
+          bus.end_point(w, bus.now_seconds());
+          // Pace the workers so the reader interleaves with many renames.
           std::this_thread::sleep_for(std::chrono::microseconds(50));
         }
-        bus.idle(w);
       });
     for (std::thread& t : workers) t.join();
     publisher.finish();
@@ -380,9 +381,9 @@ TEST(LivePublisherTest, ConcurrentReaderNeverSeesTornSnapshot) {
 TEST(LivePublisherTest, FinalSnapshotWrittenEvenWithoutPeriodFiring) {
   const std::filesystem::path path = temp_status_path("final");
   obs::LiveBus bus;
-  bus.add_points(1);
-  bus.begin_point(0, 0);
-  bus.end_point(0);
+  const std::uint32_t sweep = bus.begin_sweep(1, 1, 0.0);
+  bus.begin_point(0, sweep, 0, 0.0);
+  bus.end_point(0, 0.0);
   std::uint64_t published = 0;
   {
     obs::LivePublisher publisher(bus, path.string(), 60'000);
@@ -394,6 +395,85 @@ TEST(LivePublisherTest, FinalSnapshotWrittenEvenWithoutPeriodFiring) {
   ASSERT_NE(points, nullptr);
   EXPECT_EQ(points->number_or("done", -1.0), 1.0);
   std::filesystem::remove(path);
+}
+
+// --- sweep-scheduler spans (the record behind --sweep-trace-out and the
+// SweepReport host.sched totals) ---------------------------------------------
+
+TEST(LiveBusSched, OneSpanPerPointWorkersWithinJobs) {
+  obs::LiveBus bus;
+  obs::LiveBus* prev = obs::live_bus();
+  obs::set_live_bus(&bus);
+  const int kJobs = 3;
+  const std::size_t kPoints = 17;
+  tc3i::sim::run_sweep(kPoints, kJobs, [](std::size_t i) { return i * 2; });
+  obs::set_live_bus(prev);
+
+  ASSERT_EQ(bus.spans().size(), kPoints);
+  ASSERT_EQ(bus.sweeps().size(), 1u);
+  EXPECT_EQ(bus.sweeps()[0].points, kPoints);
+  EXPECT_LE(bus.sweeps()[0].jobs, kJobs);
+  std::vector<bool> seen(kPoints, false);
+  for (const obs::PointSpan& s : bus.spans()) {
+    EXPECT_EQ(s.sweep, 0u);
+    ASSERT_LT(s.point, kPoints);
+    EXPECT_FALSE(seen[s.point]) << "duplicate span for point " << s.point;
+    seen[s.point] = true;
+    EXPECT_LT(s.worker, static_cast<std::uint32_t>(kJobs));
+    EXPECT_LE(s.submit_seconds, s.start_seconds);
+    EXPECT_LE(s.start_seconds, s.end_seconds);
+  }
+}
+
+TEST(LiveBusSched, InlinePathRecordsSpansToo) {
+  obs::LiveBus bus;
+  obs::LiveBus* prev = obs::live_bus();
+  obs::set_live_bus(&bus);
+  tc3i::sim::run_sweep(5, 1, [](std::size_t i) { return i; });
+  obs::set_live_bus(prev);
+  EXPECT_EQ(bus.spans().size(), 5u);
+  for (const obs::PointSpan& s : bus.spans()) EXPECT_EQ(s.worker, 0u);
+}
+
+TEST(LiveBusSched, SummaryTotalsMatchSpans) {
+  obs::LiveBus bus;
+  const std::uint32_t sweep = bus.begin_sweep(3, 2, 10e-6);
+  bus.begin_point(0, sweep, 0, 15e-6);
+  bus.end_point(0, 40e-6);
+  bus.begin_point(1, sweep, 1, 12e-6);
+  bus.end_point(1, 30e-6);
+  bus.begin_point(0, sweep, 2, 40e-6);
+  bus.end_point(0, 70e-6);
+  const obs::LiveBus::Summary s = bus.summary();
+  EXPECT_EQ(s.sweeps, 1u);
+  EXPECT_EQ(s.points, 3u);
+  EXPECT_EQ(s.max_jobs, 2);
+  // (5 + 2 + 30) us of queue wait, (25 + 18 + 30) us of execution.
+  EXPECT_NEAR(s.queue_wait_seconds, 37e-6, 1e-12);
+  EXPECT_NEAR(s.execute_seconds, 73e-6, 1e-12);
+}
+
+TEST(LiveBusSched, ChromeTraceIsValidJson) {
+  obs::LiveBus bus;
+  obs::LiveBus* prev = obs::live_bus();
+  obs::set_live_bus(&bus);
+  tc3i::sim::run_sweep(8, 2, [](std::size_t i) { return i; });
+  obs::set_live_bus(prev);
+
+  std::ostringstream os;
+  bus.write_chrome_trace(os);
+  const std::string text = os.str();
+  EXPECT_EQ(obs::json_validate(text), std::nullopt);
+  // One "run" event per point plus optional "queue" events and metadata.
+  std::string error;
+  const auto doc = obs::json_parse(text, &error);
+  ASSERT_TRUE(doc.has_value()) << error;
+  const obs::JsonValue* events = doc->find_array("traceEvents");
+  ASSERT_NE(events, nullptr);
+  std::size_t run_events = 0;
+  for (const obs::JsonValue& e : events->array)
+    if (e.string_or("name", "").rfind("run ", 0) == 0) ++run_events;
+  EXPECT_EQ(run_events, 8u);
 }
 
 }  // namespace

@@ -5,10 +5,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "obs/counters.hpp"
+#include "obs/flight.hpp"
+#include "obs/json.hpp"
+#include "obs/live.hpp"
 #include "sthreads/thread.hpp"
 
 namespace tc3i::sim {
@@ -127,6 +131,44 @@ TEST(RunSweep, JobsOneRunsInlineOnCallerRegistry) {
     return c.value();
   });
   EXPECT_EQ(c.value(), 3u);
+}
+
+TEST(RunSweep, InstalledBusRecordsEachPointOnce) {
+  // Each point is recorded once, on the bus, and every view derived from
+  // that record — the final status, the scheduler summary and the sweep
+  // trace — agrees with the flight recorder's point_end tally, on the
+  // inline (jobs 1) and the pooled (jobs 4) path alike.
+  for (const int jobs : {1, 4}) {
+    obs::LiveBus bus;
+    obs::LiveBus* prev = obs::live_bus();
+    obs::set_live_bus(&bus);
+    const obs::flight::Totals before = obs::flight::totals();
+    (void)run_sweep(10, jobs, [](std::size_t i) { return i; });
+    (void)run_sweep(3, jobs, [](std::size_t i) { return i; });
+    const obs::flight::Totals after = obs::flight::totals();
+    obs::set_live_bus(prev);
+
+    const obs::LiveStatus status =
+        bus.snapshot(bus.now_seconds(), /*done=*/true);
+    EXPECT_EQ(status.points_total, 13u) << "jobs=" << jobs;
+    EXPECT_EQ(status.points_done, status.points_total) << "jobs=" << jobs;
+    EXPECT_EQ(bus.summary().points, status.points_done) << "jobs=" << jobs;
+
+    std::ostringstream trace;
+    bus.write_chrome_trace(trace);
+    std::string error;
+    const auto doc = obs::json_parse(trace.str(), &error);
+    ASSERT_TRUE(doc.has_value()) << error;
+    const obs::JsonValue* events = doc->find_array("traceEvents");
+    ASSERT_NE(events, nullptr);
+    std::uint64_t run_spans = 0;
+    for (const obs::JsonValue& e : events->array)
+      if (e.string_or("name", "").rfind("run s", 0) == 0) ++run_spans;
+    EXPECT_EQ(run_spans, status.points_done) << "jobs=" << jobs;
+
+    EXPECT_EQ(after.points_done - before.points_done, status.points_done)
+        << "jobs=" << jobs;
+  }
 }
 
 TEST(ScopedRegistry, NestsAndRestores) {

@@ -437,7 +437,7 @@ std::string check_live_status_schema(const JsonValue& doc) {
     }
     worker_points += ws.number_or("points_done", 0.0);
   }
-  // The top-level counter is the sum of the per-worker cells (both folded
+  // The top-level counter is the sum of the per-worker slots (both folded
   // from the same snapshot).
   if (worker_points != points_done)
     return "workers' points_done sum to " + std::to_string(worker_points) +
