@@ -57,18 +57,18 @@ awk -F, 'NR == 1 { next }
 
 # The bottleneck analyzer must produce a verdict line for the smoke report,
 # and a report diffed against itself must match exactly.
-"$BUILD_DIR"/tools/bottleneck_report "$SMOKE_DIR/r.json" |
+"$BUILD_DIR"/tools/obs_report bottleneck "$SMOKE_DIR/r.json" |
   grep -q '^verdict' ||
-  { echo "FAIL: bottleneck_report printed no verdict"; exit 1; }
-"$BUILD_DIR"/tools/report_diff "$SMOKE_DIR/r.json" "$SMOKE_DIR/r.json" \
+  { echo "FAIL: obs_report bottleneck printed no verdict"; exit 1; }
+"$BUILD_DIR"/tools/obs_report diff "$SMOKE_DIR/r.json" "$SMOKE_DIR/r.json" \
   >/dev/null ||
-  { echo "FAIL: report_diff self-diff reported differences"; exit 1; }
+  { echo "FAIL: obs_report diff self-diff reported differences"; exit 1; }
 
 echo "== critical-path capture + what-if projections =="
 # Re-run the smoke bench with --critpath: the report gains per-run
-# "critical_path" sections (schema-checked by json_check), whatif_report
-# must print a projection table, and the critical-path verdicts must agree
-# with the slot-account verdicts run for run. The report produced WITHOUT
+# "critical_path" sections (schema-checked by json_check), obs_report
+# whatif must print a projection table, and the critical-path verdicts must
+# agree with the slot-account verdicts run for run. The report produced WITHOUT
 # the flag must carry no critical_path section at all (capture is opt-in).
 if grep -q '"critical_path"' "$SMOKE_DIR/r.json"; then
   echo "FAIL: report without --critpath carries critical_path"; exit 1
@@ -79,14 +79,14 @@ fi
 "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/cp.json"
 grep -q '"critical_path"' "$SMOKE_DIR/cp.json" ||
   { echo "FAIL: --critpath report has no critical_path sections"; exit 1; }
-"$BUILD_DIR"/tools/whatif_report "$SMOKE_DIR/cp.json" |
+"$BUILD_DIR"/tools/obs_report whatif "$SMOKE_DIR/cp.json" |
   grep -q 'memory_latency' ||
-  { echo "FAIL: whatif_report printed no projection rows"; exit 1; }
+  { echo "FAIL: obs_report whatif printed no projection rows"; exit 1; }
 # Both modes print identically formatted `verdict run=...` lines, so
 # run-for-run agreement is a plain diff of the two filtered outputs.
-diff <("$BUILD_DIR"/tools/bottleneck_report "$SMOKE_DIR/cp.json" |
+diff <("$BUILD_DIR"/tools/obs_report bottleneck "$SMOKE_DIR/cp.json" |
          grep '^verdict run') \
-     <("$BUILD_DIR"/tools/bottleneck_report --critical-path \
+     <("$BUILD_DIR"/tools/obs_report bottleneck --critical-path \
          "$SMOKE_DIR/cp.json" | grep '^verdict run') ||
   { echo "FAIL: critical-path verdicts disagree with slot account"; exit 1; }
 
@@ -106,10 +106,10 @@ grep -q '"kind":"sweep_report"' "$SMOKE_DIR/sw.json" ||
   { echo "FAIL: sweep report missing kind=sweep_report"; exit 1; }
 grep -q '"sweep scheduler"' "$SMOKE_DIR/sw_trace.json" ||
   { echo "FAIL: sweep trace has no scheduler track"; exit 1; }
-"$BUILD_DIR"/tools/sweep_report --from-runs "$SMOKE_DIR/sw_runs.json" \
+"$BUILD_DIR"/tools/obs_report sweep --from-runs "$SMOKE_DIR/sw_runs.json" \
     > "$SMOKE_DIR/sw_recomputed.json"
 "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/sw_recomputed.json"
-"$BUILD_DIR"/tools/report_diff "$SMOKE_DIR/sw.json" \
+"$BUILD_DIR"/tools/obs_report diff "$SMOKE_DIR/sw.json" \
     "$SMOKE_DIR/sw_recomputed.json" --ignore host >/dev/null ||
   { echo "FAIL: sweep report disagrees with recomputation from runs"; \
     exit 1; }
@@ -132,7 +132,7 @@ do
   diff "$SMOKE_DIR/$T.j1.out" "$SMOKE_DIR/$T.j4.out" >/dev/null ||
     { echo "FAIL: $T stdout differs at --jobs 4"; exit 1; }
   "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/$T.j4.json"
-  "$BUILD_DIR"/tools/report_diff "$SMOKE_DIR/$T.j1.json" \
+  "$BUILD_DIR"/tools/obs_report diff "$SMOKE_DIR/$T.j1.json" \
       "$SMOKE_DIR/$T.j4.json" --ignore mta.run.wall_seconds >/dev/null ||
     { echo "FAIL: $T report differs at --jobs 4"; exit 1; }
 done
@@ -143,18 +143,18 @@ echo "jobs=4 identical to jobs=1 for tables 05/06/11 (modulo wall time)"
 # produce the identical report.
 TC3I_FLIGHT=0 "$BUILD_DIR"/bench/table05_threat_tera --jobs 3 \
     --report-out "$SMOKE_DIR/noflight.json" >/dev/null
-"$BUILD_DIR"/tools/report_diff "$SMOKE_DIR/table05_threat_tera.j1.json" \
+"$BUILD_DIR"/tools/obs_report diff "$SMOKE_DIR/table05_threat_tera.j1.json" \
     "$SMOKE_DIR/noflight.json" --ignore mta.run.wall_seconds >/dev/null ||
   { echo "FAIL: report changes when the flight recorder is disabled"; \
     exit 1; }
 echo "report byte-identical with flight recorder on or off"
 
-echo "== live status bus (--status-out + sweep_monitor) =="
+echo "== live status bus (--status-out + obs_report monitor) =="
 # The live-telemetry tentpole: a sweep run with --status-out must publish
 # monotonically-advancing snapshots while it runs, finish with a done=true
 # snapshot, validate against json_check's live_status schema, and be
-# readable by sweep_monitor in both CI (--once) and follow modes. The bus
-# records each point once, so the final status counts, the SweepReport's
+# readable by obs_report monitor in both CI (--once) and follow modes. The
+# bus records each point once, so the final status counts, the SweepReport's
 # scheduler section and the sweep trace's "run s<i>.p<j>" spans must all
 # name the same number of points.
 STATUS="$SMOKE_DIR/live.json"
@@ -203,11 +203,12 @@ RUN_SPANS="$(grep -o '"name":"run s[0-9]*\.p[0-9]*"' \
   { echo "FAIL: status counts done=$LIVE_DONE total=$LIVE_TOTAL disagree" \
          "with sweep report points=$SCHED_PTS or trace run spans" \
          "$RUN_SPANS"; exit 1; }
-"$BUILD_DIR"/tools/sweep_monitor "$STATUS" --once | grep -q 'done=1' ||
-  { echo "FAIL: sweep_monitor --once did not report done=1"; exit 1; }
+"$BUILD_DIR"/tools/obs_report monitor "$STATUS" --once | grep -q 'done=1' ||
+  { echo "FAIL: obs_report monitor --once did not report done=1"; exit 1; }
 # done=true is already on disk, so follow mode must exit 0 immediately.
-"$BUILD_DIR"/tools/sweep_monitor "$STATUS" --follow --timeout 10 >/dev/null ||
-  { echo "FAIL: sweep_monitor --follow did not exit cleanly"; exit 1; }
+"$BUILD_DIR"/tools/obs_report monitor "$STATUS" --follow --timeout 10 \
+    >/dev/null ||
+  { echo "FAIL: obs_report monitor --follow did not exit cleanly"; exit 1; }
 echo "live status: $LAST_VER snapshots, final counts match sweep report" \
      "and trace ($LIVE_DONE/$LIVE_TOTAL points)"
 
@@ -216,8 +217,8 @@ echo "== flight recorder (forced anomaly -> dump -> report/validate) =="
 # and a 0.2s watchdog heartbeat timeout must trip a stalled_worker
 # anomaly, whose first sighting snapshots every flight ring into
 # --flight-out. The dump must validate (json_check flight_dump pass),
-# flight_report must render the cross-linked trigger, and sweep_monitor
-# --once must exit 3 on the anomalous final status.
+# obs_report flight must render the cross-linked trigger, and obs_report
+# monitor --once must exit 3 on the anomalous final status.
 FSTATUS="$SMOKE_DIR/flight_live.json"
 FDUMP="$SMOKE_DIR/flight.json"
 TC3I_INJECT_SLOW_POINT="1:600" "$BUILD_DIR"/bench/table05_threat_tera \
@@ -229,16 +230,16 @@ TC3I_INJECT_SLOW_POINT="1:600" "$BUILD_DIR"/bench/table05_threat_tera \
 [ -s "$FDUMP" ] ||
   { echo "FAIL: watchdog anomaly produced no flight dump"; exit 1; }
 "$BUILD_DIR"/tools/json_check "$FDUMP" "$FSTATUS"
-"$BUILD_DIR"/tools/flight_report "$FDUMP" |
+"$BUILD_DIR"/tools/obs_report flight "$FDUMP" |
   grep -q '^trigger reason=watchdog kind=' ||
-  { echo "FAIL: flight_report shows no cross-linked watchdog trigger"; \
+  { echo "FAIL: obs_report flight shows no cross-linked watchdog trigger"; \
     exit 1; }
-"$BUILD_DIR"/tools/flight_report "$FDUMP" --all | grep -q '^event ' ||
-  { echo "FAIL: flight_report rendered no timeline events"; exit 1; }
+"$BUILD_DIR"/tools/obs_report flight "$FDUMP" --all | grep -q '^event ' ||
+  { echo "FAIL: obs_report flight rendered no timeline events"; exit 1; }
 MON_RC=0
-"$BUILD_DIR"/tools/sweep_monitor "$FSTATUS" --once >/dev/null || MON_RC=$?
+"$BUILD_DIR"/tools/obs_report monitor "$FSTATUS" --once >/dev/null || MON_RC=$?
 [ "$MON_RC" -eq 3 ] ||
-  { echo "FAIL: sweep_monitor --once exited $MON_RC, expected 3" \
+  { echo "FAIL: obs_report monitor --once exited $MON_RC, expected 3" \
          "(anomalies present)"; exit 1; }
 # No crash happened, so the pre-opened crash file must be gone.
 [ ! -e "$FDUMP.crash" ] ||
@@ -372,17 +373,17 @@ echo "== perf trend gate (bench/BENCH_history.jsonl) =="
 # Append this run's sim_throughput rows to a scratch copy of the committed
 # history (the check never modifies committed files), then gate the newest
 # entry against the trailing window (median - k x MAD robust floor, plus a
-# minimum-drop threshold; see tools/perf_trend.cpp). The gate must also
-# demonstrably fire: the same run appended at a 2x slowdown must fail.
+# minimum-drop threshold; see run_trend in tools/obs_report.cpp). The gate
+# must also demonstrably fire: the same run appended at a 2x slowdown must fail.
 cp bench/BENCH_history.jsonl "$SMOKE_DIR/history.jsonl"
-"$BUILD_DIR"/tools/perf_trend append "$SMOKE_DIR/history.jsonl" \
+"$BUILD_DIR"/tools/obs_report trend append "$SMOKE_DIR/history.jsonl" \
     "$SMOKE_DIR/sim_throughput.json"
-"$BUILD_DIR"/tools/perf_trend check "$SMOKE_DIR/history.jsonl" ||
+"$BUILD_DIR"/tools/obs_report trend check "$SMOKE_DIR/history.jsonl" ||
   { echo "FAIL: perf trend gate flagged this run as a regression"; exit 1; }
 cp "$SMOKE_DIR/history.jsonl" "$SMOKE_DIR/hist_bad.jsonl"
-"$BUILD_DIR"/tools/perf_trend append "$SMOKE_DIR/hist_bad.jsonl" \
+"$BUILD_DIR"/tools/obs_report trend append "$SMOKE_DIR/hist_bad.jsonl" \
     "$SMOKE_DIR/sim_throughput.json" --scale 0.5
-if "$BUILD_DIR"/tools/perf_trend check "$SMOKE_DIR/hist_bad.jsonl" \
+if "$BUILD_DIR"/tools/obs_report trend check "$SMOKE_DIR/hist_bad.jsonl" \
     >/dev/null 2>&1; then
   echo "FAIL: perf trend gate did not flag an injected 2x slowdown"; exit 1
 fi

@@ -9,77 +9,6 @@
 
 namespace tc3i::obs {
 
-// --- QuantileSketch ----------------------------------------------------------
-
-QuantileSketch::QuantileSketch(std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 8)) {}
-
-void QuantileSketch::insert(double value, double weight) {
-  if (weight <= 0.0) return;
-  points_.push_back(Point{value, weight});
-  total_weight_ += weight;
-  sorted_ = false;
-  compress_if_needed();
-}
-
-void QuantileSketch::ensure_sorted() const {
-  if (sorted_) return;
-  // Stable so equal values keep insertion order: the fold stays a pure
-  // function of the (deterministic) insertion sequence.
-  std::stable_sort(
-      points_.begin(), points_.end(),
-      [](const Point& a, const Point& b) { return a.value < b.value; });
-  sorted_ = true;
-}
-
-void QuantileSketch::compress_if_needed() {
-  if (points_.size() <= capacity_) return;
-  ensure_sorted();
-  const std::size_t target = capacity_ / 2;
-  const double bucket = total_weight_ / static_cast<double>(target);
-  std::vector<Point> compact;
-  compact.reserve(target);
-  // Representative of bucket j is the stored value at cumulative weight
-  // (j + 1/2) x bucket; each bucket keeps exactly `bucket` weight, so
-  // cumulative weights at bucket boundaries are preserved and any rank
-  // query moves by at most one bucket of weight.
-  std::size_t idx = 0;
-  double cum = points_[0].weight;
-  for (std::size_t j = 0; j < target; ++j) {
-    const double mid = (static_cast<double>(j) + 0.5) * bucket;
-    while (cum < mid && idx + 1 < points_.size()) {
-      ++idx;
-      cum += points_[idx].weight;
-    }
-    compact.push_back(Point{points_[idx].value, bucket});
-  }
-  points_ = std::move(compact);
-  rank_error_ += bucket;
-}
-
-double QuantileSketch::quantile(double q) const {
-  if (points_.empty()) return 0.0;
-  ensure_sorted();
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * total_weight_;
-  double cum = 0.0;
-  for (const Point& p : points_) {
-    cum += p.weight;
-    if (cum >= target) return p.value;
-  }
-  return points_.back().value;
-}
-
-double QuantileSketch::rank(double v) const {
-  ensure_sorted();
-  double cum = 0.0;
-  for (const Point& p : points_) {
-    if (p.value > v) break;
-    cum += p.weight;
-  }
-  return cum;
-}
-
 // --- MetricAggregate ---------------------------------------------------------
 
 void MetricAggregate::add(double value) {
@@ -92,7 +21,19 @@ void MetricAggregate::add(double value) {
   }
   ++count;
   sum += value;
-  sketch.insert(value);
+  values.push_back(value);
+}
+
+double MetricAggregate::quantile(double q) const {
+  if (values.empty()) return 0.0;
+  std::vector<double> sorted = values;
+  std::sort(sorted.begin(), sorted.end());
+  // Every value has rank weight 1, so the first rank reaching q x n is
+  // ceil(q x n), at least 1.
+  const double rank =
+      std::ceil(std::clamp(q, 0.0, 1.0) * static_cast<double>(sorted.size()));
+  const auto idx = static_cast<std::size_t>(std::max(rank, 1.0)) - 1;
+  return sorted[std::min(idx, sorted.size() - 1)];
 }
 
 // --- SweepAggregator ---------------------------------------------------------
@@ -102,10 +43,6 @@ const char* slot_share_name(std::size_t i) {
                                   "spawn", "memory",    "sync"};
   TC3I_EXPECTS(i < 6);
   return kNames[i];
-}
-
-SweepAggregator::SweepAggregator(double outlier_k) : outlier_k_(outlier_k) {
-  TC3I_EXPECTS(outlier_k_ > 0.0);
 }
 
 SweepGroup& SweepAggregator::group_for(const SweepGroupKey& key) {
@@ -125,7 +62,7 @@ void SweepAggregator::add(const RunRecord& record) {
   const double wall = mta ? static_cast<double>(record.cycles)
                           : record.elapsed_seconds;
   g.wall.add(wall);
-  g.wall_by_run.emplace_back(run_index, wall);
+  g.wall_runs.push_back(run_index);
   g.utilization.add(record.utilization);
   g.threads.add(static_cast<double>(record.threads));
   if (mta) {
@@ -164,10 +101,8 @@ double median_of(std::vector<double> v) {
 std::vector<std::uint64_t> SweepAggregator::outlier_runs(
     const SweepGroup& group) const {
   std::vector<std::uint64_t> out;
-  if (group.wall_by_run.size() < 3) return out;  // no robust center yet
-  std::vector<double> walls;
-  walls.reserve(group.wall_by_run.size());
-  for (const auto& [run, wall] : group.wall_by_run) walls.push_back(wall);
+  const std::vector<double>& walls = group.wall.values;
+  if (walls.size() < 3) return out;  // no robust center yet
   const double med = median_of(walls);
   std::vector<double> dev;
   dev.reserve(walls.size());
@@ -176,9 +111,10 @@ std::vector<std::uint64_t> SweepAggregator::outlier_runs(
   // A zero MAD (more than half the group identical, the common case for a
   // deterministic simulator) would flag any deviation at all; keep a tiny
   // relative floor so only genuine departures trip.
-  const double threshold = outlier_k_ * std::max(mad, 1e-12 * std::fabs(med));
-  for (const auto& [run, wall] : group.wall_by_run)
-    if (std::fabs(wall - med) > threshold) out.push_back(run);
+  const double threshold = kOutlierK * std::max(mad, 1e-12 * std::fabs(med));
+  for (std::size_t i = 0; i < walls.size(); ++i)
+    if (std::fabs(walls[i] - med) > threshold)
+      out.push_back(group.wall_runs[i]);
   return out;
 }
 
@@ -192,10 +128,9 @@ void write_metric(JsonWriter& w, const char* name, const MetricAggregate& m) {
   w.field("min", m.min);
   w.field("max", m.max);
   w.field("mean", m.mean());
-  w.field("p10", m.sketch.quantile(0.10));
-  w.field("p50", m.sketch.quantile(0.50));
-  w.field("p90", m.sketch.quantile(0.90));
-  w.field("rank_error", m.sketch.rank_error_bound());
+  w.field("p10", m.quantile(0.10));
+  w.field("p50", m.quantile(0.50));
+  w.field("p90", m.quantile(0.90));
   w.end_object();
 }
 
@@ -203,7 +138,7 @@ void write_metric(JsonWriter& w, const char* name, const MetricAggregate& m) {
 
 void SweepAggregator::write_groups_json(JsonWriter& w) const {
   w.field("runs", runs_);
-  w.field("outlier_k", outlier_k_);
+  w.field("outlier_k", kOutlierK);
   w.key("groups");
   w.begin_array();
   for (const SweepGroup& g : groups_) {
@@ -267,9 +202,8 @@ void SweepAggregator::write_report_json(
   out << '\n';
 }
 
-SweepAggregator aggregate_records(const std::vector<RunRecord>& records,
-                                  double outlier_k) {
-  SweepAggregator agg(outlier_k);
+SweepAggregator aggregate_records(const std::vector<RunRecord>& records) {
+  SweepAggregator agg;
   for (const RunRecord& r : records) agg.add(r);
   return agg;
 }

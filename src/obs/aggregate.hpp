@@ -5,7 +5,7 @@
 // scale. This module folds RunRecords into a SweepReport: per-group
 // (model, platform name, scenario, processors) rollups of wall time,
 // utilization, thread counts and the six issue-slot stall shares, each
-// summarized by exact count/sum/min/max/mean plus a quantile sketch, with
+// summarized by exact count/sum/min/max/mean and p10/p50/p90, with
 // robust outlier flagging (runs beyond k x MAD from their group median
 // wall time). Aggregation is deterministic: groups appear in
 // first-seen submission order and every statistic is a pure fold over the
@@ -14,8 +14,9 @@
 //
 // The JSON schema ("sweep_report", schema_version 5; v4 lacked the
 // "anomalies" watchdog section) is documented in docs/OBSERVABILITY.md and
-// validated by tools/json_check; tools/sweep_report renders/diffs it and
-// tools/report_diff diffs it group-wise.
+// validated by tools/json_check; `obs_report sweep` renders it and
+// recomputes it from a RunReport, and `obs_report diff` diffs it
+// group-wise.
 #pragma once
 
 #include <cstddef>
@@ -31,67 +32,22 @@ namespace tc3i::obs {
 class JsonWriter;
 struct LiveAnomaly;
 
-/// Deterministic quantile summary of a weighted value stream.
-///
-/// Exact (rank error 0) while the number of distinct stored points stays
-/// under `capacity`; past that, compress() folds the sorted weighted points
-/// into capacity/2 equal-weight buckets, which perturbs any rank query by
-/// at most total_weight/ (capacity/2). The accumulated worst-case absolute
-/// rank error is tracked explicitly and exposed as rank_error_bound(), so
-/// callers (and tests) get a per-instance guarantee instead of an asymptotic
-/// one: for any value v, |rank(v) - true_rank(v)| <= rank_error_bound().
-/// All operations are deterministic (no randomization), so a fixed
-/// insertion order yields bit-identical state.
-class QuantileSketch {
- public:
-  explicit QuantileSketch(std::size_t capacity = 1024);
-
-  void insert(double value, double weight = 1.0);
-
-  [[nodiscard]] double total_weight() const { return total_weight_; }
-  [[nodiscard]] bool empty() const { return total_weight_ <= 0.0; }
-
-  /// Weighted lower quantile: the smallest stored value whose cumulative
-  /// weight reaches q x total_weight (q clamped to [0, 1]). 0 when empty.
-  [[nodiscard]] double quantile(double q) const;
-
-  /// Cumulative weight of stored points with value <= v.
-  [[nodiscard]] double rank(double v) const;
-
-  /// Worst-case absolute rank error accumulated by compressions (in weight
-  /// units). 0 while the sketch is still exact.
-  [[nodiscard]] double rank_error_bound() const { return rank_error_; }
-
-  [[nodiscard]] std::size_t stored_points() const { return points_.size(); }
-
- private:
-  struct Point {
-    double value;
-    double weight;
-  };
-
-  void ensure_sorted() const;
-  void compress_if_needed();
-
-  std::size_t capacity_;
-  double total_weight_ = 0.0;
-  double rank_error_ = 0.0;
-  mutable bool sorted_ = true;
-  mutable std::vector<Point> points_;
-};
-
-/// One aggregated metric: exact moments plus the quantile sketch.
+/// One aggregated metric: exact moments plus every value, for quantiles.
 struct MetricAggregate {
   std::uint64_t count = 0;
   double sum = 0.0;
   double min = 0.0;
   double max = 0.0;
-  QuantileSketch sketch;
+  std::vector<double> values;  ///< in add() order
 
   void add(double value);
   [[nodiscard]] double mean() const {
     return count == 0 ? 0.0 : sum / static_cast<double>(count);
   }
+  /// Lower quantile: the smallest value whose rank reaches q x count (q
+  /// clamped to [0, 1]), so quantile(q) = sorted[ceil(q*n) - 1] for q in
+  /// (0, 1]. 0 when empty.
+  [[nodiscard]] double quantile(double q) const;
 };
 
 /// Group identity for rollups. `threads` (peak live streams on the MTA) is
@@ -116,10 +72,9 @@ struct SweepGroup {
   /// MTA only: per-run share of each issue-slot category
   /// (slots.<cat> / slots.total()); the six means sum to 1.
   MetricAggregate slot_share[6];
-  /// Submission-order (run index, wall value) pairs, kept for MAD outlier
-  /// flagging at build time (16 bytes per run; sweeps are the unit of work
-  /// here, so this stays small relative to the records it summarizes).
-  std::vector<std::pair<std::uint64_t, double>> wall_by_run;
+  /// Submission-order run index of each value in `wall.values`, for MAD
+  /// outlier flagging at build time.
+  std::vector<std::uint64_t> wall_runs;
 };
 
 /// Names of the six slot-share metrics, in SweepGroup::slot_share order.
@@ -152,12 +107,12 @@ struct SweepHostSection {
 /// RunSession aggregating the submission-order-merged records serially.
 class SweepAggregator {
  public:
-  explicit SweepAggregator(double outlier_k = 5.0);
+  /// Outlier threshold k, in MADs (the report's "outlier_k").
+  static constexpr double kOutlierK = 5.0;
 
   void add(const RunRecord& record);
 
   [[nodiscard]] std::uint64_t runs() const { return runs_; }
-  [[nodiscard]] double outlier_k() const { return outlier_k_; }
   [[nodiscard]] const std::vector<SweepGroup>& groups() const {
     return groups_;
   }
@@ -181,7 +136,6 @@ class SweepAggregator {
  private:
   SweepGroup& group_for(const SweepGroupKey& key);
 
-  double outlier_k_;
   std::uint64_t runs_ = 0;
   std::vector<SweepGroup> groups_;
 };
@@ -189,6 +143,6 @@ class SweepAggregator {
 /// Convenience: aggregate a whole record vector in order (e.g. the
 /// machine_runs of a parsed RunReport, for independent recomputation).
 [[nodiscard]] SweepAggregator aggregate_records(
-    const std::vector<RunRecord>& records, double outlier_k = 5.0);
+    const std::vector<RunRecord>& records);
 
 }  // namespace tc3i::obs

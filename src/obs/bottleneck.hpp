@@ -26,7 +26,7 @@ enum class Verdict : std::uint8_t {
   kLockLimited,         ///< SMP lock serialization dominates
 };
 
-/// The hyphenated name used in reports and by tools/bottleneck_report
+/// The hyphenated name used in reports and by `obs_report bottleneck`
 /// ("issue-limited", ...).
 [[nodiscard]] const char* verdict_name(Verdict v);
 
@@ -70,7 +70,7 @@ struct VerdictThresholds {
 [[nodiscard]] std::string explain(const RunRecord& record);
 
 /// Classifies one run from its critical-path summary instead of the slot
-/// account (tools/bottleneck_report --critical-path). The rules mirror
+/// account (`obs_report bottleneck --critical-path`). The rules mirror
 /// classify() so both views reach the same verdict on the paper tables:
 /// "mta" — the "issue"/"network" resource bounds stand in for used-slot
 /// share and network utilization, the path's sync share for the

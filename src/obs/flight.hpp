@@ -33,7 +33,7 @@
 // (bench name too), labels, counters and rings; only the trigger-specific
 // members differ.
 //
-// tools/flight_report merges the per-thread rings into one global
+// `obs_report flight` merges the per-thread rings into one global
 // timeline and renders the last N ms before the trigger; tools/json_check
 // validates the dump ("kind": "flight_dump", schema_version 1).
 //

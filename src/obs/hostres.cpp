@@ -47,10 +47,6 @@ HostResUsage sample_host_usage() {
     u.max_rss_kb = static_cast<std::uint64_t>(std::max(0L, ru.ru_maxrss));
     u.minor_faults = static_cast<std::uint64_t>(std::max(0L, ru.ru_minflt));
     u.major_faults = static_cast<std::uint64_t>(std::max(0L, ru.ru_majflt));
-    u.voluntary_ctx_switches =
-        static_cast<std::uint64_t>(std::max(0L, ru.ru_nvcsw));
-    u.involuntary_ctx_switches =
-        static_cast<std::uint64_t>(std::max(0L, ru.ru_nivcsw));
   }
   return u;
 }
@@ -67,12 +63,6 @@ HostResUsage host_usage_delta(const HostResUsage& begin,
                                                begin.minor_faults);
   d.major_faults = end.major_faults - std::min(end.major_faults,
                                                begin.major_faults);
-  d.voluntary_ctx_switches =
-      end.voluntary_ctx_switches -
-      std::min(end.voluntary_ctx_switches, begin.voluntary_ctx_switches);
-  d.involuntary_ctx_switches =
-      end.involuntary_ctx_switches -
-      std::min(end.involuntary_ctx_switches, begin.involuntary_ctx_switches);
   return d;
 }
 

@@ -25,8 +25,6 @@ struct HostResUsage {
   std::uint64_t max_rss_kb = 0;
   std::uint64_t minor_faults = 0;
   std::uint64_t major_faults = 0;
-  std::uint64_t voluntary_ctx_switches = 0;
-  std::uint64_t involuntary_ctx_switches = 0;
 };
 
 [[nodiscard]] HostResUsage sample_host_usage();

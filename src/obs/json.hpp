@@ -6,7 +6,7 @@
 // recursive-descent syntax checker used by tests and tools/json_check to
 // confirm that exported traces and reports are well-formed; json_parse
 // builds a JsonValue tree for the tools that *read* reports
-// (tools/bottleneck_report, tools/report_diff, json_check's schema pass) —
+// (tools/obs_report's subcommands, json_check's schema pass) —
 // all without pulling in a JSON library dependency.
 #pragma once
 

@@ -60,7 +60,7 @@ class JsonValue;
 /// Rebuilds the RunRecords serialized in a parsed report's "machine_runs"
 /// array (the inverse of write_json's emission; absent fields keep their
 /// defaults, non-array / absent "machine_runs" yields an empty vector).
-/// Used by tools/bottleneck_report and tools/report_diff.
+/// Used by `obs_report bottleneck`, `whatif` and `sweep --from-runs`.
 [[nodiscard]] std::vector<RunRecord> machine_runs_from_json(
     const JsonValue& report);
 

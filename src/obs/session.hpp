@@ -14,7 +14,7 @@
 //                         auto-off when stderr is not a TTY)
 //   --status-out <path>   publish a live LiveStatus JSON snapshot to this
 //                         path every --status-period ms (atomic rename, so
-//                         readers like tools/sweep_monitor never see a torn
+//                         readers like `obs_report monitor` never see a torn
 //                         file); the final snapshot carries done=true
 //   --status-period <ms>  publish interval for --status-out (default 500)
 //   --watchdog-timeout <s>  a worker heartbeat silent past this many

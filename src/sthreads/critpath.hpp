@@ -8,7 +8,7 @@
 // sync event when it wakes, with a 0-weight edge from the event that
 // released it — a SyncVar fill, a lock release, a barrier's last arrival.
 // The result is the same obs::DepGraph shape the simulators emit
-// (model "sthreads", unit seconds), so tools/whatif_report and the
+// (model "sthreads", unit seconds), so `obs_report whatif` and the
 // report schema treat host runs uniformly.
 //
 // Capture is process-global and opt-in: the c3ipbs driver brackets each

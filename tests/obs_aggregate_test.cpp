@@ -1,5 +1,4 @@
-// Correctness of the sweep aggregation layer: quantile-sketch rank
-// guarantees (exact under capacity, bounded after compression), group
+// Correctness of the sweep aggregation layer: exact quantiles, group
 // rollup statistics against direct recomputation, MAD outlier flagging,
 // and the determinism contract — the aggregate's serialized groups are
 // byte-identical whether the runs came from a serial sweep, a jobs-4
@@ -27,86 +26,35 @@
 namespace tc3i::obs {
 namespace {
 
-// --- QuantileSketch ----------------------------------------------------------
-
-/// True rank of v in `values`: summed weight of entries <= v (weight 1).
-double true_rank(const std::vector<double>& values, double v) {
-  double r = 0.0;
-  for (const double x : values)
-    if (x <= v) r += 1.0;
-  return r;
-}
+// --- MetricAggregate quantiles -----------------------------------------------
 
 TEST(QuantileSketch, ExactUnderCapacity) {
-  QuantileSketch s(64);
+  MetricAggregate m;
   std::vector<double> values;
   for (int i = 0; i < 60; ++i) {
     // Deterministic scramble so insertion order is not sorted order.
     const double v = static_cast<double>((i * 37) % 60);
     values.push_back(v);
-    s.insert(v);
+    m.add(v);
   }
-  EXPECT_EQ(s.rank_error_bound(), 0.0);
-  EXPECT_EQ(s.stored_points(), values.size());
   std::sort(values.begin(), values.end());
-  // The weighted lower-quantile rule on an exact sketch reproduces the
-  // order statistics: quantile(q) = values[ceil(q*n) - 1] for q in (0,1].
+  // The lower-quantile rule reproduces the order statistics:
+  // quantile(q) = values[ceil(q*n) - 1] for q in (0,1].
   for (const double q : {0.1, 0.25, 0.5, 0.9, 1.0}) {
     const auto idx = static_cast<std::size_t>(
         std::ceil(q * static_cast<double>(values.size())) - 1.0);
-    EXPECT_EQ(s.quantile(q), values[idx]) << "q=" << q;
+    EXPECT_EQ(m.quantile(q), values[idx]) << "q=" << q;
   }
-  for (const double v : {0.0, 17.0, 59.0})
-    EXPECT_EQ(s.rank(v), true_rank(values, v));
 }
 
 TEST(QuantileSketch, EmptyAndSingleElement) {
-  QuantileSketch empty;
-  EXPECT_TRUE(empty.empty());
+  MetricAggregate empty;
+  EXPECT_EQ(empty.count, 0u);
   EXPECT_EQ(empty.quantile(0.5), 0.0);
-  EXPECT_EQ(empty.rank(1.0), 0.0);
 
-  QuantileSketch one;
-  one.insert(42.0);
+  MetricAggregate one;
+  one.add(42.0);
   for (const double q : {0.0, 0.5, 1.0}) EXPECT_EQ(one.quantile(q), 42.0);
-  EXPECT_EQ(one.rank_error_bound(), 0.0);
-}
-
-TEST(QuantileSketch, CompressedRanksStayWithinDocumentedBound) {
-  // 10000 points through a capacity-512 sketch: ~38 compressions, whose
-  // accumulated worst-case bound stays well under the stream size (the
-  // per-compress error is total_weight/256 at compress time), so the
-  // rank_error_bound() guarantee is meaningful, not vacuous.
-  const std::size_t kN = 10000;
-  QuantileSketch s(512);
-  std::vector<double> values;
-  values.reserve(kN);
-  std::uint64_t x = 1;
-  for (std::size_t i = 0; i < kN; ++i) {
-    x = x * 6364136223846793005ull + 1442695040888963407ull;  // LCG
-    const double v = static_cast<double>(x >> 40);
-    values.push_back(v);
-    s.insert(v);
-  }
-  EXPECT_LE(s.stored_points(), 512u);
-  EXPECT_GT(s.rank_error_bound(), 0.0);
-  // The bound must be meaningful (well under n) and honored at every
-  // probed value, including the extremes.
-  EXPECT_LT(s.rank_error_bound(), static_cast<double>(kN) / 2.0);
-  std::sort(values.begin(), values.end());
-  for (const double q : {0.0, 0.05, 0.25, 0.5, 0.75, 0.95, 1.0}) {
-    const double v =
-        values[static_cast<std::size_t>(q * static_cast<double>(kN - 1))];
-    EXPECT_NEAR(s.rank(v), true_rank(values, v), s.rank_error_bound())
-        << "q=" << q;
-  }
-  // Quantile queries land within the bound in rank space too.
-  for (const double q : {0.1, 0.5, 0.9}) {
-    const double v = s.quantile(q);
-    EXPECT_NEAR(true_rank(values, v), q * static_cast<double>(kN),
-                s.rank_error_bound() + 1.0)
-        << "q=" << q;
-  }
 }
 
 // --- SweepAggregator ---------------------------------------------------------
@@ -161,7 +109,7 @@ TEST(SweepAggregator, GroupStatsMatchDirectRecomputation) {
   EXPECT_EQ(mta.wall.max, 500.0);
   EXPECT_EQ(mta.wall.sum, 1500.0);
   EXPECT_EQ(mta.wall.mean(), 300.0);
-  EXPECT_EQ(mta.wall.sketch.quantile(0.5), 300.0);
+  EXPECT_EQ(mta.wall.quantile(0.5), 300.0);
   // Slot shares per record sum to 1, so each share's mean sums to 1 too.
   double share_means = 0.0;
   for (std::size_t i = 0; i < 6; ++i) share_means += mta.slot_share[i].mean();

@@ -16,8 +16,8 @@
 // Files carrying "kind":"sweep_report" (--sweep-report-out,
 // schema_version >= 4) get the SweepReport pass instead: every group
 // needs the full metric set with internally consistent summaries
-// (count/sum/mean agree, min <= p10 <= p50 <= p90 <= max, non-negative
-// rank_error), MTA groups' six slot_share.* means must sum to 1, the
+// (count/sum/mean agree, min <= p10 <= p50 <= p90 <= max), MTA groups'
+// six slot_share.* means must sum to 1, the
 // host/sched accounting must be present and non-negative, and v5 reports
 // need the "anomalies" array. Files carrying "kind":"live_status"
 // (--status-out) get the LiveStatus pass: consistent points accounting
@@ -33,7 +33,9 @@
 // obs::validate_timeline_csv). Exits 0 when every file passes, 1
 // otherwise (printing the first error per file). Used by scripts/check.sh
 // to validate --trace-out / --report-out / --timeline-out /
-// --sweep-report-out / --status-out output without a JSON library.
+// --sweep-report-out / --status-out output without a JSON library. It is
+// the schema gate only; `obs_report` (tools/obs_report.cpp) reads and
+// renders the same files.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -244,17 +246,15 @@ std::string check_report_schema(const JsonValue& doc) {
 }
 
 /// One aggregated metric of a sweep-report group: {count, sum, min, max,
-/// mean, p10, p50, p90, rank_error} with internally consistent values.
+/// mean, p10, p50, p90} with internally consistent values.
 std::string check_sweep_metric(const JsonValue& m, const std::string& at) {
   if (!m.is_object()) return at + " is not an object";
-  for (const char* field : {"count", "sum", "min", "max", "mean", "p10",
-                            "p50", "p90", "rank_error"})
+  for (const char* field :
+       {"count", "sum", "min", "max", "mean", "p10", "p50", "p90"})
     if (m.find_number(field) == nullptr)
       return at + " missing number \"" + field + "\"";
   const double count = m.number_or("count", 0.0);
   if (count < 1.0) return at + ".count < 1";
-  if (m.number_or("rank_error", -1.0) < 0.0)
-    return at + ".rank_error is negative";
   // Quantiles are order statistics of the same stream: monotone and
   // bracketed by min/max.
   const double seq[5] = {m.number_or("min", 0.0), m.number_or("p10", 0.0),
