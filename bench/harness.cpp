@@ -5,7 +5,6 @@
 
 #include "core/cli.hpp"
 #include "core/contracts.hpp"
-#include "obs/flight.hpp"
 #include "platforms/testbed_cache.hpp"
 
 namespace tc3i::bench {
@@ -42,9 +41,6 @@ const platforms::Testbed& testbed() {
 void set_phase(const std::string& phase) {
   if (obs::LiveBus* bus = obs::live_bus(); bus != nullptr)
     bus->set_phase(phase);
-  // Phase breadcrumbs also land in the always-on flight rings, so a
-  // postmortem dump shows what the process was doing, bus or no bus.
-  obs::flight::phase(phase);
 }
 
 void add_comparison_row(TextTable& table, const std::string& label,

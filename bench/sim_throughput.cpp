@@ -19,14 +19,12 @@
 // (budget: at least half the uninstrumented saturated throughput). The
 // sweep_plain / sweep_telemetry pair measures sim::run_sweep itself on a
 // 100-point sweep of a cheap MTA machine — first bare (no bus, so no
-// clock reads of run_sweep's own), then with the full sweep-telemetry
-// stack active (the live bus recording each point once, per-run records,
-// cross-run aggregation and SweepReport + sweep-trace + LiveStatus
-// serialization);
-// scripts/check.sh gates the telemetry regime at >= 0.95x the plain one
-// (< 5% overhead). sweep_flight_off re-measures sweep_plain with the
-// always-on flight recorder disabled, pinning the recorder's cost
-// (check.sh gates sweep_plain >= 0.98x sweep_flight_off).
+// clock reads of run_sweep's own and nothing recorded), then with the
+// full sweep-telemetry stack active (the live bus recording each point
+// once, into flight rings armed as --flight-out arms them, per-run
+// records, cross-run aggregation and SweepReport + sweep-trace +
+// LiveStatus serialization); scripts/check.sh gates the telemetry regime
+// at >= 0.95x the plain one (< 5% overhead).
 //
 // Each scenario runs `--reps` times (default 3); the median wall time
 // produces two RunReport rows per scenario ("<name>.cycles_per_sec" and
@@ -35,13 +33,16 @@
 // compares a fresh run against the committed bench/BENCH_sim_throughput.json
 // via --baseline/--min-ratio (exit 1 when any metric falls below
 // min-ratio x baseline).
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -54,6 +55,7 @@
 #include "obs/aggregate.hpp"
 #include "obs/critpath.hpp"
 #include "obs/flight.hpp"
+#include "obs/json.hpp"
 #include "obs/live.hpp"
 #include "obs/run_record.hpp"
 #include "obs/session.hpp"
@@ -202,10 +204,11 @@ std::uint64_t sweep_point(std::size_t index) {
 /// Median wall seconds for one 100-point sweep at `jobs`, with the full
 /// sweep-telemetry stack active when `telemetry` is set: a live bus
 /// recording every point (what --status-out, --progress,
-/// --sweep-report-out and --sweep-trace-out install), per-run records,
-/// and — after the sweep — cross-run aggregation plus SweepReport, sweep
-/// Chrome-trace and live-status serialization (to in-memory sinks), i.e.
-/// everything those flags add to a real sweep.
+/// --sweep-report-out, --sweep-trace-out and --flight-out install),
+/// per-run records, and — after the sweep — cross-run aggregation plus
+/// SweepReport, sweep Chrome-trace and live-status serialization (to
+/// in-memory sinks), i.e. everything those flags add to a real sweep.
+/// The caller arms the flight rings the bus also writes.
 double measure_sweep_regime(int reps, int jobs, std::size_t points,
                             bool telemetry) {
   std::vector<double> times;
@@ -255,27 +258,18 @@ double measure_sweep_regime(int reps, int jobs, std::size_t points,
   return times[times.size() / 2];
 }
 
-/// Pulls {label -> measured} out of a RunReport JSON (schema_version 1)
-/// with plain string scanning — enough for the self-check, no JSON
-/// library needed.
+/// {label -> measured} from a RunReport JSON's "rows" array; empty when
+/// the text does not parse or carries no rows.
 std::vector<std::pair<std::string, double>> parse_baseline_rows(
     const std::string& text) {
   std::vector<std::pair<std::string, double>> rows;
-  std::size_t pos = 0;
-  const std::string label_key = "\"label\":\"";
-  const std::string measured_key = "\"measured\":";
-  while ((pos = text.find(label_key, pos)) != std::string::npos) {
-    pos += label_key.size();
-    const std::size_t label_end = text.find('"', pos);
-    if (label_end == std::string::npos) break;
-    const std::string label = text.substr(pos, label_end - pos);
-    const std::size_t mpos = text.find(measured_key, label_end);
-    if (mpos == std::string::npos) break;
-    const double value =
-        std::strtod(text.c_str() + mpos + measured_key.size(), nullptr);
-    rows.emplace_back(label, value);
-    pos = mpos;
-  }
+  std::string error;
+  const std::optional<obs::JsonValue> doc = obs::json_parse(text, &error);
+  const obs::JsonValue* array = doc ? doc->find_array("rows") : nullptr;
+  if (array == nullptr) return rows;
+  for (const obs::JsonValue& row : array->array)
+    rows.emplace_back(row.string_or("label", ""),
+                      row.number_or("measured", 0.0));
   return rows;
 }
 
@@ -380,8 +374,18 @@ int main(int argc, char** argv) {
     run.report().set_config("sweep_jobs", static_cast<double>(sweep_jobs));
     const double plain =
         measure_sweep_regime(reps, sweep_jobs, kPoints, /*telemetry=*/false);
+    // The telemetry reps also record into the flight rings, armed as
+    // --flight-out arms them (unless the session already did). No fold
+    // runs mid-sweep, so no watchdog dump lands at the scratch path.
+    const bool arm_flight = cli.get("flight-out").empty();
+    if (arm_flight)
+      obs::flight::arm((std::filesystem::temp_directory_path() /
+                        ("sim_throughput." + std::to_string(::getpid()) +
+                         ".flight.json"))
+                           .string());
     const double telem =
         measure_sweep_regime(reps, sweep_jobs, kPoints, /*telemetry=*/true);
+    if (arm_flight) obs::flight::disarm();
     table.row({"sweep_plain", "-", "-", TextTable::num(plain * 1e3, 2),
                "-", "-"});
     table.row({"sweep_telemetry", "-", "-", TextTable::num(telem * 1e3, 2),
@@ -390,20 +394,6 @@ int main(int argc, char** argv) {
                          static_cast<double>(kPoints) / plain);
     run.report().add_row("sweep_telemetry.points_per_sec", 1.0,
                          static_cast<double>(kPoints) / telem);
-
-    // Flight-recorder overhead regime: sweep_plain runs with the
-    // always-on flight rings recording; this re-measures the identical
-    // sweep with the recorder disabled (each emit degrades to one relaxed
-    // load + branch, the compiled-out floor). scripts/check.sh gates
-    // sweep_plain at >= 0.98x this row, the <=2% recorder budget.
-    obs::flight::set_enabled(false);
-    const double flight_off =
-        measure_sweep_regime(reps, sweep_jobs, kPoints, /*telemetry=*/false);
-    obs::flight::set_enabled(true);
-    table.row({"sweep_flight_off", "-", "-",
-               TextTable::num(flight_off * 1e3, 2), "-", "-"});
-    run.report().add_row("sweep_flight_off.points_per_sec", 1.0,
-                         static_cast<double>(kPoints) / flight_off);
   }
   table.render(std::cout);
 

@@ -29,6 +29,8 @@ int main(int argc, char** argv) {
     const auto& row = rows[i];
     const double t = swept[i + 1];
     measured.push_back(t);
+    session.obs().report().add_row(
+        "threat_ppro_" + std::to_string(row.processors) + "proc", row.seconds, t);
     table.row({std::to_string(row.processors), TextTable::num(row.seconds, 0),
                TextTable::num(t, 1),
                TextTable::num(platforms::paper::kThreatSeqPPro / row.seconds, 1),

@@ -33,6 +33,11 @@ int main(int argc, char** argv) {
              TextTable::num(t1 / t2, 1)});
   table.render(std::cout);
 
+  session.obs().report().add_row("terrain_tera_1proc",
+                                 platforms::paper::kTerrainTera1Proc, t1);
+  session.obs().report().add_row("terrain_tera_2proc",
+                                 platforms::paper::kTerrainTera2Proc, t2);
+
   const double seq = swept[2];
   std::cout << "\nMultithreaded vs sequential on one MTA processor: paper "
             << TextTable::num(978.0 / 48.0, 1) << "x, measured "

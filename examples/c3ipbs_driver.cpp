@@ -10,7 +10,6 @@
 #include "c3i/suite.hpp"
 #include "core/cli.hpp"
 #include "core/table.hpp"
-#include "obs/flight.hpp"
 #include "obs/session.hpp"
 #include "sthreads/critpath.hpp"
 
@@ -53,11 +52,10 @@ int main(int argc, char** argv) {
       if (want_variant != "all" && variant != want_variant) continue;
       matched = true;
       // Label live-status snapshots (--status-out) with the work in
-      // flight; the same label goes into the flight rings so crash dumps
-      // name the problem/variant that was running.
+      // flight; under --flight-out the bus also records the label in the
+      // flight rings, so crash dumps name the problem/variant running.
       if (obs::LiveBus* bus = obs::live_bus(); bus != nullptr)
         bus->set_phase(problem->name() + "/" + variant);
-      obs::flight::phase(problem->name() + "/" + variant);
       TextTable table(problem->name() + " / " + variant);
       table.header({"Scenario", "Work units", "Host time (s)", "Correct"});
       for (int s = 0; s < problem->num_scenarios(); ++s) {

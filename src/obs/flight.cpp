@@ -4,10 +4,10 @@
 #include <signal.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <mutex>
@@ -30,10 +30,6 @@ namespace {
 constexpr std::size_t kLabelLen = 48;
 constexpr std::size_t kPathLen = 512;
 constexpr std::size_t kBenchLen = 128;
-/// Coarse counter-tick period: one kCounterTick per ring per 250 ms of
-/// activity (emitted piggybacked on the next event, so idle threads cost
-/// nothing).
-constexpr std::uint64_t kTickNs = 250'000'000;
 
 /// One ring slot: four relaxed-atomic words, so a dump racing a writer
 /// reads a torn event at worst, never undefined behavior. kw packs
@@ -52,15 +48,13 @@ struct Ring {
   /// (shared past kMaxRings threads) safe under multiple writers.
   std::atomic<std::uint64_t> head{0};
   std::atomic<std::uint64_t> owner{0};  ///< owner serial, 0 = never owned
-  std::atomic<std::uint64_t> last_tick_ns{0};
-  std::atomic<std::uint64_t> tick_base{0};  ///< head at the last tick
 };
 
 struct Global {
   Ring rings[kMaxRings];
   std::atomic<std::uint32_t> rings_used{0};
   std::atomic<std::uint64_t> owner_serial{0};
-  std::atomic<bool> enabled{true};
+  std::atomic<bool> armed{false};  ///< rings record; handlers installed
   std::uint64_t anchor_ns = 0;
 
   // Label table: entries are fully written (NUL-terminated) before the
@@ -69,28 +63,20 @@ struct Global {
   char labels[kMaxLabels][kLabelLen] = {};
   std::atomic<std::uint32_t> label_count{0};
 
-  std::atomic<std::uint64_t> events{0};
-  std::atomic<std::uint64_t> points_begun{0};
-  std::atomic<std::uint64_t> points_done{0};
-  std::atomic<std::uint64_t> cache_hits{0};
-  std::atomic<std::uint64_t> cache_misses{0};
-
   std::mutex reg_mu;  ///< ring free-list + label writers
   std::uint32_t free_list[kMaxRings] = {};
   std::uint32_t free_count = 0;
 
-  std::mutex cfg_mu;  ///< dump path, bench, signal install state
-  std::string dump_path;
+  std::mutex cfg_mu;  ///< bench, dump paths, signal install state
   std::atomic<bool> watchdog_dumped{false};
 
-  // The bench name and the signal paths live in fixed buffers so signal
+  // The bench name and the dump paths live in fixed buffers so signal
   // handlers never touch std::string.
   char bench[kBenchLen] = {};
-  char sig_path[kPathLen] = {};        ///< SIGUSR1 dump target
-  char sig_crash_path[kPathLen] = {};  ///< fatal-signal dump target
-  std::atomic<int> crash_fd{-1};       ///< pre-opened at install time
+  char path[kPathLen] = {};        ///< watchdog and SIGUSR1 dump target
+  char crash_path[kPathLen] = {};  ///< fatal-signal dump target
+  std::atomic<int> crash_fd{-1};   ///< pre-opened by arm()
   std::atomic<bool> crashed{false};
-  bool handlers_installed = false;
   struct sigaction old_segv = {}, old_abrt = {}, old_bus = {}, old_usr1 = {};
 
   Global() {
@@ -98,9 +84,6 @@ struct Global {
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now().time_since_epoch())
             .count());
-    if (const char* env = std::getenv("TC3I_FLIGHT")) {
-      if (env[0] == '0' && env[1] == '\0') enabled.store(false);
-    }
   }
 };
 
@@ -176,7 +159,6 @@ Ring& ring_for_thread(std::uint32_t* index_out) {
   t_ring.ring->owner.store(serial, std::memory_order_relaxed);
   write_event(*t_ring.ring, t_ring.index, now_ns(), EventKind::kThreadAttach,
               serial, 0);
-  G.events.fetch_add(1, std::memory_order_relaxed);
   *index_out = t_ring.index;
   return *t_ring.ring;
 }
@@ -256,9 +238,9 @@ struct FdOut {
 using DumpMembers = void (*)(FdOut& out, const void* ctx);
 
 /// The one flight_dump (schema v1) serializer: the header fields, the
-/// caller's trigger members, then the label table, the counters and every
-/// ring. It makes no allocation, takes no lock and uses no stdio, so every
-/// trigger calls it: the watchdog and dump() with members pre-rendered by
+/// caller's trigger members, then the label table and every ring. It
+/// makes no allocation, takes no lock and uses no stdio, so every trigger
+/// calls it: the watchdog and dump() with members pre-rendered by
 /// JsonWriter, SIGUSR1 and the fatal-signal handlers with members written
 /// in place. Async-signal-safe whenever `members` is.
 void write_dump(FdOut& out, const char* reason, const char* bench,
@@ -279,18 +261,7 @@ void write_dump(FdOut& out, const char* reason, const char* bench,
     if (i > 0) out.put(",");
     out.put_string(G.labels[i]);
   }
-  const Totals t = totals();
-  out.put("],\"counters\":{\"events\":");
-  out.put_u64(t.events);
-  out.put(",\"points_begun\":");
-  out.put_u64(t.points_begun);
-  out.put(",\"points_done\":");
-  out.put_u64(t.points_done);
-  out.put(",\"cache_hits\":");
-  out.put_u64(t.cache_hits);
-  out.put(",\"cache_misses\":");
-  out.put_u64(t.cache_misses);
-  out.put("},\"rings\":[");
+  out.put("],\"rings\":[");
   const std::uint32_t used = G.rings_used.load(std::memory_order_acquire);
   bool first_ring = true;
   for (std::uint32_t r = 0; r < used && r < kMaxRings; ++r) {
@@ -398,7 +369,7 @@ void fatal_handler(int sig) {
     ::fsync(fd);
     FdOut err{2};
     err.put("[obs] flight crash dump: ");
-    err.put(G.sig_crash_path);
+    err.put(G.crash_path);
     err.put(" (");
     err.put(signal_name(sig));
     err.put(")\n");
@@ -409,16 +380,16 @@ void fatal_handler(int sig) {
 
 void usr1_handler(int) {
   Global& G = g();
-  if (G.sig_path[0] == '\0') return;
+  if (G.path[0] == '\0') return;
   const int fd =
-      ::open(G.sig_path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+      ::open(G.path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return;
   write_signal_dump(fd, SIGUSR1, nullptr, 0);
   ::close(fd);
 }
 
-void uninstall_locked(Global& G) {
-  if (!G.handlers_installed) return;
+void disarm_locked(Global& G) {
+  if (!G.armed.exchange(false)) return;
   ::sigaction(SIGSEGV, &G.old_segv, nullptr);
   ::sigaction(SIGABRT, &G.old_abrt, nullptr);
   ::sigaction(SIGBUS, &G.old_bus, nullptr);
@@ -426,17 +397,15 @@ void uninstall_locked(Global& G) {
   const int fd = G.crash_fd.exchange(-1);
   if (fd >= 0) ::close(fd);
   // A clean run leaves an empty pre-opened crash file behind; remove it.
-  if (!G.crashed.load() && G.sig_crash_path[0] != '\0') {
-    std::ifstream probe(G.sig_crash_path,
-                        std::ios::binary | std::ios::ate);
+  if (!G.crashed.load() && G.crash_path[0] != '\0') {
+    std::ifstream probe(G.crash_path, std::ios::binary | std::ios::ate);
     if (probe.is_open() && probe.tellg() == std::streampos(0)) {
       probe.close();
-      std::remove(G.sig_crash_path);
+      std::remove(G.crash_path);
     }
   }
-  G.sig_path[0] = '\0';
-  G.sig_crash_path[0] = '\0';
-  G.handlers_installed = false;
+  G.path[0] = '\0';
+  G.crash_path[0] = '\0';
 }
 
 /// Renders the watchdog / programmatic dump members with JsonWriter: the
@@ -537,8 +506,6 @@ const char* event_kind_name(EventKind kind) noexcept {
       return "phase";
     case EventKind::kSweepBegin:
       return "sweep_begin";
-    case EventKind::kSweepEnd:
-      return "sweep_end";
     case EventKind::kPointBegin:
       return "point_begin";
     case EventKind::kPointEnd:
@@ -547,62 +514,17 @@ const char* event_kind_name(EventKind kind) noexcept {
       return "cache_hit";
     case EventKind::kCacheMiss:
       return "cache_miss";
-    case EventKind::kWorkerIdle:
-      return "worker_idle";
-    case EventKind::kCounterTick:
-      return "counter_tick";
     case EventKind::kAnomaly:
       return "anomaly";
-    case EventKind::kMark:
-      return "mark";
   }
   return "unknown";
 }
 
-bool enabled() noexcept {
-  return g().enabled.load(std::memory_order_relaxed);
-}
-
-void set_enabled(bool on) noexcept {
-  g().enabled.store(on, std::memory_order_relaxed);
-}
-
 void emit(EventKind kind, std::uint64_t a, std::uint64_t b) noexcept {
-  Global& G = g();
-  if (!G.enabled.load(std::memory_order_relaxed)) return;
+  if (!g().armed.load(std::memory_order_relaxed)) return;
   std::uint32_t index = 0;
   Ring& r = ring_for_thread(&index);
-  const std::uint64_t t = now_ns();
-  write_event(r, index, t, kind, a, b);
-  G.events.fetch_add(1, std::memory_order_relaxed);
-  switch (kind) {
-    case EventKind::kPointBegin:
-      G.points_begun.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EventKind::kPointEnd:
-      G.points_done.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EventKind::kCacheHit:
-      G.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      break;
-    case EventKind::kCacheMiss:
-      G.cache_misses.fetch_add(1, std::memory_order_relaxed);
-      break;
-    default:
-      break;
-  }
-  // Coarse counter-delta tick, piggybacked so idle threads cost nothing.
-  if (kind != EventKind::kCounterTick) {
-    const std::uint64_t last = r.last_tick_ns.load(std::memory_order_relaxed);
-    if (t - last >= kTickNs) {
-      r.last_tick_ns.store(t, std::memory_order_relaxed);
-      const std::uint64_t total = r.head.load(std::memory_order_relaxed);
-      const std::uint64_t base =
-          r.tick_base.exchange(total, std::memory_order_relaxed);
-      write_event(r, index, t, EventKind::kCounterTick, total - base, total);
-      G.events.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  write_event(r, index, now_ns(), kind, a, b);
 }
 
 std::uint32_t intern(const std::string& label) {
@@ -623,7 +545,7 @@ std::uint32_t intern(const std::string& label) {
 }
 
 void phase(const std::string& label) {
-  if (!enabled()) return;
+  if (!g().armed.load(std::memory_order_relaxed)) return;
   emit(EventKind::kPhase, intern(label));
 }
 
@@ -633,27 +555,14 @@ void set_bench(const std::string& bench) {
   std::snprintf(G.bench, kBenchLen, "%s", bench.c_str());
 }
 
-double now_seconds() {
-  return static_cast<double>(now_ns()) / 1e9;
-}
-
-void set_dump_path(const std::string& path) {
-  Global& G = g();
-  std::lock_guard<std::mutex> lock(G.cfg_mu);
-  G.dump_path = path;
-}
-
-std::string dump_path() {
-  Global& G = g();
-  std::lock_guard<std::mutex> lock(G.cfg_mu);
-  return G.dump_path;
-}
-
 void on_first_anomaly(const LiveStatus& status) {
   Global& G = g();
-  const std::string path = dump_path();
-  if (path.empty()) return;
-  if (G.watchdog_dumped.exchange(true)) return;
+  std::string path;
+  {
+    std::lock_guard<std::mutex> lock(G.cfg_mu);
+    path = G.path;
+  }
+  if (path.empty() || G.watchdog_dumped.exchange(true)) return;
   if (!status.anomalies.empty()) {
     const LiveAnomaly& a = status.anomalies.front();
     emit(EventKind::kAnomaly, 0, a.worker);
@@ -671,17 +580,16 @@ bool dump(const std::string& path, const std::string& reason,
   return dump_impl(path, reason, nullptr, error);
 }
 
-void install_signal_handlers(const std::string& path) {
+void arm(const std::string& path) {
   Global& G = g();
   std::lock_guard<std::mutex> lock(G.cfg_mu);
-  uninstall_locked(G);
-  std::snprintf(G.sig_path, kPathLen, "%s", path.c_str());
-  std::snprintf(G.sig_crash_path, kPathLen, "%s.crash", path.c_str());
-  const int fd = ::open(G.sig_crash_path,
-                        O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  disarm_locked(G);
+  std::snprintf(G.path, kPathLen, "%s", path.c_str());
+  std::snprintf(G.crash_path, kPathLen, "%s.crash", path.c_str());
+  const int fd =
+      ::open(G.crash_path, O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) {
-    std::fprintf(stderr, "[obs] flight: cannot pre-open %s\n",
-                 G.sig_crash_path);
+    std::fprintf(stderr, "[obs] flight: cannot pre-open %s\n", G.crash_path);
   }
   G.crash_fd.store(fd);
 #if defined(TC3I_FLIGHT_HAVE_BACKTRACE)
@@ -702,36 +610,14 @@ void install_signal_handlers(const std::string& path) {
   sigemptyset(&usr.sa_mask);
   usr.sa_flags = SA_RESTART;
   ::sigaction(SIGUSR1, &usr, &G.old_usr1);
-  G.handlers_installed = true;
-}
-
-void uninstall_signal_handlers() {
-  Global& G = g();
-  std::lock_guard<std::mutex> lock(G.cfg_mu);
-  uninstall_locked(G);
-}
-
-Totals totals() noexcept {
-  Global& G = g();
-  Totals t;
-  t.events = G.events.load(std::memory_order_relaxed);
-  t.points_begun = G.points_begun.load(std::memory_order_relaxed);
-  t.points_done = G.points_done.load(std::memory_order_relaxed);
-  t.cache_hits = G.cache_hits.load(std::memory_order_relaxed);
-  t.cache_misses = G.cache_misses.load(std::memory_order_relaxed);
-  const std::uint32_t used = G.rings_used.load(std::memory_order_acquire);
-  for (std::uint32_t r = 0; r < used && r < kMaxRings; ++r) {
-    const std::uint64_t head = G.rings[r].head.load(std::memory_order_relaxed);
-    if (head > kRingCapacity) t.dropped += head - kRingCapacity;
-  }
-  return t;
-}
-
-void reset_for_test() {
-  Global& G = g();
   G.watchdog_dumped.store(false);
+  G.armed.store(true);
+}
+
+void disarm() {
+  Global& G = g();
   std::lock_guard<std::mutex> lock(G.cfg_mu);
-  G.dump_path.clear();
+  disarm_locked(G);
 }
 
 }  // namespace tc3i::obs::flight

@@ -37,6 +37,8 @@ double LiveBus::now_seconds() const {
 
 std::uint32_t LiveBus::begin_sweep(std::uint64_t points, int jobs,
                                    double submit_s) {
+  flight::emit(flight::EventKind::kSweepBegin, points,
+               static_cast<std::uint64_t>(jobs));
   const std::lock_guard<std::mutex> lock(mu_);
   const auto id = static_cast<std::uint32_t>(sweeps_.size());
   sweeps_.push_back(SweepInfo{points, jobs, submit_s});
@@ -46,6 +48,7 @@ std::uint32_t LiveBus::begin_sweep(std::uint64_t points, int jobs,
 
 void LiveBus::begin_point(std::uint32_t w, std::uint32_t sweep,
                           std::uint64_t point, double start_s) {
+  flight::emit(flight::EventKind::kPointBegin, point, w);
   const std::lock_guard<std::mutex> lock(mu_);
   TC3I_EXPECTS(sweep < sweeps_.size());
   if (w >= workers_.size()) workers_.resize(std::size_t{w} + 1);
@@ -61,6 +64,7 @@ void LiveBus::end_point(std::uint32_t w, double end_s) {
   const std::lock_guard<std::mutex> lock(mu_);
   TC3I_EXPECTS(w < workers_.size() && workers_[w].running);
   WorkerSlot& slot = workers_[w];
+  flight::emit(flight::EventKind::kPointEnd, slot.point, w);
   spans_.push_back(PointSpan{slot.sweep, slot.point, w,
                              sweeps_[slot.sweep].submit_seconds,
                              slot.start_seconds, end_s});
@@ -70,6 +74,8 @@ void LiveBus::end_point(std::uint32_t w, double end_s) {
 }
 
 void LiveBus::record_cache(bool hit) {
+  flight::emit(hit ? flight::EventKind::kCacheHit
+                   : flight::EventKind::kCacheMiss);
   const std::lock_guard<std::mutex> lock(mu_);
   ++(hit ? cache_hits_ : cache_misses_);
 }
@@ -80,6 +86,7 @@ void LiveBus::set_bench(const std::string& bench) {
 }
 
 void LiveBus::set_phase(const std::string& phase) {
+  flight::phase(phase);
   const std::lock_guard<std::mutex> lock(mu_);
   phase_ = phase;
 }
@@ -187,8 +194,8 @@ LiveStatus LiveBus::snapshot(double now_s, bool done) {
     s.version = ++version_;
   }
   // Black-box trigger: the first anomaly ever raised snapshots the flight
-  // rings (no-op unless --flight-out configured a dump path). Outside
-  // mu_ so the dump's file I/O never blocks the workers.
+  // rings (no-op unless --flight-out armed the recorder). Outside mu_ so
+  // the dump's file I/O never blocks the workers.
   if (first_anomaly) flight::on_first_anomaly(s);
   return s;
 }
@@ -363,7 +370,7 @@ bool LiveBus::write_status_file(const LiveStatus& status,
 
 LivePublisher::LivePublisher(LiveBus& bus, std::string path, int period_ms)
     : bus_(bus), path_(std::move(path)), period_(period_ms) {
-  TC3I_EXPECTS(!path_.empty() && period_ms >= 1);
+  TC3I_EXPECTS(period_ms >= 1);
   thread_ = std::thread([this]() { run(); });
 }
 
@@ -375,19 +382,21 @@ void LivePublisher::run() {
     cv_.wait_for(lock, period_, [this]() { return stop_; });
     if (stop_) return;
     lock.unlock();
-    const LiveStatus status = bus_.snapshot(bus_.now_seconds());
-    std::string error;
-    const bool ok = LiveBus::write_status_file(status, path_, &error);
+    const bool ok =
+        publish(bus_.snapshot(bus_.now_seconds()), "status write failed");
     lock.lock();
-    if (ok) {
-      ++published_;
-    } else {
-      // Publishing is advisory; complain once and keep simulating.
-      std::fprintf(stderr, "[obs] status write failed: %s\n", error.c_str());
-      stop_ = true;
-      return;
-    }
+    if (ok) ++published_;
   }
+}
+
+bool LivePublisher::publish(const LiveStatus& status, const char* what) {
+  if (path_.empty()) return false;
+  std::string error;
+  if (LiveBus::write_status_file(status, path_, &error)) return true;
+  // Publishing is advisory; complain once, then keep folding unpublished.
+  std::fprintf(stderr, "[obs] %s: %s\n", what, error.c_str());
+  path_.clear();
+  return false;
 }
 
 std::uint64_t LivePublisher::finish() {
@@ -399,17 +408,10 @@ std::uint64_t LivePublisher::finish() {
   }
   cv_.notify_all();
   if (thread_.joinable()) thread_.join();
-  const LiveStatus status =
-      bus_.snapshot(bus_.now_seconds(), /*done=*/true);
-  std::string error;
-  if (LiveBus::write_status_file(status, path_, &error)) {
-    const std::lock_guard<std::mutex> lock(mu_);
-    ++published_;
-  } else {
-    std::fprintf(stderr, "[obs] final status write failed: %s\n",
-                 error.c_str());
-  }
+  const bool ok = publish(bus_.snapshot(bus_.now_seconds(), /*done=*/true),
+                          "final status write failed");
   const std::lock_guard<std::mutex> lock(mu_);
+  if (ok) ++published_;
   return published_;
 }
 

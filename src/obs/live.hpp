@@ -4,25 +4,30 @@
 // Everything else in src/obs/ is post-hoc — counters, records and reports
 // materialize when the run ends, which is useless for steering (or even
 // just trusting) an hour-long sweep. LiveBus closes that gap, and it is
-// also the only host-side record of a sweep: sim::run_sweep reports each
+// also the only host-side recording call: sim::run_sweep reports each
 // point to it once (begin_sweep / begin_point / end_point, with explicit
 // bus-clock timestamps), and one mutex guards the two things those calls
 // maintain — the list of completed point spans (sweep, point, worker,
 // submit / start / end) and a small per-worker slot (current point,
-// heartbeat, points done) that grows on demand. Everything else is derived
-// from those two:
+// heartbeat, points done) that grows on demand. The same calls, plus
+// record_cache and set_phase, append one event each to the calling
+// thread's flight ring (obs/flight.hpp; a no-op unless --flight-out armed
+// the recorder). Everything else is derived from the record:
 //
 //   - the LiveStatus snapshot — points done/total, cumulative throughput,
 //     an ETA from the median completed-point duration, testbed-cache hit
 //     rate, host RSS/CPU via obs::hostres, one state line per worker —
-//     which LivePublisher writes atomically (temp file + rename) to the
-//     --status-out path every --status-period ms;
-//   - the watchdog: a point running longer than watchdog.slow_point_k x
-//     the median completed-point duration, or a worker whose heartbeat
-//     has been silent past watchdog.heartbeat_timeout_seconds while it
-//     still holds work, raises a LiveAnomaly ("slow_point" /
-//     "stalled_worker"), shown live in the status file and persisted by
-//     RunSession into the RunReport / SweepReport "anomalies" sections;
+//     which LivePublisher folds every --status-period ms whenever a bus
+//     is installed, writing it atomically (temp file + rename) to the
+//     --status-out path when one is given;
+//   - the watchdog, run by every fold: a point running longer than
+//     watchdog.slow_point_k x the median completed-point duration, or a
+//     worker whose heartbeat has been silent past
+//     watchdog.heartbeat_timeout_seconds while it still holds work, raises
+//     a LiveAnomaly ("slow_point" / "stalled_worker"), shown live in the
+//     status file, persisted by RunSession into the RunReport /
+//     SweepReport "anomalies" sections, and — the first one — the
+//     trigger of the flight recorder's watchdog dump;
 //   - the --progress ticker's throughput and ETA (progress());
 //   - the --sweep-trace-out Chrome trace of the sweep scheduler and the
 //     SweepReport host.sched totals (write_chrome_trace(), summary()).
@@ -53,7 +58,7 @@ namespace tc3i::obs {
 
 class JsonWriter;
 
-/// Watchdog thresholds, checked by every publisher fold (LiveBus::snapshot).
+/// Watchdog thresholds, checked by every fold (LiveBus::snapshot).
 struct WatchdogConfig {
   /// A running point is anomalous past k x median-of-completed-points.
   double slow_point_k = 8.0;
@@ -273,13 +278,15 @@ void write_anomalies_json(JsonWriter& w,
 
 /// The process-global bus sim::run_sweep feeds, or null (the default — no
 /// record, no clock calls). RunSession installs one for --status-out,
-/// --progress, --sweep-report-out and --sweep-trace-out.
+/// --progress, --sweep-report-out, --sweep-trace-out and --flight-out.
 [[nodiscard]] LiveBus* live_bus();
 void set_live_bus(LiveBus* bus);
 
-/// Background publisher: snapshots `bus` every `period_ms` and publishes
-/// to `path` via LiveBus::write_status_file. finish() (or destruction)
-/// stops the thread and publishes one final snapshot with done = true.
+/// Background fold: snapshots `bus` every `period_ms` — which runs the
+/// watchdog and, through it, the flight recorder's dump trigger — and,
+/// when `path` is non-empty (--status-out), publishes each snapshot there
+/// via LiveBus::write_status_file. finish() (or destruction) stops the
+/// thread and folds one final snapshot with done = true.
 class LivePublisher {
  public:
   LivePublisher(LiveBus& bus, std::string path, int period_ms);
@@ -287,15 +294,18 @@ class LivePublisher {
   LivePublisher& operator=(const LivePublisher&) = delete;
   ~LivePublisher();
 
-  /// Stops the publisher thread and writes the final done=true snapshot.
-  /// Idempotent. Returns the number of snapshots published (incl. final).
+  /// Stops the thread and folds (and publishes) the final done=true
+  /// snapshot. Idempotent. Returns the number of snapshots published
+  /// (incl. final; 0 without a path).
   std::uint64_t finish();
 
  private:
   void run();
+  /// Writes `status` to path_ when there is one; true when written.
+  bool publish(const LiveStatus& status, const char* what);
 
   LiveBus& bus_;
-  std::string path_;
+  std::string path_;  ///< empty: fold only (cleared after a failed write)
   std::chrono::milliseconds period_;
   std::mutex mu_;
   std::condition_variable cv_;

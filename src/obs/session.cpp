@@ -75,15 +75,16 @@ void RunSession::add_cli_flags(CliParser& cli) {
                "per-worker state, watchdog anomalies) to this path every "
                "--status-period ms via atomic rename");
   cli.add_flag("status-period", "500",
-               "publish interval in milliseconds for --status-out");
+               "live-bus fold interval in milliseconds (watchdog checks "
+               "and --status-out publishes)");
   cli.add_flag("watchdog-timeout", "5",
                "flag a worker as a stalled_worker anomaly when its "
                "heartbeat is silent this many seconds while holding work");
   cli.add_flag("flight-out", "",
-               "arm the black-box flight recorder's dump triggers: first "
-               "watchdog anomaly or SIGUSR1 writes the per-thread event "
-               "rings to this JSON path; SIGSEGV/SIGABRT/SIGBUS write "
-               "them (plus a backtrace) to '<path>.crash'");
+               "arm the black-box flight recorder: its per-thread event "
+               "rings record, and the first watchdog anomaly or SIGUSR1 "
+               "writes them to this JSON path; SIGSEGV/SIGABRT/SIGBUS "
+               "write them (plus a backtrace) to '<path>.crash'");
 }
 
 RunSession::RunSession(std::string name, const CliParser& cli)
@@ -155,11 +156,24 @@ RunSession::RunSession(std::string name, const CliParser& cli)
         static_cast<std::uint64_t>(sample_period));
     set_process_timeline(timeline_.get());
   }
-  // The live bus is the one record of every sweep point: --status-out
-  // (publisher thread), the --progress ticker, --sweep-trace-out and the
-  // SweepReport's host.sched totals all read it.
+  // --flight-out arms the recorder: the rings record from here on, the
+  // watchdog (via LiveBus::snapshot) and SIGUSR1 dump to the path, and a
+  // fatal signal to '<path>.crash' through a pre-opened fd.
+  if (!flight_path_.empty()) {
+    std::error_code ec;
+    const auto parent = std::filesystem::path(flight_path_).parent_path();
+    if (!parent.empty()) std::filesystem::create_directories(parent, ec);
+    flight::set_bench(name_);
+    flight::arm(flight_path_);
+  }
+  // The live bus is the one host-side record: --status-out, the
+  // --progress ticker, --sweep-report-out, --sweep-trace-out and the
+  // flight rings all read it. Whenever it is installed a background fold
+  // runs the watchdog (and through it the flight dump trigger); only
+  // --status-out also publishes each fold.
   if (!status_path_.empty() || cli.get_bool("progress") ||
-      !sweep_report_path_.empty() || !sweep_trace_path_.empty()) {
+      !sweep_report_path_.empty() || !sweep_trace_path_.empty() ||
+      !flight_path_.empty()) {
     const std::int64_t status_period = cli.get_int("status-period");
     const double watchdog_timeout = cli.get_double("watchdog-timeout");
     if (status_period < 1) {
@@ -177,20 +191,8 @@ RunSession::RunSession(std::string name, const CliParser& cli)
     live_ = std::make_unique<LiveBus>(watchdog);
     live_->set_bench(name_);
     set_live_bus(live_.get());
-    if (!status_path_.empty())
-      publisher_ = std::make_unique<LivePublisher>(
-          *live_, status_path_, static_cast<int>(status_period));
-  }
-  // The flight recorder itself is always on; --flight-out arms its dump
-  // triggers (watchdog via LiveBus::snapshot, SIGUSR1, and the
-  // fatal-signal crash path with its pre-opened fd).
-  flight::set_bench(name_);
-  if (!flight_path_.empty()) {
-    std::error_code ec;
-    const auto parent = std::filesystem::path(flight_path_).parent_path();
-    if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-    flight::set_dump_path(flight_path_);
-    flight::install_signal_handlers(flight_path_);
+    publisher_ = std::make_unique<LivePublisher>(
+        *live_, status_path_, static_cast<int>(status_period));
   }
   g_active = this;
 }
@@ -209,10 +211,7 @@ RunSession::~RunSession() {
   publisher_.reset();
   if (live_ != nullptr && live_bus() == live_.get()) set_live_bus(nullptr);
   set_sweep_progress_requested(false);
-  if (!flight_path_.empty()) {
-    flight::uninstall_signal_handlers();
-    flight::set_dump_path("");
-  }
+  if (!flight_path_.empty()) flight::disarm();
 }
 
 RunSession* RunSession::active() { return g_active; }
@@ -221,20 +220,17 @@ void RunSession::finish() {
   if (finished_) return;
   finished_ = true;
 
-  // Stop live publishing first: the final done=true snapshot runs one last
+  // Stop the fold first: the final done=true snapshot runs one last
   // watchdog pass, so the anomaly list persisted into the reports below is
   // complete.
   std::vector<LiveAnomaly> anomalies;
   if (live_ != nullptr) {
-    if (publisher_ != nullptr) {
-      const std::uint64_t published = publisher_->finish();
+    const std::uint64_t published = publisher_->finish();
+    if (!status_path_.empty())
       std::printf("[obs] live status: %s (%llu snapshot%s)\n",
                   status_path_.c_str(),
                   static_cast<unsigned long long>(published),
                   published == 1 ? "" : "s");
-    } else {
-      (void)live_->snapshot(live_->now_seconds(), /*done=*/true);
-    }
     anomalies = live_->anomalies();
     report_.set_anomalies(anomalies);
   }

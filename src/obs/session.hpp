@@ -12,11 +12,12 @@
 //   --progress            stderr ticker for sim::run_sweep (runs done /
 //                         total + throughput + ETA from the live bus;
 //                         auto-off when stderr is not a TTY)
-//   --status-out <path>   publish a live LiveStatus JSON snapshot to this
-//                         path every --status-period ms (atomic rename, so
-//                         readers like `obs_report monitor` never see a torn
-//                         file); the final snapshot carries done=true
-//   --status-period <ms>  publish interval for --status-out (default 500)
+//   --status-out <path>   publish each live LiveStatus fold to this path
+//                         (atomic rename, so readers like `obs_report
+//                         monitor` never see a torn file); the final
+//                         snapshot carries done=true
+//   --status-period <ms>  fold (and --status-out publish) interval
+//                         whenever a live bus is installed (default 500)
 //   --watchdog-timeout <s>  a worker heartbeat silent past this many
 //                         seconds while holding work is a stalled_worker
 //                         anomaly (default 5)
@@ -29,6 +30,9 @@
 //                         vs execute spans per point); unlike --trace-out
 //                         this is host-time telemetry and composes with
 //                         any --jobs value
+//   --flight-out <path>   arm the flight recorder: the rings record, and
+//                         the first watchdog anomaly or SIGUSR1 dumps them
+//                         to this path (a fatal signal to '<path>.crash')
 //   --jobs <n>            host threads for independent simulation points
 //                         (0 = hardware concurrency). Tracing requires a
 //                         single deterministic event stream, so --trace-out
@@ -37,12 +41,14 @@
 //
 // Construction installs the global trace sink (when --trace-out is given)
 // and the process-wide RunRecordStore / TimelineStore the machine models
-// feed. Whenever --status-out, --progress, --sweep-report-out or
-// --sweep-trace-out is given it also installs one obs::LiveBus, the single
-// record of every sim::run_sweep point: the status publisher, the
-// watchdog, the ticker, the sweep trace and the SweepReport host.sched
-// totals all read it. Destruction (or finish()) writes all requested
-// outputs. Exactly one session may be active at a time;
+// feed. Whenever --status-out, --progress, --sweep-report-out,
+// --sweep-trace-out or --flight-out is given it also installs one
+// obs::LiveBus, the single host-side record of every sim::run_sweep point
+// (it also feeds the flight rings), and a LivePublisher that folds it
+// every --status-period ms: the status file, the watchdog and its flight
+// dump trigger, the ticker, the sweep trace and the SweepReport
+// host.sched totals all read it. Destruction (or finish()) writes all
+// requested outputs. Exactly one session may be active at a time;
 // RunSession::active() lets shared helper code (e.g. the bench harness row
 // formatter) feed the report without threading a pointer through every
 // call site.

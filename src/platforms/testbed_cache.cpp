@@ -1,7 +1,6 @@
 #include "platforms/testbed_cache.hpp"
 
 #include "obs/counters.hpp"
-#include "obs/flight.hpp"
 #include "obs/live.hpp"
 
 #include <bit>
@@ -268,15 +267,14 @@ Testbed load_or_build_testbed() {
   // suddenly spends seconds in kernel profiling shows up as misses there
   // instead of as an unexplained wall-time regression. A disabled cache
   // counts as a miss (the profiles are recomputed either way).
-  // The live bus keeps its own hit/miss tally: mid-sweep the default
-  // registry is shadowed by per-point scoped registries, so it cannot be
-  // read live.
+  // The live bus keeps its own hit/miss tally (and the flight ring's
+  // cache_hit / cache_miss event): mid-sweep the default registry is
+  // shadowed by per-point scoped registries, so it cannot be read live.
   obs::LiveBus* bus = obs::live_bus();
   obs::CounterRegistry& reg = obs::default_registry();
   if (path.empty()) {
     reg.counter("testbed.cache.miss").add();
     if (bus != nullptr) bus->record_cache(false);
-    obs::flight::emit(obs::flight::EventKind::kCacheMiss);
     return assemble_testbed(profile_testbed_kernels(scenarios));
   }
 
@@ -284,13 +282,11 @@ Testbed load_or_build_testbed() {
   if (try_load(path, fp, profiles)) {
     reg.counter("testbed.cache.hit").add();
     if (bus != nullptr) bus->record_cache(true);
-    obs::flight::emit(obs::flight::EventKind::kCacheHit);
     return assemble_testbed(std::move(profiles));
   }
 
   reg.counter("testbed.cache.miss").add();
   if (bus != nullptr) bus->record_cache(false);
-  obs::flight::emit(obs::flight::EventKind::kCacheMiss);
   profiles = profile_testbed_kernels(scenarios);
   std::error_code ec;
   fs::create_directories(path.parent_path(), ec);

@@ -20,13 +20,15 @@
 // code path.
 //
 // Telemetry: both paths run each point through one per-point body, which
-// records the point once on the session's obs::LiveBus (when one is
-// installed — RunSession does so for --status-out, --progress,
-// --sweep-report-out and --sweep-trace-out) and emits its begin/end pair
-// into the always-on flight recorder. The bus derives the live status,
-// the watchdog, the --progress ETA, the sweep-scheduler trace and the
-// SweepReport host.sched totals from that one record. With no bus
-// installed the sweep makes no clock calls of its own.
+// records the point once on the session's obs::LiveBus, the one
+// host-side recording call (when one is installed — RunSession does so for
+// --status-out, --progress, --sweep-report-out, --sweep-trace-out and
+// --flight-out). The bus derives the live status, the watchdog, the
+// --progress ETA, the sweep-scheduler trace and the SweepReport
+// host.sched totals from that one record, and appends the point's
+// begin/end pair to the worker's flight ring when --flight-out armed the
+// recorder. With no bus installed the sweep makes no clock calls of its
+// own and records nothing.
 #pragma once
 
 #include <algorithm>
@@ -42,7 +44,6 @@
 
 #include "core/contracts.hpp"
 #include "obs/counters.hpp"
-#include "obs/flight.hpp"
 #include "obs/live.hpp"
 #include "obs/run_record.hpp"
 #include "obs/timeline.hpp"
@@ -108,21 +109,17 @@ auto run_sweep(std::size_t count, int jobs, Fn&& fn)
                                         bus->now_seconds())
                      : 0;
   detail::SweepProgress progress(count);
-  obs::flight::emit(obs::flight::EventKind::kSweepBegin, count, workers);
   // The one per-point body of both paths: the point's single bus record
-  // (clock reads only when a bus is installed) and its flight breadcrumbs.
+  // (clock reads only when a bus is installed).
   const auto run_point = [&](std::size_t i, std::uint32_t w) {
     if (bus != nullptr) bus->begin_point(w, sweep, i, bus->now_seconds());
-    obs::flight::emit(obs::flight::EventKind::kPointBegin, i, w);
     detail::maybe_inject_slow_point(i);
     results[i] = fn(i);
-    obs::flight::emit(obs::flight::EventKind::kPointEnd, i, 0);
     if (bus != nullptr) bus->end_point(w, bus->now_seconds());
     progress.tick();
   };
   if (workers == 1) {
     for (std::size_t i = 0; i < count; ++i) run_point(i, 0);
-    obs::flight::emit(obs::flight::EventKind::kSweepEnd, count);
     return results;
   }
 
@@ -157,12 +154,10 @@ auto run_sweep(std::size_t count, int jobs, Fn&& fn)
             tl_scope.emplace(*timeline_stores[i]);
           run_point(i, static_cast<std::uint32_t>(w));
         }
-        obs::flight::emit(obs::flight::EventKind::kWorkerIdle, w);
       });
     }
     // Thread destructors join.
   }
-  obs::flight::emit(obs::flight::EventKind::kSweepEnd, count);
   obs::CounterRegistry& mine = obs::default_registry();
   for (const auto& r : registries) mine.merge_from(*r);
   for (const auto& r : record_stores)

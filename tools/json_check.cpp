@@ -24,12 +24,11 @@
 // (done <= total), non-negative rates/ages, per-worker state objects and
 // the anomalies array (anomaly workers must appear in the workers
 // roster). Files carrying "kind":"flight_dump" (--flight-out, SIGUSR1 or
-// the crash handler) get the flight pass: trigger/labels/counters
-// sections, and per-ring event accounting (events_total = kept +
-// dropped, kept <= ring_capacity, known event kinds). Arguments ending
-// in .csv are validated as
-// --timeline-out output instead (exact header, six columns, strictly
-// increasing cycle grid per run+series, non-negative values — see
+// the crash handler) get the flight pass: trigger and labels sections,
+// and per-ring event accounting (events_total = kept + dropped, kept <=
+// ring_capacity, known event kinds). Arguments ending in .csv are
+// validated as --timeline-out output instead (exact header, six columns,
+// strictly increasing cycle grid per run+series, non-negative values — see
 // obs::validate_timeline_csv). Exits 0 when every file passes, 1
 // otherwise (printing the first error per file). Used by scripts/check.sh
 // to validate --trace-out / --report-out / --timeline-out /
@@ -494,19 +493,6 @@ std::string check_flight_dump_schema(const JsonValue& doc) {
     if (!labels->array[i].is_string())
       return "labels[" + std::to_string(i) + "] is not a string";
 
-  const JsonValue* counters = doc.find_object("counters");
-  if (counters == nullptr) return "missing object \"counters\"";
-  for (const char* field :
-       {"events", "points_begun", "points_done", "cache_hits",
-        "cache_misses"}) {
-    const JsonValue* v = counters->find_number(field);
-    if (v == nullptr || v->number < 0.0)
-      return std::string("counters.") + field + " missing or negative";
-  }
-  if (counters->number_or("points_done", 0.0) >
-      counters->number_or("points_begun", 0.0))
-    return "counters.points_done exceeds counters.points_begun";
-
   {
     const std::string problem = check_anomalies(doc, -1.0, -1.0, nullptr);
     if (!problem.empty()) return problem;
@@ -541,9 +527,8 @@ std::string check_flight_dump_schema(const JsonValue& doc) {
       if (e.number_or("t_ns", -1.0) < 0.0)
         return eat + ".t_ns missing or negative";
       static const char* const kKinds[] = {
-          "thread_attach", "phase",      "sweep_begin", "sweep_end",
-          "point_begin",   "point_end",  "cache_hit",   "cache_miss",
-          "worker_idle",   "counter_tick", "anomaly",   "mark"};
+          "thread_attach", "phase",     "sweep_begin", "point_begin",
+          "point_end",     "cache_hit", "cache_miss",  "anomaly"};
       const std::string kind = e.string_or("kind", "");
       bool known = false;
       for (const char* k : kKinds) known = known || kind == k;
@@ -556,10 +541,6 @@ std::string check_flight_dump_schema(const JsonValue& doc) {
           return eat + " missing number \"" + field + "\"";
     }
   }
-  // No ring-vs-counters.events cross-check: a watchdog or signal dump
-  // snapshots rings while other workers are still emitting, so the two
-  // tallies legitimately diverge by however many events landed between
-  // the reads.
   return "";
 }
 

@@ -678,14 +678,11 @@ std::string event_detail(const FlightEvent& ev,
                          const std::vector<std::string>& labels) {
   const std::string a = std::to_string(ev.a);
   const std::string b = std::to_string(ev.b);
-  if (ev.kind == "point_begin") return " point=" + a + " worker=" + b;
-  if (ev.kind == "point_end") return " point=" + a;
-  if (ev.kind == "phase" || ev.kind == "mark")
+  if (ev.kind == "point_begin" || ev.kind == "point_end")
+    return " point=" + a + " worker=" + b;
+  if (ev.kind == "phase")
     return " label=" + (ev.a < labels.size() ? labels[ev.a] : a);
   if (ev.kind == "sweep_begin") return " points=" + a + " workers=" + b;
-  if (ev.kind == "sweep_end") return " points=" + a;
-  if (ev.kind == "counter_tick") return " delta=" + a + " total=" + b;
-  if (ev.kind == "worker_idle") return " worker=" + a;
   if (ev.kind == "thread_attach") return " owner=" + a;
   if (ev.kind == "anomaly") return " ordinal=" + a + " worker=" + b;
   return "";
@@ -749,7 +746,7 @@ int run_flight(const Args& args) {
     return 1;
   }
 
-  // Labels resolve phase/mark payloads back to strings.
+  // Labels resolve phase payloads back to strings.
   std::vector<std::string> labels;
   if (const JsonValue* l = doc->find_array("labels"); l != nullptr)
     for (const JsonValue& v : l->array)
