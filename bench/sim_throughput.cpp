@@ -21,10 +21,9 @@
 // 100-point sweep of a cheap MTA machine — first bare (no bus, so no
 // clock reads of run_sweep's own and nothing recorded), then with the
 // full sweep-telemetry stack active (the live bus recording each point
-// once, into flight rings armed as --flight-out arms them, per-run
-// records, cross-run aggregation and SweepReport + sweep-trace +
-// LiveStatus serialization); scripts/check.sh gates the telemetry regime
-// at >= 0.95x the plain one (< 5% overhead).
+// once, per-run records, cross-run aggregation and SweepReport +
+// sweep-trace + LiveStatus serialization); scripts/check.sh gates the
+// telemetry regime at >= 0.95x the plain one (< 5% overhead).
 //
 // Each scenario runs `--reps` times (default 3); the median wall time
 // produces two RunReport rows per scenario ("<name>.cycles_per_sec" and
@@ -33,12 +32,9 @@
 // compares a fresh run against the committed bench/BENCH_sim_throughput.json
 // via --baseline/--min-ratio (exit 1 when any metric falls below
 // min-ratio x baseline).
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iostream>
@@ -54,7 +50,6 @@
 #include "mta/stream_program.hpp"
 #include "obs/aggregate.hpp"
 #include "obs/critpath.hpp"
-#include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/live.hpp"
 #include "obs/run_record.hpp"
@@ -204,11 +199,10 @@ std::uint64_t sweep_point(std::size_t index) {
 /// Median wall seconds for one 100-point sweep at `jobs`, with the full
 /// sweep-telemetry stack active when `telemetry` is set: a live bus
 /// recording every point (what --status-out, --progress,
-/// --sweep-report-out, --sweep-trace-out and --flight-out install),
-/// per-run records, and — after the sweep — cross-run aggregation plus
-/// SweepReport, sweep Chrome-trace and live-status serialization (to
-/// in-memory sinks), i.e. everything those flags add to a real sweep.
-/// The caller arms the flight rings the bus also writes.
+/// --sweep-report-out and --sweep-trace-out install), per-run records,
+/// and — after the sweep — cross-run aggregation plus SweepReport, sweep
+/// Chrome-trace and live-status serialization (to in-memory sinks), i.e.
+/// everything those flags add to a real sweep.
 double measure_sweep_regime(int reps, int jobs, std::size_t points,
                             bool telemetry) {
   std::vector<double> times;
@@ -374,18 +368,8 @@ int main(int argc, char** argv) {
     run.report().set_config("sweep_jobs", static_cast<double>(sweep_jobs));
     const double plain =
         measure_sweep_regime(reps, sweep_jobs, kPoints, /*telemetry=*/false);
-    // The telemetry reps also record into the flight rings, armed as
-    // --flight-out arms them (unless the session already did). No fold
-    // runs mid-sweep, so no watchdog dump lands at the scratch path.
-    const bool arm_flight = cli.get("flight-out").empty();
-    if (arm_flight)
-      obs::flight::arm((std::filesystem::temp_directory_path() /
-                        ("sim_throughput." + std::to_string(::getpid()) +
-                         ".flight.json"))
-                           .string());
     const double telem =
         measure_sweep_regime(reps, sweep_jobs, kPoints, /*telemetry=*/true);
-    if (arm_flight) obs::flight::disarm();
     table.row({"sweep_plain", "-", "-", TextTable::num(plain * 1e3, 2),
                "-", "-"});
     table.row({"sweep_telemetry", "-", "-", TextTable::num(telem * 1e3, 2),

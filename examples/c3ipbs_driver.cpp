@@ -51,9 +51,8 @@ int main(int argc, char** argv) {
     for (const auto& variant : problem->variants()) {
       if (want_variant != "all" && variant != want_variant) continue;
       matched = true;
-      // Label live-status snapshots (--status-out) with the work in
-      // flight; under --flight-out the bus also records the label in the
-      // flight rings, so crash dumps name the problem/variant running.
+      // Label live-status snapshots (--status-out) with the
+      // problem/variant running.
       if (obs::LiveBus* bus = obs::live_bus(); bus != nullptr)
         bus->set_phase(problem->name() + "/" + variant);
       TextTable table(problem->name() + " / " + variant);

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "core/contracts.hpp"
-#include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/trace_sink.hpp"
 
@@ -37,8 +36,6 @@ double LiveBus::now_seconds() const {
 
 std::uint32_t LiveBus::begin_sweep(std::uint64_t points, int jobs,
                                    double submit_s) {
-  flight::emit(flight::EventKind::kSweepBegin, points,
-               static_cast<std::uint64_t>(jobs));
   const std::lock_guard<std::mutex> lock(mu_);
   const auto id = static_cast<std::uint32_t>(sweeps_.size());
   sweeps_.push_back(SweepInfo{points, jobs, submit_s});
@@ -48,7 +45,6 @@ std::uint32_t LiveBus::begin_sweep(std::uint64_t points, int jobs,
 
 void LiveBus::begin_point(std::uint32_t w, std::uint32_t sweep,
                           std::uint64_t point, double start_s) {
-  flight::emit(flight::EventKind::kPointBegin, point, w);
   const std::lock_guard<std::mutex> lock(mu_);
   TC3I_EXPECTS(sweep < sweeps_.size());
   if (w >= workers_.size()) workers_.resize(std::size_t{w} + 1);
@@ -64,7 +60,6 @@ void LiveBus::end_point(std::uint32_t w, double end_s) {
   const std::lock_guard<std::mutex> lock(mu_);
   TC3I_EXPECTS(w < workers_.size() && workers_[w].running);
   WorkerSlot& slot = workers_[w];
-  flight::emit(flight::EventKind::kPointEnd, slot.point, w);
   spans_.push_back(PointSpan{slot.sweep, slot.point, w,
                              sweeps_[slot.sweep].submit_seconds,
                              slot.start_seconds, end_s});
@@ -74,8 +69,6 @@ void LiveBus::end_point(std::uint32_t w, double end_s) {
 }
 
 void LiveBus::record_cache(bool hit) {
-  flight::emit(hit ? flight::EventKind::kCacheHit
-                   : flight::EventKind::kCacheMiss);
   const std::lock_guard<std::mutex> lock(mu_);
   ++(hit ? cache_hits_ : cache_misses_);
 }
@@ -86,7 +79,6 @@ void LiveBus::set_bench(const std::string& bench) {
 }
 
 void LiveBus::set_phase(const std::string& phase) {
-  flight::phase(phase);
   const std::lock_guard<std::mutex> lock(mu_);
   phase_ = phase;
 }
@@ -137,7 +129,6 @@ LiveStatus LiveBus::snapshot(double now_s, bool done) {
   s.at_seconds = now_s;
   s.done = done;
   s.host = sample_host_usage();
-  bool first_anomaly = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const Progress p = progress_locked(now_s);
@@ -177,7 +168,6 @@ LiveStatus LiveBus::snapshot(double now_s, bool done) {
       s.workers.push_back(ws);
     }
 
-    const bool had_anomalies = !anomalies_.empty();
     for (LiveAnomaly& a : found) {
       const AnomalyKey key{
           static_cast<std::uint8_t>(a.kind == "slow_point" ? 0 : 1), a.worker,
@@ -187,16 +177,11 @@ LiveStatus LiveBus::snapshot(double now_s, bool done) {
       raised_.push_back(key);
       anomalies_.push_back(std::move(a));
     }
-    first_anomaly = !had_anomalies && !anomalies_.empty();
     s.anomalies = anomalies_;
     s.bench = bench_;
     s.phase = phase_;
     s.version = ++version_;
   }
-  // Black-box trigger: the first anomaly ever raised snapshots the flight
-  // rings (no-op unless --flight-out armed the recorder). Outside mu_ so
-  // the dump's file I/O never blocks the workers.
-  if (first_anomaly) flight::on_first_anomaly(s);
   return s;
 }
 

@@ -9,10 +9,8 @@
 // bus-clock timestamps), and one mutex guards the two things those calls
 // maintain — the list of completed point spans (sweep, point, worker,
 // submit / start / end) and a small per-worker slot (current point,
-// heartbeat, points done) that grows on demand. The same calls, plus
-// record_cache and set_phase, append one event each to the calling
-// thread's flight ring (obs/flight.hpp; a no-op unless --flight-out armed
-// the recorder). Everything else is derived from the record:
+// heartbeat, points done) that grows on demand. Everything else is
+// derived from the record:
 //
 //   - the LiveStatus snapshot — points done/total, cumulative throughput,
 //     an ETA from the median completed-point duration, testbed-cache hit
@@ -25,9 +23,8 @@
 //     worker whose heartbeat has been silent past
 //     watchdog.heartbeat_timeout_seconds while it still holds work, raises
 //     a LiveAnomaly ("slow_point" / "stalled_worker"), shown live in the
-//     status file, persisted by RunSession into the RunReport /
-//     SweepReport "anomalies" sections, and — the first one — the
-//     trigger of the flight recorder's watchdog dump;
+//     status file and persisted by RunSession into the RunReport /
+//     SweepReport "anomalies" sections;
 //   - the --progress ticker's throughput and ETA (progress());
 //   - the --sweep-trace-out Chrome trace of the sweep scheduler and the
 //     SweepReport host.sched totals (write_chrome_trace(), summary()).
@@ -278,15 +275,15 @@ void write_anomalies_json(JsonWriter& w,
 
 /// The process-global bus sim::run_sweep feeds, or null (the default — no
 /// record, no clock calls). RunSession installs one for --status-out,
-/// --progress, --sweep-report-out, --sweep-trace-out and --flight-out.
+/// --progress, --sweep-report-out and --sweep-trace-out.
 [[nodiscard]] LiveBus* live_bus();
 void set_live_bus(LiveBus* bus);
 
 /// Background fold: snapshots `bus` every `period_ms` — which runs the
-/// watchdog and, through it, the flight recorder's dump trigger — and,
-/// when `path` is non-empty (--status-out), publishes each snapshot there
-/// via LiveBus::write_status_file. finish() (or destruction) stops the
-/// thread and folds one final snapshot with done = true.
+/// watchdog — and, when `path` is non-empty (--status-out), publishes
+/// each snapshot there via LiveBus::write_status_file. finish() (or
+/// destruction) stops the thread and folds one final snapshot with
+/// done = true.
 class LivePublisher {
  public:
   LivePublisher(LiveBus& bus, std::string path, int period_ms);

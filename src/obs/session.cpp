@@ -9,7 +9,6 @@
 
 #include "core/contracts.hpp"
 #include "obs/aggregate.hpp"
-#include "obs/flight.hpp"
 
 namespace tc3i::obs {
 
@@ -80,11 +79,6 @@ void RunSession::add_cli_flags(CliParser& cli) {
   cli.add_flag("watchdog-timeout", "5",
                "flag a worker as a stalled_worker anomaly when its "
                "heartbeat is silent this many seconds while holding work");
-  cli.add_flag("flight-out", "",
-               "arm the black-box flight recorder: its per-thread event "
-               "rings record, and the first watchdog anomaly or SIGUSR1 "
-               "writes them to this JSON path; SIGSEGV/SIGABRT/SIGBUS "
-               "write them (plus a backtrace) to '<path>.crash'");
 }
 
 RunSession::RunSession(std::string name, const CliParser& cli)
@@ -95,7 +89,6 @@ RunSession::RunSession(std::string name, const CliParser& cli)
       sweep_report_path_(cli.get("sweep-report-out")),
       sweep_trace_path_(cli.get("sweep-trace-out")),
       status_path_(cli.get("status-out")),
-      flight_path_(cli.get("flight-out")),
       dump_counters_(cli.get_bool("counters")),
       host_begin_(sample_host_usage()),
       report_(name_) {
@@ -104,12 +97,11 @@ RunSession::RunSession(std::string name, const CliParser& cli)
   // "true" (CliParser bare-flag rule); these flags need real paths.
   if (trace_path_ == "true" || report_path_ == "true" ||
       timeline_path_ == "true" || sweep_report_path_ == "true" ||
-      sweep_trace_path_ == "true" || status_path_ == "true" ||
-      flight_path_ == "true") {
+      sweep_trace_path_ == "true" || status_path_ == "true") {
     std::fprintf(stderr,
                  "error: --trace-out, --report-out, --timeline-out, "
-                 "--sweep-report-out, --sweep-trace-out, --status-out and "
-                 "--flight-out require a file path\n");
+                 "--sweep-report-out, --sweep-trace-out and --status-out "
+                 "require a file path\n");
     std::exit(2);
   }
   const std::int64_t sample_period = cli.get_int("sample-period");
@@ -156,24 +148,12 @@ RunSession::RunSession(std::string name, const CliParser& cli)
         static_cast<std::uint64_t>(sample_period));
     set_process_timeline(timeline_.get());
   }
-  // --flight-out arms the recorder: the rings record from here on, the
-  // watchdog (via LiveBus::snapshot) and SIGUSR1 dump to the path, and a
-  // fatal signal to '<path>.crash' through a pre-opened fd.
-  if (!flight_path_.empty()) {
-    std::error_code ec;
-    const auto parent = std::filesystem::path(flight_path_).parent_path();
-    if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-    flight::set_bench(name_);
-    flight::arm(flight_path_);
-  }
   // The live bus is the one host-side record: --status-out, the
-  // --progress ticker, --sweep-report-out, --sweep-trace-out and the
-  // flight rings all read it. Whenever it is installed a background fold
-  // runs the watchdog (and through it the flight dump trigger); only
-  // --status-out also publishes each fold.
+  // --progress ticker, --sweep-report-out and --sweep-trace-out all read
+  // it. Whenever it is installed a background fold runs the watchdog;
+  // only --status-out also publishes each fold.
   if (!status_path_.empty() || cli.get_bool("progress") ||
-      !sweep_report_path_.empty() || !sweep_trace_path_.empty() ||
-      !flight_path_.empty()) {
+      !sweep_report_path_.empty() || !sweep_trace_path_.empty()) {
     const std::int64_t status_period = cli.get_int("status-period");
     const double watchdog_timeout = cli.get_double("watchdog-timeout");
     if (status_period < 1) {
@@ -211,7 +191,6 @@ RunSession::~RunSession() {
   publisher_.reset();
   if (live_ != nullptr && live_bus() == live_.get()) set_live_bus(nullptr);
   set_sweep_progress_requested(false);
-  if (!flight_path_.empty()) flight::disarm();
 }
 
 RunSession* RunSession::active() { return g_active; }

@@ -30,9 +30,6 @@
 //                         vs execute spans per point); unlike --trace-out
 //                         this is host-time telemetry and composes with
 //                         any --jobs value
-//   --flight-out <path>   arm the flight recorder: the rings record, and
-//                         the first watchdog anomaly or SIGUSR1 dumps them
-//                         to this path (a fatal signal to '<path>.crash')
 //   --jobs <n>            host threads for independent simulation points
 //                         (0 = hardware concurrency). Tracing requires a
 //                         single deterministic event stream, so --trace-out
@@ -41,12 +38,11 @@
 //
 // Construction installs the global trace sink (when --trace-out is given)
 // and the process-wide RunRecordStore / TimelineStore the machine models
-// feed. Whenever --status-out, --progress, --sweep-report-out,
-// --sweep-trace-out or --flight-out is given it also installs one
-// obs::LiveBus, the single host-side record of every sim::run_sweep point
-// (it also feeds the flight rings), and a LivePublisher that folds it
-// every --status-period ms: the status file, the watchdog and its flight
-// dump trigger, the ticker, the sweep trace and the SweepReport
+// feed. Whenever --status-out, --progress, --sweep-report-out or
+// --sweep-trace-out is given it also installs one obs::LiveBus, the
+// single host-side record of every sim::run_sweep point, and a
+// LivePublisher that folds it every --status-period ms: the status file,
+// the watchdog, the ticker, the sweep trace and the SweepReport
 // host.sched totals all read it. Destruction (or finish()) writes all
 // requested outputs. Exactly one session may be active at a time;
 // RunSession::active() lets shared helper code (e.g. the bench harness row
@@ -119,7 +115,6 @@ class RunSession {
   std::string sweep_report_path_;
   std::string sweep_trace_path_;
   std::string status_path_;
-  std::string flight_path_;
   int jobs_ = 1;
   bool dump_counters_ = false;
   bool finished_ = false;

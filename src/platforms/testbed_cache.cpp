@@ -267,9 +267,9 @@ Testbed load_or_build_testbed() {
   // suddenly spends seconds in kernel profiling shows up as misses there
   // instead of as an unexplained wall-time regression. A disabled cache
   // counts as a miss (the profiles are recomputed either way).
-  // The live bus keeps its own hit/miss tally (and the flight ring's
-  // cache_hit / cache_miss event): mid-sweep the default registry is
-  // shadowed by per-point scoped registries, so it cannot be read live.
+  // The live bus keeps its own hit/miss tally: mid-sweep the default
+  // registry is shadowed by per-point scoped registries, so it cannot be
+  // read live.
   obs::LiveBus* bus = obs::live_bus();
   obs::CounterRegistry& reg = obs::default_registry();
   if (path.empty()) {

@@ -22,12 +22,10 @@
 // Telemetry: both paths run each point through one per-point body, which
 // records the point once on the session's obs::LiveBus, the one
 // host-side recording call (when one is installed — RunSession does so for
-// --status-out, --progress, --sweep-report-out, --sweep-trace-out and
-// --flight-out). The bus derives the live status, the watchdog, the
-// --progress ETA, the sweep-scheduler trace and the SweepReport
-// host.sched totals from that one record, and appends the point's
-// begin/end pair to the worker's flight ring when --flight-out armed the
-// recorder. With no bus installed the sweep makes no clock calls of its
+// --status-out, --progress, --sweep-report-out and --sweep-trace-out).
+// The bus derives the live status, the watchdog, the --progress ETA, the
+// sweep-scheduler trace and the SweepReport host.sched totals from that
+// one record. With no bus installed the sweep makes no clock calls of its
 // own and records nothing.
 #pragma once
 
@@ -81,7 +79,7 @@ class SweepProgress {
   std::size_t done_ = 0;
 };
 
-/// Fault-injection hook for the flight-recorder smoke in scripts/check.sh:
+/// Fault-injection hook for the watchdog stage in scripts/check.sh:
 /// TC3I_INJECT_SLOW_POINT="<index>:<millis>" sleeps before evaluating that
 /// sweep point so the watchdog provably trips. Unset (the normal case)
 /// this is one static-bool test per point.

@@ -15,7 +15,6 @@
 
 #include "core/cli.hpp"
 #include "obs/counters.hpp"
-#include "obs/flight.hpp"
 #include "obs/json.hpp"
 #include "obs/live.hpp"
 #include "obs/session.hpp"
@@ -37,31 +36,6 @@ obs::JsonValue parse_file(const std::filesystem::path& path) {
   const auto doc = obs::json_parse(buf.str(), &error);
   EXPECT_TRUE(doc.has_value()) << path << ": " << error;
   return doc.value_or(obs::JsonValue{});
-}
-
-/// The flight-ring events of `kind` (with payload a == `point`, unless
-/// kNoPoint) in a dump.
-std::uint64_t count_events(const obs::JsonValue& dump, const std::string& kind,
-                           std::uint64_t point = obs::LiveBus::kNoPoint) {
-  std::uint64_t n = 0;
-  if (const obs::JsonValue* rings = dump.find_array("rings"))
-    for (const obs::JsonValue& ring : rings->array)
-      if (const obs::JsonValue* events = ring.find_array("events"))
-        for (const obs::JsonValue& e : events->array)
-          if (e.string_or("kind", "") == kind &&
-              (point == obs::LiveBus::kNoPoint ||
-               e.number_or("a", -1.0) == static_cast<double>(point)))
-            ++n;
-  return n;
-}
-
-/// point_end events the armed rings hold right now, via a dump to `path`.
-std::uint64_t ring_point_ends(const std::filesystem::path& path) {
-  std::string error;
-  EXPECT_TRUE(obs::flight::dump(path.string(), "test", &error)) << error;
-  const std::uint64_t n = count_events(parse_file(path), "point_end");
-  std::filesystem::remove(path);
-  return n;
 }
 
 // Declared first: the injection env var is parsed once (latched on the
@@ -181,22 +155,16 @@ TEST(RunSweep, JobsOneRunsInlineOnCallerRegistry) {
 
 TEST(RunSweep, InstalledBusRecordsEachPointOnce) {
   // Each point is recorded once, on the bus, and every view derived from
-  // that record — the final status, the scheduler summary, the sweep
-  // trace and the point_end events the bus wrote into the armed flight
-  // rings — agrees, on the inline (jobs 1) and the pooled (jobs 4) path
+  // that record — the final status, the scheduler summary and the sweep
+  // trace — agrees, on the inline (jobs 1) and the pooled (jobs 4) path
   // alike.
-  const std::filesystem::path dump = temp_path("once");
   for (const int jobs : {1, 4}) {
-    obs::flight::arm(dump.string());
     obs::LiveBus bus;
     obs::LiveBus* prev = obs::live_bus();
     obs::set_live_bus(&bus);
-    const std::uint64_t before = ring_point_ends(dump);
     (void)run_sweep(10, jobs, [](std::size_t i) { return i; });
     (void)run_sweep(3, jobs, [](std::size_t i) { return i; });
-    const std::uint64_t after = ring_point_ends(dump);
     obs::set_live_bus(prev);
-    obs::flight::disarm();
 
     const obs::LiveStatus status =
         bus.snapshot(bus.now_seconds(), /*done=*/true);
@@ -215,27 +183,25 @@ TEST(RunSweep, InstalledBusRecordsEachPointOnce) {
     for (const obs::JsonValue& e : events->array)
       if (e.string_or("name", "").rfind("run s", 0) == 0) ++run_spans;
     EXPECT_EQ(run_spans, status.points_done) << "jobs=" << jobs;
-
-    EXPECT_EQ(after - before, status.points_done) << "jobs=" << jobs;
   }
 }
 
-TEST(RunSweep, FlightOutAloneWritesWatchdogDump) {
-  // --flight-out alone installs the bus and its periodic fold, so the
-  // watchdog runs without --status-out and its first anomaly dumps the
-  // rings, which hold the stalled point's point_begin written by the bus.
-  const std::filesystem::path path = temp_path("flight_only");
+TEST(RunSweep, SweepReportOutAloneRecordsWatchdogAnomaly) {
+  // --sweep-report-out alone installs the bus and its periodic fold, so
+  // the watchdog runs without --status-out and the stalled point's
+  // anomaly persists into the SweepReport.
+  const std::filesystem::path path = temp_path("sweep_report_only");
   std::filesystem::remove(path);
-  const std::string flight_out = path.string();
-  const char* argv[] = {"sim_sweep_test",     "--flight-out",
-                        flight_out.c_str(),   "--watchdog-timeout",
-                        "0.05",               "--status-period",
+  const std::string sweep_report_out = path.string();
+  const char* argv[] = {"sim_sweep_test",         "--sweep-report-out",
+                        sweep_report_out.c_str(), "--watchdog-timeout",
+                        "0.05",                   "--status-period",
                         "20"};
   CliParser cli("sim_sweep_test");
   obs::RunSession::add_cli_flags(cli);
   ASSERT_TRUE(cli.parse(7, argv));
   {
-    obs::RunSession session("sweep_flight_only", cli);
+    obs::RunSession session("sweep_report_only", cli);
     (void)run_sweep(2, 2, [](std::size_t i) {
       if (i == 1) std::this_thread::sleep_for(std::chrono::milliseconds(300));
       return i;
@@ -244,13 +210,14 @@ TEST(RunSweep, FlightOutAloneWritesWatchdogDump) {
   }
   ASSERT_TRUE(std::filesystem::exists(path)) << path;
   const obs::JsonValue doc = parse_file(path);
-  EXPECT_EQ(doc.string_or("reason", ""), "watchdog");
-  const obs::JsonValue* trigger = doc.find_object("trigger");
-  ASSERT_NE(trigger, nullptr);
-  const obs::JsonValue* anomaly = trigger->find_object("anomaly");
-  ASSERT_NE(anomaly, nullptr);
-  EXPECT_EQ(anomaly->number_or("point", -1.0), 1.0);
-  EXPECT_GE(count_events(doc, "point_begin", 1), 1u);
+  const obs::JsonValue* anomalies = doc.find_array("anomalies");
+  ASSERT_NE(anomalies, nullptr);
+  bool stalled_at_point_1 = false;
+  for (const obs::JsonValue& a : anomalies->array)
+    stalled_at_point_1 = stalled_at_point_1 ||
+                         (a.string_or("kind", "") == "stalled_worker" &&
+                          a.number_or("point", -1.0) == 1.0);
+  EXPECT_TRUE(stalled_at_point_1) << anomalies->array.size() << " anomalies";
   std::filesystem::remove(path);
 }
 

@@ -23,12 +23,9 @@
 // (--status-out) get the LiveStatus pass: consistent points accounting
 // (done <= total), non-negative rates/ages, per-worker state objects and
 // the anomalies array (anomaly workers must appear in the workers
-// roster). Files carrying "kind":"flight_dump" (--flight-out, SIGUSR1 or
-// the crash handler) get the flight pass: trigger and labels sections,
-// and per-ring event accounting (events_total = kept + dropped, kept <=
-// ring_capacity, known event kinds). Arguments ending in .csv are
-// validated as --timeline-out output instead (exact header, six columns,
-// strictly increasing cycle grid per run+series, non-negative values — see
+// roster). Arguments ending in .csv are validated as --timeline-out
+// output instead (exact header, six columns, strictly increasing cycle
+// grid per run+series, non-negative values — see
 // obs::validate_timeline_csv). Exits 0 when every file passes, 1
 // otherwise (printing the first error per file). Used by scripts/check.sh
 // to validate --trace-out / --report-out / --timeline-out /
@@ -103,8 +100,8 @@ std::string check_critical_path(const JsonValue& cp, const std::string& at) {
   return "";
 }
 
-/// Validates a watchdog "anomalies" array (RunReport / SweepReport v5,
-/// the LiveStatus file and flight dumps share one shape). Beyond shape,
+/// Validates a watchdog "anomalies" array (RunReport / SweepReport v5
+/// and the LiveStatus file share one shape). Beyond shape,
 /// anomalies are checked referentially against the document they live in:
 /// a pinned point index must name a point the sweep actually ran
 /// (`max_point`, exclusive; < 0 disables), the worker id must be one the
@@ -447,103 +444,6 @@ std::string check_live_status_schema(const JsonValue& doc) {
   return check_anomalies(doc, total > 0.0 ? total : -1.0, -1.0, &worker_ids);
 }
 
-/// Returns an empty string when `doc` passes the flight-recorder dump
-/// (--flight-out / SIGUSR1 / crash handler, kind "flight_dump") checks,
-/// else the first problem.
-std::string check_flight_dump_schema(const JsonValue& doc) {
-  const JsonValue* version = doc.find_number("schema_version");
-  if (version == nullptr) return "missing number \"schema_version\"";
-  if (version->number < 1.0) return "flight_dump needs schema_version >= 1";
-  if (doc.find_string("bench") == nullptr) return "missing string \"bench\"";
-  const std::string reason = doc.string_or("reason", "");
-  if (reason.empty()) return "missing or empty string \"reason\"";
-  if (doc.number_or("at_seconds", -1.0) < 0.0)
-    return "at_seconds missing or negative";
-  const double capacity = doc.number_or("ring_capacity", 0.0);
-  if (capacity < 1.0) return "ring_capacity missing or < 1";
-
-  const JsonValue* trigger = doc.find_object("trigger");
-  if (trigger == nullptr) return "missing object \"trigger\"";
-  // Signal dumps qualify the top-level reason ("signal:SIGABRT") while
-  // trigger.reason keeps the bare category ("signal").
-  const std::string trigger_reason = trigger->string_or("reason", "");
-  if (trigger_reason != reason &&
-      reason.compare(0, trigger_reason.size() + 1, trigger_reason + ":") != 0)
-    return "trigger.reason does not match top-level reason";
-  if (const JsonValue* sig = trigger->find("signal")) {
-    if (!sig->is_number() || sig->number < 1.0)
-      return "trigger.signal is not a number >= 1";
-    if (trigger->find_string("name") == nullptr)
-      return "trigger has signal but no name";
-    const JsonValue* bt = trigger->find_array("backtrace");
-    if (bt == nullptr) return "trigger has signal but no backtrace array";
-    for (const JsonValue& frame : bt->array)
-      if (!frame.is_string()) return "trigger.backtrace entry is not a string";
-  }
-  if (const JsonValue* anomaly = trigger->find("anomaly")) {
-    if (!anomaly->is_object()) return "trigger.anomaly is not an object";
-    const std::string kind = anomaly->string_or("kind", "");
-    if (kind != "slow_point" && kind != "stalled_worker")
-      return "trigger.anomaly.kind is not a watchdog anomaly kind";
-  }
-
-  const JsonValue* labels = doc.find_array("labels");
-  if (labels == nullptr) return "missing array \"labels\"";
-  for (std::size_t i = 0; i < labels->array.size(); ++i)
-    if (!labels->array[i].is_string())
-      return "labels[" + std::to_string(i) + "] is not a string";
-
-  {
-    const std::string problem = check_anomalies(doc, -1.0, -1.0, nullptr);
-    if (!problem.empty()) return problem;
-  }
-
-  const JsonValue* rings = doc.find_array("rings");
-  if (rings == nullptr) return "missing array \"rings\"";
-  for (std::size_t i = 0; i < rings->array.size(); ++i) {
-    const JsonValue& ring = rings->array[i];
-    const std::string at = "rings[" + std::to_string(i) + "]";
-    if (!ring.is_object()) return at + " is not an object";
-    if (ring.number_or("ring", -1.0) < 0.0)
-      return at + ".ring missing or negative";
-    if (ring.number_or("owner", 0.0) < 1.0) return at + ".owner missing or < 1";
-    const double total = ring.number_or("events_total", -1.0);
-    const double dropped = ring.number_or("dropped", -1.0);
-    if (total < 0.0) return at + ".events_total missing or negative";
-    if (dropped < 0.0) return at + ".dropped missing or negative";
-    const JsonValue* events = ring.find_array("events");
-    if (events == nullptr) return at + " missing events array";
-    const auto count = static_cast<double>(events->array.size());
-    if (count > capacity)
-      return at + " holds more events than ring_capacity";
-    // The ring keeps the newest `capacity` events; everything older was
-    // overwritten in place and is accounted as dropped.
-    if (total != count + dropped)
-      return at + ".events_total != events kept + dropped";
-    for (std::size_t j = 0; j < events->array.size(); ++j) {
-      const JsonValue& e = events->array[j];
-      const std::string eat = at + ".events[" + std::to_string(j) + "]";
-      if (!e.is_object()) return eat + " is not an object";
-      if (e.number_or("t_ns", -1.0) < 0.0)
-        return eat + ".t_ns missing or negative";
-      static const char* const kKinds[] = {
-          "thread_attach", "phase",     "sweep_begin", "point_begin",
-          "point_end",     "cache_hit", "cache_miss",  "anomaly"};
-      const std::string kind = e.string_or("kind", "");
-      bool known = false;
-      for (const char* k : kKinds) known = known || kind == k;
-      // A slot torn by a concurrent writer can surface as "unknown";
-      // dumps must record it rather than invent a kind.
-      if (!known && kind != "unknown")
-        return eat + ".kind \"" + kind + "\" is not a flight event kind";
-      for (const char* field : {"a", "b"})
-        if (e.find_number(field) == nullptr)
-          return eat + " missing number \"" + field + "\"";
-    }
-  }
-  return "";
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -591,19 +491,6 @@ int main(int argc, char** argv) {
         continue;
       }
       std::printf("%s: ok (%zu bytes, live status schema ok)\n", argv[i],
-                  text.size());
-    } else if (doc->is_object() &&
-               doc->string_or("kind", "") == "flight_dump") {
-      // Must run before the generic schema_version branch: flight dumps
-      // also carry "schema_version" but are not RunReports.
-      const std::string problem = check_flight_dump_schema(*doc);
-      if (!problem.empty()) {
-        std::fprintf(stderr, "%s: flight dump schema: %s\n", argv[i],
-                     problem.c_str());
-        ++failures;
-        continue;
-      }
-      std::printf("%s: ok (%zu bytes, flight dump schema ok)\n", argv[i],
                   text.size());
     } else if (doc->is_object() && doc->string_or("kind", "") == "sweep_report") {
       const std::string problem = check_sweep_report_schema(*doc);

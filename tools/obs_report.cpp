@@ -1,4 +1,4 @@
-// One reader for every report, status file and dump the benches write.
+// One reader for every report and status file the benches write.
 //
 //   obs_report <subcommand> [args...]
 //
@@ -6,7 +6,6 @@
 //   whatif      what-if projections of the runs captured under --critpath
 //   sweep       SweepReport group table, or a recomputation from a RunReport
 //   diff        structural diff of two reports under numeric tolerances
-//   flight      flight-recorder dump as one merged timeline
 //   monitor     live status file (--status-out), once or followed
 //   trend       perf-trend history: append a run, or gate the newest runs
 //
@@ -23,7 +22,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cinttypes>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -58,11 +56,10 @@ constexpr int kUsage = -1;
 
 /// What a flag takes after it, and the range a numeric value must lie in.
 enum class Value : std::uint8_t {
-  kNone,           ///< a switch (--all)
+  kNone,           ///< a switch (--once)
   kText,           ///< any string (--ignore PREFIX)
   kNonNegative,    ///< a number >= 0 (--abs-tol, --timeout)
-  kPositive,       ///< a number > 0 (--window-ms, --scale)
-  kInteger,          ///< an integer >= 0 (--point)
+  kPositive,       ///< a number > 0 (--scale)
   kPositiveInteger,  ///< an integer >= 1 (--interval)
 };
 
@@ -101,9 +98,8 @@ struct Args {
 /// flag's range.
 bool parse_number(const FlagSpec& spec, const std::string& text,
                   double* out) {
-  const bool integer =
-      spec.value == Value::kInteger || spec.value == Value::kPositiveInteger;
-  const double min = spec.value == Value::kPositiveInteger ? 1.0 : 0.0;
+  const bool integer = spec.value == Value::kPositiveInteger;
+  const double min = integer ? 1.0 : 0.0;
   const bool strict = spec.value == Value::kPositive;
   char* end = nullptr;
   errno = 0;
@@ -663,170 +659,6 @@ int run_diff(const Args& args) {
   return 1;
 }
 
-// --- flight ------------------------------------------------------------------
-
-struct FlightEvent {
-  std::uint64_t t_ns = 0;
-  std::uint32_t ring = 0;
-  std::string kind;
-  std::uint64_t a = 0;
-  std::uint64_t b = 0;
-};
-
-/// Payload rendering of one event kind: the named meaning of `a` and `b`.
-std::string event_detail(const FlightEvent& ev,
-                         const std::vector<std::string>& labels) {
-  const std::string a = std::to_string(ev.a);
-  const std::string b = std::to_string(ev.b);
-  if (ev.kind == "point_begin" || ev.kind == "point_end")
-    return " point=" + a + " worker=" + b;
-  if (ev.kind == "phase")
-    return " label=" + (ev.a < labels.size() ? labels[ev.a] : a);
-  if (ev.kind == "sweep_begin") return " points=" + a + " workers=" + b;
-  if (ev.kind == "thread_attach") return " owner=" + a;
-  if (ev.kind == "anomaly") return " ordinal=" + a + " worker=" + b;
-  return "";
-}
-
-/// The dump's trigger as one greppable line:
-/// "trigger reason=watchdog kind=slow_point worker=2 point=7 ...".
-std::string trigger_line(const JsonValue& trig) {
-  std::string line = "trigger reason=" + trig.string_or("reason", "?");
-  if (const JsonValue* a = trig.find_object("anomaly"); a != nullptr) {
-    char num[64];
-    line += " kind=" + a->string_or("kind", "?");
-    line += " worker=" + std::to_string(static_cast<std::uint64_t>(
-                             a->number_or("worker", 0)));
-    if (const JsonValue* p = a->find_number("point"); p != nullptr)
-      line += " point=" + std::to_string(static_cast<std::uint64_t>(p->number));
-    std::snprintf(num, sizeof(num), " observed_s=%.3f threshold_s=%.3f",
-                  a->number_or("observed_seconds", 0.0),
-                  a->number_or("threshold_seconds", 0.0));
-    line += num;
-  }
-  if (const JsonValue* sig = trig.find_number("signal"); sig != nullptr) {
-    line += " signal=" + std::to_string(static_cast<int>(sig->number)) +
-            " name=" + trig.string_or("name", "?");
-    if (const JsonValue* bt = trig.find_array("backtrace"); bt != nullptr)
-      line += " frames=" + std::to_string(bt->array.size());
-  }
-  return line;
-}
-
-/// flight <dump.json> [--window-ms N] [--all] [--point IDX]
-///
-/// Merges a flight-recorder dump's per-thread rings (--flight-out, SIGUSR1
-/// or crash) into one time-ordered timeline and prints the last
-/// --window-ms milliseconds before the trigger (default 200; --all prints
-/// everything), in greppable lines:
-///
-///   flight bench=<b> reason=<r> rings=<n> events=<n> dropped=<n> anomalies=<k>
-///   trigger reason=watchdog kind=slow_point worker=2 point=7 ...
-///   event t=+0.123456s ring=3 kind=point_begin point=7 worker=2 <-- anomaly
-///
-/// Events of a point an anomaly names are flagged "<-- anomaly <kind>";
-/// --point keeps only one sweep point's events. Exits 0 when rendered, 1 on
-/// read or shape errors.
-int run_flight(const Args& args) {
-  if (args.files.size() != 1) return kUsage;
-  const std::string& path = args.files[0];
-  const double window_ms = args.number("--window-ms", 200.0);
-  const bool all = args.has("--all");
-  const Flag* only_point = args.last("--point");
-
-  const std::optional<JsonValue> doc = load_json(path);
-  if (!doc) return 1;
-  if (doc->string_or("kind", "") != "flight_dump") {
-    std::fprintf(stderr, "%s: not a flight_dump\n", path.c_str());
-    return 1;
-  }
-  const JsonValue* rings = doc->find_array("rings");
-  if (rings == nullptr) {
-    std::fprintf(stderr, "%s: no rings array\n", path.c_str());
-    return 1;
-  }
-
-  // Labels resolve phase payloads back to strings.
-  std::vector<std::string> labels;
-  if (const JsonValue* l = doc->find_array("labels"); l != nullptr)
-    for (const JsonValue& v : l->array)
-      labels.push_back(v.is_string() ? v.string : "?");
-
-  // (point, kind) of every anomaly pinned to a point.
-  std::vector<std::pair<std::uint64_t, std::string>> anomaly_points;
-  const std::size_t anomalies = array_size(*doc, "anomalies");
-  if (const JsonValue* arr = doc->find_array("anomalies"); arr != nullptr)
-    for (const JsonValue& v : arr->array)
-      if (const JsonValue* p = v.find_number("point"); p != nullptr)
-        anomaly_points.emplace_back(static_cast<std::uint64_t>(p->number),
-                                    v.string_or("kind", "?"));
-
-  std::vector<FlightEvent> timeline;
-  std::uint64_t dropped = 0;
-  for (const JsonValue& ring : rings->array) {
-    const auto ring_id = static_cast<std::uint32_t>(ring.number_or("ring", 0));
-    dropped += static_cast<std::uint64_t>(ring.number_or("dropped", 0));
-    const JsonValue* events = ring.find_array("events");
-    if (events == nullptr) continue;
-    for (const JsonValue& e : events->array)
-      timeline.push_back(
-          FlightEvent{static_cast<std::uint64_t>(e.number_or("t_ns", 0)),
-                      ring_id, e.string_or("kind", "?"),
-                      static_cast<std::uint64_t>(e.number_or("a", 0)),
-                      static_cast<std::uint64_t>(e.number_or("b", 0))});
-  }
-  std::stable_sort(timeline.begin(), timeline.end(),
-                   [](const FlightEvent& x, const FlightEvent& y) {
-                     return x.t_ns < y.t_ns;
-                   });
-
-  std::printf("flight bench=%s reason=%s rings=%zu events=%zu dropped=%" PRIu64
-              " anomalies=%zu at_s=%.3f\n",
-              doc->string_or("bench", "").c_str(),
-              doc->string_or("reason", "?").c_str(), rings->array.size(),
-              timeline.size(), dropped, anomalies,
-              doc->number_or("at_seconds", 0.0));
-  if (const JsonValue* trig = doc->find_object("trigger"); trig != nullptr)
-    std::printf("%s\n", trigger_line(*trig).c_str());
-
-  // The window ends at the newest event (the trigger is always at the hot
-  // end of the rings). It stays a double until it is known to be shorter
-  // than end_ns, so a huge --window-ms cannot overflow the conversion.
-  const std::uint64_t end_ns = timeline.empty() ? 0 : timeline.back().t_ns;
-  const double window_ns = window_ms * 1e6;
-  const std::uint64_t start_ns =
-      all || static_cast<double>(end_ns) <= window_ns
-          ? 0
-          : end_ns - static_cast<std::uint64_t>(window_ns);
-  std::size_t shown = 0;
-  std::size_t skipped = 0;
-  for (const FlightEvent& ev : timeline) {
-    if (ev.t_ns < start_ns) {
-      ++skipped;
-      continue;
-    }
-    const bool has_point = ev.kind == "point_begin" || ev.kind == "point_end";
-    if (only_point != nullptr &&
-        (!has_point || ev.a != static_cast<std::uint64_t>(only_point->number)))
-      continue;
-    std::string flag;
-    for (const auto& [point, kind] : anomaly_points)
-      if (has_point && ev.a == point) {
-        flag = "  <-- anomaly " + kind;
-        break;
-      }
-    std::printf("event t=+%.6fs ring=%u kind=%s%s%s\n",
-                static_cast<double>(ev.t_ns) / 1e9, ev.ring, ev.kind.c_str(),
-                event_detail(ev, labels).c_str(), flag.c_str());
-    ++shown;
-  }
-  if (skipped > 0)
-    std::printf("window %zu event%s shown (last %.0f ms), %zu older "
-                "skipped (use --all)\n",
-                shown, shown == 1 ? "" : "s", window_ms, skipped);
-  return 0;
-}
-
 // --- monitor -----------------------------------------------------------------
 
 bool is_done(const JsonValue& s) {
@@ -1261,13 +1093,6 @@ const Command kCommands[] = {
       {"--ignore", Value::kText}},
      "  obs_report diff <a.json> <b.json> [--rel-tol R] [--abs-tol A] "
      "[--ignore PATTERN]...\n"},
-    {"flight",
-     run_flight,
-     {{"--window-ms", Value::kPositive},
-      {"--all", Value::kNone},
-      {"--point", Value::kInteger}},
-     "  obs_report flight <dump.json> [--window-ms N] [--all] "
-     "[--point IDX]\n"},
     {"monitor",
      run_monitor,
      {{"--once", Value::kNone},
