@@ -4,26 +4,31 @@
 // fine-grained Terrain Masking shows the per-ring barrier valleys that
 // keep its average utilization well below 1 (Table 11's story).
 #include <iostream>
+#include <optional>
 
 #include "core/chart.hpp"
 #include "harness.hpp"
+#include "obs/timeline.hpp"
 
 using namespace tc3i;
 
 namespace {
 
-void plot(const std::string& title, const mta::MtaRunResult& result,
-          std::uint64_t bucket_cycles) {
+/// Plots the issue utilization of the run that sampled last.
+void plot(const std::string& title) {
+  const obs::MachineTimeline tl = obs::active_timeline()->timelines().back();
+  const std::vector<obs::TimelinePoint>& util =
+      tl.find("issue_utilization").points;
   ChartSeries series{"utilization", '#', {}, {}};
   // Downsample the timeline to <= 120 points for the terminal.
-  const std::size_t n = result.utilization_timeline.size();
+  const std::size_t n = util.size();
   const std::size_t stride = std::max<std::size_t>(1, n / 120);
   for (std::size_t i = 0; i < n; i += stride) {
     double sum = 0.0;
     std::size_t count = 0;
     for (std::size_t j = i; j < std::min(i + stride, n); ++j, ++count)
-      sum += result.utilization_timeline[j];
-    series.x.push_back(static_cast<double>(i * bucket_cycles) / 1e6);
+      sum += util[j].value;
+    series.x.push_back(static_cast<double>(i * tl.sample_period_cycles) / 1e6);
     series.y.push_back(count > 0 ? sum / static_cast<double>(count) : 0.0);
   }
   AsciiChart chart(title, "Mcycles", "issue-slot utilization", 100, 16);
@@ -37,36 +42,36 @@ void plot(const std::string& title, const mta::MtaRunResult& result,
 int main(int argc, char** argv) {
   tc3i::bench::Session session("mta_timeline", argc, argv);
   const auto& tb = bench::testbed();
-  constexpr std::uint64_t kBucket = 10'000;
+  // The runs sample into the session's store under --timeline-out, so the
+  // CSV keeps their rows; otherwise into a local 10,000-cycle store.
+  obs::TimelineStore local(10'000);
+  std::optional<obs::ScopedTimeline> scope;
+  if (obs::active_timeline() == nullptr) scope.emplace(local);
 
   {
-    mta::MtaConfig cfg = platforms::make_mta_config(1);
-    cfg.timeline_bucket_cycles = kBucket;
-    mta::Machine machine(cfg);
+    mta::Machine machine(platforms::make_mta_config(1));
     mta::ProgramPool pool;
     c3i::threat::build_mta_chunked(pool, machine, tb.threat_profile_scaled,
                                    256, tb.threat_costs_scaled);
-    plot("Threat Analysis, 256 chunks, 1 processor", machine.run(), kBucket);
+    (void)machine.run();
+    plot("Threat Analysis, 256 chunks, 1 processor");
   }
   {
-    mta::MtaConfig cfg = platforms::make_mta_config(1);
-    cfg.timeline_bucket_cycles = kBucket;
-    mta::Machine machine(cfg);
+    mta::Machine machine(platforms::make_mta_config(1));
     mta::ProgramPool pool;
     c3i::terrain::build_mta_finegrained(pool, machine,
                                         tb.terrain_profile_scaled,
                                         tb.terrain_costs_scaled);
-    plot("Terrain Masking, fine-grained, 1 processor", machine.run(), kBucket);
+    (void)machine.run();
+    plot("Terrain Masking, fine-grained, 1 processor");
   }
   {
-    mta::MtaConfig cfg = platforms::make_mta_config(1);
-    cfg.timeline_bucket_cycles = kBucket;
-    mta::Machine machine(cfg);
+    mta::Machine machine(platforms::make_mta_config(1));
     mta::ProgramPool pool;
     c3i::threat::build_mta_chunked(pool, machine, tb.threat_profile_scaled, 8,
                                    tb.threat_costs_scaled);
-    plot("Threat Analysis, only 8 chunks (starved), 1 processor",
-         machine.run(), kBucket);
+    (void)machine.run();
+    plot("Threat Analysis, only 8 chunks (starved), 1 processor");
   }
   std::cout << "Reading: 256 chunks saturate the processor until the tail; "
                "the fine-grained terrain\nschedule oscillates with ring "

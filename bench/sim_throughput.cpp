@@ -319,7 +319,7 @@ int main(int argc, char** argv) {
     const Scenario sat = scenarios().front();
     Measurement m;
     {
-      obs::TimelineStore store(4096);
+      obs::TimelineStore store(obs::kDefaultSamplePeriodCycles);
       obs::ScopedTimeline scope(store);
       m = measure(sat, reps);
     }

@@ -39,8 +39,14 @@ grep -q '"label":' "$SMOKE_DIR/r.json" ||
   { echo "FAIL: report has no comparison rows"; exit 1; }
 [ "$(grep -o '"mta\.[a-z0-9_.]*":' "$SMOKE_DIR/r.json" | sort -u | wc -l)" -ge 10 ] ||
   { echo "FAIL: report has fewer than 10 named counters"; exit 1; }
-[ -s "$SMOKE_DIR/t.csv" ] ||
-  { echo "FAIL: sibling CSV timeline missing"; exit 1; }
+# The trace's MTA counter tracks are the sampled series, drawn on the same
+# --sample-period grid: one issue_utilization event per timeline row.
+TRACE_UTIL="$(grep -o '"name":"issue_utilization"' "$SMOKE_DIR/t.json" |
+              wc -l)"
+CSV_UTIL="$(grep -c ',issue_utilization,' "$SMOKE_DIR/tl.csv")"
+[ "$CSV_UTIL" -gt 0 ] && [ "$TRACE_UTIL" -eq "$CSV_UTIL" ] ||
+  { echo "FAIL: trace has $TRACE_UTIL issue_utilization counters, timeline" \
+         "has $CSV_UTIL rows"; exit 1; }
 
 echo "== sampled timeline + bottleneck verdicts =="
 # The sampled timeline must be non-empty and strictly monotone in cycle

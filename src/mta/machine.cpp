@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
 
 #include "core/contracts.hpp"
@@ -11,16 +10,6 @@
 #include "obs/trace_sink.hpp"
 
 namespace tc3i::mta {
-
-namespace {
-
-bool slow_sim_env() {
-  const char* env = std::getenv("TC3I_SLOW_SIM");
-  return env != nullptr && env[0] != '\0' &&
-         !(env[0] == '0' && env[1] == '\0');
-}
-
-}  // namespace
 
 std::string MtaConfig::validate() const {
   std::ostringstream os;
@@ -45,7 +34,7 @@ Machine::Machine(MtaConfig config)
   const std::string err = config_.validate();
   if (!err.empty())
     contract_failure("MtaConfig", err.c_str(), __FILE__, __LINE__);
-  slow_ = config_.slow_reference || slow_sim_env();
+  slow_ = config_.slow_reference;
   procs_.reserve(static_cast<std::size_t>(config_.num_processors));
   for (int p = 0; p < config_.num_processors; ++p)
     procs_.emplace_back(p, config_.streams_per_processor);
@@ -91,10 +80,13 @@ Machine::Machine(MtaConfig config)
     obs_.pid = obs_.sink->register_track(config_.name);
   obs_.records = obs::active_run_records();
   obs_.timeline = obs::active_timeline();
-  if (obs_.timeline != nullptr) {
+  // The sampled series is the trace's counter source too, so a traced run
+  // samples even without a store.
+  if (obs_.timeline != nullptr)
     sample_period_ = obs_.timeline->sample_period_cycles();
-    sample_next_ = sample_period_;
-  }
+  else if (obs_.sink != nullptr)
+    sample_period_ = obs::kDefaultSamplePeriodCycles;
+  sample_next_ = sample_period_;
   cap_store_ = obs::active_critpath();
   if (cap_store_ != nullptr && config_.lookahead == 0) {
     cap_graph_ = std::make_unique<obs::DepGraph>();
@@ -649,44 +641,43 @@ void Machine::flush_samples(std::uint64_t now) {
   // boundary flushes before accruing), so the deltas belong entirely to the
   // first unflushed bucket; buckets skipped by idle jumps emit zeros.
   while (sample_next_ <= now) {
-    std::uint64_t issues_now = 0;
-    for (const auto& p : procs_) issues_now += p.issues();
-    const auto period = static_cast<double>(sample_period_);
-    const double util =
-        static_cast<double>(issues_now - sample_last_issues_) /
-        (period * static_cast<double>(config_.num_processors));
-    const double ready = static_cast<double>(sample_ready_sum_) / period;
-    const double net = static_cast<double>(memory_ops_ - sample_last_mem_) /
-                       (period * config_.network_ops_per_cycle);
-    tl_util_.push_back({sample_next_, util});
-    tl_ready_.push_back({sample_next_, ready});
-    tl_net_.push_back({sample_next_, net});
-    if (obs_.sink != nullptr)
-      obs_.sink->counter(obs::Category::Issue, "ready_streams",
-                         ts_us(sample_next_), obs_.pid, ready);
-    sample_last_issues_ = issues_now;
-    sample_last_mem_ = memory_ops_;
-    sample_ready_sum_ = 0;
+    append_sample(sample_next_, sample_period_);
     sample_next_ += sample_period_;
   }
 }
 
+void Machine::append_sample(std::uint64_t end, std::uint64_t width) {
+  std::uint64_t issues_now = 0;
+  for (const auto& p : procs_) issues_now += p.issues();
+  const auto w = static_cast<double>(width);
+  const double util = static_cast<double>(issues_now - sample_last_issues_) /
+                      (w * static_cast<double>(config_.num_processors));
+  const double ready = static_cast<double>(sample_ready_sum_) / w;
+  const double net = static_cast<double>(memory_ops_ - sample_last_mem_) /
+                     (w * config_.network_ops_per_cycle);
+  tl_util_.push_back({end, util});
+  tl_ready_.push_back({end, ready});
+  tl_net_.push_back({end, net});
+  if (obs_.sink != nullptr) {
+    const double ts = ts_us(end);
+    obs_.sink->counter(obs::Category::Issue, "issue_utilization", ts,
+                       obs_.pid, util);
+    obs_.sink->counter(obs::Category::Issue, "ready_streams", ts, obs_.pid,
+                       ready);
+    obs_.sink->counter(obs::Category::Memory, "network_occupancy", ts,
+                       obs_.pid, net);
+  }
+  sample_last_issues_ = issues_now;
+  sample_last_mem_ = memory_ops_;
+  sample_ready_sum_ = 0;
+}
+
 void Machine::finish_timeline(std::uint64_t now) {
   flush_samples(now);
+  // Trailing partial bucket, normalized by its actual width.
   const std::uint64_t start = sample_next_ - sample_period_;
-  if (now > start) {
-    // Trailing partial bucket, normalized by its actual width.
-    std::uint64_t issues_now = 0;
-    for (const auto& p : procs_) issues_now += p.issues();
-    const auto width = static_cast<double>(now - start);
-    tl_util_.push_back(
-        {now, static_cast<double>(issues_now - sample_last_issues_) /
-                  (width * static_cast<double>(config_.num_processors))});
-    tl_ready_.push_back({now, static_cast<double>(sample_ready_sum_) / width});
-    tl_net_.push_back({now,
-                       static_cast<double>(memory_ops_ - sample_last_mem_) /
-                           (width * config_.network_ops_per_cycle)});
-  }
+  if (now > start) append_sample(now, now - start);
+  if (obs_.timeline == nullptr) return;  // traced run: counters only
   obs::MachineTimeline tl;
   tl.model = "mta";
   tl.name = config_.name;
@@ -706,47 +697,18 @@ MtaRunResult Machine::run(std::uint64_t max_cycles) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
-  // Per-bucket counter tracks for the trace (issue utilization and memory
-  // traffic); defaults to 4096-cycle buckets when no timeline is requested.
-  const std::uint64_t bucket = config_.timeline_bucket_cycles;
-  trace_bucket_ = bucket > 0 ? bucket : 4096;
-  trace_next_ = trace_bucket_;
   return finish_run(slow_ ? run_slow_loop() : run_fast_loop());
-}
-
-void Machine::emit_trace_buckets(std::uint64_t upto, bool final) {
-  if (obs_.sink == nullptr) return;
-  std::uint64_t instr_now = 0;
-  for (const auto& p : procs_) instr_now += p.issues();
-  while (trace_next_ <= upto || (final && trace_last_instr_ < instr_now)) {
-    const std::uint64_t at = std::min(trace_next_, upto);
-    const double slots = static_cast<double>(trace_bucket_) *
-                         static_cast<double>(config_.num_processors);
-    obs_.sink->counter(
-        obs::Category::Issue, "issue_utilization", ts_us(at), obs_.pid,
-        static_cast<double>(instr_now - trace_last_instr_) / slots);
-    obs_.sink->counter(
-        obs::Category::Memory, "memory_ops_per_bucket", ts_us(at), obs_.pid,
-        static_cast<double>(memory_ops_ - trace_last_mem_));
-    trace_last_instr_ = instr_now;
-    trace_last_mem_ = memory_ops_;
-    if (trace_next_ > upto) break;
-    trace_next_ += trace_bucket_;
-  }
 }
 
 std::uint64_t Machine::run_slow_loop() {
   std::uint64_t now = 0;
   const std::uint64_t max_cycles = max_cycles_;
-  const bool tracing = obs_.sink != nullptr;
-  const std::uint64_t bucket = config_.timeline_bucket_cycles;
   {
     // Reference loop: the pre-timing-wheel simulator, kept verbatim for
     // golden-equivalence testing. Binary-heap wake queue, every instruction
     // re-enters issue(), cycles advance one at a time between wakes.
     while (live_streams_ > 0 || !pending_.empty()) {
       if (now >= max_cycles) runaway_abort(now);
-      if (tracing) emit_trace_buckets(now, /*final=*/false);
 
       while (!heap_.empty() && heap_.top().cycle <= now) {
         const Wake w = heap_.top();
@@ -765,11 +727,6 @@ std::uint64_t Machine::run_slow_loop() {
           any_ready = true;
           --ready_count_;
           issue(p.pop_ready(), now);
-          if (bucket > 0) {
-            const std::size_t b = static_cast<std::size_t>(now / bucket);
-            if (b >= bucket_issues_.size()) bucket_issues_.resize(b + 1, 0);
-            ++bucket_issues_[b];
-          }
         } else {
           account_idle(p.id(), 1);
         }
@@ -799,25 +756,21 @@ std::uint64_t Machine::run_fast_loop() {
   // Hoisted so the issue loop branches on register-resident locals instead
   // of reloading members every iteration (issue() may alias them).
   const std::uint64_t max_cycles = max_cycles_;
-  const bool tracing = obs_.sink != nullptr;
-  const std::uint64_t bucket = config_.timeline_bucket_cycles;
   {
     const auto spacing =
         static_cast<std::uint64_t>(config_.issue_spacing_cycles);
     while (live_streams_ > 0 || !pending_.empty()) {
       if (now >= max_cycles) runaway_abort(now);
-      if (tracing) emit_trace_buckets(now, /*final=*/false);
 
       wheel_.drain_due(now, [this](std::uint64_t, StreamId sid) {
         make_stream_ready(sid);
       });
 
       // Solo fast-forward: with one ready stream machine-wide (and no
-      // tracing, timeline sampling, or dependency-graph capture observing
-      // individual instructions), whole instruction runs retire
-      // analytically.
-      if (ready_count_ == 1 && !tracing && bucket == 0 &&
-          sample_period_ == 0 && cap_ == nullptr) {
+      // timeline sampling, which tracing implies, or dependency-graph
+      // capture observing individual instructions), whole instruction runs
+      // retire analytically.
+      if (ready_count_ == 1 && sample_period_ == 0 && cap_ == nullptr) {
         now = run_solo(now, max_cycles);
         continue;
       }
@@ -827,15 +780,11 @@ std::uint64_t Machine::run_fast_loop() {
       // inside the window come from spawns (spawn cost < spacing). Issue
       // up to min(next_due, now + spacing) cycles on the existing ready
       // queues without re-draining the wheel, shrinking the window
-      // whenever an issued instruction pushes an earlier wake. (Tracing
-      // samples per cycle, so it takes the one-cycle window.)
-      std::uint64_t limit = now + 1;
-      if (!tracing) {
-        limit = now + spacing;
-        const std::uint64_t nd = wheel_.next_due();
-        if (nd < limit) limit = nd;
-        if (limit <= now) limit = now + 1;
-      }
+      // whenever an issued instruction pushes an earlier wake.
+      std::uint64_t limit = now + spacing;
+      const std::uint64_t nd = wheel_.next_due();
+      if (nd < limit) limit = nd;
+      if (limit <= now) limit = now + 1;
 
       // The live-stream check mirrors the outer loop: when the last stream
       // quits mid-window the machine is dead, and scanning another cycle
@@ -855,11 +804,6 @@ std::uint64_t Machine::run_fast_loop() {
             any_ready = true;
             --ready_count_;
             issue(p.pop_ready(), now);
-            if (bucket > 0) {
-              const std::size_t b = static_cast<std::size_t>(now / bucket);
-              if (b >= bucket_issues_.size()) bucket_issues_.resize(b + 1, 0);
-              ++bucket_issues_[b];
-            }
           } else {
             account_idle(p.id(), 1);
           }
@@ -895,13 +839,11 @@ std::uint64_t Machine::run_fast_loop() {
 
 MtaRunResult Machine::finish_run(std::uint64_t now) {
   TC3I_EXPECTS(live_streams_ == 0 && pending_.empty());
-  const std::uint64_t bucket = config_.timeline_bucket_cycles;
 
   std::uint64_t used = 0;
   for (const auto& p : procs_) used += p.issues();
   instructions_ = used;
 
-  emit_trace_buckets(now, /*final=*/true);
   if (sample_period_ != 0) finish_timeline(now);
 
   // Finalize the per-processor issue-slot accounts: used slots come from
@@ -964,15 +906,6 @@ MtaRunResult Machine::finish_run(std::uint64_t now) {
   memory_.flush_counters();
   obs_.peak_live->set(static_cast<double>(peak_live_));
   obs_.run_utilization->record(result.processor_utilization);
-  if (bucket > 0) {
-    result.utilization_timeline.reserve(bucket_issues_.size());
-    const double slots_per_bucket =
-        static_cast<double>(bucket) *
-        static_cast<double>(config_.num_processors);
-    for (const std::uint64_t issues_in_bucket : bucket_issues_)
-      result.utilization_timeline.push_back(
-          static_cast<double>(issues_in_bucket) / slots_per_bucket);
-  }
 
   // Per-region counters (named after the regions actually used) and the
   // run's accounting record for the report's "machine_runs" section, in

@@ -76,16 +76,11 @@ struct MtaConfig {
   /// The real machine hashed addresses across banks so strided code would
   /// not pathologically conflict; disable to see why (ablation).
   bool hash_addresses = true;
-  /// When nonzero, the run records issue-slot utilization per bucket of
-  /// this many cycles (MtaRunResult::utilization_timeline) — used to
-  /// visualize latency masking and barrier valleys.
-  std::uint64_t timeline_bucket_cycles = 0;
   /// Runs the pre-timing-wheel reference simulation loop (binary-heap wake
   /// queue, strictly one cycle at a time, no compute-run fast-forwarding).
   /// Slower but kept as the golden reference: the fast path must produce
   /// bit-identical cycles/instructions/memory_ops (see
-  /// tests/mta_golden_test). Also enabled by the TC3I_SLOW_SIM environment
-  /// variable (any value except "0").
+  /// tests/mta_golden_test).
   bool slow_reference = false;
 
   [[nodiscard]] std::string validate() const;
@@ -103,9 +98,6 @@ struct MtaRunResult {
   double processor_utilization = 0.0;
   /// Fraction of the shared network's service capacity consumed.
   double network_utilization = 0.0;
-  /// Per-bucket issue-slot utilization (empty unless
-  /// MtaConfig::timeline_bucket_cycles is set).
-  std::vector<double> utilization_timeline;
   /// Exhaustive, exclusive issue-slot account summed over processors:
   /// slots.total() == cycles x num_processors, always (both simulation
   /// paths produce bit-identical accounts; see docs/OBSERVABILITY.md).
@@ -296,12 +288,16 @@ class Machine {
   /// account_idle over the census plus the solo stream virtually parked
   /// with `solo` (run_solo does not park between fast-forwarded issues).
   void account_solo_idle(int proc, std::uint64_t n, StallReason solo);
-  /// Timeline sampling (active_timeline() set at construction): called per
-  /// scanned cycle; emits every complete sample bucket ending at or before
-  /// `now` from the deltas accumulated since the previous flush.
+  /// Timeline sampling (active under a TimelineStore or a trace sink):
+  /// called per scanned cycle; emits every complete sample bucket ending at
+  /// or before `now` from the deltas accumulated since the previous flush.
   void flush_samples(std::uint64_t now);
+  /// Appends one point per series for the bucket ending at `end`, `width`
+  /// cycles wide, and writes each as a trace counter under a sink; then
+  /// restarts the accumulation.
+  void append_sample(std::uint64_t end, std::uint64_t width);
   /// Emits the trailing partial bucket and hands the run's timeline to the
-  /// store.
+  /// store, if any.
   void finish_timeline(std::uint64_t now);
   /// Fast-forwards the machine while exactly one stream is ready
   /// machine-wide (see docs/PERFORMANCE.md for the legality argument).
@@ -321,9 +317,6 @@ class Machine {
   /// (so a deadlocked large scenario is diagnosable from the abort alone),
   /// then aborts via contract_failure.
   [[noreturn]] void runaway_abort(std::uint64_t now) const;
-  /// Per-bucket counter tracks for the trace sink (issue utilization and
-  /// memory traffic); no-op without a sink.
-  void emit_trace_buckets(std::uint64_t upto, bool final);
 
   // --- Dependency-graph capture (cap_ != nullptr iff capturing; see
   // docs/CRITICAL_PATH.md). Hooks live only in functions shared by the
@@ -360,7 +353,7 @@ class Machine {
   static constexpr std::uint64_t kFpOne = 1ull << kFpBits;
 
   MtaConfig config_;
-  bool slow_ = false;  ///< config_.slow_reference or TC3I_SLOW_SIM
+  bool slow_ = false;  ///< config_.slow_reference
   SyncMemory memory_;
   std::vector<Processor> procs_;
   std::vector<Stream> streams_;
@@ -385,8 +378,9 @@ class Machine {
   std::vector<RegionTally> region_tallies_;
 
   // Timeline sampling state (sample_period_ == 0 when inactive). Samples
-  // are a pure function of simulated cycles, so the exported series are
-  // identical for the fast and slow paths and at any --jobs.
+  // are a pure function of simulated cycles, so the exported series and
+  // the trace counters drawn from them are identical for the fast and slow
+  // paths and at any --jobs.
   std::uint64_t sample_period_ = 0;
   std::uint64_t sample_next_ = 0;
   std::uint64_t sample_ready_sum_ = 0;
@@ -431,11 +425,6 @@ class Machine {
   // local so the hot path holds it in a register.
   std::uint64_t max_cycles_ = 0;    ///< runaway guard (runaway_abort)
   std::uint64_t run_start_ns_ = 0;  ///< wall clock for mta.run.wall_seconds
-  std::uint64_t trace_bucket_ = 0;
-  std::uint64_t trace_next_ = 0;
-  std::uint64_t trace_last_instr_ = 0;
-  std::uint64_t trace_last_mem_ = 0;
-  std::vector<std::uint64_t> bucket_issues_;  // timeline_bucket_cycles only
 };
 
 }  // namespace tc3i::mta

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "core/contracts.hpp"
 #include "obs/json.hpp"
 #include "obs/trace_sink.hpp"
+#include "obs/write_file.hpp"
 
 namespace tc3i::obs {
 
@@ -244,16 +244,8 @@ void LiveBus::write_chrome_trace(std::ostream& out) const {
 
 bool LiveBus::write_chrome_trace_file(const std::string& path,
                                       std::string* error) const {
-  std::error_code ec;
-  const auto parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  std::ofstream out(path);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  write_chrome_trace(out);
-  return static_cast<bool>(out);
+  return write_file(
+      path, [this](std::ostream& out) { write_chrome_trace(out); }, error);
 }
 
 void LiveBus::write_status_json(const LiveStatus& status, std::ostream& out) {
@@ -326,22 +318,14 @@ void write_anomalies_json(JsonWriter& w,
 bool LiveBus::write_status_file(const LiveStatus& status,
                                 const std::string& path, std::string* error) {
   TC3I_EXPECTS(!path.empty());
-  std::error_code ec;
-  const auto parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
+  // Rename only after a checked close, so a full disk can never publish a
+  // truncated snapshot.
   const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) {
-      if (error != nullptr) *error = "cannot open " + tmp;
-      return false;
-    }
-    write_status_json(status, out);
-    if (!out) {
-      if (error != nullptr) *error = "short write to " + tmp;
-      return false;
-    }
-  }
+  if (!write_file(
+          tmp, [&](std::ostream& out) { write_status_json(status, out); },
+          error))
+    return false;
+  std::error_code ec;
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
     if (error != nullptr)

@@ -1,11 +1,10 @@
 #include "obs/report.hpp"
 
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 
 #include "core/contracts.hpp"
 #include "obs/json.hpp"
+#include "obs/write_file.hpp"
 
 namespace tc3i::obs {
 
@@ -330,17 +329,8 @@ void RunReport::write_json(std::ostream& out,
 bool RunReport::write_json_file(const std::string& path,
                                 const CounterRegistry& registry,
                                 std::string* error) const {
-  TC3I_EXPECTS(!path.empty());
-  std::error_code ec;
-  const std::filesystem::path parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  std::ofstream out(path);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  write_json(out, registry);
-  return static_cast<bool>(out);
+  return write_file(
+      path, [&](std::ostream& out) { write_json(out, registry); }, error);
 }
 
 }  // namespace tc3i::obs

@@ -3,28 +3,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <thread>
 
 #include "core/contracts.hpp"
 #include "obs/aggregate.hpp"
+#include "obs/write_file.hpp"
 
 namespace tc3i::obs {
 
 namespace {
 
 RunSession* g_active = nullptr;
-
-/// "foo/trace.json" -> "foo/trace.csv"; non-.json paths get ".csv" appended.
-std::string sibling_csv_path(const std::string& json_path) {
-  std::filesystem::path p(json_path);
-  if (p.extension() == ".json") {
-    p.replace_extension(".csv");
-    return p.string();
-  }
-  return json_path + ".csv";
-}
 
 bool g_sweep_progress = false;
 
@@ -38,16 +27,18 @@ void set_sweep_progress_requested(bool requested) {
 
 void RunSession::add_cli_flags(CliParser& cli) {
   cli.add_flag("trace-out", "",
-               "write a Chrome trace_event JSON (and sibling .csv timeline) "
-               "of simulator events to this path");
+               "write a Chrome trace_event JSON of simulator events to this "
+               "path");
   cli.add_flag("report-out", "",
                "write a machine-readable RunReport JSON (rows, config, "
                "counters) to this path");
   cli.add_flag("timeline-out", "",
                "write sampled per-run utilization timelines "
                "(run,model,name,series,cycle,value) as CSV to this path");
-  cli.add_flag("sample-period", "4096",
-               "simulated cycles per timeline sample for --timeline-out");
+  cli.add_flag("sample-period", std::to_string(kDefaultSamplePeriodCycles),
+               "simulated cycles per timeline sample for --timeline-out, "
+               "and with it for the MTA trace counters (a trace alone "
+               "samples at the default)");
   cli.add_flag("counters", "false",
                "dump the instrumentation counter registry to stdout at exit "
                "(bare --counters or --counters true)");
@@ -215,15 +206,11 @@ void RunSession::finish() {
   }
 
   if (sink_ != nullptr && !trace_path_.empty()) {
-    std::error_code ec;
-    const auto parent = std::filesystem::path(trace_path_).parent_path();
-    if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-    const std::string csv = sibling_csv_path(trace_path_);
     std::string error;
-    if (sink_->write_files(trace_path_, csv, &error)) {
+    if (sink_->write_chrome_json_file(trace_path_, &error)) {
       std::printf("[obs] trace: %s (%zu events; open in chrome://tracing or "
-                  "ui.perfetto.dev), csv: %s\n",
-                  trace_path_.c_str(), sink_->size(), csv.c_str());
+                  "ui.perfetto.dev)\n",
+                  trace_path_.c_str(), sink_->size());
     } else {
       std::fprintf(stderr, "[obs] trace write failed: %s\n", error.c_str());
     }
@@ -276,20 +263,20 @@ void RunSession::finish() {
     host.jobs = s.max_jobs;
     host.queue_wait_seconds = s.queue_wait_seconds;
     host.execute_seconds = s.execute_seconds;
-    std::error_code ec;
-    const auto parent =
-        std::filesystem::path(sweep_report_path_).parent_path();
-    if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-    std::ofstream out(sweep_report_path_);
-    if (out) {
-      agg.write_report_json(out, name_, host, anomalies);
+    std::string error;
+    if (write_file(
+            sweep_report_path_,
+            [&](std::ostream& out) {
+              agg.write_report_json(out, name_, host, anomalies);
+            },
+            &error)) {
       std::printf("[obs] sweep report: %s (%llu runs, %zu groups)\n",
                   sweep_report_path_.c_str(),
                   static_cast<unsigned long long>(agg.runs()),
                   agg.groups().size());
     } else {
-      std::fprintf(stderr, "[obs] sweep report write failed: cannot open %s\n",
-                   sweep_report_path_.c_str());
+      std::fprintf(stderr, "[obs] sweep report write failed: %s\n",
+                   error.c_str());
     }
   }
 

@@ -1,10 +1,13 @@
 // Per-binary observability session: owns the trace sink and run report and
 // wires them to the standard flag set every instrumented binary exposes:
 //
-//   --trace-out <path>    write Chrome trace JSON (+ sibling .csv timeline)
+//   --trace-out <path>    write Chrome trace JSON
 //   --report-out <path>   write the RunReport JSON
 //   --timeline-out <path> write sampled per-run utilization timelines as CSV
-//   --sample-period <n>   simulated cycles per timeline sample (default 4096)
+//   --sample-period <n>   simulated cycles per timeline sample (default
+//                         4096); with --timeline-out it is also the grid
+//                         of the MTA trace counters, which a trace alone
+//                         samples at the default
 //   --counters            dump the counter registry to stdout at exit
 //                         (bare flag; `--counters true` also accepted)
 //   --critpath            capture per-run dependency graphs; RunRecords

@@ -2,14 +2,19 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <utility>
 
 #include "core/contracts.hpp"
+#include "obs/write_file.hpp"
 
 namespace tc3i::obs {
+
+const TimelineSeries& MachineTimeline::find(const std::string& name) const {
+  for (const TimelineSeries& s : series)
+    if (s.name == name) return s;
+  contract_failure("MachineTimeline::find", name.c_str(), __FILE__, __LINE__);
+}
 
 TimelineStore::TimelineStore(std::uint64_t sample_period_cycles)
     : period_(sample_period_cycles) {
@@ -56,18 +61,8 @@ void TimelineStore::write_csv(std::ostream& out) const {
 
 bool TimelineStore::write_csv_file(const std::string& path,
                                    std::string* error) const {
-  TC3I_EXPECTS(!path.empty());
-  std::error_code ec;
-  const std::filesystem::path parent =
-      std::filesystem::path(path).parent_path();
-  if (!parent.empty()) std::filesystem::create_directories(parent, ec);
-  std::ofstream out(path);
-  if (!out) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  write_csv(out);
-  return static_cast<bool>(out);
+  return write_file(
+      path, [this](std::ostream& out) { write_csv(out); }, error);
 }
 
 std::string validate_timeline_csv(const std::string& text) {

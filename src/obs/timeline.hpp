@@ -9,6 +9,10 @@
 // TimelineStore and merges them in submission order, which makes the
 // exported CSV byte-identical at --jobs 1 and --jobs N.
 //
+// Each run's MachineTimeline is its model's one sampled series:
+// --timeline-out writes it, the mta_timeline / smp_timeline charts plot
+// it, and the MTA model also writes each point as a trace counter.
+//
 // CSV format (one header line, then one row per sample):
 //   run,model,name,series,cycle,value
 // `run` is the submission-order index of the machine run, `cycle` is the
@@ -23,6 +27,10 @@
 #include <vector>
 
 namespace tc3i::obs {
+
+/// --sample-period's default, and the grid a traced MTA run samples its
+/// trace counters on when no TimelineStore is installed.
+inline constexpr std::uint64_t kDefaultSamplePeriodCycles = 4096;
 
 struct TimelinePoint {
   std::uint64_t cycle = 0;  ///< end of the sample window
@@ -40,6 +48,9 @@ struct MachineTimeline {
   std::string name;   ///< machine config name
   std::uint64_t sample_period_cycles = 0;
   std::vector<TimelineSeries> series;
+
+  /// The series called `name` (contract failure when the model has none).
+  [[nodiscard]] const TimelineSeries& find(const std::string& name) const;
 };
 
 /// Append-only, thread-safe collection of per-run timelines in add() order.
@@ -86,7 +97,7 @@ class TimelineStore {
 /// The store machine models sample into: the calling thread's override when
 /// a ScopedTimeline is active, otherwise the process-wide store installed
 /// by RunSession (null when no --timeline-out was given — machines skip
-/// sampling entirely then).
+/// sampling then, except a traced MTA run, which samples for its counters).
 [[nodiscard]] TimelineStore* active_timeline();
 
 /// The process-wide store, ignoring any thread-local override.

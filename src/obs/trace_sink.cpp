@@ -1,11 +1,10 @@
 #include "obs/trace_sink.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <utility>
 
-#include "core/contracts.hpp"
 #include "obs/json.hpp"
+#include "obs/write_file.hpp"
 
 namespace tc3i::obs {
 
@@ -104,36 +103,10 @@ void TraceSink::write_chrome_json(std::ostream& out) const {
   out << '\n';
 }
 
-void TraceSink::write_csv(std::ostream& out) const {
-  out << "ts_us,category,phase,name,pid,tid,value,dur_us\n";
-  for (const TraceEvent& ev : events_) {
-    out << ev.ts_us << ',' << category_name(ev.cat) << ',' << ev.ph << ','
-        << ev.name << ',' << ev.pid << ',' << ev.tid << ',' << ev.value << ','
-        << ev.dur_us << '\n';
-  }
-}
-
-bool TraceSink::write_files(const std::string& json_path,
-                            const std::string& csv_path,
-                            std::string* error) const {
-  TC3I_EXPECTS(!json_path.empty());
-  {
-    std::ofstream out(json_path);
-    if (!out) {
-      if (error != nullptr) *error = "cannot open " + json_path;
-      return false;
-    }
-    write_chrome_json(out);
-  }
-  if (!csv_path.empty()) {
-    std::ofstream out(csv_path);
-    if (!out) {
-      if (error != nullptr) *error = "cannot open " + csv_path;
-      return false;
-    }
-    write_csv(out);
-  }
-  return true;
+bool TraceSink::write_chrome_json_file(const std::string& path,
+                                       std::string* error) const {
+  return write_file(
+      path, [this](std::ostream& out) { write_chrome_json(out); }, error);
 }
 
 namespace {

@@ -1,10 +1,10 @@
 // Typed simulator event recording with Chrome trace_event export.
 //
 // A TraceSink collects events emitted by the machine models — stream
-// spawn/block/unblock, issue-slot utilization, memory-network traffic, lock
-// acquire/contend/release, scheduler activity — and exports them as
-//   - Chrome trace JSON (load in chrome://tracing or https://ui.perfetto.dev),
-//   - a compact CSV timeline for scripted analysis.
+// spawn/block/unblock, the MTA's sampled issue/ready/network series, SMP
+// bus and thread activity, lock acquire/contend/release, scheduler
+// activity — and exports them as Chrome trace JSON (load in
+// chrome://tracing or https://ui.perfetto.dev).
 //
 // Timestamps are simulated microseconds (each machine converts its own
 // clock domain); every machine registers a named track so multi-machine
@@ -66,14 +66,10 @@ class TraceSink {
   /// Chrome trace_event JSON (object format, sorted by timestamp).
   void write_chrome_json(std::ostream& out) const;
 
-  /// CSV timeline: ts_us,category,phase,name,pid,tid,value,dur_us.
-  void write_csv(std::ostream& out) const;
-
-  /// Writes both formats to `json_path` and (if non-empty) `csv_path`.
-  /// Returns false with `*error` set if a file cannot be written.
-  [[nodiscard]] bool write_files(const std::string& json_path,
-                                 const std::string& csv_path,
-                                 std::string* error) const;
+  /// write_chrome_json to `path`, creating parent directories. Returns
+  /// false with `*error` set on I/O failure.
+  [[nodiscard]] bool write_chrome_json_file(const std::string& path,
+                                            std::string* error) const;
 
  private:
   void push(TraceEvent ev);

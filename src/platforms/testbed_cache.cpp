@@ -244,9 +244,11 @@ void try_save(const fs::path& path, std::uint64_t fp,
   const fs::path tmp = path.string() + ".tmp";
   std::FILE* f = std::fopen(tmp.string().c_str(), "wb");
   if (f == nullptr) return;
-  const bool ok = std::fwrite(w.bytes.data(), 1, w.bytes.size(), f) ==
-                  w.bytes.size();
-  std::fclose(f);
+  bool ok = std::fwrite(w.bytes.data(), 1, w.bytes.size(), f) ==
+            w.bytes.size();
+  // fclose flushes the buffered bytes, so a full disk can fail here: only a
+  // checked close may be renamed into place.
+  ok = std::fclose(f) == 0 && ok;
   std::error_code ec;
   if (ok) {
     fs::rename(tmp, path, ec);

@@ -42,10 +42,6 @@ struct SmpConfig {
   /// Lock acquire/release overhead ("hundreds to thousands of cycles").
   Cycles lock_cycles = 400.0;
 
-  /// When true, runs record a piecewise-constant activity timeline
-  /// (RunResult::timeline) for visualization.
-  bool record_timeline = false;
-
   [[nodiscard]] Seconds spawn_seconds() const {
     return thread_spawn_cycles / clock_hz;
   }

@@ -33,6 +33,18 @@ struct Job {
   double ideal = 0.0;
 };
 
+// One piecewise-constant interval of machine activity: the per-segment
+// record behind the trace's bus_fraction / running_threads counters and the
+// resampled timeline series.
+struct TimelineSample {
+  Seconds start = 0.0;
+  Seconds duration = 0.0;
+  int running_threads = 0;
+  int blocked_threads = 0;
+  /// Instantaneous bus usage as a fraction of mem_bw_total.
+  double bus_fraction = 0.0;
+};
+
 struct Worker {
   std::deque<Job> jobs;
   const std::vector<Phase>* phases = nullptr;
@@ -413,8 +425,7 @@ RunResult Engine::run() {
     }
     TC3I_ASSERT(std::isfinite(dt));
 
-    if (cfg_.record_timeline || obs_.sink != nullptr ||
-        obs_.timeline != nullptr) {
+    if (obs_.sink != nullptr || obs_.timeline != nullptr) {
       TimelineSample sample;
       sample.start = now;
       sample.duration = dt;
@@ -436,8 +447,7 @@ RunResult Engine::run() {
                            obs_.pid,
                            static_cast<double>(sample.running_threads));
       }
-      if (cfg_.record_timeline || obs_.timeline != nullptr)
-        timeline.push_back(sample);
+      if (obs_.timeline != nullptr) timeline.push_back(sample);
     }
 
     // Advance everything by dt; jobs whose completion defined dt snap to 0.
@@ -479,7 +489,6 @@ RunResult Engine::run() {
     result.thread_finish.push_back(w.finish);
   }
   if (obs_.timeline != nullptr) export_timeline(timeline, now);
-  if (cfg_.record_timeline) result.timeline = std::move(timeline);
 
   obs::CritPathSummary cap_summary;
   if (cap_ != nullptr) {

@@ -53,17 +53,6 @@ struct ObsHooks {
   std::uint32_t pid = 0;
 };
 
-/// One piecewise-constant interval of machine activity (recorded when
-/// SmpConfig::record_timeline is set).
-struct TimelineSample {
-  Seconds start = 0.0;
-  Seconds duration = 0.0;
-  int running_threads = 0;
-  int blocked_threads = 0;
-  /// Instantaneous bus usage as a fraction of mem_bw_total.
-  double bus_fraction = 0.0;
-};
-
 struct RunResult {
   Seconds elapsed = 0.0;
   Instructions ops_executed = 0;
@@ -77,9 +66,6 @@ struct RunResult {
   std::vector<Seconds> thread_busy;
   /// Per-thread completion time.
   std::vector<Seconds> thread_finish;
-  /// Piecewise-constant activity record (empty unless
-  /// SmpConfig::record_timeline).
-  std::vector<TimelineSample> timeline;
 };
 
 class Machine {

@@ -4,6 +4,7 @@
 
 #include "mta/machine.hpp"
 #include "mta/runtime.hpp"
+#include "obs/timeline.hpp"
 
 namespace tc3i::mta {
 namespace {
@@ -217,33 +218,31 @@ TEST(NetworkUtilization, ReportedAndBounded) {
 }
 
 TEST(Timeline, RecordsBucketsSummingToTotalIssues) {
-  MtaConfig c = cfg(1);
-  c.timeline_bucket_cycles = 100;
-  Machine m(c);
-  ProgramPool pool;
-  for (int s = 0; s < 8; ++s) {
-    VectorProgram* p = pool.make_vector();
-    p->compute(200);
-    m.add_stream(p);
+  obs::TimelineStore store(100);
+  MtaRunResult r;
+  {
+    obs::ScopedTimeline scope(store);
+    Machine m(cfg(1));
+    ProgramPool pool;
+    for (int s = 0; s < 8; ++s) {
+      VectorProgram* p = pool.make_vector();
+      p->compute(200);
+      m.add_stream(p);
+    }
+    r = m.run();
   }
-  const auto r = m.run();
-  ASSERT_FALSE(r.utilization_timeline.empty());
+  const std::vector<obs::MachineTimeline> timelines = store.timelines();
+  ASSERT_EQ(timelines.size(), 1u);
+  const std::vector<obs::TimelinePoint>& util =
+      timelines.front().find("issue_utilization").points;
+  ASSERT_FALSE(util.empty());
   double issued = 0.0;
-  for (double u : r.utilization_timeline) {
-    EXPECT_GE(u, 0.0);
-    EXPECT_LE(u, 1.0 + 1e-9);
-    issued += u * 100.0;  // bucket cycles * procs(=1)
+  for (const obs::TimelinePoint& pt : util) {
+    EXPECT_GE(pt.value, 0.0);
+    EXPECT_LE(pt.value, 1.0 + 1e-9);
+    issued += pt.value * 100.0;  // bucket cycles * procs(=1)
   }
   EXPECT_NEAR(issued, static_cast<double>(r.instructions_issued), 100.0);
-}
-
-TEST(Timeline, DisabledByDefault) {
-  Machine m(cfg());
-  ProgramPool pool;
-  VectorProgram* p = pool.make_vector();
-  p->compute(10);
-  m.add_stream(p);
-  EXPECT_TRUE(m.run().utilization_timeline.empty());
 }
 
 TEST(MemoryBanks, UnhashedStrideSerializesOnOneBank) {

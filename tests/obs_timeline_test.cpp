@@ -13,6 +13,7 @@
 #include "mta/machine.hpp"
 #include "mta/stream_program.hpp"
 #include "obs/timeline.hpp"
+#include "obs/trace_sink.hpp"
 #include "platforms/platform.hpp"
 #include "sim/sweep.hpp"
 #include "sim/trace.hpp"
@@ -95,6 +96,37 @@ TEST(Timeline, MtaSeriesAreMonotoneAndBounded) {
     if (series.name == "issue_utilization") {
       for (const obs::TimelinePoint& pt : series.points)
         EXPECT_LE(pt.value, 1.0);
+    }
+  }
+}
+
+// The MTA trace's counter tracks are written from the sampled series: one
+// 'C' event per point, at the point's cycle, with the point's value.
+TEST(Timeline, TraceCountersAreTheSampledSeries) {
+  obs::TraceSink sink;
+  obs::TraceSink* const prev_sink = obs::global_sink();
+  obs::set_global_sink(&sink);
+  obs::TimelineStore store(512);
+  {
+    obs::ScopedTimeline scope(store);
+    run_mta_point(3, /*slow=*/false);
+  }
+  obs::set_global_sink(prev_sink);
+  const auto timelines = store.timelines();
+  ASSERT_EQ(timelines.size(), 1u);
+  const double clock_hz = platforms::make_mta_config(1).clock_hz;
+  for (const obs::TimelineSeries& series : timelines.front().series) {
+    std::vector<const obs::TraceEvent*> counters;
+    for (const obs::TraceEvent& ev : sink.events())
+      if (ev.ph == 'C' && ev.name == series.name) counters.push_back(&ev);
+    ASSERT_EQ(counters.size(), series.points.size()) << series.name;
+    for (std::size_t i = 0; i < counters.size(); ++i) {
+      const obs::TimelinePoint& pt = series.points[i];
+      EXPECT_EQ(counters[i]->ts_us,
+                static_cast<double>(pt.cycle) / clock_hz * 1e6)
+          << series.name << " point " << i;
+      EXPECT_EQ(counters[i]->value, pt.value)
+          << series.name << " point " << i;
     }
   }
 }

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <limits>
-#include <numeric>
 #include <sstream>
 #include <string>
 
@@ -9,8 +9,10 @@
 #include "mta/machine.hpp"
 #include "mta/stream_program.hpp"
 #include "obs/json.hpp"
+#include "obs/live.hpp"
 #include "obs/report.hpp"
 #include "obs/session.hpp"
+#include "obs/timeline.hpp"
 #include "obs/trace_sink.hpp"
 
 namespace tc3i::obs {
@@ -97,21 +99,26 @@ TEST(TraceSink, ChromeJsonIsValidAndMonotonicallyTimestamped) {
   EXPECT_NE(json.find("\"process_name\""), std::string::npos);
 }
 
-TEST(TraceSink, CsvTimelineHasHeaderAndOneLinePerEvent) {
-  TraceSink sink;
-  const std::uint32_t pid = sink.register_track("m");
-  sink.instant(Category::Spawn, "a", 1.0, pid, 0);
-  sink.counter(Category::Issue, "b", 2.0, pid, 0.5);
-  std::ostringstream os;
-  sink.write_csv(os);
-  std::istringstream lines(os.str());
-  std::string line;
-  ASSERT_TRUE(std::getline(lines, line));
-  EXPECT_EQ(line, "ts_us,category,phase,name,pid,tid,value,dur_us");
-  int data_lines = 0;
-  while (std::getline(lines, line))
-    if (!line.empty()) ++data_lines;
-  EXPECT_EQ(data_lines, 2);
+// /dev/full accepts the open and fails the flush with ENOSPC, so a writer
+// that checks its stream before the close reports success there.
+TEST(ObsWriters, FullDiskFailsEveryWriterNamingThePath) {
+  const std::string full = "/dev/full";
+  if (!std::filesystem::exists(full)) GTEST_SKIP() << "no " << full;
+  std::string error;
+  const auto expect_failure = [&](bool ok, const char* writer) {
+    EXPECT_FALSE(ok) << writer;
+    EXPECT_NE(error.find(full), std::string::npos) << writer << ": " << error;
+    error.clear();
+  };
+  const TimelineStore store(64);
+  expect_failure(store.write_csv_file(full, &error), "TimelineStore");
+  const TraceSink sink;
+  expect_failure(sink.write_chrome_json_file(full, &error), "TraceSink");
+  const RunReport report("full_disk");
+  expect_failure(report.write_json_file(full, CounterRegistry{}, &error),
+                 "RunReport");
+  const LiveBus bus;
+  expect_failure(bus.write_chrome_trace_file(full, &error), "LiveBus");
 }
 
 // Both documented spellings of the counter dump must parse identically:
@@ -183,30 +190,39 @@ TEST(RunReport, JsonContainsRowsConfigAndRegistrySnapshot) {
 TEST(MtaTimeline, BucketSumsMatchProcessorUtilization) {
   mta::MtaConfig cfg;
   cfg.num_processors = 2;
-  cfg.timeline_bucket_cycles = 64;
-  mta::Machine machine(std::move(cfg));
-  mta::ProgramPool pool;
-  for (int s = 0; s < 8; ++s) {
-    mta::VectorProgram* p = pool.make_vector();
-    p->compute(200);
-    p->load(16, 40);
-    p->compute(100);
-    machine.add_stream(p);
+  TimelineStore store(64);
+  mta::MtaRunResult r;
+  {
+    ScopedTimeline scope(store);
+    mta::Machine machine(cfg);
+    mta::ProgramPool pool;
+    for (int s = 0; s < 8; ++s) {
+      mta::VectorProgram* p = pool.make_vector();
+      p->compute(200);
+      p->load(16, 40);
+      p->compute(100);
+      machine.add_stream(p);
+    }
+    r = machine.run();
   }
-  const mta::MtaRunResult r = machine.run();
-  ASSERT_FALSE(r.utilization_timeline.empty());
+  const std::vector<MachineTimeline> timelines = store.timelines();
+  ASSERT_EQ(timelines.size(), 1u);
+  const std::vector<TimelinePoint>& util =
+      timelines.front().find("issue_utilization").points;
+  ASSERT_FALSE(util.empty());
   ASSERT_GT(r.cycles, 0u);
 
   // sum(bucket_util * bucket_slots) == total issues == util * total_slots.
-  const double bucket_slots =
-      64.0 * static_cast<double>(machine.config().num_processors);
-  const double issues_from_timeline =
-      std::accumulate(r.utilization_timeline.begin(),
-                      r.utilization_timeline.end(), 0.0) *
-      bucket_slots;
+  const auto procs = static_cast<double>(cfg.num_processors);
+  double issues_from_timeline = 0.0;
+  std::uint64_t prev = 0;
+  for (const TimelinePoint& pt : util) {
+    issues_from_timeline +=
+        pt.value * static_cast<double>(pt.cycle - prev) * procs;
+    prev = pt.cycle;
+  }
   const double issues_from_util =
-      r.processor_utilization * static_cast<double>(r.cycles) *
-      static_cast<double>(machine.config().num_processors);
+      r.processor_utilization * static_cast<double>(r.cycles) * procs;
   EXPECT_NEAR(issues_from_timeline, issues_from_util, 0.5);
   EXPECT_NEAR(issues_from_timeline,
               static_cast<double>(r.instructions_issued), 0.5);

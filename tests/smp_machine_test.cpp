@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "obs/timeline.hpp"
 #include "smp/config.hpp"
 #include "smp/workload.hpp"
 
@@ -227,36 +230,42 @@ TEST(SmpMachineDeathTest, InvalidConfigAborts) {
 }
 
 TEST(SmpMachine, TimelineRecordsActivityWhenEnabled) {
-  SmpConfig cfg = test_config(2);
-  cfg.record_timeline = true;
-  const Machine m(cfg);
-  sim::WorkloadTrace w;
-  w.threads.push_back(compute_trace(1'000'000, 500'000));
-  w.threads.push_back(compute_trace(2'000'000, 0));
-  const auto r = m.run(w);
-  ASSERT_FALSE(r.timeline.empty());
-  // Samples tile [0, elapsed] exactly.
-  double covered = 0.0;
-  for (const auto& s : r.timeline) {
-    EXPECT_NEAR(s.start, covered, 1e-9);
-    EXPECT_GE(s.duration, 0.0);
-    EXPECT_GE(s.running_threads, 1);
-    EXPECT_LE(s.running_threads, 2);
-    EXPECT_GE(s.bus_fraction, 0.0);
-    EXPECT_LE(s.bus_fraction, 1.0 + 1e-9);
-    covered += s.duration;
+  const SmpConfig cfg = test_config(2);
+  obs::TimelineStore store(1'000'000);
+  RunResult r;
+  {
+    obs::ScopedTimeline scope(store);
+    const Machine m(cfg);
+    sim::WorkloadTrace w;
+    w.threads.push_back(compute_trace(1'000'000, 500'000));
+    w.threads.push_back(compute_trace(2'000'000, 0));
+    r = m.run(w);
   }
-  EXPECT_NEAR(covered, r.elapsed, 1e-9);
-  // Integrated bus usage equals total bytes moved.
+  const std::vector<obs::MachineTimeline> timelines = store.timelines();
+  ASSERT_EQ(timelines.size(), 1u);
+  const std::vector<obs::TimelinePoint>& bus =
+      timelines.front().find("bus_occupancy").points;
+  const std::vector<obs::TimelinePoint>& running =
+      timelines.front().find("running_threads").points;
+  ASSERT_FALSE(bus.empty());
+  ASSERT_EQ(running.size(), bus.size());
+  // Buckets tile [0, elapsed] exactly.
+  EXPECT_EQ(bus.back().cycle,
+            static_cast<std::uint64_t>(std::llround(r.elapsed * cfg.clock_hz)));
   double bytes = 0.0;
-  for (const auto& s : r.timeline)
-    bytes += s.bus_fraction * cfg.mem_bw_total * s.duration;
+  std::uint64_t prev = 0;
+  for (std::size_t k = 0; k < bus.size(); ++k) {
+    EXPECT_GE(running[k].value, 1.0 - 1e-9);
+    EXPECT_LE(running[k].value, 2.0 + 1e-9);
+    EXPECT_GE(bus[k].value, 0.0);
+    EXPECT_LE(bus[k].value, 1.0 + 1e-9);
+    // Integrated bus usage equals total bytes moved.
+    const double seconds =
+        static_cast<double>(bus[k].cycle - prev) / cfg.clock_hz;
+    bytes += bus[k].value * cfg.mem_bw_total * seconds;
+    prev = bus[k].cycle;
+  }
   EXPECT_NEAR(bytes, 500'000.0, 1.0);
-}
-
-TEST(SmpMachine, TimelineDisabledByDefault) {
-  const Machine m(test_config());
-  EXPECT_TRUE(m.run_sequential(compute_trace(1000)).timeline.empty());
 }
 
 TEST(SmpMachine, DeterministicAcrossRuns) {
