@@ -5,13 +5,15 @@
 //   ./build/examples/c3ipbs_driver --list
 //   ./build/examples/c3ipbs_driver --problem=terrain-masking
 //   ./build/examples/c3ipbs_driver --problem=threat-analysis --variant=finegrained
+#include <cstdint>
 #include <iostream>
+#include <limits>
+#include <string>
 
 #include "c3i/suite.hpp"
 #include "core/cli.hpp"
 #include "core/table.hpp"
 #include "obs/session.hpp"
-#include "sthreads/critpath.hpp"
 
 using namespace tc3i;
 
@@ -24,10 +26,26 @@ int main(int argc, char** argv) {
   cli.add_flag("scale", "medium", "'small' or 'medium'");
   obs::RunSession::add_cli_flags(cli);
   if (!cli.parse(argc, argv)) return 1;
+  // Usage errors exit 2 before any work, as RunSession's do: --threads 0
+  // would trip the chunked variants' precondition mid-run, and an unknown
+  // --scale would silently run at medium.
+  const std::int64_t threads_flag = cli.get_int("threads");
+  const std::string scale_name = cli.get("scale");
+  constexpr int kMaxThreads = std::numeric_limits<int>::max();
+  if (threads_flag < 1 || threads_flag > kMaxThreads) {
+    std::cerr << "error: --threads must be between 1 and " << kMaxThreads
+              << " (got " << threads_flag << ")\n";
+    return 2;
+  }
+  if (scale_name != "small" && scale_name != "medium") {
+    std::cerr << "error: --scale must be 'small' or 'medium' (got '"
+              << scale_name << "')\n";
+    return 2;
+  }
   obs::RunSession obs_session("c3ipbs_driver", cli);
 
   const c3i::Scale scale =
-      cli.get("scale") == "small" ? c3i::Scale::Small : c3i::Scale::Medium;
+      scale_name == "small" ? c3i::Scale::Small : c3i::Scale::Medium;
   const auto suite = c3i::make_suite(scale);
 
   if (cli.get_bool("list")) {
@@ -42,7 +60,7 @@ int main(int argc, char** argv) {
 
   const std::string want_problem = cli.get("problem");
   const std::string want_variant = cli.get("variant");
-  const int threads = static_cast<int>(cli.get_int("threads"));
+  const int threads = static_cast<int>(threads_flag);
   bool matched = false;
   bool all_ok = true;
 
@@ -58,14 +76,7 @@ int main(int argc, char** argv) {
       TextTable table(problem->name() + " / " + variant);
       table.header({"Scenario", "Work units", "Host time (s)", "Correct"});
       for (int s = 0; s < problem->num_scenarios(); ++s) {
-        // Under --critpath the native sthreads run is bracketed so its
-        // spawn/sync/lock dependencies land in the report's machine_runs
-        // (begin/end are no-ops when no capture store is installed).
-        sthreads::cap::begin(problem->name() + "/" + variant + "/scenario" +
-                                 std::to_string(s + 1),
-                             threads);
         const c3i::VariantOutcome outcome = problem->run(variant, s, threads);
-        (void)sthreads::cap::end();
         all_ok = all_ok && outcome.correct;
         table.row({std::to_string(s + 1), std::to_string(outcome.work_units),
                    TextTable::num(outcome.host_seconds, 3),

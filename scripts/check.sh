@@ -260,26 +260,39 @@ sed 's/"point":5/"point":0/' "$SMOKE_DIR/bad_anomaly.json" \
 "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/ok_anomaly.json" >/dev/null ||
   { echo "FAIL: json_check rejected an in-range anomaly fixture"; exit 1; }
 echo "referential anomaly validation rejects out-of-range point"
+# Only the two machine models write machine_runs: the same valid fixture
+# with any other model must be rejected.
+sed 's/"model":"smp"/"model":"sthreads"/' "$SMOKE_DIR/ok_anomaly.json" \
+    > "$SMOKE_DIR/bad_model.json"
+if "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/bad_model.json" \
+    >/dev/null 2>&1; then
+  echo "FAIL: json_check accepted a machine run whose model is not mta or smp"
+  exit 1
+fi
+echo "schema validation rejects a machine run of an unknown model"
 
-echo "== TSan smoke (obs_live_test + sim_sweep_test under -fsanitize=thread) =="
-# Prove the bus and run_sweep's pooled path data-race-free under
-# ThreadSanitizer where the toolchain supports it: the LivePublisherTest
-# cases race worker point records against the publisher fold, and
-# sim_sweep_test drives the shared per-point body from pool workers with
-# a bus installed.
+echo "== TSan smoke (live bus, sweep runner, sthreads and native variants under -fsanitize=thread) =="
+# Prove the bus, run_sweep's pooled path and the sthreads primitives
+# data-race-free under ThreadSanitizer where the toolchain supports it:
+# the LivePublisherTest cases race worker point records against the
+# publisher fold, sim_sweep_test drives the shared per-point body from
+# pool workers with a bus installed, the two sthreads tests exercise every
+# primitive, and the two variant tests run the native Threat Analysis and
+# Terrain Masking variants on parallel_for, SpinLock and SyncCounter.
 if printf 'int main(){return 0;}' |
     c++ -fsanitize=thread -x c++ - -o "$SMOKE_DIR/tsan_probe" 2>/dev/null &&
     "$SMOKE_DIR/tsan_probe" 2>/dev/null; then
   TSAN_DIR="build-tsan"
   cmake -B "$TSAN_DIR" -S . -DTC3I_SANITIZE=thread -DTC3I_WERROR=ON \
       >/dev/null
-  cmake --build "$TSAN_DIR" --target obs_live_test sim_sweep_test -j \
-      >/dev/null
-  "$TSAN_DIR"/tests/obs_live_test >/dev/null ||
-    { echo "FAIL: obs_live_test failed under TSan"; exit 1; }
-  "$TSAN_DIR"/tests/sim_sweep_test >/dev/null ||
-    { echo "FAIL: sim_sweep_test failed under TSan"; exit 1; }
-  echo "obs_live_test and sim_sweep_test clean under ThreadSanitizer"
+  TSAN_TESTS="obs_live_test sim_sweep_test sthreads_test sthreads_future_test \
+threat_variants_test terrain_variants_test"
+  cmake --build "$TSAN_DIR" --target $TSAN_TESTS -j >/dev/null
+  for T in $TSAN_TESTS; do
+    "$TSAN_DIR"/tests/"$T" >/dev/null ||
+      { echo "FAIL: $T failed under TSan"; exit 1; }
+  done
+  echo "clean under ThreadSanitizer: $TSAN_TESTS"
 else
   echo "skipped: toolchain lacks -fsanitize=thread support"
 fi

@@ -54,7 +54,7 @@ struct MetricAggregate {
 /// a per-run *measurement*, not a knob, so it is aggregated as a metric
 /// rather than splitting groups; the config-side knobs are the key.
 struct SweepGroupKey {
-  std::string model;     ///< "mta", "smp", or "sthreads"
+  std::string model;     ///< "mta" or "smp"
   std::string name;      ///< platform / machine config name
   std::string scenario;  ///< ScopedScenarioLabel at record time ("" = none)
   int processors = 1;
@@ -65,7 +65,7 @@ struct SweepGroupKey {
 /// Aggregates of one group, metrics in a fixed serialization order.
 struct SweepGroup {
   SweepGroupKey key;
-  std::string wall_unit;  ///< "cycles" (mta) or "seconds" (smp/sthreads)
+  std::string wall_unit;  ///< "cycles" (mta) or "seconds" (smp)
   MetricAggregate wall;
   MetricAggregate utilization;
   MetricAggregate threads;

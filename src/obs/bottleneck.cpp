@@ -107,8 +107,7 @@ Verdict classify_critical_path(const CritPathSummary& cp,
       return Verdict::kIssueLimited;
     return Verdict::kParallelismLimited;
   }
-  // MTA (and wall-clock sthreads graphs, which carry no resource bounds and
-  // so fall through to the dependency rules).
+  // MTA.
   if (resource_bound(cp, "issue") / total >= t.issue_share)
     return Verdict::kIssueLimited;
   // The run is dependency-bound; name the dominant wait. Queueing on the

@@ -82,8 +82,8 @@ struct DepResource {
 struct DepGraph {
   static constexpr std::uint32_t kNoNode = 0xffffffffu;
 
-  std::string model;  ///< "mta", "smp", or "sthreads"
-  std::string name;   ///< machine config / capture name
+  std::string model;  ///< "mta" or "smp"
+  std::string name;   ///< machine config name
   std::string unit;   ///< "cycles" or "seconds"
   double total = 0.0;           ///< recorded run length
   std::uint32_t end_node = 0;   ///< the run-end event

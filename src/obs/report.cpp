@@ -282,8 +282,6 @@ void RunReport::write_json(std::ostream& out,
       w.field("elapsed_seconds", r.elapsed_seconds);
       w.field("bus_utilization", r.bus_utilization);
       w.field("lock_wait_share", r.lock_wait_share);
-    } else if (r.model == "sthreads") {
-      w.field("elapsed_seconds", r.elapsed_seconds);
     } else {
       w.field("cycles", r.cycles);
       w.field("memory_ops", r.memory_ops);

@@ -39,9 +39,6 @@
 //     "attribution": {"compute","memory","sync","spawn","queue","gap"},
 //     "resources": [ {"name","bound"} ], "regions": [ {"name","weight"} ],
 //     "projections": [ {"knob","factor","predicted"} ] }
-// and "sthreads" runs (wall-clock host captures from the c3ipbs driver)
-// carry only model/name/processors/threads/utilization, elapsed_seconds,
-// and critical_path.
 #pragma once
 
 #include <ostream>

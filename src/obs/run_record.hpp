@@ -68,7 +68,7 @@ struct RegionRollup {
 /// "smp" fills elapsed_seconds/bus_utilization/lock_wait_share (with
 /// `utilization` holding the compute-capacity share).
 struct RunRecord {
-  std::string model;  ///< "mta", "smp", or "sthreads"
+  std::string model;  ///< "mta" or "smp"
   std::string name;   ///< machine config name
   /// Workload scenario the run belonged to, taken from the calling
   /// thread's ScopedScenarioLabel when the record is added (empty when no
@@ -94,7 +94,6 @@ struct RunRecord {
 
   /// Critical-path attribution and what-if projections, filled only when
   /// the run was captured under --critpath (present == false otherwise).
-  /// "sthreads" model records carry only this plus elapsed_seconds.
   CritPathSummary critical_path;
 
   /// Memberwise equality — what the report writer's run-length encoding of

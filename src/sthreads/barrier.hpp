@@ -1,12 +1,10 @@
-// A reusable cyclic barrier (generation-counted), used by benchmark variants
-// that proceed in phases and by the property tests.
+// A reusable cyclic barrier (generation-counted): the host form of the
+// paper's barrier primitive (DESIGN.md §1). No benchmark variant proceeds
+// in phases, so only the tests use it.
 #pragma once
 
 #include <condition_variable>
 #include <mutex>
-#include <vector>
-
-#include "sthreads/critpath.hpp"
 
 namespace tc3i::sthreads {
 
@@ -27,8 +25,6 @@ class Barrier {
   int parties_;
   int waiting_ = 0;
   unsigned long generation_ = 0;
-  std::vector<cap::NodeRef> cap_arrivals_;  ///< this generation's arrivals
-  cap::NodeRef cap_release_;  ///< release node (depends on all arrivals)
 };
 
 }  // namespace tc3i::sthreads

@@ -10,13 +10,9 @@ long SyncCounter::fetch_add(long delta) {
   static obs::Counter& ops =
       obs::default_registry().counter("sthreads.synccounter.fetch_add");
   ops.add();
-  const bool capturing = cap::enabled();
-  if (capturing) cap::wait_begin();
   std::lock_guard<std::mutex> lock(mu_);
   const long previous = value_;
   value_ += delta;
-  // Fetch-adds on one counter serialize: each depends on the previous.
-  if (capturing) cap::sync_event(&cap_last_, &cap_last_);
   return previous;
 }
 

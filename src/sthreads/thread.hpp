@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "obs/counters.hpp"
-#include "sthreads/critpath.hpp"
 
 namespace tc3i::sthreads {
 
@@ -24,18 +23,13 @@ class Thread {
  public:
   Thread() = default;
   /// The new thread inherits the creator's active obs registry, so counter
-  /// isolation (obs::ScopedRegistry) composes with nested fork/join. Under
-  /// an active critical-path capture the body is additionally wrapped so
-  /// spawn and join become dependency edges (cap::wrap_thread).
+  /// isolation (obs::ScopedRegistry) composes with nested fork/join.
   explicit Thread(std::function<void()> fn)
-      : cap_final_(cap::make_final_slot()),
-        impl_(obs::inherit_registry(
-            cap::wrap_thread(std::move(fn), cap_final_))) {}
+      : impl_(obs::inherit_registry(std::move(fn))) {}
 
   Thread(Thread&&) = default;
   Thread& operator=(Thread&& other) {
     join();
-    cap_final_ = std::move(other.cap_final_);
     impl_ = std::move(other.impl_);
     return *this;
   }
@@ -45,14 +39,7 @@ class Thread {
   ~Thread() { join(); }
 
   void join() {
-    if (impl_.joinable()) {
-      if (cap_final_ != nullptr) cap::wait_begin();
-      impl_.join();
-      if (cap_final_ != nullptr) {
-        cap::joined(*cap_final_);
-        cap_final_.reset();
-      }
-    }
+    if (impl_.joinable()) impl_.join();
   }
 
   [[nodiscard]] bool joinable() const { return impl_.joinable(); }
@@ -63,9 +50,7 @@ class Thread {
   }
 
  private:
-  std::shared_ptr<cap::NodeRef> cap_final_;  ///< child's last chain node
-  std::thread impl_;                         ///< after cap_final_: the body
-                                             ///< captures the live slot
+  std::thread impl_;
 };
 
 /// Launches `count` threads running `fn(thread_index)` and joins them all
@@ -80,29 +65,16 @@ using LockGuard = std::lock_guard<std::mutex>;
 class SpinLock {
  public:
   void lock() {
-    const bool capturing = cap::enabled();
-    if (capturing) cap::wait_begin();
     while (flag_.test_and_set(std::memory_order_acquire)) {
       while (flag_.test(std::memory_order_relaxed)) {
       }
     }
-    // The acquire edge depends on the previous release (cap_rel_ is
-    // written before the flag is cleared, so the acquire above orders it).
-    if (capturing) cap::sync_event(&cap_rel_, nullptr);
   }
-  bool try_lock() {
-    if (flag_.test_and_set(std::memory_order_acquire)) return false;
-    if (cap::enabled()) cap::sync_event(&cap_rel_, nullptr);
-    return true;
-  }
-  void unlock() {
-    if (cap::enabled()) cap_rel_ = cap::checkpoint();
-    flag_.clear(std::memory_order_release);
-  }
+  bool try_lock() { return !flag_.test_and_set(std::memory_order_acquire); }
+  void unlock() { flag_.clear(std::memory_order_release); }
 
  private:
   std::atomic_flag flag_ = ATOMIC_FLAG_INIT;
-  cap::NodeRef cap_rel_;  ///< release point the next acquire hangs off
 };
 
 }  // namespace tc3i::sthreads

@@ -9,7 +9,6 @@
 #include "sthreads/barrier.hpp"
 #include "sthreads/parallel_for.hpp"
 #include "sthreads/sync_var.hpp"
-#include "sthreads/task_queue.hpp"
 #include "sthreads/thread.hpp"
 
 namespace tc3i::sthreads {
@@ -247,31 +246,6 @@ TEST(ParallelReduce, MinReduction) {
     expected = std::min(expected,
                         static_cast<int>((i * 7919 + 13) % 1000) - 500);
   EXPECT_EQ(min_val, expected);
-}
-
-TEST(TaskQueue, DrainsAllTasksAcrossWorkers) {
-  std::atomic<int> done{0};
-  {
-    WorkerPool pool(4);
-    for (int i = 0; i < 1000; ++i) pool.submit([&] { done.fetch_add(1); });
-    pool.drain();
-  }
-  EXPECT_EQ(done.load(), 1000);
-}
-
-TEST(TaskQueue, PopReturnsNulloptAfterCloseAndDrain) {
-  TaskQueue q;
-  q.push([] {});
-  q.close();
-  EXPECT_TRUE(q.pop().has_value());  // drains the remaining task
-  EXPECT_FALSE(q.pop().has_value());
-}
-
-TEST(TaskQueue, PendingCountsQueuedTasks) {
-  TaskQueue q;
-  q.push([] {});
-  q.push([] {});
-  EXPECT_EQ(q.pending(), 2u);
 }
 
 }  // namespace

@@ -193,8 +193,8 @@ std::string check_report_schema(const JsonValue& doc) {
     const std::string at = "machine_runs[" + std::to_string(i) + "]";
     if (!run.is_object()) return at + " is not an object";
     const std::string model = run.string_or("model", "");
-    if (model != "mta" && model != "smp" && model != "sthreads")
-      return at + ".model is not \"mta\", \"smp\" or \"sthreads\"";
+    if (model != "mta" && model != "smp")
+      return at + ".model is neither \"mta\" nor \"smp\"";
     if (run.find_string("name") == nullptr) return at + " missing name";
     double reps_n = 1.0;
     if (const JsonValue* reps = run.find("reps")) {
@@ -288,8 +288,8 @@ std::string check_sweep_report_schema(const JsonValue& doc) {
     const std::string at = "groups[" + std::to_string(i) + "]";
     if (!g.is_object()) return at + " is not an object";
     const std::string model = g.string_or("model", "");
-    if (model != "mta" && model != "smp" && model != "sthreads")
-      return at + ".model is not \"mta\", \"smp\" or \"sthreads\"";
+    if (model != "mta" && model != "smp")
+      return at + ".model is neither \"mta\" nor \"smp\"";
     if (g.find_string("name") == nullptr) return at + " missing name";
     if (g.find_string("scenario") == nullptr) return at + " missing scenario";
     if (g.number_or("processors", 0.0) < 1.0) return at + ".processors < 1";
