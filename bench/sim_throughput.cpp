@@ -6,7 +6,7 @@
 //
 // Four scenarios cover the regimes the fast path optimizes:
 //   saturated    256 ready streams on 2 processors (the table 5/6 hot
-//                loop: every cycle issues, wheel drains every cycle);
+//                loop: every cycle issues, wakes drain every cycle);
 //   memory_bound 128 memory-heavy streams queueing on the shared network;
 //   solo         one long compute/memory stream (the compute-run
 //                fast-forward path);

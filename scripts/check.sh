@@ -297,24 +297,24 @@ else
   echo "skipped: toolchain lacks -fsanitize=thread support"
 fi
 
-echo "== ASan smoke (obs_live_test + sim_sweep_test + mta_fuzz_test under -fsanitize=address) =="
-# Prove the live bus, run_sweep's pooled path with a bus installed, and
-# the MTA core's fast path (fuzzed against its slow reference) free of
-# memory errors under AddressSanitizer where the toolchain supports it.
+echo "== ASan smoke (obs_live_test + sim_sweep_test + sim_wake_queue_test + mta_fuzz_test under -fsanitize=address) =="
+# Prove the live bus, run_sweep's pooled path with a bus installed, the
+# wake queue's lane rings, and the MTA core's fast path (fuzzed against its
+# slow reference) free of memory errors under AddressSanitizer where the
+# toolchain supports it.
 if printf 'int main(){return 0;}' |
     c++ -fsanitize=address -x c++ - -o "$SMOKE_DIR/asan_probe" 2>/dev/null &&
     "$SMOKE_DIR/asan_probe" 2>/dev/null; then
   ASAN_DIR="build-asan"
   cmake -B "$ASAN_DIR" -S . -DTC3I_SANITIZE=address -DTC3I_WERROR=ON \
       >/dev/null
-  cmake --build "$ASAN_DIR" \
-      --target obs_live_test sim_sweep_test mta_fuzz_test -j >/dev/null
-  for T in obs_live_test sim_sweep_test mta_fuzz_test; do
+  ASAN_TESTS="obs_live_test sim_sweep_test sim_wake_queue_test mta_fuzz_test"
+  cmake --build "$ASAN_DIR" --target $ASAN_TESTS -j >/dev/null
+  for T in $ASAN_TESTS; do
     "$ASAN_DIR"/tests/"$T" >/dev/null ||
       { echo "FAIL: $T failed under ASan"; exit 1; }
   done
-  echo "obs_live_test, sim_sweep_test and mta_fuzz_test clean under" \
-       "AddressSanitizer"
+  echo "clean under AddressSanitizer: $ASAN_TESTS"
 else
   echo "skipped: toolchain lacks -fsanitize=address support"
 fi

@@ -48,6 +48,8 @@ Machine::Machine(MtaConfig config)
   TC3I_ASSERT(service_fp_ >= 1);
   load_tracker_.init(config_.num_processors, config_.streams_per_processor);
   free_slots_ = config_.num_processors * config_.streams_per_processor;
+  if (!slow_)  // a lane holds at most one wake per hardware stream slot
+    wakes_ = sim::WakeQueue<StreamId>(static_cast<std::size_t>(free_slots_));
   acct_.resize(static_cast<std::size_t>(config_.num_processors));
 
   obs::CounterRegistry& reg = obs::default_registry();
@@ -121,9 +123,13 @@ void Machine::push_wake(std::uint64_t at, StreamId sid, StallReason why) {
         .waiting[static_cast<std::size_t>(why)];
   if (slow_) {
     heap_.push(Wake{at, sid});
+  } else if (why == StallReason::kSpacing) {
+    wakes_.push_in_order(kSpacingLane, at, sid);
+  } else if (why == StallReason::kMemory && config_.lookahead == 0) {
+    wakes_.push_in_order(kMemoryLane, at, sid);
   } else {
     if (at < pushed_min_) pushed_min_ = at;
-    wheel_.push(at, sid);
+    wakes_.push(at, sid);
   }
 }
 
@@ -513,12 +519,11 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
 }
 
 std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
-  // Exactly one stream is ready machine-wide and the wheel is drained to
-  // `now`, so no other stream can issue before the wheel's next due cycle.
-  // Within that window this stream's instructions can be retired without
-  // bouncing each one through the wake queue — and entire Compute runs
-  // collapse to arithmetic. The wheel is not touched while in here (memory
-  // ops complete inline), so `next_due` is loop-invariant.
+  // Exactly one stream is ready machine-wide and the wake queue is drained
+  // to `now`, so no other stream issues before the queue's next due cycle.
+  // Until then this stream's instructions retire without a trip through
+  // the queue, whole Compute runs collapse to arithmetic, and memory ops
+  // complete inline, so `next_due` is loop-invariant.
   Processor* proc = nullptr;
   for (auto& p : procs_)
     if (p.has_ready()) proc = &p;
@@ -528,7 +533,7 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
   Stream& s = streams_[static_cast<std::size_t>(sid)];
   const auto spacing =
       static_cast<std::uint64_t>(config_.issue_spacing_cycles);
-  const std::uint64_t next_due = wheel_.next_due();  // kNone when empty
+  const std::uint64_t next_due = wakes_.next_due();  // kNone bounds nothing
   const bool la0 = config_.lookahead == 0;
 
   // Slot accounting: every processor but p idles the whole span with a
@@ -564,9 +569,8 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
     if (s.cur.op == Instr::Op::Compute) {
       // Issues land at now, now+S, ...; every issue after the first is
       // only sole-ready if it comes strictly before the next foreign wake.
-      std::uint64_t k = s.cur.count;
-      if (next_due != sim::TimerWheel<StreamId>::kNone)
-        k = std::min(k, 1 + (next_due - 1 - now) / spacing);
+      const std::uint64_t k =
+          std::min(s.cur.count, 1 + (next_due - 1 - now) / spacing);
       charge(k);
       issued_compute_ += k;
       s.issued += k;
@@ -574,8 +578,7 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
       if (s.cur.count == 0) s.has_cur = false;
       const std::uint64_t last = now + (k - 1) * spacing;
       const std::uint64_t wake = last + spacing;
-      if (s.cur.count > 0 ||
-          (next_due != sim::TimerWheel<StreamId>::kNone && next_due <= wake)) {
+      if (s.cur.count > 0 || next_due <= wake) {
         // A foreign wake lands before (or at) our next issue: queue our
         // wake and let the generic loop arbitrate. Covered cycles end at
         // `last`: k issues plus the k-1 spacing gaps between them.
@@ -602,7 +605,7 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
       const std::uint64_t wake = std::max(done, now + spacing);
       const StallReason why = done > now + spacing ? StallReason::kMemory
                                                    : StallReason::kSpacing;
-      if (next_due != sim::TimerWheel<StreamId>::kNone && next_due <= wake) {
+      if (next_due <= wake) {
         push_wake(wake, sid, why);
         foreign_idle(now + 1);
         return now + 1;
@@ -704,7 +707,7 @@ std::uint64_t Machine::run_slow_loop() {
   std::uint64_t now = 0;
   const std::uint64_t max_cycles = max_cycles_;
   {
-    // Reference loop: the pre-timing-wheel simulator, kept verbatim for
+    // Reference loop: the original simulator, kept verbatim for
     // golden-equivalence testing. Binary-heap wake queue, every instruction
     // re-enters issue(), cycles advance one at a time between wakes.
     while (live_streams_ > 0 || !pending_.empty()) {
@@ -762,7 +765,7 @@ std::uint64_t Machine::run_fast_loop() {
     while (live_streams_ > 0 || !pending_.empty()) {
       if (now >= max_cycles) runaway_abort(now);
 
-      wheel_.drain_due(now, [this](std::uint64_t, StreamId sid) {
+      wakes_.drain_due(now, [this](std::uint64_t, StreamId sid) {
         make_stream_ready(sid);
       });
 
@@ -779,10 +782,10 @@ std::uint64_t Machine::run_fast_loop() {
       // than c + spacing, so between drains the only wakes that can land
       // inside the window come from spawns (spawn cost < spacing). Issue
       // up to min(next_due, now + spacing) cycles on the existing ready
-      // queues without re-draining the wheel, shrinking the window
+      // queues without re-draining the wake queue, shrinking the window
       // whenever an issued instruction pushes an earlier wake.
       std::uint64_t limit = now + spacing;
-      const std::uint64_t nd = wheel_.next_due();
+      const std::uint64_t nd = wakes_.next_due();
       if (nd < limit) limit = nd;
       if (limit <= now) limit = now + 1;
 
@@ -798,7 +801,7 @@ std::uint64_t Machine::run_fast_loop() {
           sample_ready_sum_ += ready_count_;
         }
         any_ready = false;
-        pushed_min_ = sim::TimerWheel<StreamId>::kNone;
+        pushed_min_ = sim::WakeQueue<StreamId>::kNone;
         for (auto& p : procs_) {
           if (p.has_ready()) {
             any_ready = true;
@@ -818,8 +821,8 @@ std::uint64_t Machine::run_fast_loop() {
       }
 
       if (!any_ready) {
-        if (!wheel_.empty()) {
-          const std::uint64_t next = std::max(now + 1, wheel_.next_due());
+        if (!wakes_.empty()) {
+          const std::uint64_t next = std::max(now + 1, wakes_.next_due());
           // The last scan attributed cycle `now`; the skipped span up to
           // the next wake is idle for every processor under an unchanged
           // census.

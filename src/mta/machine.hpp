@@ -37,7 +37,7 @@
 #include "obs/critpath.hpp"
 #include "obs/run_record.hpp"
 #include "obs/timeline.hpp"
-#include "sim/timer_wheel.hpp"
+#include "sim/wake_queue.hpp"
 
 namespace tc3i::obs {
 class TraceSink;
@@ -76,8 +76,8 @@ struct MtaConfig {
   /// The real machine hashed addresses across banks so strided code would
   /// not pathologically conflict; disable to see why (ablation).
   bool hash_addresses = true;
-  /// Runs the pre-timing-wheel reference simulation loop (binary-heap wake
-  /// queue, strictly one cycle at a time, no compute-run fast-forwarding).
+  /// Runs the reference simulation loop (binary-heap wake queue, strictly
+  /// one cycle at a time, no compute-run fast-forwarding).
   /// Slower but kept as the golden reference: the fast path must produce
   /// bit-identical cycles/instructions/memory_ops (see
   /// tests/mta_golden_test).
@@ -306,8 +306,8 @@ class Machine {
   /// The reference simulation loop (slow_ only): binary-heap wake queue,
   /// one cycle at a time. Returns the final cycle.
   std::uint64_t run_slow_loop();
-  /// The fast simulation loop: timing-wheel wakes, run_solo fast-forwarding
-  /// and issue-window batching. Returns the final cycle.
+  /// The fast simulation loop: in-order wake lanes, run_solo
+  /// fast-forwarding and issue-window batching. Returns the final cycle.
   std::uint64_t run_fast_loop();
   /// Finalizes a completed run at cycle `now`: slot-account invariants,
   /// counter publication, RunRecord emission.
@@ -357,9 +357,11 @@ class Machine {
   SyncMemory memory_;
   std::vector<Processor> procs_;
   std::vector<Stream> streams_;
-  /// Wake queue, fast path: timing wheel sized for the bounded wake
-  /// offsets (spacing 21, memory latency ~70 plus queueing).
-  sim::TimerWheel<StreamId> wheel_;
+  /// Wake queue, fast path: one lane for kSpacing wakes, one for kMemory
+  /// wakes at lookahead 0, the heap for the rest (docs/PERFORMANCE.md).
+  sim::WakeQueue<StreamId> wakes_;
+  static constexpr std::size_t kSpacingLane = 0;
+  static constexpr std::size_t kMemoryLane = 1;
   /// Wake queue, reference path (slow_ == true only).
   std::priority_queue<Wake, std::vector<Wake>, std::greater<>> heap_;
   std::queue<PendingSpawn> pending_;
@@ -369,9 +371,9 @@ class Machine {
   LoadTracker load_tracker_;
   int free_slots_ = 0;  ///< machine-wide free hardware stream slots
   std::uint64_t ready_count_ = 0;  ///< streams in ready queues, fast path
-  /// Earliest wake pushed during the current issue cycle (fast path);
+  /// Earliest heap wake pushed during the current issue cycle (fast path);
   /// run()'s window batching uses it to end a drain-free window early when
-  /// a spawn schedules a wake inside it.
+  /// a spawn schedules a wake inside it (lane wakes land past the window).
   std::uint64_t pushed_min_ = ~0ull;
 
   std::vector<ProcAcct> acct_;  // sized num_processors

@@ -1,5 +1,5 @@
-// Golden cycle-exactness suite: the fast simulation core (timing-wheel
-// wake scheduler, compute-run fast-forwarding, window batching, fixed-point
+// Golden cycle-exactness suite: the fast simulation core (in-order wake
+// lanes, compute-run fast-forwarding, window batching, fixed-point
 // network service) must reproduce the pre-optimization reference loop
 // (MtaConfig::slow_reference, the binary-heap one-cycle-at-a-time
 // simulation) bit-for-bit on every counter the paper's results depend on.
@@ -166,7 +166,7 @@ TEST(MtaGolden, SyntheticMatrixUnhashedBanks) {
 
 /// Sync-heavy ring: each stream blocks on its left neighbour's cell and
 /// signals its right neighbour — nothing but full/empty handoffs, the
-/// blocked-in-memory path the timing wheel never sees.
+/// blocked-in-memory path that queues no wake.
 void build_sync_ring(Machine& m, ProgramPool& pool) {
   constexpr int kStreams = 16;
   constexpr int kRounds = 8;
@@ -234,8 +234,8 @@ TEST(MtaGolden, SpawnTreePinnedToSeed) {
   cfg.num_processors = 2;
   cfg.streams_per_processor = 16;
   const MtaRunResult r = expect_golden(cfg, build_spawn_tree, "spawn tree");
-  // Captured from the pre-timing-wheel seed build; any drift here is a
-  // behaviour change in BOTH paths, which fast-vs-slow alone cannot see.
+  // Captured from the seed build; any drift here is a behaviour change in
+  // BOTH paths, which fast-vs-slow alone cannot see.
   EXPECT_EQ(r.cycles, 5755u);
   EXPECT_EQ(r.instructions_issued, 3673u);
   EXPECT_EQ(r.memory_ops, 296u);
