@@ -73,12 +73,34 @@ TEST(WakeQueue, PartialDrainLeavesFutureEntries) {
 TEST(WakeQueue, LatePushBecomesImmediatelyDue) {
   Queue q(8);
   drain(q, 99);
-  q.push_in_order(0, 100, 4);  // due at the drain cycle
-  q.push(98, 9);               // already past: earlier cycle comes out first
-  q.push_in_order(1, 40, 3);   // a lane may start behind the last drain
+  q.push(60, 2);              // before the last drain: due at the next one
+  q.push_in_order(1, 40, 3);  // a lane may start behind the last drain too
   EXPECT_EQ(q.next_due(), 40u);
-  const std::vector<Due> want = {{40, 3}, {98, 9}, {100, 4}};
+  const std::vector<Due> want = {{40, 3}, {60, 2}};
   EXPECT_EQ(drain(q, 100), want);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(WakeQueue, LateEntriesOrderBeforeLaneEntries) {
+  Queue q(8);
+  drain(q, 99);
+  q.push_in_order(0, 100, 4);  // due at the drain cycle
+  q.push(98, 9);  // late: earlier cycle must come out first despite payload
+  const std::vector<Due> want = {{98, 9}, {100, 4}};
+  EXPECT_EQ(drain(q, 100), want);
+}
+
+TEST(WakeQueue, WrapsAroundManyTimes) {
+  Queue q(3);  // 4-entry rings: every lane wraps every few pushes
+  std::uint64_t at = 0;
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    at += 37;
+    q.push_in_order(i % 2, at, i);
+    q.push_in_order(i % 2, at + 1, i + 1);
+    const std::vector<Due> want = {{at, i}, {at + 1, i + 1}};
+    ASSERT_EQ(drain(q, at + 1), want) << "push " << i;
+    ASSERT_TRUE(q.empty());
+  }
 }
 
 // The queue must reproduce a (cycle, payload) min-heap's pop order exactly:
