@@ -14,16 +14,13 @@
 //                and slot virtualization).
 // A fifth regime, obs_overhead, re-runs the saturated scenario with
 // timeline sampling active so the committed baseline pins the cost of the
-// per-cycle sampling hook; a sixth, critpath_overhead, re-runs it with
-// --critpath-style dependency-graph capture installed and pins that cost
-// (budget: at least half the uninstrumented saturated throughput). The
-// sweep_plain / sweep_telemetry pair measures sim::run_sweep itself on a
-// 100-point sweep of a cheap MTA machine — first bare (no bus, so no
-// clock reads of run_sweep's own and nothing recorded), then with the
-// full sweep-telemetry stack active (the live bus recording each point
-// once, per-run records, cross-run aggregation and SweepReport +
-// sweep-trace + LiveStatus serialization); scripts/check.sh gates the
-// telemetry regime at >= 0.95x the plain one (< 5% overhead).
+// per-cycle sampling hook. The sweep_plain / sweep_telemetry pair measures
+// sim::run_sweep itself on a 100-point sweep of a cheap MTA machine —
+// first bare (no bus, so no clock reads of run_sweep's own and nothing
+// recorded), then with the full sweep-telemetry stack active (the live bus
+// recording each point once, per-run records, cross-run aggregation and
+// SweepReport + sweep-trace + LiveStatus serialization); scripts/check.sh
+// gates the telemetry regime at >= 0.95x the plain one (< 5% overhead).
 //
 // Each scenario runs `--reps` times (default 3); the median wall time
 // produces two RunReport rows per scenario ("<name>.cycles_per_sec" and
@@ -49,7 +46,6 @@
 #include "mta/runtime.hpp"
 #include "mta/stream_program.hpp"
 #include "obs/aggregate.hpp"
-#include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/live.hpp"
 #include "obs/run_record.hpp"
@@ -331,31 +327,6 @@ int main(int argc, char** argv) {
                TextTable::num(cps / 1e6, 1), TextTable::num(ips / 1e6, 1)});
     run.report().add_row("obs_overhead.cycles_per_sec", 1.0, cps);
     run.report().add_row("obs_overhead.instr_per_sec", 1.0, ips);
-  }
-
-  {
-    // Critical-path-capture regime: the saturated scenario re-measured
-    // with a CritPathStore installed, so every issue/memory/sync/spawn
-    // event appends dependency nodes and edges (and run_solo
-    // fast-forwarding is disabled — capture needs every event). The
-    // baseline rows bound the capture cost; the acceptance budget is
-    // cycles_per_sec >= 0.5x the uninstrumented saturated rows, asserted
-    // by scripts/check.sh.
-    const Scenario sat = scenarios().front();
-    Measurement m;
-    {
-      obs::CritPathStore store(/*retain_graphs=*/false);
-      obs::ScopedCritPath scope(store);
-      m = measure(sat, reps);
-    }
-    const double cps = static_cast<double>(m.cycles) / m.median_seconds;
-    const double ips = static_cast<double>(m.instructions) / m.median_seconds;
-    table.row({"critpath_overhead", std::to_string(m.cycles),
-               std::to_string(m.instructions),
-               TextTable::num(m.median_seconds * 1e3, 2),
-               TextTable::num(cps / 1e6, 1), TextTable::num(ips / 1e6, 1)});
-    run.report().add_row("critpath_overhead.cycles_per_sec", 1.0, cps);
-    run.report().add_row("critpath_overhead.instr_per_sec", 1.0, ips);
   }
 
   {

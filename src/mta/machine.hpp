@@ -23,7 +23,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <queue>
 #include <set>
 #include <string>
@@ -34,7 +33,6 @@
 #include "mta/stream_program.hpp"
 #include "mta/sync_memory.hpp"
 #include "obs/counters.hpp"
-#include "obs/critpath.hpp"
 #include "obs/run_record.hpp"
 #include "obs/timeline.hpp"
 #include "sim/wake_queue.hpp"
@@ -176,8 +174,6 @@ class Machine {
   struct PendingSpawn {
     StreamProgram* program;
     bool software;
-    /// Dependency-graph node of the spawning instruction (capture only).
-    std::uint32_t cap_parent = 0;
   };
 
   /// Always-on counters (obs::default_registry(), "mta." prefix) plus the
@@ -318,34 +314,6 @@ class Machine {
   /// then aborts via contract_failure.
   [[noreturn]] void runaway_abort(std::uint64_t now) const;
 
-  // --- Dependency-graph capture (cap_ != nullptr iff capturing; see
-  // docs/CRITICAL_PATH.md). Hooks live only in functions shared by the
-  // fast and slow simulation paths (issue / complete_memory_op / activate /
-  // finish_stream), and capture disables run_solo, so both paths emit
-  // bit-identical graphs. Capture requires lookahead == 0: with lookahead
-  // a stream's memory ops overlap in ways the single per-stream chain node
-  // cannot express.
-
-  /// Per-stream chain state: the last node on the stream's own dependency
-  /// chain and the compute instructions coalesced since it (they become
-  /// one issue-spacing edge on the next non-compute event).
-  struct CapStream {
-    std::uint32_t node = 0;
-    std::uint64_t pending = 0;   ///< compute issues since `node`
-    std::int32_t region = -1;    ///< stream program's region id
-  };
-  /// Flushes the stream's coalesced compute run into an issue node at
-  /// `now` (the issue of a memory/sync/spawn/quit instruction) and makes
-  /// it the stream's chain node and the current memory-op issue node.
-  /// `kind` is the attribution category of the memory trip that follows
-  /// (kSync for full/empty ops, kMemory for plain loads/stores).
-  std::uint32_t cap_issue_node(StreamId sid, std::uint64_t now,
-                               obs::DepKind kind);
-  /// Appends the run-end node, the issue/network resource bounds and the
-  /// region names, embeds the summary in `rec` (when non-null), and hands
-  /// the graph to the store.
-  void cap_finish_run(std::uint64_t now, obs::RunRecord* rec);
-
   /// Fixed-point cycle representation for the shared-network and bank
   /// service times (replaces double/ceil in the hottest path). 20
   /// fractional bits leave 44 integer bits of simulated cycles.
@@ -391,21 +359,6 @@ class Machine {
   std::vector<obs::TimelinePoint> tl_util_;
   std::vector<obs::TimelinePoint> tl_ready_;
   std::vector<obs::TimelinePoint> tl_net_;
-
-  // Dependency-graph capture state (see the CapStream block above). The
-  // graph is owned here during the run and moved to cap_store_ at the end.
-  std::unique_ptr<obs::DepGraph> cap_graph_;
-  obs::DepGraph* cap_ = nullptr;  ///< cap_graph_.get() iff capturing
-  obs::CritPathStore* cap_store_ = nullptr;  ///< active_critpath() at ctor
-  std::vector<CapStream> cap_streams_;       // indexed by StreamId
-  /// Issue node of the memory/sync op currently completing; hand-off
-  /// resumes drained inside the same issue() call chain from it.
-  std::uint32_t cap_cur_issue_ = 0;
-  obs::DepKind cap_memory_kind_ = obs::DepKind::kMemory;
-  /// Spawn linkage for the next activate(): the spawning instruction's
-  /// node and, for virtualized spawns, the quit node that freed the slot.
-  std::uint32_t cap_spawn_parent_ = 0;
-  std::uint32_t cap_spawn_via_ = 0;  // kNoNode when not slot-limited
 
   Obs obs_;
   int live_streams_ = 0;

@@ -84,72 +84,6 @@ std::string explain(const RunRecord& r) {
   return buf;
 }
 
-namespace {
-
-double resource_bound(const CritPathSummary& cp, const char* name) {
-  for (const CritPathResource& r : cp.resources)
-    if (r.name == name) return r.bound;
-  return 0.0;
-}
-
-}  // namespace
-
-Verdict classify_critical_path(const CritPathSummary& cp,
-                               const std::string& model,
-                               const VerdictThresholds& t) {
-  if (!cp.present || cp.total <= 0.0) return Verdict::kParallelismLimited;
-  const double total = cp.total;
-  if (model == "smp") {
-    if (resource_bound(cp, "bus") / total >= t.bus_share)
-      return Verdict::kBusLimited;
-    if (cp.sync / total >= t.lock_share) return Verdict::kLockLimited;
-    if (resource_bound(cp, "cpu") / total >= t.issue_share)
-      return Verdict::kIssueLimited;
-    return Verdict::kParallelismLimited;
-  }
-  // MTA.
-  if (resource_bound(cp, "issue") / total >= t.issue_share)
-    return Verdict::kIssueLimited;
-  // The run is dependency-bound; name the dominant wait. Queueing on the
-  // memory network counts with the memory round trips it delays.
-  const double mem = cp.memory + cp.queue;
-  if (cp.sync / total >= t.sync_share && cp.sync >= mem)
-    return Verdict::kSyncLimited;
-  // Full/empty cascades understate themselves on the path: a blocked
-  // waiter resumes off its *producer's* chain, so the producers' compute
-  // and memory edges absorb the wait and only the hand-off crossings show
-  // as kSync segments. Material sync presence on a path the shared
-  // resources don't explain is therefore the cascade signature (the slot
-  // account of the same runs shows the blocked share directly).
-  if (cp.sync / total >= t.sync_path_share &&
-      resource_bound(cp, "network") / total < t.network_share)
-    return Verdict::kSyncLimited;
-  if (mem >= cp.sync && resource_bound(cp, "network") / total >=
-                            t.network_share)
-    return Verdict::kMemoryBankLimited;
-  return Verdict::kParallelismLimited;
-}
-
-std::string explain_critical_path(const CritPathSummary& cp) {
-  if (!cp.present) return "no critical-path capture";
-  const double total = cp.total;
-  char buf[320];
-  std::snprintf(
-      buf, sizeof buf,
-      "path: compute %.1f%% | memory %.1f%% | sync %.1f%% | spawn %.1f%% | "
-      "queue %.1f%% | gap %.1f%%; coverage %.2f",
-      pct(cp.compute, total), pct(cp.memory, total), pct(cp.sync, total),
-      pct(cp.spawn, total), pct(cp.queue, total), pct(cp.gap, total),
-      cp.coverage);
-  std::string out = buf;
-  for (const CritPathResource& r : cp.resources) {
-    std::snprintf(buf, sizeof buf, "; %s bound %.1f%%", r.name.c_str(),
-                  pct(r.bound, total));
-    out += buf;
-  }
-  return out;
-}
-
 std::size_t aggregate(const std::vector<RunRecord>& records,
                       const std::string& model, RunRecord* out) {
   RunRecord agg;

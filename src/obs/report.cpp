@@ -15,103 +15,6 @@ std::uint64_t u64_or(const JsonValue& v, std::string_view key) {
   return d > 0.0 ? static_cast<std::uint64_t>(d) : 0;
 }
 
-CritPathSummary critical_path_from_json(const JsonValue& jcp) {
-  CritPathSummary cp;
-  cp.present = true;
-  cp.unit = jcp.string_or("unit", "");
-  cp.total = jcp.number_or("total", 0.0);
-  cp.path_length = jcp.number_or("path_length", 0.0);
-  cp.resource_bound = jcp.number_or("resource_bound", 0.0);
-  cp.binding_resource = jcp.string_or("binding_resource", "");
-  cp.coverage = jcp.number_or("coverage", 0.0);
-  cp.nodes = u64_or(jcp, "nodes");
-  cp.edges = u64_or(jcp, "edges");
-  if (const JsonValue* attr = jcp.find_object("attribution")) {
-    cp.compute = attr->number_or("compute", 0.0);
-    cp.memory = attr->number_or("memory", 0.0);
-    cp.sync = attr->number_or("sync", 0.0);
-    cp.spawn = attr->number_or("spawn", 0.0);
-    cp.queue = attr->number_or("queue", 0.0);
-    cp.gap = attr->number_or("gap", 0.0);
-  }
-  if (const JsonValue* resources = jcp.find_array("resources")) {
-    for (const JsonValue& jr : resources->array) {
-      if (!jr.is_object()) continue;
-      cp.resources.push_back(CritPathResource{jr.string_or("name", ""),
-                                              jr.number_or("bound", 0.0)});
-    }
-  }
-  if (const JsonValue* regions = jcp.find_array("regions")) {
-    for (const JsonValue& jr : regions->array) {
-      if (!jr.is_object()) continue;
-      cp.regions.push_back(CritPathRegion{jr.string_or("name", ""),
-                                          jr.number_or("weight", 0.0)});
-    }
-  }
-  if (const JsonValue* projections = jcp.find_array("projections")) {
-    for (const JsonValue& jp : projections->array) {
-      if (!jp.is_object()) continue;
-      KnobProjection kp;
-      kp.knob = jp.string_or("knob", "");
-      kp.factor = jp.number_or("factor", 1.0);
-      kp.predicted = jp.number_or("predicted", 0.0);
-      cp.projections.push_back(std::move(kp));
-    }
-  }
-  return cp;
-}
-
-void write_critical_path(JsonWriter& w, const CritPathSummary& cp) {
-  w.key("critical_path");
-  w.begin_object();
-  w.field("unit", cp.unit);
-  w.field("total", cp.total);
-  w.field("path_length", cp.path_length);
-  w.field("resource_bound", cp.resource_bound);
-  w.field("binding_resource", cp.binding_resource);
-  w.field("coverage", cp.coverage);
-  w.field("nodes", cp.nodes);
-  w.field("edges", cp.edges);
-  w.key("attribution");
-  w.begin_object();
-  w.field("compute", cp.compute);
-  w.field("memory", cp.memory);
-  w.field("sync", cp.sync);
-  w.field("spawn", cp.spawn);
-  w.field("queue", cp.queue);
-  w.field("gap", cp.gap);
-  w.end_object();
-  w.key("resources");
-  w.begin_array();
-  for (const CritPathResource& r : cp.resources) {
-    w.begin_object();
-    w.field("name", r.name);
-    w.field("bound", r.bound);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("regions");
-  w.begin_array();
-  for (const CritPathRegion& r : cp.regions) {
-    w.begin_object();
-    w.field("name", r.name);
-    w.field("weight", r.weight);
-    w.end_object();
-  }
-  w.end_array();
-  w.key("projections");
-  w.begin_array();
-  for (const KnobProjection& p : cp.projections) {
-    w.begin_object();
-    w.field("knob", p.knob);
-    w.field("factor", p.factor);
-    w.field("predicted", p.predicted);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
 }  // namespace
 
 std::vector<RunRecord> machine_runs_from_json(const JsonValue& report) {
@@ -152,8 +55,6 @@ std::vector<RunRecord> machine_runs_from_json(const JsonValue& report) {
     r.elapsed_seconds = jr.number_or("elapsed_seconds", 0.0);
     r.bus_utilization = jr.number_or("bus_utilization", 0.0);
     r.lock_wait_share = jr.number_or("lock_wait_share", 0.0);
-    if (const JsonValue* jcp = jr.find_object("critical_path"))
-      r.critical_path = critical_path_from_json(*jcp);
     // Compact form: one record object stands for `reps` consecutive
     // identical records (the writer run-length encodes repeats). Absent or
     // 1 means a single record; clamp so a corrupt file cannot OOM us.
@@ -307,7 +208,6 @@ void RunReport::write_json(std::ostream& out,
       }
       w.end_array();
     }
-    if (r.critical_path.present) write_critical_path(w, r.critical_path);
     w.end_object();
   }
   w.end_array();

@@ -5,10 +5,11 @@
 // of the counter registry, and serializes it as JSON (schema below) so
 // result trajectories can be produced and diffed mechanically.
 //
-// Schema (schema_version 5; version 1 lacked "machine_runs", version 2
-// lacked the optional per-run "critical_path" section, versions 3 and
-// below lacked the "anomalies" watchdog section — 4 is skipped so
-// RunReport and SweepReport share one version number from v5 on):
+// Schema (schema_version 5; version 1 lacked "machine_runs", versions 3
+// and below lacked the "anomalies" watchdog section — 4 is skipped so
+// RunReport and SweepReport share one version number from v5 on; versions
+// 3 and 5 could also carry an optional per-run critical-path section,
+// which is no longer written and which readers ignore):
 //   {
 //     "bench": "<name>", "schema_version": 5,
 //     "config": { "<key>": "<value>", ... },
@@ -33,12 +34,6 @@
 //   { "model":"smp", "name":..., "processors":p, "threads":t,
 //     "elapsed_seconds":e, "utilization":u, "bus_utilization":b,
 //     "lock_wait_share":l }
-// A run captured under --critpath additionally carries
-//   "critical_path": { "unit", "total", "path_length", "resource_bound",
-//     "binding_resource", "coverage", "nodes", "edges",
-//     "attribution": {"compute","memory","sync","spawn","queue","gap"},
-//     "resources": [ {"name","bound"} ], "regions": [ {"name","weight"} ],
-//     "projections": [ {"knob","factor","predicted"} ] }
 #pragma once
 
 #include <ostream>
@@ -57,7 +52,7 @@ class JsonValue;
 /// Rebuilds the RunRecords serialized in a parsed report's "machine_runs"
 /// array (the inverse of write_json's emission; absent fields keep their
 /// defaults, non-array / absent "machine_runs" yields an empty vector).
-/// Used by `obs_report bottleneck`, `whatif` and `sweep --from-runs`.
+/// Used by `obs_report bottleneck` and `sweep --from-runs`.
 [[nodiscard]] std::vector<RunRecord> machine_runs_from_json(
     const JsonValue& report);
 

@@ -17,8 +17,6 @@
 #include <string>
 #include <vector>
 
-#include "obs/critpath.hpp"
-
 namespace tc3i::obs {
 
 /// Exhaustive, exclusive issue-slot account of one MTA run (or the sum over
@@ -91,10 +89,6 @@ struct RunRecord {
 
   /// Both models: fraction of issue/compute capacity actually used.
   double utilization = 0.0;
-
-  /// Critical-path attribution and what-if projections, filled only when
-  /// the run was captured under --critpath (present == false otherwise).
-  CritPathSummary critical_path;
 
   /// Memberwise equality — what the report writer's run-length encoding of
   /// repeated machine_runs records (the "reps" field) relies on.

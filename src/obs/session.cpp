@@ -45,10 +45,6 @@ void RunSession::add_cli_flags(CliParser& cli) {
   cli.add_flag("jobs", "0",
                "host threads for independent simulation points "
                "(0 = hardware concurrency; incompatible with --trace-out)");
-  cli.add_flag("critpath", "false",
-               "capture per-run dependency graphs and attach critical-path "
-               "attribution + what-if projections to machine runs "
-               "(bare --critpath or --critpath true)");
   cli.add_flag("progress", "false",
                "stderr progress ticker for simulation sweeps (runs "
                "completed / total + ETA; auto-disabled when stderr is not "
@@ -129,10 +125,6 @@ RunSession::RunSession(std::string name, const CliParser& cli)
   }
   records_ = std::make_unique<RunRecordStore>();
   set_process_run_records(records_.get());
-  if (cli.get_bool("critpath")) {
-    critpath_ = std::make_unique<CritPathStore>(/*retain_graphs=*/false);
-    set_process_critpath(critpath_.get());
-  }
   set_sweep_progress_requested(cli.get_bool("progress"));
   if (!timeline_path_.empty()) {
     timeline_ = std::make_unique<TimelineStore>(
@@ -176,8 +168,6 @@ RunSession::~RunSession() {
   if (process_run_records() == records_.get()) set_process_run_records(nullptr);
   if (timeline_ != nullptr && process_timeline() == timeline_.get())
     set_process_timeline(nullptr);
-  if (critpath_ != nullptr && process_critpath() == critpath_.get())
-    set_process_critpath(nullptr);
   // Publisher first (it still reads the bus), then the workers' pointer.
   publisher_.reset();
   if (live_ != nullptr && live_bus() == live_.get()) set_live_bus(nullptr);

@@ -10,8 +10,6 @@
 //                         samples at the default
 //   --counters            dump the counter registry to stdout at exit
 //                         (bare flag; `--counters true` also accepted)
-//   --critpath            capture per-run dependency graphs; RunRecords
-//                         gain a critical_path section (bare flag)
 //   --progress            stderr ticker for sim::run_sweep (runs done /
 //                         total + throughput + ETA from the live bus;
 //                         auto-off when stderr is not a TTY)
@@ -57,7 +55,6 @@
 #include <string>
 
 #include "core/cli.hpp"
-#include "obs/critpath.hpp"
 #include "obs/hostres.hpp"
 #include "obs/live.hpp"
 #include "obs/report.hpp"
@@ -96,10 +93,6 @@ class RunSession {
   [[nodiscard]] RunRecordStore& run_records() { return *records_; }
   /// Non-null iff --timeline-out was given.
   [[nodiscard]] TimelineStore* timeline() { return timeline_.get(); }
-  /// Non-null iff --critpath was given (installed as the process store so
-  /// machine models capture dependency graphs; summaries land in the
-  /// RunRecords, the graphs themselves are not retained).
-  [[nodiscard]] CritPathStore* critpath() { return critpath_.get(); }
 
   /// Resolved host worker-thread count for sim::run_sweep: the --jobs flag
   /// with 0 replaced by std::thread::hardware_concurrency() and tracing
@@ -124,7 +117,6 @@ class RunSession {
   std::unique_ptr<TraceSink> sink_;
   std::unique_ptr<RunRecordStore> records_;
   std::unique_ptr<TimelineStore> timeline_;
-  std::unique_ptr<CritPathStore> critpath_;
   std::unique_ptr<LiveBus> live_;
   std::unique_ptr<LivePublisher> publisher_;
   HostResUsage host_begin_;

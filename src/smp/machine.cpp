@@ -4,7 +4,6 @@
 #include <cmath>
 #include <deque>
 #include <limits>
-#include <memory>
 #include <utility>
 
 #include "core/contracts.hpp"
@@ -27,10 +26,6 @@ struct Job {
   Kind kind = Kind::Sleep;
   double amount = 0.0;  ///< seconds (Sleep/Overhead), ops (Cpu), bytes (Mem)
   int lock_id = -1;
-  /// Contention-free duration in seconds (amount at the sole-owner rate),
-  /// recorded at creation for dependency-graph capture: the scalable edge
-  /// weight; any extra elapsed time is the fixed contention remainder.
-  double ideal = 0.0;
 };
 
 // One piecewise-constant interval of machine activity: the per-segment
@@ -71,17 +66,7 @@ class Engine {
         obs_(obs),
         workers_(static_cast<std::size_t>(num_workers)),
         locks_(static_cast<std::size_t>(num_locks)),
-        pool_(pool_tasks) {
-    if (obs_.critpath != nullptr) {
-      cap_graph_ = std::make_unique<obs::DepGraph>();
-      cap_graph_->model = "smp";
-      cap_graph_->name = cfg_.name.empty() ? "smp" : cfg_.name;
-      cap_graph_->unit = "seconds";
-      cap_graph_->add_node(0.0);  // node 0: run start, every worker's root
-      cap_workers_.assign(workers_.size(), CapWorker{});
-      cap_ = cap_graph_.get();
-    }
-  }
+        pool_(pool_tasks) {}
 
   /// Assigns a fixed trace to worker `i` (static partitioning).
   void assign(int i, const ThreadTrace& trace) {
@@ -94,7 +79,7 @@ class Engine {
       const double delay =
           cfg_.spawn_seconds() * static_cast<double>(i + 1);
       if (delay > 0.0)
-        workers_[i].jobs.push_front(Job{Job::Kind::Sleep, delay, -1, delay});
+        workers_[i].jobs.push_front(Job{Job::Kind::Sleep, delay, -1});
       obs_.threads_spawned->add();
       if (obs_.sink != nullptr)
         obs_.sink->instant(obs::Category::Spawn, "thread_spawn", delay * 1e6,
@@ -111,18 +96,13 @@ class Engine {
     switch (p.kind) {
       case Phase::Kind::Compute:
         if (p.ops > 0)
-          w.jobs.push_back(Job{Job::Kind::Cpu, static_cast<double>(p.ops), -1,
-                               static_cast<double>(p.ops) /
-                                   cfg_.compute_rate_ips});
+          w.jobs.push_back(Job{Job::Kind::Cpu, static_cast<double>(p.ops)});
         if (p.bytes > 0)
-          w.jobs.push_back(
-              Job{Job::Kind::Mem, static_cast<double>(p.bytes), -1,
-                  static_cast<double>(p.bytes) / cfg_.mem_bw_single});
+          w.jobs.push_back(Job{Job::Kind::Mem, static_cast<double>(p.bytes)});
         break;
       case Phase::Kind::Acquire:
         if (cfg_.lock_seconds() > 0.0)
-          w.jobs.push_back(Job{Job::Kind::Overhead, cfg_.lock_seconds(), -1,
-                               cfg_.lock_seconds()});
+          w.jobs.push_back(Job{Job::Kind::Overhead, cfg_.lock_seconds()});
         w.jobs.push_back(Job{Job::Kind::Grab, 0.0, p.lock_id});
         break;
       case Phase::Kind::Release:
@@ -144,8 +124,7 @@ class Engine {
         w.phase_idx = 0;
         // Pulling from the shared queue costs one lock round-trip.
         if (cfg_.lock_seconds() > 0.0)
-          w.jobs.push_back(Job{Job::Kind::Overhead, cfg_.lock_seconds(), -1,
-                               cfg_.lock_seconds()});
+          w.jobs.push_back(Job{Job::Kind::Overhead, cfg_.lock_seconds()});
         continue;
       }
       w.status = Worker::Status::Done;
@@ -180,7 +159,6 @@ class Engine {
           case Job::Kind::Cpu:
           case Job::Kind::Mem:
             if (job.amount > kDoneEps) goto settled;
-            if (cap_ != nullptr) cap_job_done(idx, job, now);
             w.jobs.pop_front();
             break;
           case Job::Kind::Grab: {
@@ -232,18 +210,6 @@ class Engine {
                                    now * 1e6, obs_.pid,
                                    static_cast<std::uint64_t>(next));
               }
-              if (cap_ != nullptr) {
-                // Lock hand-off: the waiter resumes no earlier than the
-                // release (the serialization a convoy's critical path runs
-                // through) and never before its own blocked attempt.
-                CapWorker& nc = cap_workers_[static_cast<std::size_t>(next)];
-                const std::uint32_t r = cap_->add_node(now);
-                cap_->add_edge(cap_workers_[static_cast<std::size_t>(idx)].node,
-                               obs::DepKind::kSync, obs::DepKind::kSync, 0.0);
-                cap_->add_edge(nc.node, obs::DepKind::kSync,
-                               obs::DepKind::kSync, 0.0);
-                nc = CapWorker{r, now};
-              }
               work.push_back(next);
             }
             break;
@@ -260,44 +226,12 @@ class Engine {
   void export_timeline(const std::vector<TimelineSample>& samples,
                        Seconds elapsed);
 
-  // --- Dependency-graph capture (cap_ != nullptr iff capturing). Each
-  // worker carries a chain node; a timed job's completion appends a node
-  // whose edge splits into the job's contention-free ideal duration
-  // (scalable by the matching what-if knob) and the contention remainder
-  // (fixed, bucket "queue"). Lock hand-offs add a release -> resume edge,
-  // so convoys serialize through the graph just as they do in the engine.
-
-  struct CapWorker {
-    std::uint32_t node = 0;  ///< last node on the worker's chain
-    double time = 0.0;       ///< recorded time of that node
-  };
-  /// Appends the completion node of a timed job for worker `wi`.
-  void cap_job_done(int wi, const Job& job, Seconds now) {
-    obs::DepKind kind = obs::DepKind::kCompute;
-    switch (job.kind) {
-      case Job::Kind::Sleep: kind = obs::DepKind::kSpawn; break;
-      case Job::Kind::Overhead: kind = obs::DepKind::kSync; break;
-      case Job::Kind::Cpu: kind = obs::DepKind::kCompute; break;
-      case Job::Kind::Mem: kind = obs::DepKind::kMemory; break;
-      case Job::Kind::Grab:
-      case Job::Kind::Release: return;  // instantaneous, no node
-    }
-    CapWorker& cw = cap_workers_[static_cast<std::size_t>(wi)];
-    const std::uint32_t n = cap_->add_node(now);
-    cap_->add_edge(cw.node, kind, kind, job.ideal,
-                   std::max(0.0, (now - cw.time) - job.ideal));
-    cw = CapWorker{n, now};
-  }
-
   const SmpConfig& cfg_;
   const ObsHooks& obs_;
   std::vector<Worker> workers_;
   std::vector<LockState> locks_;
   const std::vector<ThreadTrace>* pool_ = nullptr;
   std::size_t next_task_ = 0;
-  std::unique_ptr<obs::DepGraph> cap_graph_;
-  obs::DepGraph* cap_ = nullptr;  ///< cap_graph_.get() iff capturing
-  std::vector<CapWorker> cap_workers_;
 };
 
 void Engine::export_timeline(const std::vector<TimelineSample>& samples,
@@ -490,27 +424,6 @@ RunResult Engine::run() {
   }
   if (obs_.timeline != nullptr) export_timeline(timeline, now);
 
-  obs::CritPathSummary cap_summary;
-  if (cap_ != nullptr) {
-    // Run-end node joins every worker's chain; throughput bounds are the
-    // machine's aggregate compute and bus service times (both scale with
-    // their knob: halving the compute rate or the bus bandwidth doubles
-    // the corresponding bound).
-    const std::uint32_t end = cap_->add_node(now);
-    for (const CapWorker& cw : cap_workers_)
-      cap_->add_edge(cw.node, obs::DepKind::kCompute, obs::DepKind::kCompute,
-                     0.0);
-    cap_->end_node = end;
-    cap_->total = now;
-    cap_->resources.push_back(obs::DepResource{
-        "cpu", obs::DepKind::kCompute, true,
-        ops_done / (cfg_.compute_rate_ips *
-                    static_cast<double>(cfg_.num_processors))});
-    cap_->resources.push_back(obs::DepResource{
-        "bus", obs::DepKind::kMemory, true, bytes_done / cfg_.mem_bw_total});
-    cap_summary = obs::summarize(*cap_);
-  }
-
   if (obs_.records != nullptr) {
     obs::RunRecord rec;
     rec.model = "smp";
@@ -526,13 +439,7 @@ RunResult Engine::run() {
         now > 0.0 ? result.lock_wait_total /
                         (now * static_cast<double>(cfg_.num_processors))
                   : 0.0;
-    rec.critical_path = cap_summary;
     obs_.records->add(std::move(rec));
-  }
-  if (cap_ != nullptr) {
-    obs_.critpath->add(std::move(*cap_graph_));
-    cap_graph_.reset();
-    cap_ = nullptr;
   }
 
   obs_.ops_executed->add(result.ops_executed);
@@ -565,7 +472,6 @@ Machine::Machine(SmpConfig config) : config_(std::move(config)) {
   obs_.sink = obs::global_sink();
   obs_.records = obs::active_run_records();
   obs_.timeline = obs::active_timeline();
-  obs_.critpath = obs::active_critpath();
   if (obs_.sink != nullptr)
     obs_.pid = obs_.sink->register_track(
         config_.name.empty() ? "smp" : config_.name);

@@ -18,7 +18,6 @@
 
 #include "core/units.hpp"
 #include "obs/counters.hpp"
-#include "obs/critpath.hpp"
 #include "sim/trace.hpp"
 #include "smp/config.hpp"
 #include "smp/workload.hpp"
@@ -49,7 +48,6 @@ struct ObsHooks {
   obs::TraceSink* sink = nullptr;
   obs::RunRecordStore* records = nullptr;  ///< active_run_records() at ctor
   obs::TimelineStore* timeline = nullptr;  ///< active_timeline() at ctor
-  obs::CritPathStore* critpath = nullptr;  ///< active_critpath() at ctor
   std::uint32_t pid = 0;
 };
 

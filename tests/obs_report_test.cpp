@@ -54,29 +54,27 @@ class ObsReportTest : public ::testing::Test {
     return quoted;
   }
 
-  /// One MTA run with a slot account and a critical-path section.
-  std::string write_report() {
-    return write("report.json", R"({"bench":"fixture","machine_runs":[
+  /// One MTA run with a slot account, written to `name`; `members` (each
+  /// ending in a comma) go in front of "machine_runs".
+  std::string write_report(const std::string& name = "report.json",
+                           const std::string& members = "") {
+    return write(name, R"({"bench":"fixture",)" + members + R"("machine_runs":[
       {"model":"mta","name":"Tera MTA","processors":1,"threads":4,
        "cycles":100,"utilization":0.9,
        "slots":{"used":90,"no_stream":0,"spacing":5,"spawn":0,"memory":5,
-                "sync":0},
-       "critical_path":{"unit":"cycles","total":100,"path_length":90,
-         "resource_bound":80,"coverage":1,
-         "attribution":{"compute":90,"memory":10,"sync":0,"spawn":0,
-                        "queue":0,"gap":0},
-         "projections":[{"knob":"compute","factor":0.5,"predicted":55}]}}]})");
+                "sync":0}}]})");
   }
 
   std::filesystem::path dir_;
 };
 
-const char* const kSubcommands[] = {"bottleneck", "whatif",  "sweep",
-                                    "diff",       "monitor", "trend"};
+const char* const kSubcommands[] = {"bottleneck", "sweep", "diff", "monitor",
+                                    "trend"};
 
 TEST_F(ObsReportTest, UsageNamesEverySubcommand) {
-  // "flight" names a deleted subcommand, now as unknown as "frobnicate".
-  for (const char* args : {"", "frobnicate", "flight"}) {
+  // "flight" and "whatif" name deleted subcommands, now as unknown as
+  // "frobnicate".
+  for (const char* args : {"", "frobnicate", "flight", "whatif"}) {
     const Result r = run(args);
     EXPECT_EQ(r.code, 2) << "args: '" << args << "'";
     for (const char* sub : kSubcommands)
@@ -97,15 +95,28 @@ TEST_F(ObsReportTest, DiffSelfMatchesAndRejectsBadTolerances) {
     EXPECT_EQ(run("diff " + f + " " + f + " " + bad).code, 2) << bad;
 }
 
-TEST_F(ObsReportTest, BottleneckAcceptsFlagAfterFile) {
-  const std::string f = write_report();
-  const Result before = run("bottleneck --critical-path " + f);
-  const Result after = run("bottleneck " + f + " --critical-path");
+TEST_F(ObsReportTest, DiffAcceptsFlagAfterFiles) {
+  const std::string a = write_report();
+  const std::string b = write_report(
+      "anomalous.json",
+      R"("anomalies":[{"kind":"slow_point","worker":0,"point":0}],)");
+  EXPECT_EQ(run("diff " + a + " " + b).code, 1);
+  const Result before = run("diff --ignore anomalies " + a + " " + b);
+  const Result after = run("diff " + a + " " + b + " --ignore anomalies");
   EXPECT_EQ(before.code, 0) << before.output;
   EXPECT_EQ(after.code, 0) << after.output;
-  EXPECT_NE(before.output.find("verdict run=0 model=mta"), std::string::npos)
+  EXPECT_NE(before.output.find("reports match"), std::string::npos)
       << before.output;
   EXPECT_EQ(after.output, before.output);
+}
+
+TEST_F(ObsReportTest, BottleneckRejectsCriticalPathFlag) {
+  const std::string f = write_report();
+  const Result ok = run("bottleneck " + f);
+  EXPECT_EQ(ok.code, 0) << ok.output;
+  EXPECT_NE(ok.output.find("verdict run=0 model=mta"), std::string::npos)
+      << ok.output;
+  EXPECT_EQ(run("bottleneck --critical-path " + f).code, 2);
 }
 
 TEST_F(ObsReportTest, MonitorExitsThreeOnAnomalyAndRejectsBadTimeout) {

@@ -7,12 +7,10 @@
 // a schema pass: the required sections must be present with the right
 // kinds, counter names must stick to the [a-z0-9_.] charset, counter
 // values must be non-negative, each MTA machine-run's issue-slot account
-// must sum to cycles x processors, any "critical_path" section (runs
-// captured under --critpath) must carry non-negative attribution buckets
-// that sum to its total, plus well-formed projections, and from
-// schema_version 5 the "anomalies" watchdog array must be present,
-// well-formed, and referentially sound (a pinned point/worker must name a
-// point present in machine_runs / a worker the sweep could have used).
+// must sum to cycles x processors, and from schema_version 5 the
+// "anomalies" watchdog array must be present, well-formed, and
+// referentially sound (a pinned point/worker must name a point present in
+// machine_runs / a worker the sweep could have used).
 // Files carrying "kind":"sweep_report" (--sweep-report-out,
 // schema_version >= 4) get the SweepReport pass instead: every group
 // needs the full metric set with internally consistent summaries
@@ -56,49 +54,6 @@ bool valid_metric_name(const std::string& name) {
   return true;
 }
 
-/// Validates one machine run's optional "critical_path" section. Empty
-/// string when fine, else the first problem.
-std::string check_critical_path(const JsonValue& cp, const std::string& at) {
-  if (!cp.is_object()) return at + " is not an object";
-  const std::string unit = cp.string_or("unit", "");
-  if (unit != "cycles" && unit != "seconds")
-    return at + ".unit is neither \"cycles\" nor \"seconds\"";
-  const JsonValue* total = cp.find_number("total");
-  if (total == nullptr || total->number < 0.0)
-    return at + ".total missing or negative";
-  for (const char* field : {"path_length", "resource_bound", "coverage"}) {
-    const JsonValue* v = cp.find_number(field);
-    if (v == nullptr || v->number < 0.0)
-      return at + "." + field + " missing or negative";
-  }
-  const JsonValue* attribution = cp.find_object("attribution");
-  if (attribution == nullptr) return at + " missing attribution object";
-  double sum = 0.0;
-  for (const char* field :
-       {"compute", "memory", "sync", "spawn", "queue", "gap"}) {
-    const JsonValue* v = attribution->find_number(field);
-    if (v == nullptr) return at + ".attribution missing \"" + field + "\"";
-    if (v->number < 0.0) return at + ".attribution." + field + " is negative";
-    sum += v->number;
-  }
-  // Edge weights are stored as float32; allow that much accumulation slack.
-  if (std::fabs(sum - total->number) > 1e-9 + 1e-4 * total->number)
-    return at + ".attribution sums to " + std::to_string(sum) +
-           ", expected total = " + std::to_string(total->number);
-  const JsonValue* projections = cp.find_array("projections");
-  if (projections == nullptr) return at + " missing projections array";
-  for (std::size_t i = 0; i < projections->array.size(); ++i) {
-    const JsonValue& p = projections->array[i];
-    const std::string pat = at + ".projections[" + std::to_string(i) + "]";
-    if (!p.is_object()) return pat + " is not an object";
-    if (p.find_string("knob") == nullptr) return pat + " missing knob";
-    if (p.number_or("factor", 0.0) <= 0.0) return pat + ".factor <= 0";
-    const JsonValue* predicted = p.find_number("predicted");
-    if (predicted == nullptr || predicted->number < 0.0)
-      return pat + ".predicted missing or negative";
-  }
-  return "";
-}
 
 /// Validates a watchdog "anomalies" array (RunReport / SweepReport v5
 /// and the LiveStatus file share one shape). Beyond shape,
@@ -209,11 +164,6 @@ std::string check_report_schema(const JsonValue& doc) {
     if (procs < 1.0) return at + ".processors < 1";
     if (run.find_number("utilization") == nullptr)
       return at + " missing utilization";
-    if (const JsonValue* cp = run.find("critical_path")) {
-      const std::string problem =
-          check_critical_path(*cp, at + ".critical_path");
-      if (!problem.empty()) return problem;
-    }
     if (model != "mta") continue;
     const JsonValue* slots = run.find_object("slots");
     if (slots == nullptr) return at + " missing slots object";

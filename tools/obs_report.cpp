@@ -2,8 +2,7 @@
 //
 //   obs_report <subcommand> [args...]
 //
-//   bottleneck  issue-slot (or critical-path) verdicts of a RunReport
-//   whatif      what-if projections of the runs captured under --critpath
+//   bottleneck  issue-slot verdicts of a RunReport
 //   sweep       SweepReport group table, or a recomputation from a RunReport
 //   diff        structural diff of two reports under numeric tolerances
 //   monitor     live status file (--status-out), once or followed
@@ -214,7 +213,7 @@ std::string group_key(const JsonValue& g) {
 
 // --- bottleneck --------------------------------------------------------------
 
-int bottleneck_one(const std::string& path, bool critical_path_mode) {
+int bottleneck_one(const std::string& path) {
   const std::optional<JsonValue> doc = load_json(path);
   if (!doc) return 1;
   const std::vector<obs::RunRecord> runs = obs::machine_runs_from_json(*doc);
@@ -226,27 +225,11 @@ int bottleneck_one(const std::string& path, bool critical_path_mode) {
                  "under a schema-version >= 2 build)\n", path.c_str());
     return 1;
   }
-  std::size_t classified = 0;
   for (std::size_t i = 0; i < runs.size(); ++i) {
     const obs::RunRecord& r = runs[i];
-    if (critical_path_mode && !r.critical_path.present) continue;
-    ++classified;
-    const obs::Verdict verdict =
-        critical_path_mode
-            ? obs::classify_critical_path(r.critical_path, r.model)
-            : obs::classify(r);
-    const std::string why = critical_path_mode
-                                ? obs::explain_critical_path(r.critical_path)
-                                : obs::explain(r);
     std::printf("verdict run=%zu model=%s name=%s: %s\n", i, r.model.c_str(),
-                r.name.c_str(), obs::verdict_name(verdict));
-    std::printf("    %s\n", why.c_str());
-  }
-  if (critical_path_mode) {
-    if (classified > 0) return 0;
-    std::fprintf(stderr, "%s: no critical_path sections (re-run the bench "
-                 "with --critpath)\n", path.c_str());
-    return 1;
+                r.name.c_str(), obs::verdict_name(obs::classify(r)));
+    std::printf("    %s\n", obs::explain(r).c_str());
   }
   for (const char* model : {"mta", "smp"}) {
     obs::RunRecord agg;
@@ -259,88 +242,20 @@ int bottleneck_one(const std::string& path, bool critical_path_mode) {
   return 0;
 }
 
-/// bottleneck [--critical-path] <report.json>...
+/// bottleneck <report.json>...
 ///
 /// For every machine run in each report's "machine_runs", one `verdict`
 /// line naming the limiting resource in the paper's vocabulary
 /// (issue-limited, parallelism-limited, sync-limited, memory-bank-limited,
 /// bus-limited, lock-limited) and the shares it rests on, then one
 /// aggregate verdict per model. Thresholds are the obs::VerdictThresholds
-/// defaults (docs/OBSERVABILITY.md). With --critical-path the verdicts
-/// come from each run's "critical_path" section (--critpath reports)
-/// instead; on the paper tables both views must agree run for run, which
-/// scripts/check.sh asserts. Exits 0 when every report parses and has a
-/// run to classify, 1 otherwise.
+/// defaults (docs/OBSERVABILITY.md). Exits 0 when every report parses and
+/// has a run to classify, 1 otherwise.
 int run_bottleneck(const Args& args) {
   if (args.files.empty()) return kUsage;
   int failures = 0;
   for (const std::string& path : args.files)
-    failures += bottleneck_one(path, args.has("--critical-path"));
-  return failures == 0 ? 0 : 1;
-}
-
-// --- whatif ------------------------------------------------------------------
-
-void print_projections(std::size_t index, const obs::RunRecord& run) {
-  const obs::CritPathSummary& cp = run.critical_path;
-  const double total = cp.total > 0 ? cp.total : 1.0;
-  std::printf("run=%zu model=%s name=%s: total %.6g %s, coverage %.1f%%\n",
-              index, run.model.c_str(), run.name.c_str(), cp.total,
-              cp.unit.c_str(), 100.0 * cp.coverage);
-  std::printf(
-      "    path %.6g, bound %.6g%s%s | compute %.1f%% memory %.1f%% "
-      "sync %.1f%% spawn %.1f%% queue %.1f%% gap %.1f%%\n",
-      cp.path_length, cp.resource_bound,
-      cp.binding_resource.empty() ? "" : " via ",
-      cp.binding_resource.c_str(), 100.0 * cp.compute / total,
-      100.0 * cp.memory / total, 100.0 * cp.sync / total,
-      100.0 * cp.spawn / total, 100.0 * cp.queue / total,
-      100.0 * cp.gap / total);
-  std::printf("    %-16s %8s %14s %10s\n", "knob", "factor", "predicted",
-              "speedup");
-  for (const obs::KnobProjection& p : cp.projections) {
-    const double speedup = p.predicted > 0.0 ? cp.total / p.predicted : 0.0;
-    std::printf("    %-16s %8.2f %14.6g %9.3fx\n", p.knob.c_str(), p.factor,
-                p.predicted, speedup);
-  }
-}
-
-int whatif_one(const std::string& path) {
-  const std::optional<JsonValue> doc = load_json(path);
-  if (!doc) return 1;
-  const std::vector<obs::RunRecord> runs =
-      obs::machine_runs_from_json(*doc);
-  std::size_t projected = 0;
-  for (const obs::RunRecord& r : runs)
-    if (r.critical_path.present) ++projected;
-  std::printf("%s: bench %s, %zu machine run%s, %zu with critical_path\n",
-              path.c_str(), doc->string_or("bench", "?").c_str(),
-              runs.size(), runs.size() == 1 ? "" : "s", projected);
-  if (projected == 0) {
-    std::fprintf(stderr,
-                 "%s: no critical_path sections (re-run the bench with "
-                 "--critpath)\n",
-                 path.c_str());
-    return 1;
-  }
-  for (std::size_t i = 0; i < runs.size(); ++i)
-    if (runs[i].critical_path.present) print_projections(i, runs[i]);
-  return 0;
-}
-
-/// whatif <report.json>...
-///
-/// For every run captured under --critpath, its critical-path attribution
-/// and the stored what-if projections: for each knob (compute,
-/// memory_latency, sync_cost, spawn_cost) at 0.5x and 2x, the predicted
-/// runtime and implied speedup. A speedup near 1x means the scaled cost is
-/// off the critical path — the Coz-style answer to "would making X faster
-/// help?". Exits 0 when every report parses and has a projected run, 1
-/// otherwise.
-int run_whatif(const Args& args) {
-  if (args.files.empty()) return kUsage;
-  int failures = 0;
-  for (const std::string& path : args.files) failures += whatif_one(path);
+    failures += bottleneck_one(path);
   return failures == 0 ? 0 : 1;
 }
 
@@ -434,8 +349,8 @@ int run_sweep(const Args& args) {
 
 /// True when `pattern` matches `path` for --ignore purposes: a literal
 /// prefix, or a whole path component anywhere in the path (so a bare
-/// member name like "critical_path" also matches
-/// "machine_runs[3].critical_path.total"). Component boundaries are the
+/// member name like "regions" also matches
+/// "machine_runs[3].regions[0].streams"). Component boundaries are the
 /// start/end of the path and the '.'/'[' separators.
 bool ignore_matches(const std::string& path, const std::string& pattern) {
   if (pattern.empty()) return false;
@@ -454,9 +369,9 @@ bool ignore_matches(const std::string& path, const std::string& pattern) {
 }
 
 /// Context appended to "only in first/second report" messages so a whole
-/// section appearing on one side (e.g. "machine_runs" from a newer-schema
-/// report, or "critical_path" from a --critpath run) is visibly an array
-/// or object presence difference, not a stray scalar.
+/// section appearing on one side (e.g. "machine_runs" or "anomalies" from a
+/// newer-schema report) is visibly an array or object presence difference,
+/// not a stray scalar.
 std::string presence_detail(const JsonValue& v) {
   switch (v.kind) {
     case JsonValue::Kind::Array:
@@ -621,11 +536,11 @@ void expand_machine_run_reps(JsonValue& doc) {
 /// length changes, and numbers differing by more than
 /// abs_tol + rel_tol * max(|a|, |b|). The default is exact comparison, so
 /// `diff r.json r.json` is a determinism check. A member present on one
-/// side only is a difference like any other (a "machine_runs" array or a
-/// per-run "critical_path" section is reported with its size, never
-/// skipped). `--ignore` (repeatable) drops every difference whose path
-/// starts with the pattern or contains it as a whole component:
-/// `--ignore critical_path` also drops `machine_runs[3].critical_path.total`.
+/// side only is a difference like any other (a "machine_runs" or
+/// "anomalies" array is reported with its size, never skipped). `--ignore`
+/// (repeatable) drops every difference whose path starts with the pattern
+/// or contains it as a whole component: `--ignore regions` also drops
+/// `machine_runs[3].regions[0].streams`.
 /// SweepReport "groups" arrays are matched by group_key() instead of
 /// position, so sweeps that enumerated the same points in another order
 /// line up and a group on one side only is reported by key
@@ -1080,9 +995,8 @@ struct Command {
 };
 
 const Command kCommands[] = {
-    {"bottleneck", run_bottleneck, {{"--critical-path", Value::kNone}},
-     "  obs_report bottleneck [--critical-path] <report.json>...\n"},
-    {"whatif", run_whatif, {}, "  obs_report whatif <report.json>...\n"},
+    {"bottleneck", run_bottleneck, {},
+     "  obs_report bottleneck <report.json>...\n"},
     {"sweep", run_sweep, {{"--from-runs", Value::kText}},
      "  obs_report sweep <sweep.json>   (compare two with obs_report diff)\n"
      "  obs_report sweep --from-runs <runreport.json>\n"},
