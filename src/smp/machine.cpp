@@ -79,7 +79,7 @@ class Engine {
       const double delay =
           cfg_.spawn_seconds() * static_cast<double>(i + 1);
       if (delay > 0.0)
-        workers_[i].jobs.push_front(Job{Job::Kind::Sleep, delay, -1});
+        workers_[i].jobs.push_front(Job{Job::Kind::Sleep, delay});
       obs_.threads_spawned->add();
       if (obs_.sink != nullptr)
         obs_.sink->instant(obs::Category::Spawn, "thread_spawn", delay * 1e6,
