@@ -18,9 +18,10 @@
 // sim::run_sweep itself on a 100-point sweep of a cheap MTA machine —
 // first bare (no bus, so no clock reads of run_sweep's own and nothing
 // recorded), then with the full sweep-telemetry stack active (the live bus
-// recording each point once, per-run records, cross-run aggregation and
-// SweepReport + sweep-trace + LiveStatus serialization); scripts/check.sh
-// gates the telemetry regime at >= 0.95x the plain one (< 5% overhead).
+// recording each point once, per-run records, and RunReport (machine
+// runs, anomalies, host section) + sweep-trace + LiveStatus
+// serialization); scripts/check.sh gates the telemetry regime at >= 0.95x
+// the plain one (< 5% overhead).
 //
 // Each scenario runs `--reps` times (default 3); the median wall time
 // produces two RunReport rows per scenario ("<name>.cycles_per_sec" and
@@ -45,9 +46,10 @@
 #include "mta/machine.hpp"
 #include "mta/runtime.hpp"
 #include "mta/stream_program.hpp"
-#include "obs/aggregate.hpp"
+#include "obs/hostres.hpp"
 #include "obs/json.hpp"
 #include "obs/live.hpp"
+#include "obs/report.hpp"
 #include "obs/run_record.hpp"
 #include "obs/session.hpp"
 #include "obs/timeline.hpp"
@@ -194,11 +196,12 @@ std::uint64_t sweep_point(std::size_t index) {
 
 /// Median wall seconds for one 100-point sweep at `jobs`, with the full
 /// sweep-telemetry stack active when `telemetry` is set: a live bus
-/// recording every point (what --status-out, --progress,
-/// --sweep-report-out and --sweep-trace-out install), per-run records,
-/// and — after the sweep — cross-run aggregation plus SweepReport, sweep
-/// Chrome-trace and live-status serialization (to in-memory sinks), i.e.
-/// everything those flags add to a real sweep.
+/// recording every point (what --status-out, --progress and
+/// --sweep-trace-out install), per-run records, and — after the sweep —
+/// what a session then writes: the RunReport with its machine runs,
+/// anomalies and host section, the sweep Chrome trace and a live-status
+/// snapshot (to in-memory sinks), i.e. everything those flags add to a
+/// real sweep.
 double measure_sweep_regime(int reps, int jobs, std::size_t points,
                             bool telemetry) {
   std::vector<double> times;
@@ -218,22 +221,20 @@ double measure_sweep_regime(int reps, int jobs, std::size_t points,
     obs::LiveBus bus;
     obs::set_live_bus(telemetry ? &bus : nullptr);
     const auto start = std::chrono::steady_clock::now();
+    const obs::HostResUsage host_begin =
+        telemetry ? obs::sample_host_usage() : obs::HostResUsage{};
     sim::run_sweep(points, jobs, [](std::size_t i) {
       return sweep_point(i);
     });
     if (telemetry) {
-      const obs::SweepAggregator agg =
-          obs::aggregate_records(records.records());
-      obs::SweepHostSection host;
-      const obs::LiveBus::Summary s = bus.summary();
-      host.sweeps = s.sweeps;
-      host.points = s.points;
-      host.jobs = s.max_jobs;
-      host.queue_wait_seconds = s.queue_wait_seconds;
-      host.execute_seconds = s.execute_seconds;
+      obs::RunReport report("sim_throughput");
+      report.set_machine_runs(records.records());
+      report.set_anomalies(bus.anomalies());
+      report.set_host(
+          obs::host_usage_delta(host_begin, obs::sample_host_usage()),
+          bus.summary());
       std::ostringstream report_sink;
-      agg.write_report_json(report_sink, "sim_throughput", host,
-                            bus.anomalies());
+      report.write_json(report_sink, obs::default_registry());
       std::ostringstream trace_sink;
       bus.write_chrome_trace(trace_sink);
       std::ostringstream status_sink;
@@ -331,8 +332,8 @@ int main(int argc, char** argv) {
 
   {
     // Sweep-telemetry regime pair: the same 100-point sweep measured bare
-    // and with the full --sweep-report-out + --sweep-trace-out stack
-    // active (see measure_sweep_regime). The points_per_sec ratio is the
+    // and with the full --report-out + --sweep-trace-out stack active (see
+    // measure_sweep_regime). The points_per_sec ratio is the
     // telemetry overhead; scripts/check.sh gates it at >= 0.95.
     constexpr std::size_t kPoints = 100;
     const int sweep_jobs = run.jobs();

@@ -70,30 +70,30 @@ awk -F, 'NR == 1 { next }
   >/dev/null ||
   { echo "FAIL: obs_report diff self-diff reported differences"; exit 1; }
 
-echo "== sweep telemetry (report + trace + independent recomputation) =="
-# A --jobs run with sweep telemetry enabled must produce a schema-valid
-# SweepReport and sweep-scheduler trace, and the report's aggregate
-# sections must match an independent recomputation from the per-run
-# RunReport (host accounting differs by construction: --from-runs has no
-# host to sample).
+echo "== sweep telemetry (host section + scheduler trace + sweep view) =="
+# A --jobs run with sweep telemetry enabled must write a schema-valid
+# RunReport with a host section and a sweep-scheduler trace, and
+# `obs_report sweep` must render the report with a sched line whose point
+# count equals the trace's "run s<i>.p<j>" spans.
 "$BUILD_DIR"/bench/table05_threat_tera \
     --jobs 4 \
-    --report-out "$SMOKE_DIR/sw_runs.json" \
-    --sweep-report-out "$SMOKE_DIR/sw.json" \
+    --report-out "$SMOKE_DIR/sw.json" \
     --sweep-trace-out "$SMOKE_DIR/sw_trace.json" >/dev/null
 "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/sw.json" "$SMOKE_DIR/sw_trace.json"
-grep -q '"kind":"sweep_report"' "$SMOKE_DIR/sw.json" ||
-  { echo "FAIL: sweep report missing kind=sweep_report"; exit 1; }
+grep -q '"sched":{' "$SMOKE_DIR/sw.json" ||
+  { echo "FAIL: report has no host.sched section"; exit 1; }
 grep -q '"sweep scheduler"' "$SMOKE_DIR/sw_trace.json" ||
   { echo "FAIL: sweep trace has no scheduler track"; exit 1; }
-"$BUILD_DIR"/tools/obs_report sweep --from-runs "$SMOKE_DIR/sw_runs.json" \
-    > "$SMOKE_DIR/sw_recomputed.json"
-"$BUILD_DIR"/tools/json_check "$SMOKE_DIR/sw_recomputed.json"
-"$BUILD_DIR"/tools/obs_report diff "$SMOKE_DIR/sw.json" \
-    "$SMOKE_DIR/sw_recomputed.json" --ignore host >/dev/null ||
-  { echo "FAIL: sweep report disagrees with recomputation from runs"; \
-    exit 1; }
-echo "sweep report matches independent recomputation"
+"$BUILD_DIR"/tools/obs_report sweep "$SMOKE_DIR/sw.json" \
+    > "$SMOKE_DIR/sw_view.txt"
+SW_PTS="$(sed -n 's/^  sched: \([0-9][0-9]*\) points .*/\1/p' \
+          "$SMOKE_DIR/sw_view.txt")"
+SW_SPANS="$(grep -o '"name":"run s[0-9]*\.p[0-9]*"' \
+            "$SMOKE_DIR/sw_trace.json" | wc -l)"
+[ -n "$SW_PTS" ] && [ "$SW_PTS" -eq "$SW_SPANS" ] ||
+  { echo "FAIL: obs_report sweep sched points '$SW_PTS' differ from the" \
+         "trace's $SW_SPANS run spans"; exit 1; }
+echo "sweep view: $SW_PTS points, as many as the trace's run spans"
 
 echo "== parallel identity (--jobs 1 vs --jobs 4) =="
 # --jobs is the only parallel axis and must be invisible in the output:
@@ -120,13 +120,17 @@ echo "jobs=4 identical to jobs=1 for tables 05/06/11 (modulo wall time)"
 
 # The live bus is sampled, never merged: the same sweep with the bus
 # installed (--status-out) and at a different --jobs must still produce
-# the identical report.
+# the identical report, apart from the host section the bus adds (which
+# must be there, so that --ignore host cannot hide a missing one).
 "$BUILD_DIR"/bench/table05_threat_tera --jobs 3 \
     --status-out "$SMOKE_DIR/bus_status.json" \
     --report-out "$SMOKE_DIR/bus_report.json" >/dev/null
+grep -q '"host":{' "$SMOKE_DIR/bus_report.json" ||
+  { echo "FAIL: report written with the live bus has no host section"; \
+    exit 1; }
 "$BUILD_DIR"/tools/obs_report diff "$SMOKE_DIR/table05_threat_tera.j1.json" \
     "$SMOKE_DIR/bus_report.json" --ignore mta.run.wall_seconds \
-    >/dev/null ||
+    --ignore host >/dev/null ||
   { echo "FAIL: report changes when the live bus is installed"; exit 1; }
 echo "report identical with the live bus installed"
 
@@ -135,13 +139,13 @@ echo "== live status bus (--status-out + obs_report monitor) =="
 # monotonically-advancing snapshots while it runs, finish with a done=true
 # snapshot, validate against json_check's live_status schema, and be
 # readable by obs_report monitor in both CI (--once) and follow modes. The
-# bus records each point once, so the final status counts, the SweepReport's
-# scheduler section and the sweep trace's "run s<i>.p<j>" spans must all
+# bus records each point once, so the final status counts, the RunReport's
+# host.sched section and the sweep trace's "run s<i>.p<j>" spans must all
 # name the same number of points.
 STATUS="$SMOKE_DIR/live.json"
 "$BUILD_DIR"/bench/table05_threat_tera --jobs 2 \
     --status-out "$STATUS" --status-period 50 \
-    --sweep-report-out "$SMOKE_DIR/live_sweep.json" \
+    --report-out "$SMOKE_DIR/live_report.json" \
     --sweep-trace-out "$SMOKE_DIR/live_trace.json" >/dev/null &
 LIVE_PID=$!
 LAST_VER=0
@@ -175,14 +179,14 @@ LIVE_TOTAL="$(grep -o '"total":[0-9][0-9]*' "$STATUS" | head -1 |
               cut -d: -f2)"
 SCHED_PTS="$(sed -n \
     's/.*"sched":{"sweeps":[0-9]*,"points":\([0-9]*\).*/\1/p' \
-    "$SMOKE_DIR/live_sweep.json")"
+    "$SMOKE_DIR/live_report.json")"
 "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/live_trace.json" >/dev/null
 RUN_SPANS="$(grep -o '"name":"run s[0-9]*\.p[0-9]*"' \
              "$SMOKE_DIR/live_trace.json" | wc -l)"
 [ -n "$LIVE_DONE" ] && [ "$LIVE_DONE" = "$LIVE_TOTAL" ] &&
     [ "$LIVE_DONE" = "$SCHED_PTS" ] && [ "$LIVE_DONE" -eq "$RUN_SPANS" ] ||
   { echo "FAIL: status counts done=$LIVE_DONE total=$LIVE_TOTAL disagree" \
-         "with sweep report points=$SCHED_PTS or trace run spans" \
+         "with report sched points=$SCHED_PTS or trace run spans" \
          "$RUN_SPANS"; exit 1; }
 "$BUILD_DIR"/tools/obs_report monitor "$STATUS" --once | grep -q 'done=1' ||
   { echo "FAIL: obs_report monitor --once did not report done=1"; exit 1; }
@@ -190,7 +194,7 @@ RUN_SPANS="$(grep -o '"name":"run s[0-9]*\.p[0-9]*"' \
 "$BUILD_DIR"/tools/obs_report monitor "$STATUS" --follow --timeout 10 \
     >/dev/null ||
   { echo "FAIL: obs_report monitor --follow did not exit cleanly"; exit 1; }
-echo "live status: $LAST_VER snapshots, final counts match sweep report" \
+echo "live status: $LAST_VER snapshots, final counts match report sched" \
      "and trace ($LIVE_DONE/$LIVE_TOTAL points)"
 
 echo "== watchdog (forced anomaly -> status -> monitor) =="
@@ -311,8 +315,8 @@ echo "== perf smoke (sim_throughput vs committed baseline) =="
 "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/sim_throughput.json"
 
 # Sweep telemetry must stay cheap: running a 100-point sweep with the
-# full telemetry stack (live bus + aggregation + report/trace
-# serialization) must keep at least 95% of the plain sweep throughput.
+# full telemetry stack (live bus + report/trace/status serialization) must
+# keep at least 95% of the plain sweep throughput.
 extract_measured() {
   grep -o "\"label\":\"$1\",\"paper\":[0-9.eE+-]*,\"measured\":[0-9.eE+-]*" \
       "$SMOKE_DIR/sim_throughput.json" | sed 's/.*"measured"://'

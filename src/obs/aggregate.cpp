@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-
-#include "core/contracts.hpp"
-#include "obs/json.hpp"
-#include "obs/live.hpp"
+#include <cstddef>
 
 namespace tc3i::obs {
 
@@ -38,13 +35,6 @@ double MetricAggregate::quantile(double q) const {
 
 // --- SweepAggregator ---------------------------------------------------------
 
-const char* slot_share_name(std::size_t i) {
-  static const char* kNames[6] = {"used",  "no_stream", "spacing",
-                                  "spawn", "memory",    "sync"};
-  TC3I_EXPECTS(i < 6);
-  return kNames[i];
-}
-
 SweepGroup& SweepAggregator::group_for(const SweepGroupKey& key) {
   for (SweepGroup& g : groups_)
     if (g.key == key) return g;
@@ -57,26 +47,10 @@ void SweepAggregator::add(const RunRecord& record) {
   const std::uint64_t run_index = runs_++;
   SweepGroup& g = group_for(SweepGroupKey{
       record.model, record.name, record.scenario, record.processors});
-  const bool mta = record.model == "mta";
-  g.wall_unit = mta ? "cycles" : "seconds";
-  const double wall = mta ? static_cast<double>(record.cycles)
-                          : record.elapsed_seconds;
-  g.wall.add(wall);
+  g.wall.add(record.model == "mta" ? static_cast<double>(record.cycles)
+                                    : record.elapsed_seconds);
   g.wall_runs.push_back(run_index);
   g.utilization.add(record.utilization);
-  g.threads.add(static_cast<double>(record.threads));
-  if (mta) {
-    const double total = static_cast<double>(record.slots.total());
-    const double values[6] = {
-        static_cast<double>(record.slots.used),
-        static_cast<double>(record.slots.no_stream),
-        static_cast<double>(record.slots.spacing),
-        static_cast<double>(record.slots.spawn),
-        static_cast<double>(record.slots.memory),
-        static_cast<double>(record.slots.sync)};
-    for (std::size_t i = 0; i < 6; ++i)
-      g.slot_share[i].add(total > 0.0 ? values[i] / total : 0.0);
-  }
 }
 
 namespace {
@@ -116,90 +90,6 @@ std::vector<std::uint64_t> SweepAggregator::outlier_runs(
     if (std::fabs(walls[i] - med) > threshold)
       out.push_back(group.wall_runs[i]);
   return out;
-}
-
-namespace {
-
-void write_metric(JsonWriter& w, const char* name, const MetricAggregate& m) {
-  w.key(name);
-  w.begin_object();
-  w.field("count", static_cast<std::uint64_t>(m.count));
-  w.field("sum", m.sum);
-  w.field("min", m.min);
-  w.field("max", m.max);
-  w.field("mean", m.mean());
-  w.field("p10", m.quantile(0.10));
-  w.field("p50", m.quantile(0.50));
-  w.field("p90", m.quantile(0.90));
-  w.end_object();
-}
-
-}  // namespace
-
-void SweepAggregator::write_groups_json(JsonWriter& w) const {
-  w.field("runs", runs_);
-  w.field("outlier_k", kOutlierK);
-  w.key("groups");
-  w.begin_array();
-  for (const SweepGroup& g : groups_) {
-    w.begin_object();
-    w.field("model", g.key.model);
-    w.field("name", g.key.name);
-    w.field("scenario", g.key.scenario);
-    w.field("processors", g.key.processors);
-    w.field("count", static_cast<std::uint64_t>(g.wall.count));
-    w.field("wall_unit", g.wall_unit);
-    w.key("metrics");
-    w.begin_object();
-    write_metric(w, "wall", g.wall);
-    write_metric(w, "utilization", g.utilization);
-    write_metric(w, "threads", g.threads);
-    if (g.key.model == "mta")
-      for (std::size_t i = 0; i < 6; ++i)
-        write_metric(w, (std::string("slot_share.") + slot_share_name(i)).c_str(),
-                     g.slot_share[i]);
-    w.end_object();
-    w.key("outlier_runs");
-    w.begin_array();
-    for (const std::uint64_t run : outlier_runs(g)) w.value(run);
-    w.end_array();
-    w.end_object();
-  }
-  w.end_array();
-}
-
-void SweepAggregator::write_report_json(
-    std::ostream& out, const std::string& bench, const SweepHostSection& host,
-    const std::vector<LiveAnomaly>& anomalies) const {
-  JsonWriter w(out);
-  w.begin_object();
-  w.field("bench", bench);
-  w.field("schema_version", std::uint64_t{5});
-  w.field("kind", "sweep_report");
-  write_groups_json(w);
-  w.key("host");
-  w.begin_object();
-  w.field("wall_seconds", host.wall_seconds);
-  w.field("user_cpu_seconds", host.user_cpu_seconds);
-  w.field("sys_cpu_seconds", host.sys_cpu_seconds);
-  w.field("max_rss_kb", host.max_rss_kb);
-  w.field("minor_faults", host.minor_faults);
-  w.field("major_faults", host.major_faults);
-  w.field("testbed_cache_hits", host.testbed_cache_hits);
-  w.field("testbed_cache_misses", host.testbed_cache_misses);
-  w.key("sched");
-  w.begin_object();
-  w.field("sweeps", host.sweeps);
-  w.field("points", host.points);
-  w.field("jobs", host.jobs);
-  w.field("queue_wait_seconds", host.queue_wait_seconds);
-  w.field("execute_seconds", host.execute_seconds);
-  w.end_object();
-  w.end_object();
-  w.key("anomalies");
-  write_anomalies_json(w, anomalies);
-  w.end_object();
-  out << '\n';
 }
 
 SweepAggregator aggregate_records(const std::vector<RunRecord>& records) {

@@ -273,12 +273,7 @@ void LiveBus::write_status_json(const LiveStatus& status, std::ostream& out) {
   w.end_object();
   w.key("host");
   w.begin_object();
-  w.field("wall_seconds", status.host.wall_seconds);
-  w.field("user_cpu_seconds", status.host.user_cpu_seconds);
-  w.field("sys_cpu_seconds", status.host.sys_cpu_seconds);
-  w.field("max_rss_kb", status.host.max_rss_kb);
-  w.field("minor_faults", status.host.minor_faults);
-  w.field("major_faults", status.host.major_faults);
+  write_host_usage_fields(w, status.host);
   w.end_object();
   w.key("workers");
   w.begin_array();
@@ -313,6 +308,15 @@ void write_anomalies_json(JsonWriter& w,
     w.end_object();
   }
   w.end_array();
+}
+
+void write_host_usage_fields(JsonWriter& w, const HostResUsage& usage) {
+  w.field("wall_seconds", usage.wall_seconds);
+  w.field("user_cpu_seconds", usage.user_cpu_seconds);
+  w.field("sys_cpu_seconds", usage.sys_cpu_seconds);
+  w.field("max_rss_kb", usage.max_rss_kb);
+  w.field("minor_faults", usage.minor_faults);
+  w.field("major_faults", usage.major_faults);
 }
 
 bool LiveBus::write_status_file(const LiveStatus& status,

@@ -23,11 +23,11 @@
 //     worker whose heartbeat has been silent past
 //     watchdog.heartbeat_timeout_seconds while it still holds work, raises
 //     a LiveAnomaly ("slow_point" / "stalled_worker"), shown live in the
-//     status file and persisted by RunSession into the RunReport /
-//     SweepReport "anomalies" sections;
+//     status file and persisted by RunSession into the RunReport's
+//     "anomalies" section;
 //   - the --progress ticker's throughput and ETA (progress());
 //   - the --sweep-trace-out Chrome trace of the sweep scheduler and the
-//     SweepReport host.sched totals (write_chrome_trace(), summary()).
+//     RunReport's host.sched totals (write_chrome_trace(), summary()).
 //
 // The traffic is one lock per point boundary, and a bench runs tens of
 // points, so the mutex costs nothing measurable.
@@ -187,7 +187,7 @@ class LiveBus {
   };
   [[nodiscard]] Progress progress(double now_s) const;
 
-  /// Scheduler totals for the SweepReport host.sched section.
+  /// Scheduler totals for the RunReport's host.sched section.
   struct Summary {
     std::uint64_t sweeps = 0;
     std::uint64_t points = 0;
@@ -268,14 +268,20 @@ class LiveBus {
 /// Emits `anomalies` as a JSON array value (the caller has already emitted
 /// the key): one object per anomaly with kind / worker / point (omitted
 /// when unpinned) / at_seconds / observed_seconds / threshold_seconds.
-/// Shared by the live status file and the RunReport / SweepReport v5
-/// "anomalies" sections so all three serialize identically.
+/// Shared by the live status file and the RunReport's "anomalies" section
+/// so both serialize identically.
 void write_anomalies_json(JsonWriter& w,
                           const std::vector<LiveAnomaly>& anomalies);
 
+/// Emits the six HostResUsage members (wall_seconds, user_cpu_seconds,
+/// sys_cpu_seconds, max_rss_kb, minor_faults, major_faults) into the
+/// object the caller has open. Shared by the live status file's and the
+/// RunReport's "host" objects.
+void write_host_usage_fields(JsonWriter& w, const HostResUsage& usage);
+
 /// The process-global bus sim::run_sweep feeds, or null (the default — no
 /// record, no clock calls). RunSession installs one for --status-out,
-/// --progress, --sweep-report-out and --sweep-trace-out.
+/// --progress and --sweep-trace-out.
 [[nodiscard]] LiveBus* live_bus();
 void set_live_bus(LiveBus* bus);
 

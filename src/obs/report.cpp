@@ -1,5 +1,6 @@
 #include "obs/report.hpp"
 
+#include <cmath>
 #include <cstdio>
 
 #include "core/contracts.hpp"
@@ -17,12 +18,33 @@ std::uint64_t u64_or(const JsonValue& v, std::string_view key) {
 
 }  // namespace
 
-std::vector<RunRecord> machine_runs_from_json(const JsonValue& report) {
+std::uint64_t machine_run_reps(const JsonValue& run) {
+  const JsonValue* reps = run.find("reps");
+  if (reps == nullptr) return 1;
+  if (!reps->is_number() || reps->number < 1.0 ||
+      reps->number > static_cast<double>(kMaxMachineRunReps) ||
+      reps->number != std::floor(reps->number))
+    return 0;
+  return static_cast<std::uint64_t>(reps->number);
+}
+
+std::optional<std::vector<RunRecord>> machine_runs_from_json(
+    const JsonValue& report, std::string* error) {
   std::vector<RunRecord> out;
   const JsonValue* runs = report.find_array("machine_runs");
   if (runs == nullptr) return out;
-  for (const JsonValue& jr : runs->array) {
+  for (std::size_t i = 0; i < runs->array.size(); ++i) {
+    const JsonValue& jr = runs->array[i];
     if (!jr.is_object()) continue;
+    // Compact form: one record object stands for `reps` consecutive
+    // identical records (the writer run-length encodes repeats).
+    const std::uint64_t reps = machine_run_reps(jr);
+    if (reps == 0) {
+      *error = "machine_runs[" + std::to_string(i) +
+               "].reps is not an integer in [1, " +
+               std::to_string(kMaxMachineRunReps) + "]";
+      return std::nullopt;
+    }
     RunRecord r;
     r.model = jr.string_or("model", "");
     r.name = jr.string_or("name", "");
@@ -55,13 +77,7 @@ std::vector<RunRecord> machine_runs_from_json(const JsonValue& report) {
     r.elapsed_seconds = jr.number_or("elapsed_seconds", 0.0);
     r.bus_utilization = jr.number_or("bus_utilization", 0.0);
     r.lock_wait_share = jr.number_or("lock_wait_share", 0.0);
-    // Compact form: one record object stands for `reps` consecutive
-    // identical records (the writer run-length encodes repeats). Absent or
-    // 1 means a single record; clamp so a corrupt file cannot OOM us.
-    std::uint64_t reps = u64_or(jr, "reps");
-    if (reps == 0) reps = 1;
-    TC3I_EXPECTS(reps <= 1000000);
-    for (std::uint64_t i = 1; i < reps; ++i) out.push_back(r);
+    for (std::uint64_t rep = 1; rep < reps; ++rep) out.push_back(r);
     out.push_back(std::move(r));
   }
   return out;
@@ -100,6 +116,12 @@ void RunReport::set_machine_runs(std::vector<RunRecord> runs) {
 
 void RunReport::set_anomalies(std::vector<LiveAnomaly> anomalies) {
   anomalies_ = std::move(anomalies);
+}
+
+void RunReport::set_host(const HostResUsage& usage,
+                         const LiveBus::Summary& sched) {
+  host_ = usage;
+  sched_ = sched;
 }
 
 void RunReport::write_json(std::ostream& out,
@@ -214,6 +236,21 @@ void RunReport::write_json(std::ostream& out,
 
   w.key("anomalies");
   write_anomalies_json(w, anomalies_);
+
+  if (host_) {
+    w.key("host");
+    w.begin_object();
+    write_host_usage_fields(w, *host_);
+    w.key("sched");
+    w.begin_object();
+    w.field("sweeps", sched_.sweeps);
+    w.field("points", sched_.points);
+    w.field("jobs", sched_.max_jobs);
+    w.field("queue_wait_seconds", sched_.queue_wait_seconds);
+    w.field("execute_seconds", sched_.execute_seconds);
+    w.end_object();
+    w.end_object();
+  }
 
   w.key("notes");
   w.begin_array();

@@ -6,10 +6,10 @@
 // result trajectories can be produced and diffed mechanically.
 //
 // Schema (schema_version 5; version 1 lacked "machine_runs", versions 3
-// and below lacked the "anomalies" watchdog section — 4 is skipped so
-// RunReport and SweepReport share one version number from v5 on; versions
-// 3 and 5 could also carry an optional per-run critical-path section,
-// which is no longer written and which readers ignore):
+// and below lacked the "anomalies" watchdog section, and 4 was the
+// retired sweep report's; versions 3 and 5 could also carry an optional
+// per-run critical-path section, which is no longer written and which
+// readers ignore):
 //   {
 //     "bench": "<name>", "schema_version": 5,
 //     "config": { "<key>": "<value>", ... },
@@ -19,7 +19,12 @@
 //     "histograms": { "<name>": {"count","sum","p50","p90","p99","max"} },
 //     "machine_runs": [ per-run accounting records, see set_machine_runs() ],
 //     "anomalies": [ watchdog findings from the live bus, see
-//                    obs::write_anomalies_json(); [] without --status-out ],
+//                    obs::write_anomalies_json(); [] without a live bus ],
+//     "host": { optional, see set_host(): "wall_seconds",
+//               "user_cpu_seconds", "sys_cpu_seconds", "max_rss_kb",
+//               "minor_faults", "major_faults",
+//               "sched": {"sweeps","points","jobs","queue_wait_seconds",
+//                         "execute_seconds"} },
 //     "notes": [ "...", ... ]
 //   }
 //
@@ -36,12 +41,15 @@
 //     "lock_wait_share":l }
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "obs/counters.hpp"
+#include "obs/hostres.hpp"
 #include "obs/live.hpp"
 #include "obs/run_record.hpp"
 
@@ -49,12 +57,21 @@ namespace tc3i::obs {
 
 class JsonValue;
 
+/// Largest "reps" count a machine_runs entry may carry.
+inline constexpr std::uint64_t kMaxMachineRunReps = 1000000;
+
+/// How many runs one "machine_runs" entry stands for: 1 without a "reps"
+/// member, its value when that is an integer in [1, kMaxMachineRunReps],
+/// and 0 for any other "reps" (a corrupt count, which readers reject).
+[[nodiscard]] std::uint64_t machine_run_reps(const JsonValue& run);
+
 /// Rebuilds the RunRecords serialized in a parsed report's "machine_runs"
 /// array (the inverse of write_json's emission; absent fields keep their
 /// defaults, non-array / absent "machine_runs" yields an empty vector).
-/// Used by `obs_report bottleneck` and `sweep --from-runs`.
-[[nodiscard]] std::vector<RunRecord> machine_runs_from_json(
-    const JsonValue& report);
+/// Returns nullopt with *error naming the first entry whose "reps" count
+/// is corrupt. Used by `obs_report bottleneck` and `obs_report sweep`.
+[[nodiscard]] std::optional<std::vector<RunRecord>> machine_runs_from_json(
+    const JsonValue& report, std::string* error);
 
 class RunReport {
  public:
@@ -80,6 +97,11 @@ class RunReport {
   /// (RunSession feeds these from its LiveBus at finish(); the array is
   /// always emitted, empty for runs without a live bus).
   void set_anomalies(std::vector<LiveAnomaly> anomalies);
+
+  /// Adds the "host" section: the session's host-resource delta and the
+  /// live bus's scheduler totals. RunSession calls it whenever a live bus
+  /// is installed; a report without it has no "host" member at all.
+  void set_host(const HostResUsage& usage, const LiveBus::Summary& sched);
 
   [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
   [[nodiscard]] const std::vector<RunRecord>& machine_runs() const {
@@ -108,6 +130,8 @@ class RunReport {
   std::vector<std::string> notes_;
   std::vector<RunRecord> machine_runs_;
   std::vector<LiveAnomaly> anomalies_;
+  std::optional<HostResUsage> host_;
+  LiveBus::Summary sched_;
 };
 
 }  // namespace tc3i::obs

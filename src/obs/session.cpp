@@ -6,8 +6,6 @@
 #include <thread>
 
 #include "core/contracts.hpp"
-#include "obs/aggregate.hpp"
-#include "obs/write_file.hpp"
 
 namespace tc3i::obs {
 
@@ -49,10 +47,6 @@ void RunSession::add_cli_flags(CliParser& cli) {
                "stderr progress ticker for simulation sweeps (runs "
                "completed / total + ETA; auto-disabled when stderr is not "
                "a TTY)");
-  cli.add_flag("sweep-report-out", "",
-               "aggregate all machine runs into a SweepReport JSON "
-               "(schema v4: per-group rollups, quantiles, outliers, "
-               "host-resource + sweep-scheduler accounting)");
   cli.add_flag("sweep-trace-out", "",
                "write a Chrome trace of the sweep scheduler (one lane per "
                "--jobs worker, queue-wait vs execute spans per point)");
@@ -73,7 +67,6 @@ RunSession::RunSession(std::string name, const CliParser& cli)
       trace_path_(cli.get("trace-out")),
       report_path_(cli.get("report-out")),
       timeline_path_(cli.get("timeline-out")),
-      sweep_report_path_(cli.get("sweep-report-out")),
       sweep_trace_path_(cli.get("sweep-trace-out")),
       status_path_(cli.get("status-out")),
       dump_counters_(cli.get_bool("counters")),
@@ -83,12 +76,11 @@ RunSession::RunSession(std::string name, const CliParser& cli)
   // A bare `--trace-out` / `--report-out` parses as the boolean sentinel
   // "true" (CliParser bare-flag rule); these flags need real paths.
   if (trace_path_ == "true" || report_path_ == "true" ||
-      timeline_path_ == "true" || sweep_report_path_ == "true" ||
-      sweep_trace_path_ == "true" || status_path_ == "true") {
+      timeline_path_ == "true" || sweep_trace_path_ == "true" ||
+      status_path_ == "true") {
     std::fprintf(stderr,
                  "error: --trace-out, --report-out, --timeline-out, "
-                 "--sweep-report-out, --sweep-trace-out and --status-out "
-                 "require a file path\n");
+                 "--sweep-trace-out and --status-out require a file path\n");
     std::exit(2);
   }
   const std::int64_t sample_period = cli.get_int("sample-period");
@@ -132,11 +124,11 @@ RunSession::RunSession(std::string name, const CliParser& cli)
     set_process_timeline(timeline_.get());
   }
   // The live bus is the one host-side record: --status-out, the
-  // --progress ticker, --sweep-report-out and --sweep-trace-out all read
-  // it. Whenever it is installed a background fold runs the watchdog;
-  // only --status-out also publishes each fold.
+  // --progress ticker, --sweep-trace-out and the RunReport's host section
+  // all read it. Whenever it is installed a background fold runs the
+  // watchdog; only --status-out also publishes each fold.
   if (!status_path_.empty() || cli.get_bool("progress") ||
-      !sweep_report_path_.empty() || !sweep_trace_path_.empty()) {
+      !sweep_trace_path_.empty()) {
     const std::int64_t status_period = cli.get_int("status-period");
     const double watchdog_timeout = cli.get_double("watchdog-timeout");
     if (status_period < 1) {
@@ -181,9 +173,8 @@ void RunSession::finish() {
   finished_ = true;
 
   // Stop the fold first: the final done=true snapshot runs one last
-  // watchdog pass, so the anomaly list persisted into the reports below is
+  // watchdog pass, so the anomaly list persisted into the report below is
   // complete.
-  std::vector<LiveAnomaly> anomalies;
   if (live_ != nullptr) {
     const std::uint64_t published = publisher_->finish();
     if (!status_path_.empty())
@@ -191,8 +182,7 @@ void RunSession::finish() {
                   status_path_.c_str(),
                   static_cast<unsigned long long>(published),
                   published == 1 ? "" : "s");
-    anomalies = live_->anomalies();
-    report_.set_anomalies(anomalies);
+    report_.set_anomalies(live_->anomalies());
   }
 
   if (sink_ != nullptr && !trace_path_.empty()) {
@@ -231,47 +221,11 @@ void RunSession::finish() {
     }
   }
 
-  if (!sweep_report_path_.empty()) {
-    const SweepAggregator agg = aggregate_records(records_->records());
-    SweepHostSection host;
-    const HostResUsage delta =
-        host_usage_delta(host_begin_, sample_host_usage());
-    host.wall_seconds = delta.wall_seconds;
-    host.user_cpu_seconds = delta.user_cpu_seconds;
-    host.sys_cpu_seconds = delta.sys_cpu_seconds;
-    host.max_rss_kb = delta.max_rss_kb;
-    host.minor_faults = delta.minor_faults;
-    host.major_faults = delta.major_faults;
-    // The testbed profile cache is the dominant startup I/O; its counters
-    // localize "slow sweep" to recompute-vs-cache before anything else.
-    CounterRegistry& reg = default_registry();
-    host.testbed_cache_hits = reg.counter("testbed.cache.hit").value();
-    host.testbed_cache_misses = reg.counter("testbed.cache.miss").value();
-    const LiveBus::Summary s = live_->summary();
-    host.sweeps = s.sweeps;
-    host.points = s.points;
-    host.jobs = s.max_jobs;
-    host.queue_wait_seconds = s.queue_wait_seconds;
-    host.execute_seconds = s.execute_seconds;
-    std::string error;
-    if (write_file(
-            sweep_report_path_,
-            [&](std::ostream& out) {
-              agg.write_report_json(out, name_, host, anomalies);
-            },
-            &error)) {
-      std::printf("[obs] sweep report: %s (%llu runs, %zu groups)\n",
-                  sweep_report_path_.c_str(),
-                  static_cast<unsigned long long>(agg.runs()),
-                  agg.groups().size());
-    } else {
-      std::fprintf(stderr, "[obs] sweep report write failed: %s\n",
-                   error.c_str());
-    }
-  }
-
   if (!report_path_.empty()) {
     report_.set_machine_runs(records_->records());
+    if (live_ != nullptr)
+      report_.set_host(host_usage_delta(host_begin_, sample_host_usage()),
+                       live_->summary());
     std::string error;
     if (report_.write_json_file(report_path_, default_registry(), &error)) {
       std::printf("[obs] report: %s\n", report_path_.c_str());

@@ -22,10 +22,6 @@
 //   --watchdog-timeout <s>  a worker heartbeat silent past this many
 //                         seconds while holding work is a stalled_worker
 //                         anomaly (default 5)
-//   --sweep-report-out <path>  aggregate every machine run into a
-//                         SweepReport JSON (schema v4: per-group rollups,
-//                         quantile sketches, outlier runs, host-resource
-//                         and sweep-scheduler accounting)
 //   --sweep-trace-out <path>   write a Chrome trace of the sweep scheduler
 //                         itself (one lane per --jobs worker, queue-wait
 //                         vs execute spans per point); unlike --trace-out
@@ -39,16 +35,16 @@
 //
 // Construction installs the global trace sink (when --trace-out is given)
 // and the process-wide RunRecordStore / TimelineStore the machine models
-// feed. Whenever --status-out, --progress, --sweep-report-out or
-// --sweep-trace-out is given it also installs one obs::LiveBus, the
-// single host-side record of every sim::run_sweep point, and a
-// LivePublisher that folds it every --status-period ms: the status file,
-// the watchdog, the ticker, the sweep trace and the SweepReport
-// host.sched totals all read it. Destruction (or finish()) writes all
-// requested outputs. Exactly one session may be active at a time;
-// RunSession::active() lets shared helper code (e.g. the bench harness row
-// formatter) feed the report without threading a pointer through every
-// call site.
+// feed. Whenever --status-out, --progress or --sweep-trace-out is given
+// it also installs one obs::LiveBus, the single host-side record of every
+// sim::run_sweep point, and a LivePublisher that folds it every
+// --status-period ms: the status file, the watchdog, the ticker and the
+// sweep trace all read it, and the RunReport gains a "host" section (the
+// session's host-resource delta plus the bus's scheduler totals).
+// Destruction (or finish()) writes all requested outputs. Exactly one
+// session may be active at a time; RunSession::active() lets shared helper
+// code (e.g. the bench harness row formatter) feed the report without
+// threading a pointer through every call site.
 #pragma once
 
 #include <memory>
@@ -108,7 +104,6 @@ class RunSession {
   std::string trace_path_;
   std::string report_path_;
   std::string timeline_path_;
-  std::string sweep_report_path_;
   std::string sweep_trace_path_;
   std::string status_path_;
   int jobs_ = 1;

@@ -265,10 +265,11 @@ Testbed load_or_build_testbed() {
   const TestbedScenarios scenarios = testbed_scenarios();
   const std::uint64_t fp = fingerprint(scenarios);
   const fs::path path = cache_file_path(fp);
-  // Hit/miss counters feed the SweepReport host section: a sweep that
-  // suddenly spends seconds in kernel profiling shows up as misses there
-  // instead of as an unexplained wall-time regression. A disabled cache
-  // counts as a miss (the profiles are recomputed either way).
+  // Hit/miss counters land in the RunReport's counters, and `obs_report
+  // sweep` prints them on its host line: a sweep that suddenly spends
+  // seconds in kernel profiling shows up as misses there instead of as an
+  // unexplained wall-time regression. A disabled cache counts as a miss
+  // (the profiles are recomputed either way).
   // The live bus keeps its own hit/miss tally: mid-sweep the default
   // registry is shadowed by per-point scoped registries, so it cannot be
   // read live.

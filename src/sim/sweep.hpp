@@ -22,10 +22,9 @@
 // Telemetry: both paths run each point through one per-point body, which
 // records the point once on the session's obs::LiveBus, the one
 // host-side recording call (when one is installed — RunSession does so for
-// --status-out, --progress, --sweep-report-out and --sweep-trace-out).
-// The bus derives the live status, the watchdog, the --progress ETA, the
-// sweep-scheduler trace and the SweepReport host.sched totals from that
-// one record. With no bus installed the sweep makes no clock calls of its
+// --status-out, --progress and --sweep-trace-out). The bus derives the
+// live status, the watchdog, the --progress ETA, the sweep-scheduler trace
+// and the RunReport's host.sched totals from that one record. With no bus installed the sweep makes no clock calls of its
 // own and records nothing.
 #pragma once
 

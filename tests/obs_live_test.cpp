@@ -398,7 +398,7 @@ TEST(LivePublisherTest, FinalSnapshotWrittenEvenWithoutPeriodFiring) {
 }
 
 // --- sweep-scheduler spans (the record behind --sweep-trace-out and the
-// SweepReport host.sched totals) ---------------------------------------------
+// RunReport's host.sched totals) ---------------------------------------------
 
 TEST(LiveBusSched, OneSpanPerPointWorkersWithinJobs) {
   obs::LiveBus bus;

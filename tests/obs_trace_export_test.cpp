@@ -182,6 +182,34 @@ TEST(RunReport, JsonContainsRowsConfigAndRegistrySnapshot) {
   EXPECT_NE(json.find("\"test.level\":0.5"), std::string::npos);
   EXPECT_NE(json.find("\"test.lat\""), std::string::npos);
   EXPECT_NE(json.find("\"notes\":[\"synthetic\"]"), std::string::npos);
+  // Without a live bus there is no host section, not an empty one.
+  EXPECT_EQ(json.find("\"host\""), std::string::npos) << json;
+
+  // With one, the host section sits between anomalies and notes: the six
+  // host-resource fields, then the scheduler totals.
+  HostResUsage usage;
+  usage.wall_seconds = 1.5;
+  usage.user_cpu_seconds = 2.5;
+  usage.max_rss_kb = 4096;
+  usage.minor_faults = 7;
+  LiveBus::Summary sched;
+  sched.sweeps = 1;
+  sched.points = 3;
+  sched.max_jobs = 4;
+  sched.execute_seconds = 0.25;
+  report.set_host(usage, sched);
+  std::ostringstream with_host;
+  report.write_json(with_host, reg);
+  const std::string hjson = with_host.str();
+  ASSERT_FALSE(json_validate(hjson).has_value()) << *json_validate(hjson);
+  EXPECT_NE(hjson.find("\"anomalies\":[],\"host\":{\"wall_seconds\":1.5,"
+                       "\"user_cpu_seconds\":2.5,\"sys_cpu_seconds\":0,"
+                       "\"max_rss_kb\":4096,\"minor_faults\":7,"
+                       "\"major_faults\":0,\"sched\":{\"sweeps\":1,"
+                       "\"points\":3,\"jobs\":4,\"queue_wait_seconds\":0,"
+                       "\"execute_seconds\":0.25}},\"notes\":"),
+            std::string::npos)
+      << hjson;
 }
 
 // Regression: the per-bucket utilization timeline must integrate back to

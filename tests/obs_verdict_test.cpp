@@ -2,6 +2,7 @@
 // of the six limiting resources from hand-built accounts, explain() must
 // surface the shares, aggregate() must fold multiple runs, and a RunReport
 // serialized with machine_runs must parse back into the same records.
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -127,10 +128,12 @@ TEST(Verdict, MachineRunsRoundTripThroughReportJson) {
   std::string error;
   const auto doc = json_parse(os.str(), &error);
   ASSERT_TRUE(doc.has_value()) << error;
-  const std::vector<RunRecord> parsed = machine_runs_from_json(*doc);
-  ASSERT_EQ(parsed.size(), 2u);
+  const std::optional<std::vector<RunRecord>> parsed =
+      machine_runs_from_json(*doc, &error);
+  ASSERT_TRUE(parsed.has_value()) << error;
+  ASSERT_EQ(parsed->size(), 2u);
 
-  const RunRecord& m = parsed[0];
+  const RunRecord& m = (*parsed)[0];
   EXPECT_EQ(m.model, "mta");
   EXPECT_EQ(m.name, "Tera MTA");
   EXPECT_EQ(m.threads, 96u);
@@ -144,7 +147,7 @@ TEST(Verdict, MachineRunsRoundTripThroughReportJson) {
   EXPECT_EQ(m.regions[0].stream_cycles, 90000u);
   EXPECT_EQ(classify(m), classify(mta));
 
-  const RunRecord& s = parsed[1];
+  const RunRecord& s = (*parsed)[1];
   EXPECT_EQ(s.model, "smp");
   EXPECT_EQ(s.name, "SPP-2000");
   EXPECT_EQ(s.threads, 16u);

@@ -186,30 +186,35 @@ TEST(RunSweep, InstalledBusRecordsEachPointOnce) {
   }
 }
 
-TEST(RunSweep, SweepReportOutAloneRecordsWatchdogAnomaly) {
-  // --sweep-report-out alone installs the bus and its periodic fold, so
-  // the watchdog runs without --status-out and the stalled point's
-  // anomaly persists into the SweepReport.
-  const std::filesystem::path path = temp_path("sweep_report_only");
-  std::filesystem::remove(path);
-  const std::string sweep_report_out = path.string();
-  const char* argv[] = {"sim_sweep_test",         "--sweep-report-out",
-                        sweep_report_out.c_str(), "--watchdog-timeout",
-                        "0.05",                   "--status-period",
+TEST(RunSweep, SweepTraceOutAloneRecordsWatchdogAnomaly) {
+  // --sweep-trace-out alone installs the bus and its periodic fold, so
+  // the watchdog runs without --status-out, and the stalled point's
+  // anomaly and the scheduler totals persist into the RunReport.
+  const std::filesystem::path report = temp_path("trace_only_report");
+  const std::filesystem::path trace = temp_path("trace_only_trace");
+  std::filesystem::remove(report);
+  std::filesystem::remove(trace);
+  const std::string report_out = report.string();
+  const std::string trace_out = trace.string();
+  const char* argv[] = {"sim_sweep_test",     "--report-out",
+                        report_out.c_str(),   "--sweep-trace-out",
+                        trace_out.c_str(),    "--watchdog-timeout",
+                        "0.05",               "--status-period",
                         "20"};
   CliParser cli("sim_sweep_test");
   obs::RunSession::add_cli_flags(cli);
-  ASSERT_TRUE(cli.parse(7, argv));
+  ASSERT_TRUE(cli.parse(9, argv));
   {
-    obs::RunSession session("sweep_report_only", cli);
+    obs::RunSession session("trace_only", cli);
     (void)run_sweep(2, 2, [](std::size_t i) {
       if (i == 1) std::this_thread::sleep_for(std::chrono::milliseconds(300));
       return i;
     });
     session.finish();
   }
-  ASSERT_TRUE(std::filesystem::exists(path)) << path;
-  const obs::JsonValue doc = parse_file(path);
+  ASSERT_TRUE(std::filesystem::exists(report)) << report;
+  ASSERT_TRUE(std::filesystem::exists(trace)) << trace;
+  const obs::JsonValue doc = parse_file(report);
   const obs::JsonValue* anomalies = doc.find_array("anomalies");
   ASSERT_NE(anomalies, nullptr);
   bool stalled_at_point_1 = false;
@@ -218,7 +223,13 @@ TEST(RunSweep, SweepReportOutAloneRecordsWatchdogAnomaly) {
                          (a.string_or("kind", "") == "stalled_worker" &&
                           a.number_or("point", -1.0) == 1.0);
   EXPECT_TRUE(stalled_at_point_1) << anomalies->array.size() << " anomalies";
-  std::filesystem::remove(path);
+  const obs::JsonValue* host = doc.find_object("host");
+  ASSERT_NE(host, nullptr);
+  const obs::JsonValue* sched = host->find_object("sched");
+  ASSERT_NE(sched, nullptr);
+  EXPECT_EQ(sched->number_or("points", -1.0), 2.0);
+  std::filesystem::remove(report);
+  std::filesystem::remove(trace);
 }
 
 TEST(ScopedRegistry, NestsAndRestores) {

@@ -7,31 +7,27 @@
 // a schema pass: the required sections must be present with the right
 // kinds, counter names must stick to the [a-z0-9_.] charset, counter
 // values must be non-negative, each MTA machine-run's issue-slot account
-// must sum to cycles x processors, and from schema_version 5 the
-// "anomalies" watchdog array must be present, well-formed, and
-// referentially sound (a pinned point/worker must name a point present in
-// machine_runs / a worker the sweep could have used).
-// Files carrying "kind":"sweep_report" (--sweep-report-out,
-// schema_version >= 4) get the SweepReport pass instead: every group
-// needs the full metric set with internally consistent summaries
-// (count/sum/mean agree, min <= p10 <= p50 <= p90 <= max), MTA groups'
-// six slot_share.* means must sum to 1, the
-// host/sched accounting must be present and non-negative, and v5 reports
-// need the "anomalies" array. Files carrying "kind":"live_status"
-// (--status-out) get the LiveStatus pass: consistent points accounting
-// (done <= total), non-negative rates/ages, per-worker state objects and
-// the anomalies array (anomaly workers must appear in the workers
-// roster). Arguments ending in .csv are validated as --timeline-out
-// output instead (exact header, six columns, strictly increasing cycle
-// grid per run+series, non-negative values — see
-// obs::validate_timeline_csv). Exits 0 when every file passes, 1
-// otherwise (printing the first error per file). Used by scripts/check.sh
-// to validate --trace-out / --report-out / --timeline-out /
-// --sweep-report-out / --status-out output without a JSON library. It is
-// the schema gate only; `obs_report` (tools/obs_report.cpp) reads and
-// renders the same files.
+// must sum to cycles x processors, a "reps" count must be an integer in
+// [1, 10^6], the optional "host" section must carry non-negative host and
+// "sched" fields, and from schema_version 5 the "anomalies" watchdog
+// array must be present, well-formed, and referentially sound (a pinned
+// point/worker must name a point present in machine_runs / a worker the
+// sweep could have used, at most host.sched.jobs when that is known).
+// Files carrying "kind":"live_status" (--status-out) get the LiveStatus
+// pass instead: consistent points accounting (done <= total),
+// non-negative rates/ages, per-worker state objects and the anomalies
+// array (anomaly workers must appear in the workers roster). Arguments
+// ending in .csv are validated as --timeline-out output instead (exact
+// header, six columns, strictly increasing cycle grid per run+series,
+// non-negative values — see obs::validate_timeline_csv). Exits 0 when
+// every file passes, 1 otherwise (printing the first error per file).
+// Used by scripts/check.sh to validate --trace-out / --report-out /
+// --timeline-out / --status-out output without a JSON library. It is the
+// schema gate only; `obs_report` (tools/obs_report.cpp) reads and renders
+// the same files.
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -39,6 +35,7 @@
 #include <vector>
 
 #include "obs/json.hpp"
+#include "obs/report.hpp"
 #include "obs/timeline.hpp"
 
 namespace {
@@ -54,10 +51,23 @@ bool valid_metric_name(const std::string& name) {
   return true;
 }
 
+/// Checks the six host-resource fields of a "host" object (RunReport and
+/// LiveStatus share them) are present and non-negative. Empty string when
+/// fine.
+std::string check_host_usage(const JsonValue& host) {
+  for (const char* field :
+       {"wall_seconds", "user_cpu_seconds", "sys_cpu_seconds", "max_rss_kb",
+        "minor_faults", "major_faults"}) {
+    const JsonValue* v = host.find_number(field);
+    if (v == nullptr || v->number < 0.0)
+      return std::string("host.") + field + " missing or negative";
+  }
+  return "";
+}
 
-/// Validates a watchdog "anomalies" array (RunReport / SweepReport v5
-/// and the LiveStatus file share one shape). Beyond shape,
-/// anomalies are checked referentially against the document they live in:
+/// Validates a watchdog "anomalies" array (RunReport v5 and the
+/// LiveStatus file share one shape). Beyond shape, anomalies are checked
+/// referentially against the document they live in:
 /// a pinned point index must name a point the sweep actually ran
 /// (`max_point`, exclusive; < 0 disables), the worker id must be one the
 /// sweep could schedule (`max_worker`, exclusive; < 0 disables), and when
@@ -151,15 +161,13 @@ std::string check_report_schema(const JsonValue& doc) {
     if (model != "mta" && model != "smp")
       return at + ".model is neither \"mta\" nor \"smp\"";
     if (run.find_string("name") == nullptr) return at + " missing name";
-    double reps_n = 1.0;
-    if (const JsonValue* reps = run.find("reps")) {
-      // Compact form: the object stands for `reps` consecutive identical
-      // records (RunReport's run-length encoding).
-      if (!reps->is_number() || reps->number < 1.0)
-        return at + ".reps is not a number >= 1";
-      reps_n = reps->number;
-    }
-    total_runs += reps_n;
+    // Compact form: the object stands for `reps` consecutive identical
+    // records (RunReport's run-length encoding).
+    const std::uint64_t reps = tc3i::obs::machine_run_reps(run);
+    if (reps == 0)
+      return at + ".reps is not an integer in [1, " +
+             std::to_string(tc3i::obs::kMaxMachineRunReps) + "]";
+    total_runs += static_cast<double>(reps);
     const double procs = run.number_or("processors", 0.0);
     if (procs < 1.0) return at + ".processors < 1";
     if (run.find_number("utilization") == nullptr)
@@ -180,138 +188,30 @@ std::string check_report_schema(const JsonValue& doc) {
       return at + ".slots sum to " + std::to_string(total) +
              ", expected cycles x processors = " + std::to_string(expect);
   }
+  // The optional host section (written whenever a live bus ran).
+  double max_worker = 256.0;  // the live bus's worker-slot table
+  if (const JsonValue* host = doc.find("host")) {
+    if (!host->is_object()) return "host is not an object";
+    const std::string problem = check_host_usage(*host);
+    if (!problem.empty()) return problem;
+    const JsonValue* sched = host->find_object("sched");
+    if (sched == nullptr) return "missing object \"host.sched\"";
+    for (const char* field : {"sweeps", "points", "jobs",
+                              "queue_wait_seconds", "execute_seconds"}) {
+      const JsonValue* v = sched->find_number(field);
+      if (v == nullptr || v->number < 0.0)
+        return std::string("host.sched.") + field + " missing or negative";
+    }
+    // Zero jobs means no sweep ran: leave the table bound.
+    if (sched->number_or("jobs", 0.0) > 0.0)
+      max_worker = sched->number_or("jobs", 0.0);
+  }
   if (version->number >= 5.0) {
     // Referential pass: an anomaly's pinned point must name one of the
     // machine runs recorded above (sweep point i produced run i), and its
-    // worker id must fit the live bus's worker-slot table.
+    // worker id must be one the sweep scheduled.
     const std::string problem =
-        check_anomalies(doc, total_runs, 256.0, nullptr);
-    if (!problem.empty()) return problem;
-  }
-  return "";
-}
-
-/// One aggregated metric of a sweep-report group: {count, sum, min, max,
-/// mean, p10, p50, p90} with internally consistent values.
-std::string check_sweep_metric(const JsonValue& m, const std::string& at) {
-  if (!m.is_object()) return at + " is not an object";
-  for (const char* field :
-       {"count", "sum", "min", "max", "mean", "p10", "p50", "p90"})
-    if (m.find_number(field) == nullptr)
-      return at + " missing number \"" + field + "\"";
-  const double count = m.number_or("count", 0.0);
-  if (count < 1.0) return at + ".count < 1";
-  // Quantiles are order statistics of the same stream: monotone and
-  // bracketed by min/max.
-  const double seq[5] = {m.number_or("min", 0.0), m.number_or("p10", 0.0),
-                         m.number_or("p50", 0.0), m.number_or("p90", 0.0),
-                         m.number_or("max", 0.0)};
-  const char* names[5] = {"min", "p10", "p50", "p90", "max"};
-  for (int i = 0; i + 1 < 5; ++i)
-    if (seq[i] > seq[i + 1] + 1e-12)
-      return at + ": " + names[i] + " > " + names[i + 1];
-  const double mean = m.number_or("mean", 0.0);
-  const double tol = 1e-9 + 1e-9 * std::fabs(m.number_or("sum", 0.0));
-  if (std::fabs(mean * count - m.number_or("sum", 0.0)) > tol)
-    return at + ": mean x count != sum";
-  if (mean < seq[0] - 1e-12 || mean > seq[4] + 1e-12)
-    return at + ": mean outside [min, max]";
-  return "";
-}
-
-/// Returns an empty string when `doc` passes the SweepReport
-/// (schema_version 4, kind "sweep_report") checks, else the first problem.
-std::string check_sweep_report_schema(const JsonValue& doc) {
-  if (doc.find_string("bench") == nullptr) return "missing string \"bench\"";
-  const JsonValue* version = doc.find_number("schema_version");
-  if (version == nullptr) return "missing number \"schema_version\"";
-  if (version->number < 4.0) return "sweep_report needs schema_version >= 4";
-  const JsonValue* runs = doc.find_number("runs");
-  if (runs == nullptr || runs->number < 0.0)
-    return "missing or negative \"runs\"";
-  if (doc.number_or("outlier_k", 0.0) <= 0.0) return "outlier_k <= 0";
-  const JsonValue* groups = doc.find_array("groups");
-  if (groups == nullptr) return "missing array \"groups\"";
-  double total_count = 0.0;
-  for (std::size_t i = 0; i < groups->array.size(); ++i) {
-    const JsonValue& g = groups->array[i];
-    const std::string at = "groups[" + std::to_string(i) + "]";
-    if (!g.is_object()) return at + " is not an object";
-    const std::string model = g.string_or("model", "");
-    if (model != "mta" && model != "smp")
-      return at + ".model is neither \"mta\" nor \"smp\"";
-    if (g.find_string("name") == nullptr) return at + " missing name";
-    if (g.find_string("scenario") == nullptr) return at + " missing scenario";
-    if (g.number_or("processors", 0.0) < 1.0) return at + ".processors < 1";
-    const double count = g.number_or("count", 0.0);
-    if (count < 1.0) return at + ".count < 1";
-    total_count += count;
-    const std::string unit = g.string_or("wall_unit", "");
-    if (unit != "cycles" && unit != "seconds")
-      return at + ".wall_unit is neither \"cycles\" nor \"seconds\"";
-    const JsonValue* metrics = g.find_object("metrics");
-    if (metrics == nullptr) return at + " missing metrics object";
-    for (const char* name : {"wall", "utilization", "threads"}) {
-      const JsonValue* m = metrics->find(name);
-      if (m == nullptr) return at + ".metrics missing \"" + name + "\"";
-      const std::string problem =
-          check_sweep_metric(*m, at + ".metrics." + name);
-      if (!problem.empty()) return problem;
-    }
-    if (model == "mta") {
-      double share_sum = 0.0;
-      for (const char* cat :
-           {"used", "no_stream", "spacing", "spawn", "memory", "sync"}) {
-        const std::string name = std::string("slot_share.") + cat;
-        const JsonValue* m = metrics->find(name);
-        if (m == nullptr) return at + ".metrics missing \"" + name + "\"";
-        const std::string problem =
-            check_sweep_metric(*m, at + ".metrics." + name);
-        if (!problem.empty()) return problem;
-        share_sum += m->number_or("mean", 0.0);
-      }
-      // Shares are slots.<cat>/slots.total() per run, so the six means of
-      // any group must sum to 1 (up to fp accumulation).
-      if (std::fabs(share_sum - 1.0) > 1e-6)
-        return at + ".metrics slot_share means sum to " +
-               std::to_string(share_sum) + ", expected 1";
-    }
-    const JsonValue* outliers = g.find_array("outlier_runs");
-    if (outliers == nullptr) return at + " missing outlier_runs array";
-    for (const JsonValue& o : outliers->array)
-      if (!o.is_number() || o.number < 0.0 || o.number >= runs->number)
-        return at + ".outlier_runs has an out-of-range run index";
-  }
-  if (total_count != runs->number)
-    return "group counts sum to " + std::to_string(total_count) +
-           ", expected runs = " + std::to_string(runs->number);
-  const JsonValue* host = doc.find_object("host");
-  if (host == nullptr) return "missing object \"host\"";
-  for (const char* field :
-       {"wall_seconds", "user_cpu_seconds", "sys_cpu_seconds", "max_rss_kb",
-        "minor_faults", "major_faults", "testbed_cache_hits",
-        "testbed_cache_misses"}) {
-    const JsonValue* v = host->find_number(field);
-    if (v == nullptr || v->number < 0.0)
-      return std::string("host.") + field + " missing or negative";
-  }
-  const JsonValue* sched = host->find_object("sched");
-  if (sched == nullptr) return "missing object \"host.sched\"";
-  for (const char* field : {"sweeps", "points", "jobs", "queue_wait_seconds",
-                            "execute_seconds"}) {
-    const JsonValue* v = sched->find_number(field);
-    if (v == nullptr || v->number < 0.0)
-      return std::string("host.sched.") + field + " missing or negative";
-  }
-  if (version->number >= 5.0) {
-    // Referential pass: host.sched counts every point the sweep executed
-    // and the worker pool it used, so an anomaly cannot pin a point or
-    // worker beyond them. Zero counts mean no sweep ran — leave unbounded
-    // rather than reject every anomaly.
-    const double points = sched->number_or("points", 0.0);
-    const double jobs = sched->number_or("jobs", 0.0);
-    const std::string problem = check_anomalies(
-        doc, points > 0.0 ? points : -1.0, jobs > 0.0 ? jobs : -1.0, nullptr);
+        check_anomalies(doc, total_runs, max_worker, nullptr);
     if (!problem.empty()) return problem;
   }
   return "";
@@ -352,13 +252,8 @@ std::string check_live_status_schema(const JsonValue& doc) {
       return std::string("cache.") + field + " missing or negative";
   const JsonValue* host = doc.find_object("host");
   if (host == nullptr) return "missing object \"host\"";
-  for (const char* field :
-       {"wall_seconds", "user_cpu_seconds", "sys_cpu_seconds", "max_rss_kb",
-        "minor_faults", "major_faults"}) {
-    const JsonValue* v = host->find_number(field);
-    if (v == nullptr || v->number < 0.0)
-      return std::string("host.") + field + " missing or negative";
-  }
+  const std::string host_problem = check_host_usage(*host);
+  if (!host_problem.empty()) return host_problem;
   const JsonValue* workers = doc.find_array("workers");
   if (workers == nullptr) return "missing array \"workers\"";
   double worker_points = 0.0;
@@ -441,16 +336,6 @@ int main(int argc, char** argv) {
         continue;
       }
       std::printf("%s: ok (%zu bytes, live status schema ok)\n", argv[i],
-                  text.size());
-    } else if (doc->is_object() && doc->string_or("kind", "") == "sweep_report") {
-      const std::string problem = check_sweep_report_schema(*doc);
-      if (!problem.empty()) {
-        std::fprintf(stderr, "%s: sweep report schema: %s\n", argv[i],
-                     problem.c_str());
-        ++failures;
-        continue;
-      }
-      std::printf("%s: ok (%zu bytes, sweep report schema ok)\n", argv[i],
                   text.size());
     } else if (doc->is_object() && doc->find("schema_version") != nullptr) {
       const std::string problem = check_report_schema(*doc);

@@ -3,7 +3,7 @@
 //   obs_report <subcommand> [args...]
 //
 //   bottleneck  issue-slot verdicts of a RunReport
-//   sweep       SweepReport group table, or a recomputation from a RunReport
+//   sweep       per-group rollup table of a RunReport's machine runs
 //   diff        structural diff of two reports under numeric tolerances
 //   monitor     live status file (--status-out), once or followed
 //   trend       perf-trend history: append a run, or gate the newest runs
@@ -27,7 +27,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <initializer_list>
-#include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -180,7 +179,7 @@ std::optional<JsonValue> load_json(const std::string& path,
   return doc;
 }
 
-/// Number at a path of nested object members ({"metrics", "wall", "p50"}),
+/// Number at a path of nested object members ({"points", "done"}),
 /// or `fallback` when any step is absent or of the wrong kind.
 double number_at(const JsonValue& v, std::initializer_list<const char*> path,
                  double fallback = 0.0) {
@@ -197,18 +196,15 @@ std::size_t array_size(const JsonValue& v, const char* key) {
   return a == nullptr ? 0 : a->array.size();
 }
 
-/// SweepReport group identity, "mta/Tera MTA/threat_seq/p4": the display
-/// key of `sweep` and the matching key `diff` pairs groups by. Empty when
-/// `g` is not a group object (missing any key member).
-std::string group_key(const JsonValue& g) {
-  if (!g.is_object() || g.find_string("model") == nullptr ||
-      g.find_string("name") == nullptr ||
-      g.find_string("scenario") == nullptr ||
-      g.find_number("processors") == nullptr)
-    return "";
-  return g.string_or("model", "") + "/" + g.string_or("name", "") + "/" +
-         g.string_or("scenario", "") + "/p" +
-         std::to_string(static_cast<long long>(g.number_or("processors", 0)));
+/// The report's machine runs; nullopt (after printing "<path>: <why>")
+/// when an entry is corrupt.
+std::optional<std::vector<obs::RunRecord>> load_machine_runs(
+    const std::string& path, const JsonValue& doc) {
+  std::string error;
+  std::optional<std::vector<obs::RunRecord>> runs =
+      obs::machine_runs_from_json(doc, &error);
+  if (!runs) std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+  return runs;
 }
 
 // --- bottleneck --------------------------------------------------------------
@@ -216,7 +212,10 @@ std::string group_key(const JsonValue& g) {
 int bottleneck_one(const std::string& path) {
   const std::optional<JsonValue> doc = load_json(path);
   if (!doc) return 1;
-  const std::vector<obs::RunRecord> runs = obs::machine_runs_from_json(*doc);
+  const std::optional<std::vector<obs::RunRecord>> loaded =
+      load_machine_runs(path, *doc);
+  if (!loaded) return 1;
+  const std::vector<obs::RunRecord>& runs = *loaded;
   std::printf("%s: bench %s, %zu machine run%s\n", path.c_str(),
               doc->string_or("bench", "?").c_str(), runs.size(),
               runs.size() == 1 ? "" : "s");
@@ -250,7 +249,7 @@ int bottleneck_one(const std::string& path) {
 /// bus-limited, lock-limited) and the shares it rests on, then one
 /// aggregate verdict per model. Thresholds are the obs::VerdictThresholds
 /// defaults (docs/OBSERVABILITY.md). Exits 0 when every report parses and
-/// has a run to classify, 1 otherwise.
+/// has a run to classify, 1 otherwise (including a corrupt machine run).
 int run_bottleneck(const Args& args) {
   if (args.files.empty()) return kUsage;
   int failures = 0;
@@ -261,88 +260,66 @@ int run_bottleneck(const Args& args) {
 
 // --- sweep -------------------------------------------------------------------
 
-int sweep_render(const std::string& path) {
+/// sweep <runreport.json>
+///
+/// Aggregates the report's machine_runs by (model, name, scenario,
+/// processors) and prints one row per group: run count, wall time p50 /
+/// p90 / max (cycles for MTA runs, seconds for SMP runs), mean
+/// utilization, and how many runs lie beyond k x MAD of the group's median
+/// wall time. A report written under a live bus (--status-out, --progress
+/// or --sweep-trace-out) also carries a host section, printed as a `host:`
+/// line (with the testbed cache hits and misses from "counters") and a
+/// `sched:` line. Exits 0 on success, 2 on usage or read errors, a corrupt
+/// machine run, or a report without machine_runs.
+int run_sweep(const Args& args) {
+  if (args.files.size() != 1) return kUsage;
+  const std::string& path = args.files[0];
   const std::optional<JsonValue> doc = load_json(path);
   if (!doc) return 2;
-  const JsonValue* groups = doc->find_array("groups");
-  if (groups == nullptr) {
-    std::fprintf(stderr, "%s: no \"groups\" array (not a sweep report?)\n",
-                 path.c_str());
+  const std::optional<std::vector<obs::RunRecord>> records =
+      load_machine_runs(path, *doc);
+  if (!records) return 2;
+  if (records->empty()) {
+    std::fprintf(stderr, "%s: no machine_runs to aggregate (write one with "
+                 "--report-out)\n", path.c_str());
     return 2;
   }
-  std::printf("%s: %s, %lld runs, %zu groups\n", path.c_str(),
+  const obs::SweepAggregator agg = obs::aggregate_records(*records);
+  std::printf("%s: %s, %llu runs, %zu groups\n", path.c_str(),
               doc->string_or("bench", "?").c_str(),
-              static_cast<long long>(doc->number_or("runs", 0)),
-              groups->array.size());
+              static_cast<unsigned long long>(agg.runs()),
+              agg.groups().size());
   std::printf("  %-44s %5s %12s %12s %12s %6s %8s\n", "group", "count",
               "wall p50", "wall p90", "wall max", "util", "outliers");
-  for (const JsonValue& g : groups->array)
-    std::printf("  %-44s %5lld %12.4g %12.4g %12.4g %6.3f %8zu\n",
-                group_key(g).c_str(),
-                static_cast<long long>(g.number_or("count", 0)),
-                number_at(g, {"metrics", "wall", "p50"}),
-                number_at(g, {"metrics", "wall", "p90"}),
-                number_at(g, {"metrics", "wall", "max"}),
-                number_at(g, {"metrics", "utilization", "mean"}),
-                array_size(g, "outlier_runs"));
+  for (const obs::SweepGroup& g : agg.groups()) {
+    const std::string key = g.key.model + "/" + g.key.name + "/" +
+                            g.key.scenario + "/p" +
+                            std::to_string(g.key.processors);
+    std::printf("  %-44s %5llu %12.4g %12.4g %12.4g %6.3f %8zu\n",
+                key.c_str(), static_cast<unsigned long long>(g.wall.count),
+                g.wall.quantile(0.50), g.wall.quantile(0.90), g.wall.max,
+                g.utilization.mean(), agg.outlier_runs(g).size());
+  }
   const JsonValue* host = doc->find_object("host");
-  if (host != nullptr) {
-    std::printf("  host: wall %.2fs user %.2fs sys %.2fs rss %lld KB "
-                "cache %lld hit / %lld miss\n",
-                host->number_or("wall_seconds", 0.0),
-                host->number_or("user_cpu_seconds", 0.0),
-                host->number_or("sys_cpu_seconds", 0.0),
-                static_cast<long long>(host->number_or("max_rss_kb", 0)),
-                static_cast<long long>(
-                    host->number_or("testbed_cache_hits", 0)),
-                static_cast<long long>(
-                    host->number_or("testbed_cache_misses", 0)));
-    if (const JsonValue* sched = host->find_object("sched"))
-      std::printf("  sched: %lld points on %lld jobs, queue-wait %.3fs, "
-                  "execute %.3fs\n",
-                  static_cast<long long>(sched->number_or("points", 0)),
-                  static_cast<long long>(sched->number_or("jobs", 0)),
-                  sched->number_or("queue_wait_seconds", 0.0),
-                  sched->number_or("execute_seconds", 0.0));
-  }
+  if (host == nullptr) return 0;
+  std::printf("  host: wall %.2fs user %.2fs sys %.2fs rss %lld KB "
+              "cache %lld hit / %lld miss\n",
+              host->number_or("wall_seconds", 0.0),
+              host->number_or("user_cpu_seconds", 0.0),
+              host->number_or("sys_cpu_seconds", 0.0),
+              static_cast<long long>(host->number_or("max_rss_kb", 0)),
+              static_cast<long long>(
+                  number_at(*doc, {"counters", "testbed.cache.hit"})),
+              static_cast<long long>(
+                  number_at(*doc, {"counters", "testbed.cache.miss"})));
+  if (const JsonValue* sched = host->find_object("sched"))
+    std::printf("  sched: %lld points on %lld jobs, queue-wait %.3fs, "
+                "execute %.3fs\n",
+                static_cast<long long>(sched->number_or("points", 0)),
+                static_cast<long long>(sched->number_or("jobs", 0)),
+                sched->number_or("queue_wait_seconds", 0.0),
+                sched->number_or("execute_seconds", 0.0));
   return 0;
-}
-
-int sweep_from_runs(const std::string& path) {
-  const std::optional<JsonValue> doc = load_json(path);
-  if (!doc) return 2;
-  const std::vector<obs::RunRecord> records =
-      obs::machine_runs_from_json(*doc);
-  if (records.empty()) {
-    std::fprintf(stderr, "%s: no machine_runs to aggregate (need a "
-                 "--report-out file with schema_version >= 2)\n",
-                 path.c_str());
-    return 2;
-  }
-  // Host accounting belongs to the emitting session; a recomputation has
-  // none, so the section is all zeros (diff with --ignore host).
-  obs::aggregate_records(records).write_report_json(
-      std::cout, doc->string_or("bench", "unknown"),
-      obs::SweepHostSection{});
-  return 0;
-}
-
-/// sweep <sweep.json>
-/// sweep --from-runs <runreport.json>
-///
-/// The first form renders a SweepReport (--sweep-report-out) as a group
-/// rollup table plus host and scheduler lines. The second aggregates a
-/// RunReport's machine_runs into a SweepReport on stdout with the host
-/// section zeroed: the independent recomputation scripts/check.sh diffs
-/// the session's own SweepReport against (`diff a b --ignore host`). Two
-/// sweep reports are compared group by group with `diff`. Exits 0 on
-/// success, 2 on usage or read errors.
-int run_sweep(const Args& args) {
-  const Flag* runs = args.last("--from-runs");
-  if (runs != nullptr && args.files.empty()) return sweep_from_runs(runs->text);
-  if (runs == nullptr && args.files.size() == 1)
-    return sweep_render(args.files[0]);
-  return kUsage;
 }
 
 // --- diff --------------------------------------------------------------------
@@ -383,14 +360,6 @@ std::string presence_detail(const JsonValue& v) {
     default:
       return "";
   }
-}
-
-/// True when `v` is a non-empty array of sweep-report group objects.
-bool is_group_array(const JsonValue& v) {
-  if (!v.is_array() || v.array.empty()) return false;
-  for (const JsonValue& g : v.array)
-    if (group_key(g).empty()) return false;
-  return true;
 }
 
 struct Diff {
@@ -436,15 +405,6 @@ struct Diff {
           report(path, "\"" + a.string + "\" != \"" + b.string + "\"");
         return;
       case JsonValue::Kind::Array: {
-        // SweepReport groups match by key, not position (see run_diff).
-        const bool groups_path =
-            path == "groups" ||
-            (path.size() > 7 &&
-             path.compare(path.size() - 7, 7, ".groups") == 0);
-        if (groups_path && is_group_array(a) && is_group_array(b)) {
-          compare_groups(path, a, b);
-          return;
-        }
         if (a.array.size() != b.array.size()) {
           report(path, "array length " + std::to_string(a.array.size()) +
                            " != " + std::to_string(b.array.size()));
@@ -473,35 +433,14 @@ struct Diff {
       }
     }
   }
-
-  void compare_groups(const std::string& path, const JsonValue& a,
-                      const JsonValue& b) {
-    const auto find = [](const JsonValue& groups, const std::string& key) {
-      for (const JsonValue& g : groups.array)
-        if (group_key(g) == key) return &g;
-      return static_cast<const JsonValue*>(nullptr);
-    };
-    for (const JsonValue& ga : a.array) {
-      const std::string key = group_key(ga);
-      const JsonValue* match = find(b, key);
-      const std::string sub = path + "[" + key + "]";
-      if (match == nullptr)
-        report(sub, "group only in first report");
-      else
-        compare(sub, ga, *match);
-    }
-    for (const JsonValue& gb : b.array) {
-      const std::string key = group_key(gb);
-      if (find(a, key) == nullptr)
-        report(path + "[" + key + "]", "group only in second report");
-    }
-  }
 };
 
 /// Expands the compact "machine_runs" form in place: an entry carrying a
-/// "reps" count (RunReport's run-length encoding of consecutive identical
-/// records) becomes that many copies without the field, so a compact
-/// report diffs clean against an expanded one.
+/// valid "reps" count (RunReport's run-length encoding of consecutive
+/// identical records, see obs::machine_run_reps) becomes that many copies
+/// without the field, so a compact report diffs clean against an expanded
+/// one. Any other "reps" member stays in place and is compared like any
+/// other member.
 void expand_machine_run_reps(JsonValue& doc) {
   if (!doc.is_object()) return;
   JsonValue* runs = nullptr;
@@ -511,19 +450,12 @@ void expand_machine_run_reps(JsonValue& doc) {
   std::vector<JsonValue> expanded;
   expanded.reserve(runs->array.size());
   for (JsonValue& run : runs->array) {
-    std::size_t reps = 1;
-    if (run.is_object()) {
-      for (std::size_t m = 0; m < run.object.size(); ++m) {
-        if (run.object[m].first == "reps" && run.object[m].second.is_number()) {
-          const double n = run.object[m].second.number;
-          if (n >= 1.0 && n <= 1e6) reps = static_cast<std::size_t>(n);
-          run.object.erase(run.object.begin() +
-                           static_cast<std::ptrdiff_t>(m));
-          break;
-        }
-      }
-    }
-    for (std::size_t i = 1; i < reps; ++i) expanded.push_back(run);
+    // 0 marks a corrupt count: the entry stays one entry, "reps" and all.
+    const std::uint64_t reps = obs::machine_run_reps(run);
+    if (reps != 0)
+      std::erase_if(run.object,
+                    [](const auto& member) { return member.first == "reps"; });
+    for (std::uint64_t i = 1; i < reps; ++i) expanded.push_back(run);
     expanded.push_back(std::move(run));
   }
   runs->array = std::move(expanded);
@@ -540,14 +472,10 @@ void expand_machine_run_reps(JsonValue& doc) {
 /// "anomalies" array is reported with its size, never skipped). `--ignore`
 /// (repeatable) drops every difference whose path starts with the pattern
 /// or contains it as a whole component: `--ignore regions` also drops
-/// `machine_runs[3].regions[0].streams`.
-/// SweepReport "groups" arrays are matched by group_key() instead of
-/// position, so sweeps that enumerated the same points in another order
-/// line up and a group on one side only is reported by key
-/// (groups[mta/Tera MTA/threat_seq/p4]). "machine_runs" entries with a
-/// "reps" count are expanded first, so compact and expanded reports diff
-/// clean. Exits 0 when the reports match, 1 when they differ, 2 on usage
-/// or read errors.
+/// `machine_runs[3].regions[0].streams`. "machine_runs" entries with a
+/// valid "reps" count are expanded first, so compact and expanded reports
+/// diff clean. Exits 0 when the reports match, 1 when they differ, 2 on
+/// usage or read errors.
 int run_diff(const Args& args) {
   if (args.files.size() != 2) return kUsage;
   std::optional<JsonValue> a = load_json(args.files[0]);
@@ -997,9 +925,7 @@ struct Command {
 const Command kCommands[] = {
     {"bottleneck", run_bottleneck, {},
      "  obs_report bottleneck <report.json>...\n"},
-    {"sweep", run_sweep, {{"--from-runs", Value::kText}},
-     "  obs_report sweep <sweep.json>   (compare two with obs_report diff)\n"
-     "  obs_report sweep --from-runs <runreport.json>\n"},
+    {"sweep", run_sweep, {}, "  obs_report sweep <runreport.json>\n"},
     {"diff",
      run_diff,
      {{"--rel-tol", Value::kNonNegative},
