@@ -28,8 +28,9 @@ const platforms::Testbed& testbed() {
   // Kernel profiles come from the disk cache when available (identical
   // testbed either way; see platforms/testbed_cache.hpp).
   static const platforms::Testbed tb = []() {
-    // A cache miss re-profiles every kernel — seconds of wall time a
-    // live-status reader would otherwise see as an unexplained stall.
+    // A cache miss re-profiles every kernel on every core — about 0.3 s
+    // of wall time on 4 cores, which a live-status reader would otherwise
+    // see as an unexplained stall.
     set_phase("testbed");
     platforms::Testbed built = platforms::load_or_build_testbed();
     set_phase("sweep");

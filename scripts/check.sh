@@ -176,9 +176,10 @@ LIVE_DONE="$(grep -o '"done":[0-9][0-9]*' "$STATUS" | head -1 |
              cut -d: -f2)"
 LIVE_TOTAL="$(grep -o '"total":[0-9][0-9]*' "$STATUS" | head -1 |
               cut -d: -f2)"
-SCHED_PTS="$(sed -n \
-    's/.*"sched":{"sweeps":[0-9]*,"points":\([0-9]*\).*/\1/p' \
-    "$SMOKE_DIR/live_report.json")"
+sched_points() {
+  sed -n 's/.*"sched":{"sweeps":[0-9]*,"points":\([0-9]*\).*/\1/p' "$1"
+}
+SCHED_PTS="$(sched_points "$SMOKE_DIR/live_report.json")"
 "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/live_trace.json" >/dev/null
 RUN_SPANS="$(grep -o '"name":"run s[0-9]*\.p[0-9]*"' \
              "$SMOKE_DIR/live_trace.json" | wc -l)"
@@ -195,6 +196,36 @@ RUN_SPANS="$(grep -o '"name":"run s[0-9]*\.p[0-9]*"' \
   { echo "FAIL: obs_report monitor --follow did not exit cleanly"; exit 1; }
 echo "live status: $LAST_VER snapshots, final counts match report sched" \
      "and trace ($LIVE_DONE/$LIVE_TOTAL points)"
+
+echo "== cold testbed cache (kernel profiling on every core, off the bus) =="
+# A cold cache profiles the kernels on every host core, on threads of its
+# own: a cold and then a warm run of the same sweep, with the live bus
+# installed, must print the same table and schedule the same points
+# (host.sched), so profiling never reaches the bus. The cold run counts
+# one cache miss and the warm run one hit.
+mkdir "$SMOKE_DIR/testbed_cache"
+for RUN in cold warm; do
+  TC3I_TESTBED_CACHE="$SMOKE_DIR/testbed_cache" \
+      "$BUILD_DIR"/bench/table05_threat_tera --jobs 2 \
+      --status-out "$SMOKE_DIR/$RUN.status.json" \
+      --report-out "$SMOKE_DIR/$RUN.report.json" |
+    grep -v '^\[obs\]' > "$SMOKE_DIR/$RUN.out"
+  "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/$RUN.report.json" >/dev/null
+done
+diff "$SMOKE_DIR/cold.out" "$SMOKE_DIR/warm.out" >/dev/null ||
+  { echo "FAIL: table05 stdout differs between a cold and a warm cache"; \
+    exit 1; }
+COLD_PTS="$(sched_points "$SMOKE_DIR/cold.report.json")"
+WARM_PTS="$(sched_points "$SMOKE_DIR/warm.report.json")"
+[ -n "$COLD_PTS" ] && [ "$COLD_PTS" = "$WARM_PTS" ] ||
+  { echo "FAIL: host.sched points cold=$COLD_PTS warm=$WARM_PTS differ"; \
+    exit 1; }
+grep -q '"testbed\.cache\.miss":1[,}]' "$SMOKE_DIR/cold.report.json" ||
+  { echo "FAIL: cold run did not count one testbed cache miss"; exit 1; }
+grep -q '"testbed\.cache\.hit":1[,}]' "$SMOKE_DIR/warm.report.json" ||
+  { echo "FAIL: warm run did not count one testbed cache hit"; exit 1; }
+echo "cold and warm cache: same stdout, $COLD_PTS sched points each," \
+     "1 miss then 1 hit"
 
 echo "== watchdog (forced anomaly -> status -> monitor) =="
 # A sweep with an injected 600ms stall on point 1 and a 0.2s watchdog
@@ -219,7 +250,7 @@ echo "status validated, monitor flagged the injected stall with exit 3"
 # anomaly pins point 5 when machine_runs holds a single run is corrupt.
 cat > "$SMOKE_DIR/bad_anomaly.json" <<'EOF'
 {"bench":"fixture","schema_version":5,"config":{},"counters":{},
- "gauges":{},"histograms":{},"rows":[],"notes":[],
+ "gauges":{},"histograms":{},"rows":[],
  "machine_runs":[{"model":"smp","name":"p","processors":1,
                   "utilization":0.5}],
  "anomalies":[{"kind":"slow_point","worker":0,"point":5,"at_seconds":1,
@@ -248,14 +279,15 @@ if "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/bad_model.json" \
 fi
 echo "schema validation rejects a machine run of an unknown model"
 
-echo "== TSan smoke (live bus, sweep runner, sthreads and native variants under -fsanitize=thread) =="
+echo "== TSan smoke (live bus, sweep runner, sthreads, native variants and testbed profiling under -fsanitize=thread) =="
 # Prove the bus, run_sweep's pooled path and the sthreads primitives
 # data-race-free under ThreadSanitizer where the toolchain supports it:
 # the LivePublisherTest cases race worker point records against the
 # publisher fold, sim_sweep_test drives the shared per-point body from
 # pool workers with a bus installed, sthreads_test exercises every
-# primitive, and the two variant tests run the native Threat Analysis and
-# Terrain Masking variants on parallel_for, SpinLock and SyncCounter.
+# primitive, the two variant tests run the native Threat Analysis and
+# Terrain Masking variants on parallel_for, SpinLock and SyncCounter, and
+# testbed_cache_test profiles the testbed kernels on every core.
 if printf 'int main(){return 0;}' |
     c++ -fsanitize=thread -x c++ - -o "$SMOKE_DIR/tsan_probe" 2>/dev/null &&
     "$SMOKE_DIR/tsan_probe" 2>/dev/null; then
@@ -263,7 +295,7 @@ if printf 'int main(){return 0;}' |
   cmake -B "$TSAN_DIR" -S . -DTC3I_SANITIZE=thread -DTC3I_WERROR=ON \
       >/dev/null
   TSAN_TESTS="obs_live_test sim_sweep_test sthreads_test threat_variants_test \
-terrain_variants_test"
+terrain_variants_test testbed_cache_test"
   cmake --build "$TSAN_DIR" --target $TSAN_TESTS -j >/dev/null
   for T in $TSAN_TESTS; do
     "$TSAN_DIR"/tests/"$T" >/dev/null ||
@@ -274,18 +306,20 @@ else
   echo "skipped: toolchain lacks -fsanitize=thread support"
 fi
 
-echo "== ASan smoke (obs_live_test + sim_sweep_test + sim_wake_queue_test + mta_fuzz_test under -fsanitize=address) =="
+echo "== ASan smoke (obs_live_test + sim_sweep_test + sim_wake_queue_test + mta_fuzz_test + testbed_cache_test under -fsanitize=address) =="
 # Prove the live bus, run_sweep's pooled path with a bus installed, the
-# wake queue's lane rings, and the MTA core's fast path (fuzzed against its
-# slow reference) free of memory errors under AddressSanitizer where the
-# toolchain supports it.
+# wake queue's lane rings, the MTA core's fast path (fuzzed against its
+# slow reference), and the testbed cache with the parallel kernel
+# profiling behind it free of memory errors under AddressSanitizer where
+# the toolchain supports it.
 if printf 'int main(){return 0;}' |
     c++ -fsanitize=address -x c++ - -o "$SMOKE_DIR/asan_probe" 2>/dev/null &&
     "$SMOKE_DIR/asan_probe" 2>/dev/null; then
   ASAN_DIR="build-asan"
   cmake -B "$ASAN_DIR" -S . -DTC3I_SANITIZE=address -DTC3I_WERROR=ON \
       >/dev/null
-  ASAN_TESTS="obs_live_test sim_sweep_test sim_wake_queue_test mta_fuzz_test"
+  ASAN_TESTS="obs_live_test sim_sweep_test sim_wake_queue_test mta_fuzz_test \
+testbed_cache_test"
   cmake --build "$ASAN_DIR" --target $ASAN_TESTS -j >/dev/null
   for T in $ASAN_TESTS; do
     "$ASAN_DIR"/tests/"$T" >/dev/null ||
@@ -305,6 +339,9 @@ cmake --build build-release -j "$(nproc)" >/dev/null
 echo "Release build clean under -Werror"
 
 echo "== perf smoke (sim_throughput vs committed baseline) =="
+# The committed baseline is a RunReport, and must stay one that json_check
+# accepts.
+"$BUILD_DIR"/tools/json_check bench/BENCH_sim_throughput.json
 # Fails (exit 1) when any throughput metric drops below 70% of the
 # committed bench/BENCH_sim_throughput.json (--min-ratio default 0.7,
 # i.e. a >30% regression).

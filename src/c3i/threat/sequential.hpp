@@ -43,4 +43,13 @@ struct PairProfile {
 /// run_sequential; result intervals are discarded).
 [[nodiscard]] PairProfile profile(const Scenario& scenario);
 
+/// A PairProfile shaped for `scenario`, with every count zero.
+[[nodiscard]] PairProfile sized_profile(const Scenario& scenario);
+
+/// Fills rows [t_begin, t_end) of `out`, a sized_profile of `scenario`;
+/// profile() runs it over every threat. Each row writes only its own
+/// elements, so disjoint ranges may run on different threads.
+void profile_rows(const Scenario& scenario, std::size_t t_begin,
+                  std::size_t t_end, PairProfile& out);
+
 }  // namespace tc3i::c3i::threat

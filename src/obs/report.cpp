@@ -108,8 +108,6 @@ void RunReport::add_row(const std::string& label, double paper_seconds,
   rows_.push_back(Row{label, paper_seconds, measured_seconds});
 }
 
-void RunReport::add_note(std::string note) { notes_.push_back(std::move(note)); }
-
 void RunReport::set_machine_runs(std::vector<RunRecord> runs) {
   machine_runs_ = std::move(runs);
 }
@@ -251,11 +249,6 @@ void RunReport::write_json(std::ostream& out,
     w.end_object();
     w.end_object();
   }
-
-  w.key("notes");
-  w.begin_array();
-  for (const std::string& n : notes_) w.value(std::string_view(n));
-  w.end_array();
 
   w.end_object();
   out << '\n';

@@ -1,15 +1,15 @@
 // Machine-readable run reports.
 //
 // A RunReport collects everything a bench binary prints as a table —
-// paper-vs-measured rows, configuration, free-form notes — plus a snapshot
-// of the counter registry, and serializes it as JSON (schema below) so
-// result trajectories can be produced and diffed mechanically.
+// paper-vs-measured rows and configuration — plus a snapshot of the
+// counter registry, and serializes it as JSON (schema below) so result
+// trajectories can be produced and diffed mechanically.
 //
 // Schema (schema_version 5; version 1 lacked "machine_runs", versions 3
 // and below lacked the "anomalies" watchdog section, and 4 was the
-// retired sweep report's; versions 3 and 5 could also carry an optional
-// per-run critical-path section, which is no longer written and which
-// readers ignore):
+// retired sweep report's; older reports could also carry a per-run
+// critical-path section (versions 3 and 5) and a "notes" array, neither
+// of which is written any more and which readers ignore):
 //   {
 //     "bench": "<name>", "schema_version": 5,
 //     "config": { "<key>": "<value>", ... },
@@ -24,8 +24,7 @@
 //               "user_cpu_seconds", "sys_cpu_seconds", "max_rss_kb",
 //               "minor_faults", "major_faults",
 //               "sched": {"sweeps","points","jobs","queue_wait_seconds",
-//                         "execute_seconds"} },
-//     "notes": [ "...", ... ]
+//                         "execute_seconds"} }
 //   }
 //
 // A "machine_runs" entry for an MTA run looks like (the optional
@@ -86,8 +85,6 @@ class RunReport {
   void add_row(const std::string& label, double paper_seconds,
                double measured_seconds);
 
-  void add_note(std::string note);
-
   /// Replaces the per-machine-run accounting records serialized as the
   /// "machine_runs" array (RunSession feeds these from its RunRecordStore
   /// at finish()).
@@ -103,7 +100,6 @@ class RunReport {
   /// is installed; a report without it has no "host" member at all.
   void set_host(const HostResUsage& usage, const LiveBus::Summary& sched);
 
-  [[nodiscard]] std::size_t num_rows() const { return rows_.size(); }
   [[nodiscard]] const std::vector<RunRecord>& machine_runs() const {
     return machine_runs_;
   }
@@ -127,7 +123,6 @@ class RunReport {
   std::string bench_;
   std::vector<std::pair<std::string, std::string>> config_;
   std::vector<Row> rows_;
-  std::vector<std::string> notes_;
   std::vector<RunRecord> machine_runs_;
   std::vector<LiveAnomaly> anomalies_;
   std::optional<HostResUsage> host_;

@@ -1,5 +1,7 @@
 #include "platforms/experiment.hpp"
 
+#include <algorithm>
+#include <functional>
 #include <utility>
 
 #include "c3i/scenario.hpp"
@@ -9,6 +11,8 @@
 #include "obs/run_record.hpp"
 #include "platforms/paper.hpp"
 #include "sim/sweep.hpp"
+#include "sthreads/parallel_for.hpp"
+#include "sthreads/thread.hpp"
 
 namespace tc3i::platforms {
 
@@ -87,13 +91,42 @@ TestbedScenarios testbed_scenarios() {
 }
 
 TestbedProfiles profile_testbed_kernels(const TestbedScenarios& scenarios) {
+  // The profiles are independent replications of two kernels, so they run
+  // on every host core. A full-size threat scenario costs several terrain
+  // geometries, so it is split into row blocks, and the blocks are claimed
+  // first. Each item writes only its own elements, sized here, so the
+  // profiles equal the serial ones at any worker count. Profiling stays
+  // off the live bus: a cold and a warm run schedule the same points.
+  constexpr std::size_t kThreatBlocks = 8;
   TestbedProfiles p;
   for (const auto& scenario : scenarios.threat)
-    p.threat.push_back(threat::profile(scenario));
-  for (const auto& geometry : scenarios.terrain)
-    p.terrain.push_back(terrain::profile(geometry));
-  p.threat_scaled = threat::profile(scenarios.threat_scaled);
-  p.terrain_scaled = terrain::profile(scenarios.terrain_scaled);
+    p.threat.push_back(threat::sized_profile(scenario));
+  p.terrain.resize(scenarios.terrain.size());
+
+  std::vector<std::function<void()>> items;
+  for (std::size_t s = 0; s < scenarios.threat.size(); ++s) {
+    const std::size_t n = p.threat[s].num_threats;
+    for (std::size_t b = 0; b < kThreatBlocks; ++b)
+      items.emplace_back([&scenarios, &p, s, begin = b * n / kThreatBlocks,
+                          end = (b + 1) * n / kThreatBlocks] {
+        threat::profile_rows(scenarios.threat[s], begin, end, p.threat[s]);
+      });
+  }
+  for (std::size_t g = 0; g < scenarios.terrain.size(); ++g)
+    items.emplace_back([&scenarios, &p, g] {
+      p.terrain[g] = terrain::profile(scenarios.terrain[g]);
+    });
+  items.emplace_back([&scenarios, &p] {
+    p.threat_scaled = threat::profile(scenarios.threat_scaled);
+  });
+  items.emplace_back([&scenarios, &p] {
+    p.terrain_scaled = terrain::profile(scenarios.terrain_scaled);
+  });
+
+  const int workers = static_cast<int>(std::min<std::size_t>(
+      sthreads::Thread::hardware_concurrency(), items.size()));
+  sthreads::parallel_for_dynamic(items.size(), workers,
+                                 [&items](std::size_t i, int) { items[i](); });
   return p;
 }
 

@@ -71,8 +71,8 @@ class ObsReportTest : public ::testing::Test {
 
 /// A complete RunReport with two groups — two runs (one entry with the
 /// given "reps") of the MTA at one processor and one run at two — and
-/// testbed cache counters. `members` (each ending in a comma) go in after
-/// "anomalies", where RunSession writes the host section.
+/// testbed cache counters. `members` (each starting with a comma) go in
+/// after "anomalies", where RunSession writes the host section.
 std::string full_report(const std::string& members = "",
                         const std::string& anomalies = "[]",
                         const std::string& reps = "2") {
@@ -87,14 +87,14 @@ std::string full_report(const std::string& members = "",
        "threads":8,"utilization":0.5,"cycles":60,
        "slots":{"used":60,"no_stream":0,"spacing":40,"spawn":0,"memory":20,
                 "sync":0}}],
-    "anomalies":)" + anomalies + "," + members + R"("notes":[]})";
+    "anomalies":)" + anomalies + members + "}";
 }
 
 /// The host section a live bus adds: three points on two jobs.
-const char* const kHost = R"("host":{"wall_seconds":1.5,
+const char* const kHost = R"(,"host":{"wall_seconds":1.5,
   "user_cpu_seconds":2,"sys_cpu_seconds":0.1,"max_rss_kb":4096,
   "minor_faults":10,"major_faults":0,"sched":{"sweeps":1,"points":3,
-  "jobs":2,"queue_wait_seconds":0.01,"execute_seconds":0.5}},)";
+  "jobs":2,"queue_wait_seconds":0.01,"execute_seconds":0.5}})";
 
 /// One anomaly of `worker` pinned to point 0.
 std::string anomaly(int worker) {

@@ -166,8 +166,6 @@ TEST(RunReport, JsonContainsRowsConfigAndRegistrySnapshot) {
   report.set_config("chunks", 256.0);
   report.set_config("variant", "chunked");
   report.add_row("one_proc", 82.0, 80.0);
-  report.add_note("synthetic");
-  EXPECT_EQ(report.num_rows(), 1u);
 
   std::ostringstream os;
   report.write_json(os, reg);
@@ -181,12 +179,11 @@ TEST(RunReport, JsonContainsRowsConfigAndRegistrySnapshot) {
   EXPECT_NE(json.find("\"test.ops\":11"), std::string::npos);
   EXPECT_NE(json.find("\"test.level\":0.5"), std::string::npos);
   EXPECT_NE(json.find("\"test.lat\""), std::string::npos);
-  EXPECT_NE(json.find("\"notes\":[\"synthetic\"]"), std::string::npos);
   // Without a live bus there is no host section, not an empty one.
   EXPECT_EQ(json.find("\"host\""), std::string::npos) << json;
 
-  // With one, the host section sits between anomalies and notes: the six
-  // host-resource fields, then the scheduler totals.
+  // With one, the host section follows anomalies and closes the report:
+  // the six host-resource fields, then the scheduler totals.
   HostResUsage usage;
   usage.wall_seconds = 1.5;
   usage.user_cpu_seconds = 2.5;
@@ -207,7 +204,7 @@ TEST(RunReport, JsonContainsRowsConfigAndRegistrySnapshot) {
                        "\"max_rss_kb\":4096,\"minor_faults\":7,"
                        "\"major_faults\":0,\"sched\":{\"sweeps\":1,"
                        "\"points\":3,\"jobs\":4,\"queue_wait_seconds\":0,"
-                       "\"execute_seconds\":0.25}},\"notes\":"),
+                       "\"execute_seconds\":0.25}}}\n"),
             std::string::npos)
       << hjson;
 }

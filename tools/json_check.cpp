@@ -124,9 +124,7 @@ std::string check_report_schema(const JsonValue& doc) {
   for (const char* section : {"config", "counters", "gauges", "histograms"})
     if (doc.find_object(section) == nullptr)
       return std::string("missing object \"") + section + "\"";
-  for (const char* section : {"rows", "notes"})
-    if (doc.find_array(section) == nullptr)
-      return std::string("missing array \"") + section + "\"";
+  if (doc.find_array("rows") == nullptr) return "missing array \"rows\"";
 
   for (const char* section : {"counters", "gauges"}) {
     for (const auto& [name, value] : doc.find_object(section)->object) {
