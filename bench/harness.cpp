@@ -27,21 +27,8 @@ Session::~Session() = default;
 const platforms::Testbed& testbed() {
   // Kernel profiles come from the disk cache when available (identical
   // testbed either way; see platforms/testbed_cache.hpp).
-  static const platforms::Testbed tb = []() {
-    // A cache miss re-profiles every kernel on every core — about 0.3 s
-    // of wall time on 4 cores, which a live-status reader would otherwise
-    // see as an unexplained stall.
-    set_phase("testbed");
-    platforms::Testbed built = platforms::load_or_build_testbed();
-    set_phase("sweep");
-    return built;
-  }();
+  static const platforms::Testbed tb = platforms::load_or_build_testbed();
   return tb;
-}
-
-void set_phase(const std::string& phase) {
-  if (obs::LiveBus* bus = obs::live_bus(); bus != nullptr)
-    bus->set_phase(phase);
 }
 
 void add_comparison_row(TextTable& table, const std::string& label,

@@ -17,8 +17,8 @@
 namespace tc3i::bench {
 
 /// Standard per-binary wrapper: parses the shared observability flags
-/// (--trace-out / --report-out / --counters) and owns the obs::RunSession
-/// for the process. Construct it first thing in main(); outputs are
+/// (obs::RunSession::add_cli_flags) and owns the obs::RunSession for the
+/// process. Construct it first thing in main(); outputs are
 /// written when it goes out of scope. Exits the process on --help or on
 /// a flag parse error.
 class Session {
@@ -38,10 +38,6 @@ class Session {
 
 /// The calibrated testbed, built once per process.
 [[nodiscard]] const platforms::Testbed& testbed();
-
-/// Labels subsequent live-status snapshots (--status-out) with the bench
-/// phase in flight ("testbed", "table05", ...). No-op without a live bus.
-void set_phase(const std::string& phase);
 
 /// Adds a "paper vs measured" row: label, paper seconds, measured seconds,
 /// measured/paper ratio.

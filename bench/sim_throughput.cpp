@@ -19,9 +19,8 @@
 // first bare (no bus, so no clock reads of run_sweep's own and nothing
 // recorded), then with the full sweep-telemetry stack active (the live bus
 // recording each point once, per-run records, and RunReport (machine
-// runs, anomalies, host section) + sweep-trace + LiveStatus
-// serialization); scripts/check.sh gates the telemetry regime at >= 0.95x
-// the plain one (< 5% overhead).
+// runs, host section) + sweep-trace serialization); scripts/check.sh
+// gates the telemetry regime at >= 0.95x the plain one (< 5% overhead).
 //
 // Each scenario runs `--reps` times (default 3); the median wall time
 // produces two RunReport rows per scenario ("<name>.cycles_per_sec" and
@@ -196,12 +195,11 @@ std::uint64_t sweep_point(std::size_t index) {
 
 /// Median wall seconds for one 100-point sweep at `jobs`, with the full
 /// sweep-telemetry stack active when `telemetry` is set: a live bus
-/// recording every point (what --status-out, --progress and
-/// --sweep-trace-out install), per-run records, and — after the sweep —
-/// what a session then writes: the RunReport with its machine runs,
-/// anomalies and host section, the sweep Chrome trace and a live-status
-/// snapshot (to in-memory sinks), i.e. everything those flags add to a
-/// real sweep.
+/// recording every point (what --progress and --sweep-trace-out install),
+/// per-run records, and — after the sweep — what a session then writes:
+/// the RunReport with its machine runs and host section and the sweep
+/// Chrome trace (to in-memory sinks), i.e. everything those flags add to
+/// a real sweep.
 double measure_sweep_regime(int reps, int jobs, std::size_t points,
                             bool telemetry) {
   std::vector<double> times;
@@ -229,7 +227,6 @@ double measure_sweep_regime(int reps, int jobs, std::size_t points,
     if (telemetry) {
       obs::RunReport report("sim_throughput");
       report.set_machine_runs(records.records());
-      report.set_anomalies(bus.anomalies());
       report.set_host(
           obs::host_usage_delta(host_begin, obs::sample_host_usage()),
           bus.summary());
@@ -237,9 +234,6 @@ double measure_sweep_regime(int reps, int jobs, std::size_t points,
       report.write_json(report_sink, obs::default_registry());
       std::ostringstream trace_sink;
       bus.write_chrome_trace(trace_sink);
-      std::ostringstream status_sink;
-      obs::LiveBus::write_status_json(
-          bus.snapshot(bus.now_seconds(), /*done=*/true), status_sink);
     }
     const auto stop = std::chrono::steady_clock::now();
     times.push_back(std::chrono::duration<double>(stop - start).count());

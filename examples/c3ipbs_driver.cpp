@@ -69,10 +69,6 @@ int main(int argc, char** argv) {
     for (const auto& variant : problem->variants()) {
       if (want_variant != "all" && variant != want_variant) continue;
       matched = true;
-      // Label live-status snapshots (--status-out) with the
-      // problem/variant running.
-      if (obs::LiveBus* bus = obs::live_bus(); bus != nullptr)
-        bus->set_phase(problem->name() + "/" + variant);
       TextTable table(problem->name() + " / " + variant);
       table.header({"Scenario", "Work units", "Host time (s)", "Correct"});
       for (int s = 0; s < problem->num_scenarios(); ++s) {

@@ -119,11 +119,11 @@ done
 echo "jobs=4 identical to jobs=1 for tables 05/06/11"
 
 # The live bus is sampled, never merged: the same sweep with the bus
-# installed (--status-out) and at a different --jobs must still produce
-# the identical report, apart from the host section the bus adds (which
-# must be there, so that --ignore host cannot hide a missing one).
+# installed (--sweep-trace-out) and at a different --jobs must still
+# produce the identical report, apart from the host section the bus adds
+# (which must be there, so that --ignore host cannot hide a missing one).
 "$BUILD_DIR"/bench/table05_threat_tera --jobs 3 \
-    --status-out "$SMOKE_DIR/bus_status.json" \
+    --sweep-trace-out "$SMOKE_DIR/bus_trace.json" \
     --report-out "$SMOKE_DIR/bus_report.json" >/dev/null
 grep -q '"host":{' "$SMOKE_DIR/bus_report.json" ||
   { echo "FAIL: report written with the live bus has no host section"; \
@@ -133,81 +133,20 @@ grep -q '"host":{' "$SMOKE_DIR/bus_report.json" ||
   { echo "FAIL: report changes when the live bus is installed"; exit 1; }
 echo "report identical with the live bus installed"
 
-echo "== live status bus (--status-out + obs_report monitor) =="
-# The live-telemetry tentpole: a sweep run with --status-out must publish
-# monotonically-advancing snapshots while it runs, finish with a done=true
-# snapshot, validate against json_check's live_status schema, and be
-# readable by obs_report monitor in both CI (--once) and follow modes. The
-# bus records each point once, so the final status counts, the RunReport's
-# host.sched section and the sweep trace's "run s<i>.p<j>" spans must all
-# name the same number of points.
-STATUS="$SMOKE_DIR/live.json"
-"$BUILD_DIR"/bench/table05_threat_tera --jobs 2 \
-    --status-out "$STATUS" --status-period 50 \
-    --report-out "$SMOKE_DIR/live_report.json" \
-    --sweep-trace-out "$SMOKE_DIR/live_trace.json" >/dev/null &
-LIVE_PID=$!
-LAST_VER=0
-MONO=ok
-while kill -0 "$LIVE_PID" 2>/dev/null; do
-  if [ -f "$STATUS" ]; then
-    VER="$(grep -o '"version":[0-9][0-9]*' "$STATUS" | head -1 |
-           cut -d: -f2 || true)"
-    if [ -n "$VER" ]; then
-      [ "$VER" -ge "$LAST_VER" ] ||
-        { echo "FAIL: status version went backwards ($LAST_VER -> $VER)"; \
-          MONO=bad; }
-      LAST_VER="$VER"
-    fi
-  fi
-  sleep 0.05
-done
-wait "$LIVE_PID" ||
-  { echo "FAIL: table05 with --status-out exited nonzero"; exit 1; }
-[ "$MONO" = ok ] || exit 1
-[ "$LAST_VER" -ge 1 ] ||
-  { echo "FAIL: no live status snapshot was published"; exit 1; }
-"$BUILD_DIR"/tools/json_check "$STATUS"
-grep -q '"done":true' "$STATUS" ||
-  { echo "FAIL: final status snapshot is not done=true"; exit 1; }
-# [0-9][0-9]* (one-or-more): with a bare *, the boolean top-level
-# "done":true would match with zero digits and yield an empty value.
-LIVE_DONE="$(grep -o '"done":[0-9][0-9]*' "$STATUS" | head -1 |
-             cut -d: -f2)"
-LIVE_TOTAL="$(grep -o '"total":[0-9][0-9]*' "$STATUS" | head -1 |
-              cut -d: -f2)"
-sched_points() {
-  sed -n 's/.*"sched":{"sweeps":[0-9]*,"points":\([0-9]*\).*/\1/p' "$1"
-}
-SCHED_PTS="$(sched_points "$SMOKE_DIR/live_report.json")"
-"$BUILD_DIR"/tools/json_check "$SMOKE_DIR/live_trace.json" >/dev/null
-RUN_SPANS="$(grep -o '"name":"run s[0-9]*\.p[0-9]*"' \
-             "$SMOKE_DIR/live_trace.json" | wc -l)"
-[ -n "$LIVE_DONE" ] && [ "$LIVE_DONE" = "$LIVE_TOTAL" ] &&
-    [ "$LIVE_DONE" = "$SCHED_PTS" ] && [ "$LIVE_DONE" -eq "$RUN_SPANS" ] ||
-  { echo "FAIL: status counts done=$LIVE_DONE total=$LIVE_TOTAL disagree" \
-         "with report sched points=$SCHED_PTS or trace run spans" \
-         "$RUN_SPANS"; exit 1; }
-"$BUILD_DIR"/tools/obs_report monitor "$STATUS" --once | grep -q 'done=1' ||
-  { echo "FAIL: obs_report monitor --once did not report done=1"; exit 1; }
-# done=true is already on disk, so follow mode must exit 0 immediately.
-"$BUILD_DIR"/tools/obs_report monitor "$STATUS" --follow --timeout 10 \
-    >/dev/null ||
-  { echo "FAIL: obs_report monitor --follow did not exit cleanly"; exit 1; }
-echo "live status: $LAST_VER snapshots, final counts match report sched" \
-     "and trace ($LIVE_DONE/$LIVE_TOTAL points)"
-
 echo "== cold testbed cache (kernel profiling on every core, off the bus) =="
 # A cold cache profiles the kernels on every host core, on threads of its
 # own: a cold and then a warm run of the same sweep, with the live bus
-# installed, must print the same table and schedule the same points
-# (host.sched), so profiling never reaches the bus. The cold run counts
-# one cache miss and the warm run one hit.
+# installed (--sweep-trace-out), must print the same table and schedule
+# the same points (host.sched), so profiling never reaches the bus. The
+# cold run counts one cache miss and the warm run one hit.
+sched_points() {
+  sed -n 's/.*"sched":{"sweeps":[0-9]*,"points":\([0-9]*\).*/\1/p' "$1"
+}
 mkdir "$SMOKE_DIR/testbed_cache"
 for RUN in cold warm; do
   TC3I_TESTBED_CACHE="$SMOKE_DIR/testbed_cache" \
       "$BUILD_DIR"/bench/table05_threat_tera --jobs 2 \
-      --status-out "$SMOKE_DIR/$RUN.status.json" \
+      --sweep-trace-out "$SMOKE_DIR/$RUN.trace.json" \
       --report-out "$SMOKE_DIR/$RUN.report.json" |
     grep -v '^\[obs\]' > "$SMOKE_DIR/$RUN.out"
   "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/$RUN.report.json" >/dev/null
@@ -227,50 +166,18 @@ grep -q '"testbed\.cache\.hit":1[,}]' "$SMOKE_DIR/warm.report.json" ||
 echo "cold and warm cache: same stdout, $COLD_PTS sched points each," \
      "1 miss then 1 hit"
 
-echo "== watchdog (forced anomaly -> status -> monitor) =="
-# A sweep with an injected 600ms stall on point 1 and a 0.2s watchdog
-# heartbeat timeout must trip a stalled_worker anomaly. Its status file
-# must validate (json_check live_status pass), and obs_report monitor
-# --once must exit 3 on the anomalous final status.
-WSTATUS="$SMOKE_DIR/watchdog_live.json"
-TC3I_INJECT_SLOW_POINT="1:600" "$BUILD_DIR"/bench/table05_threat_tera \
-    --jobs 2 \
-    --status-out "$WSTATUS" --status-period 25 \
-    --watchdog-timeout 0.2 >/dev/null ||
-  { echo "FAIL: table05 with an injected stall exited nonzero"; exit 1; }
-"$BUILD_DIR"/tools/json_check "$WSTATUS"
-MON_RC=0
-"$BUILD_DIR"/tools/obs_report monitor "$WSTATUS" --once >/dev/null || MON_RC=$?
-[ "$MON_RC" -eq 3 ] ||
-  { echo "FAIL: obs_report monitor --once exited $MON_RC, expected 3" \
-         "(anomalies present)"; exit 1; }
-echo "status validated, monitor flagged the injected stall with exit 3"
-
-# Referential validation must actually reject: a minimal v5 report whose
-# anomaly pins point 5 when machine_runs holds a single run is corrupt.
-cat > "$SMOKE_DIR/bad_anomaly.json" <<'EOF'
+echo "== machine-run model validation =="
+# Only the two machine models write machine_runs: a minimal valid report
+# must pass, and the same report with any other model must be rejected.
+cat > "$SMOKE_DIR/ok_model.json" <<'EOF'
 {"bench":"fixture","schema_version":5,"config":{},"counters":{},
  "gauges":{},"histograms":{},"rows":[],
  "machine_runs":[{"model":"smp","name":"p","processors":1,
-                  "utilization":0.5}],
- "anomalies":[{"kind":"slow_point","worker":0,"point":5,"at_seconds":1,
-               "observed_seconds":2,"threshold_seconds":1}]}
+                  "utilization":0.5}]}
 EOF
-if "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/bad_anomaly.json" \
-    >/dev/null 2>&1; then
-  echo "FAIL: json_check accepted an anomaly pointing past machine_runs"
-  exit 1
-fi
-# The same fixture with an in-range point must pass (the rejection above
-# is the referential check, not some other schema complaint).
-sed 's/"point":5/"point":0/' "$SMOKE_DIR/bad_anomaly.json" \
-    > "$SMOKE_DIR/ok_anomaly.json"
-"$BUILD_DIR"/tools/json_check "$SMOKE_DIR/ok_anomaly.json" >/dev/null ||
-  { echo "FAIL: json_check rejected an in-range anomaly fixture"; exit 1; }
-echo "referential anomaly validation rejects out-of-range point"
-# Only the two machine models write machine_runs: the same valid fixture
-# with any other model must be rejected.
-sed 's/"model":"smp"/"model":"sthreads"/' "$SMOKE_DIR/ok_anomaly.json" \
+"$BUILD_DIR"/tools/json_check "$SMOKE_DIR/ok_model.json" >/dev/null ||
+  { echo "FAIL: json_check rejected a valid smp machine-run fixture"; exit 1; }
+sed 's/"model":"smp"/"model":"sthreads"/' "$SMOKE_DIR/ok_model.json" \
     > "$SMOKE_DIR/bad_model.json"
 if "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/bad_model.json" \
     >/dev/null 2>&1; then
@@ -282,8 +189,8 @@ echo "schema validation rejects a machine run of an unknown model"
 echo "== TSan smoke (live bus, sweep runner, sthreads, native variants and testbed profiling under -fsanitize=thread) =="
 # Prove the bus, run_sweep's pooled path and the sthreads primitives
 # data-race-free under ThreadSanitizer where the toolchain supports it:
-# the LivePublisherTest cases race worker point records against the
-# publisher fold, sim_sweep_test drives the shared per-point body from
+# obs_live_test races worker point records against progress() and
+# summary() readers, sim_sweep_test drives the shared per-point body from
 # pool workers with a bus installed, sthreads_test exercises every
 # primitive, the two variant tests run the native Threat Analysis and
 # Terrain Masking variants on parallel_for, SpinLock and SyncCounter, and
@@ -307,7 +214,7 @@ else
 fi
 
 echo "== ASan smoke (obs_live_test + sim_sweep_test + sim_wake_queue_test + mta_fuzz_test + testbed_cache_test under -fsanitize=address) =="
-# Prove the live bus, run_sweep's pooled path with a bus installed, the
+# Prove the sweep bus, run_sweep's pooled path with a bus installed, the
 # wake queue's lane rings, the MTA core's fast path (fuzzed against its
 # slow reference), and the testbed cache with the parallel kernel
 # profiling behind it free of memory errors under AddressSanitizer where
@@ -351,8 +258,8 @@ echo "== perf smoke (sim_throughput vs committed baseline) =="
 "$BUILD_DIR"/tools/json_check "$SMOKE_DIR/sim_throughput.json"
 
 # Sweep telemetry must stay cheap: running a 100-point sweep with the
-# full telemetry stack (live bus + report/trace/status serialization) must
-# keep at least 95% of the plain sweep throughput.
+# full telemetry stack (live bus + report/trace serialization) must keep
+# at least 95% of the plain sweep throughput.
 extract_measured() {
   grep -o "\"label\":\"$1\",\"paper\":[0-9.eE+-]*,\"measured\":[0-9.eE+-]*" \
       "$SMOKE_DIR/sim_throughput.json" | sed 's/.*"measured"://'

@@ -44,52 +44,12 @@ SweepGroup& SweepAggregator::group_for(const SweepGroupKey& key) {
 }
 
 void SweepAggregator::add(const RunRecord& record) {
-  const std::uint64_t run_index = runs_++;
+  ++runs_;
   SweepGroup& g = group_for(SweepGroupKey{
       record.model, record.name, record.scenario, record.processors});
   g.wall.add(record.model == "mta" ? static_cast<double>(record.cycles)
                                     : record.elapsed_seconds);
-  g.wall_runs.push_back(run_index);
   g.utilization.add(record.utilization);
-}
-
-namespace {
-
-double median_of(std::vector<double> v) {
-  if (v.empty()) return 0.0;
-  const std::size_t mid = v.size() / 2;
-  std::nth_element(v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid),
-                   v.end());
-  double m = v[mid];
-  if (v.size() % 2 == 0) {
-    // Lower half's max completes the even-size average.
-    const double lo = *std::max_element(
-        v.begin(), v.begin() + static_cast<std::ptrdiff_t>(mid));
-    m = 0.5 * (lo + m);
-  }
-  return m;
-}
-
-}  // namespace
-
-std::vector<std::uint64_t> SweepAggregator::outlier_runs(
-    const SweepGroup& group) const {
-  std::vector<std::uint64_t> out;
-  const std::vector<double>& walls = group.wall.values;
-  if (walls.size() < 3) return out;  // no robust center yet
-  const double med = median_of(walls);
-  std::vector<double> dev;
-  dev.reserve(walls.size());
-  for (const double w : walls) dev.push_back(std::fabs(w - med));
-  const double mad = median_of(dev);
-  // A zero MAD (more than half the group identical, the common case for a
-  // deterministic simulator) would flag any deviation at all; keep a tiny
-  // relative floor so only genuine departures trip.
-  const double threshold = kOutlierK * std::max(mad, 1e-12 * std::fabs(med));
-  for (std::size_t i = 0; i < walls.size(); ++i)
-    if (std::fabs(walls[i] - med) > threshold)
-      out.push_back(group.wall_runs[i]);
-  return out;
 }
 
 SweepAggregator aggregate_records(const std::vector<RunRecord>& records) {

@@ -4,12 +4,11 @@
 // each replicated — and per-run reporting stops being readable at that
 // scale. This module folds RunRecords into per-group (model, platform
 // name, scenario, processors) rollups of wall time and utilization, each
-// summarized by exact count/sum/min/max/mean and quantiles, with robust
-// outlier flagging (runs beyond k x MAD from their group median wall
-// time). Aggregation is deterministic: groups appear in first-seen
-// submission order and every statistic is a pure fold over the records in
-// submission order, so a sweep aggregated after sim::run_sweep's
-// submission-order merge gives equal groups at any --jobs.
+// summarized by exact count/sum/min/max/mean and quantiles. Aggregation
+// is deterministic: groups appear in first-seen submission order and
+// every statistic is a pure fold over the records in submission order, so
+// a sweep aggregated after sim::run_sweep's submission-order merge gives
+// equal groups at any --jobs.
 //
 // `obs_report sweep` aggregates a RunReport's machine_runs with it and
 // renders the group table (docs/OBSERVABILITY.md, "Sweep telemetry").
@@ -59,9 +58,6 @@ struct SweepGroup {
   SweepGroupKey key;
   MetricAggregate wall;
   MetricAggregate utilization;
-  /// Submission-order run index of each value in `wall.values`, for MAD
-  /// outlier flagging.
-  std::vector<std::uint64_t> wall_runs;
 
   bool operator==(const SweepGroup&) const = default;
 };
@@ -70,20 +66,12 @@ struct SweepGroup {
 /// submission order.
 class SweepAggregator {
  public:
-  /// Outlier threshold k, in MADs.
-  static constexpr double kOutlierK = 5.0;
-
   void add(const RunRecord& record);
 
   [[nodiscard]] std::uint64_t runs() const { return runs_; }
   [[nodiscard]] const std::vector<SweepGroup>& groups() const {
     return groups_;
   }
-
-  /// Run indices flagged as outliers in `group`: |wall - median| >
-  /// k x max(MAD, 1e-12 x |median|), computed over the group's runs.
-  [[nodiscard]] std::vector<std::uint64_t> outlier_runs(
-      const SweepGroup& group) const;
 
  private:
   SweepGroup& group_for(const SweepGroupKey& key);

@@ -4,10 +4,9 @@
 // throughput regression needs the host side: how much wall/user/sys time
 // the process burned and how big it got. sample_host_usage() wraps
 // getrusage(RUSAGE_SELF) plus a process-start wall anchor; RunSession
-// subtracts two samples for the RunReport's host section, and LiveBus
-// samples it into every live status snapshot. Where the sweep scheduler
-// spent its time (queue wait vs execute, per worker) is recorded by the
-// one per-point record in obs::LiveBus (obs/live.hpp).
+// subtracts two samples for the RunReport's host section. Where the sweep
+// scheduler spent its time (queue wait vs execute, per worker) is
+// recorded by the one per-point record in obs::LiveBus (obs/live.hpp).
 #pragma once
 
 #include <cstdint>

@@ -112,10 +112,6 @@ void RunReport::set_machine_runs(std::vector<RunRecord> runs) {
   machine_runs_ = std::move(runs);
 }
 
-void RunReport::set_anomalies(std::vector<LiveAnomaly> anomalies) {
-  anomalies_ = std::move(anomalies);
-}
-
 void RunReport::set_host(const HostResUsage& usage,
                          const LiveBus::Summary& sched) {
   host_ = usage;
@@ -232,13 +228,15 @@ void RunReport::write_json(std::ostream& out,
   }
   w.end_array();
 
-  w.key("anomalies");
-  write_anomalies_json(w, anomalies_);
-
   if (host_) {
     w.key("host");
     w.begin_object();
-    write_host_usage_fields(w, *host_);
+    w.field("wall_seconds", host_->wall_seconds);
+    w.field("user_cpu_seconds", host_->user_cpu_seconds);
+    w.field("sys_cpu_seconds", host_->sys_cpu_seconds);
+    w.field("max_rss_kb", host_->max_rss_kb);
+    w.field("minor_faults", host_->minor_faults);
+    w.field("major_faults", host_->major_faults);
     w.key("sched");
     w.begin_object();
     w.field("sweeps", sched_.sweeps);

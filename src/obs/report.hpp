@@ -5,11 +5,11 @@
 // counter registry, and serializes it as JSON (schema below) so result
 // trajectories can be produced and diffed mechanically.
 //
-// Schema (schema_version 5; version 1 lacked "machine_runs", versions 3
-// and below lacked the "anomalies" watchdog section, and 4 was the
-// retired sweep report's; older reports could also carry a per-run
-// critical-path section (versions 3 and 5) and a "notes" array, neither
-// of which is written any more and which readers ignore):
+// Schema (schema_version 5; version 1 lacked "machine_runs", and 4 was
+// the retired sweep report's; older reports could also carry a per-run
+// critical-path section (versions 3 and 5), a "notes" array and an
+// "anomalies" array (version 5), none of which is written any more and
+// which readers ignore):
 //   {
 //     "bench": "<name>", "schema_version": 5,
 //     "config": { "<key>": "<value>", ... },
@@ -18,8 +18,6 @@
 //     "gauges": { "<name>": double, ... },
 //     "histograms": { "<name>": {"count","sum","p50","p90","p99","max"} },
 //     "machine_runs": [ per-run accounting records, see set_machine_runs() ],
-//     "anomalies": [ watchdog findings from the live bus, see
-//                    obs::write_anomalies_json(); [] without a live bus ],
 //     "host": { optional, see set_host(): "wall_seconds",
 //               "user_cpu_seconds", "sys_cpu_seconds", "max_rss_kb",
 //               "minor_faults", "major_faults",
@@ -90,11 +88,6 @@ class RunReport {
   /// at finish()).
   void set_machine_runs(std::vector<RunRecord> runs);
 
-  /// Replaces the watchdog findings serialized as the "anomalies" array
-  /// (RunSession feeds these from its LiveBus at finish(); the array is
-  /// always emitted, empty for runs without a live bus).
-  void set_anomalies(std::vector<LiveAnomaly> anomalies);
-
   /// Adds the "host" section: the session's host-resource delta and the
   /// live bus's scheduler totals. RunSession calls it whenever a live bus
   /// is installed; a report without it has no "host" member at all.
@@ -124,7 +117,6 @@ class RunReport {
   std::vector<std::pair<std::string, std::string>> config_;
   std::vector<Row> rows_;
   std::vector<RunRecord> machine_runs_;
-  std::vector<LiveAnomaly> anomalies_;
   std::optional<HostResUsage> host_;
   LiveBus::Summary sched_;
 };

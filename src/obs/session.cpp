@@ -50,16 +50,6 @@ void RunSession::add_cli_flags(CliParser& cli) {
   cli.add_flag("sweep-trace-out", "",
                "write a Chrome trace of the sweep scheduler (one lane per "
                "--jobs worker, queue-wait vs execute spans per point)");
-  cli.add_flag("status-out", "",
-               "publish a live LiveStatus JSON snapshot (progress, ETA, "
-               "per-worker state, watchdog anomalies) to this path every "
-               "--status-period ms via atomic rename");
-  cli.add_flag("status-period", "500",
-               "live-bus fold interval in milliseconds (watchdog checks "
-               "and --status-out publishes)");
-  cli.add_flag("watchdog-timeout", "5",
-               "flag a worker as a stalled_worker anomaly when its "
-               "heartbeat is silent this many seconds while holding work");
 }
 
 RunSession::RunSession(std::string name, const CliParser& cli)
@@ -68,7 +58,6 @@ RunSession::RunSession(std::string name, const CliParser& cli)
       report_path_(cli.get("report-out")),
       timeline_path_(cli.get("timeline-out")),
       sweep_trace_path_(cli.get("sweep-trace-out")),
-      status_path_(cli.get("status-out")),
       dump_counters_(cli.get_bool("counters")),
       host_begin_(sample_host_usage()),
       report_(name_) {
@@ -76,11 +65,10 @@ RunSession::RunSession(std::string name, const CliParser& cli)
   // A bare `--trace-out` / `--report-out` parses as the boolean sentinel
   // "true" (CliParser bare-flag rule); these flags need real paths.
   if (trace_path_ == "true" || report_path_ == "true" ||
-      timeline_path_ == "true" || sweep_trace_path_ == "true" ||
-      status_path_ == "true") {
+      timeline_path_ == "true" || sweep_trace_path_ == "true") {
     std::fprintf(stderr,
-                 "error: --trace-out, --report-out, --timeline-out, "
-                 "--sweep-trace-out and --status-out require a file path\n");
+                 "error: --trace-out, --report-out, --timeline-out and "
+                 "--sweep-trace-out require a file path\n");
     std::exit(2);
   }
   const std::int64_t sample_period = cli.get_int("sample-period");
@@ -95,10 +83,6 @@ RunSession::RunSession(std::string name, const CliParser& cli)
                  static_cast<long long>(jobs_flag));
     std::exit(2);
   }
-  // Read even when no live bus is installed, so that a malformed value
-  // exits here like every other flag instead of passing unnoticed.
-  const std::int64_t status_period = cli.get_int("status-period");
-  const double watchdog_timeout = cli.get_double("watchdog-timeout");
   if (!trace_path_.empty() && cli.is_set("jobs") && jobs_flag > 1) {
     // Trace events from concurrently running machines would interleave
     // nondeterministically; refuse rather than write a useless trace.
@@ -121,35 +105,18 @@ RunSession::RunSession(std::string name, const CliParser& cli)
   }
   records_ = std::make_unique<RunRecordStore>();
   set_process_run_records(records_.get());
-  set_sweep_progress_requested(cli.get_bool("progress"));
+  const bool progress = cli.get_bool("progress");
+  set_sweep_progress_requested(progress);
   if (!timeline_path_.empty()) {
     timeline_ = std::make_unique<TimelineStore>(
         static_cast<std::uint64_t>(sample_period));
     set_process_timeline(timeline_.get());
   }
-  // The live bus is the one host-side record: --status-out, the
-  // --progress ticker, --sweep-trace-out and the RunReport's host section
-  // all read it. Whenever it is installed a background fold runs the
-  // watchdog; only --status-out also publishes each fold.
-  if (!status_path_.empty() || cli.get_bool("progress") ||
-      !sweep_trace_path_.empty()) {
-    if (status_period < 1) {
-      std::fprintf(stderr, "error: --status-period must be >= 1 ms (got "
-                   "%lld)\n",
-                   static_cast<long long>(status_period));
-      std::exit(2);
-    }
-    if (!(watchdog_timeout > 0.0)) {
-      std::fprintf(stderr, "error: --watchdog-timeout must be > 0\n");
-      std::exit(2);
-    }
-    WatchdogConfig watchdog;
-    watchdog.heartbeat_timeout_seconds = watchdog_timeout;
-    live_ = std::make_unique<LiveBus>(watchdog);
-    live_->set_bench(name_);
+  // The live bus is the one host-side record: the --progress ticker,
+  // --sweep-trace-out and the RunReport's host section all read it.
+  if (progress || !sweep_trace_path_.empty()) {
+    live_ = std::make_unique<LiveBus>();
     set_live_bus(live_.get());
-    publisher_ = std::make_unique<LivePublisher>(
-        *live_, status_path_, static_cast<int>(status_period));
   }
   g_active = this;
 }
@@ -162,8 +129,6 @@ RunSession::~RunSession() {
   if (process_run_records() == records_.get()) set_process_run_records(nullptr);
   if (timeline_ != nullptr && process_timeline() == timeline_.get())
     set_process_timeline(nullptr);
-  // Publisher first (it still reads the bus), then the workers' pointer.
-  publisher_.reset();
   if (live_ != nullptr && live_bus() == live_.get()) set_live_bus(nullptr);
   set_sweep_progress_requested(false);
 }
@@ -173,19 +138,6 @@ RunSession* RunSession::active() { return g_active; }
 void RunSession::finish() {
   if (finished_) return;
   finished_ = true;
-
-  // Stop the fold first: the final done=true snapshot runs one last
-  // watchdog pass, so the anomaly list persisted into the report below is
-  // complete.
-  if (live_ != nullptr) {
-    const std::uint64_t published = publisher_->finish();
-    if (!status_path_.empty())
-      std::printf("[obs] live status: %s (%llu snapshot%s)\n",
-                  status_path_.c_str(),
-                  static_cast<unsigned long long>(published),
-                  published == 1 ? "" : "s");
-    report_.set_anomalies(live_->anomalies());
-  }
 
   if (sink_ != nullptr && !trace_path_.empty()) {
     std::string error;

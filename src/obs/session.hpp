@@ -13,15 +13,6 @@
 //   --progress            stderr ticker for sim::run_sweep (runs done /
 //                         total + throughput + ETA from the live bus;
 //                         auto-off when stderr is not a TTY)
-//   --status-out <path>   publish each live LiveStatus fold to this path
-//                         (atomic rename, so readers like `obs_report
-//                         monitor` never see a torn file); the final
-//                         snapshot carries done=true
-//   --status-period <ms>  fold (and --status-out publish) interval
-//                         whenever a live bus is installed (default 500)
-//   --watchdog-timeout <s>  a worker heartbeat silent past this many
-//                         seconds while holding work is a stalled_worker
-//                         anomaly (default 5)
 //   --sweep-trace-out <path>   write a Chrome trace of the sweep scheduler
 //                         itself (one lane per --jobs worker, queue-wait
 //                         vs execute spans per point); unlike --trace-out
@@ -35,12 +26,11 @@
 //
 // Construction installs the global trace sink (when --trace-out is given)
 // and the process-wide RunRecordStore / TimelineStore the machine models
-// feed. Whenever --status-out, --progress or --sweep-trace-out is given
-// it also installs one obs::LiveBus, the single host-side record of every
-// sim::run_sweep point, and a LivePublisher that folds it every
-// --status-period ms: the status file, the watchdog, the ticker and the
-// sweep trace all read it, and the RunReport gains a "host" section (the
-// session's host-resource delta plus the bus's scheduler totals).
+// feed. Whenever --progress or --sweep-trace-out is given it also installs
+// one obs::LiveBus, the single host-side record of every sim::run_sweep
+// point: the ticker and the sweep trace read it, and the RunReport gains a
+// "host" section (the session's host-resource delta plus the bus's
+// scheduler totals). The session starts no thread of its own.
 // Destruction (or finish()) writes all requested outputs. Exactly one
 // session may be active at a time; RunSession::active() lets shared helper
 // code (e.g. the bench harness row formatter) feed the report without
@@ -102,7 +92,6 @@ class RunSession {
   std::string report_path_;
   std::string timeline_path_;
   std::string sweep_trace_path_;
-  std::string status_path_;
   int jobs_ = 1;
   bool dump_counters_ = false;
   bool finished_ = false;
@@ -110,7 +99,6 @@ class RunSession {
   std::unique_ptr<RunRecordStore> records_;
   std::unique_ptr<TimelineStore> timeline_;
   std::unique_ptr<LiveBus> live_;
-  std::unique_ptr<LivePublisher> publisher_;
   HostResUsage host_begin_;
   RunReport report_;
 };

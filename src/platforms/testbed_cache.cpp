@@ -1,7 +1,6 @@
 #include "platforms/testbed_cache.hpp"
 
 #include "obs/counters.hpp"
-#include "obs/live.hpp"
 
 #include <bit>
 #include <cstdint>
@@ -270,26 +269,19 @@ Testbed load_or_build_testbed() {
   // seconds in kernel profiling shows up as misses there instead of as an
   // unexplained wall-time regression. A disabled cache counts as a miss
   // (the profiles are recomputed either way).
-  // The live bus keeps its own hit/miss tally: mid-sweep the default
-  // registry is shadowed by per-point scoped registries, so it cannot be
-  // read live.
-  obs::LiveBus* bus = obs::live_bus();
   obs::CounterRegistry& reg = obs::default_registry();
   if (path.empty()) {
     reg.counter("testbed.cache.miss").add();
-    if (bus != nullptr) bus->record_cache(false);
     return assemble_testbed(profile_testbed_kernels(scenarios));
   }
 
   TestbedProfiles profiles;
   if (try_load(path, fp, profiles)) {
     reg.counter("testbed.cache.hit").add();
-    if (bus != nullptr) bus->record_cache(true);
     return assemble_testbed(std::move(profiles));
   }
 
   reg.counter("testbed.cache.miss").add();
-  if (bus != nullptr) bus->record_cache(false);
   profiles = profile_testbed_kernels(scenarios);
   std::error_code ec;
   fs::create_directories(path.parent_path(), ec);

@@ -2,11 +2,8 @@
 
 #include <unistd.h>
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <thread>
 
 #include "obs/session.hpp"
 
@@ -19,30 +16,6 @@ int resolve_jobs(int requested) {
 }
 
 namespace detail {
-
-void maybe_inject_slow_point(std::size_t point) {
-  struct Injection {
-    bool armed = false;
-    std::size_t point = 0;
-    long millis = 0;
-  };
-  static const Injection inject = []() {
-    Injection in;
-    const char* env = std::getenv("TC3I_INJECT_SLOW_POINT");
-    if (env == nullptr) return in;
-    char* rest = nullptr;
-    const long long idx = std::strtoll(env, &rest, 10);
-    if (rest == env || *rest != ':') return in;
-    const long ms = std::strtol(rest + 1, nullptr, 10);
-    if (idx < 0 || ms <= 0) return in;
-    in.armed = true;
-    in.point = static_cast<std::size_t>(idx);
-    in.millis = ms;
-    return in;
-  }();
-  if (!inject.armed || point != inject.point) return;
-  std::this_thread::sleep_for(std::chrono::milliseconds(inject.millis));
-}
 
 SweepProgress::SweepProgress(std::size_t count)
     : count_(count),

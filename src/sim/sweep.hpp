@@ -22,10 +22,10 @@
 // Telemetry: both paths run each point through one per-point body, which
 // records the point once on the session's obs::LiveBus, the one
 // host-side recording call (when one is installed — RunSession does so for
-// --status-out, --progress and --sweep-trace-out). The bus derives the
-// live status, the watchdog, the --progress ETA, the sweep-scheduler trace
-// and the RunReport's host.sched totals from that one record. With no bus installed the sweep makes no clock calls of its
-// own and records nothing.
+// --progress and --sweep-trace-out). The bus derives the --progress ETA,
+// the sweep-scheduler trace and the RunReport's host.sched totals from
+// that one record. With no bus installed the sweep makes no clock calls
+// of its own and records nothing.
 #pragma once
 
 #include <algorithm>
@@ -78,12 +78,6 @@ class SweepProgress {
   std::size_t done_ = 0;
 };
 
-/// Fault-injection hook for the watchdog stage in scripts/check.sh:
-/// TC3I_INJECT_SLOW_POINT="<index>:<millis>" sleeps before evaluating that
-/// sweep point so the watchdog provably trips. Unset (the normal case)
-/// this is one static-bool test per point.
-void maybe_inject_slow_point(std::size_t point);
-
 }  // namespace detail
 
 /// Evaluates fn(0..count-1) with at most `jobs` points in flight and
@@ -110,7 +104,6 @@ auto run_sweep(std::size_t count, int jobs, Fn&& fn)
   // (clock reads only when a bus is installed).
   const auto run_point = [&](std::size_t i, std::uint32_t w) {
     if (bus != nullptr) bus->begin_point(w, sweep, i, bus->now_seconds());
-    detail::maybe_inject_slow_point(i);
     results[i] = fn(i);
     if (bus != nullptr) bus->end_point(w, bus->now_seconds());
     progress.tick();

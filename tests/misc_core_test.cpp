@@ -1,13 +1,11 @@
-// Small remaining units: contract macros, RunSession's flag checks,
-// scenario seed derivation, and the experiment layer's work accounting.
+// Small remaining units: contract macros, scenario seed derivation, and
+// the experiment layer's work accounting.
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "c3i/scenario.hpp"
-#include "core/cli.hpp"
 #include "core/contracts.hpp"
-#include "obs/session.hpp"
 #include "platforms/experiment.hpp"
 
 namespace tc3i {
@@ -23,20 +21,6 @@ TEST(Contracts, PassingConditionsAreSilent) {
   TC3I_EXPECTS(true);
   TC3I_ENSURES(2 + 2 == 4);
   TC3I_ASSERT(!false);
-}
-
-TEST(RunSessionDeathTest, MalformedLiveBusFlagExitsTwoWithoutABus) {
-  // No --status-out, --progress or --sweep-trace-out: the bus stays off,
-  // but its flags are still checked.
-  for (const char* flag : {"--watchdog-timeout", "--status-period"}) {
-    const char* argv[] = {"misc_core_test", flag, "abc"};
-    CliParser cli("misc_core_test");
-    obs::RunSession::add_cli_flags(cli);
-    ASSERT_TRUE(cli.parse(3, argv));
-    EXPECT_EXIT({ obs::RunSession session("no_bus", cli); },
-                ::testing::ExitedWithCode(2),
-                std::string("error: ") + flag + " needs");
-  }
 }
 
 TEST(StandardScenarios, FiveStableDistinctSeedsPerBenchmark) {

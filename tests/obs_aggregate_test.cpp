@@ -1,8 +1,8 @@
 // Correctness of the sweep aggregation layer: exact quantiles, group
-// rollup statistics against direct recomputation, MAD outlier flagging,
-// and the determinism contract — the aggregate's groups are equal, value
-// for value, whether the runs came from a serial sweep, a jobs-4 sweep,
-// or a round trip through RunReport JSON.
+// rollup statistics against direct recomputation, and the determinism
+// contract — the aggregate's groups are equal, value for value, whether
+// the runs came from a serial sweep, a jobs-4 sweep, or a round trip
+// through RunReport JSON.
 #include "obs/aggregate.hpp"
 
 #include <gtest/gtest.h>
@@ -114,27 +114,6 @@ TEST(SweepAggregator, GroupStatsMatchDirectRecomputation) {
   // SMP walls are seconds, not cycles.
   const SweepGroup& smp = agg.groups()[1];
   EXPECT_EQ(smp.wall.sum, 1.25);
-}
-
-TEST(SweepAggregator, OutlierFlagging) {
-  SweepAggregator agg;
-  // Nine tightly clustered runs and one 3x-slower straggler.
-  for (int i = 0; i < 9; ++i)
-    agg.add(mta_record("threat_seq", 1,
-                       static_cast<std::uint64_t>(1000 + (i % 3)), 0.5));
-  agg.add(mta_record("threat_seq", 1, 3000, 0.5));
-  ASSERT_EQ(agg.groups().size(), 1u);
-  const std::vector<std::uint64_t> outliers =
-      agg.outlier_runs(agg.groups()[0]);
-  ASSERT_EQ(outliers.size(), 1u);
-  EXPECT_EQ(outliers[0], 9u);  // submission index of the straggler
-}
-
-TEST(SweepAggregator, NoOutliersBelowThreeRuns) {
-  SweepAggregator agg;
-  agg.add(mta_record("threat_seq", 1, 100, 0.5));
-  agg.add(mta_record("threat_seq", 1, 90000, 0.5));
-  EXPECT_TRUE(agg.outlier_runs(agg.groups()[0]).empty());
 }
 
 // --- End-to-end with real machine runs ---------------------------------------

@@ -174,7 +174,8 @@ TEST(RunReport, JsonContainsRowsConfigAndRegistrySnapshot) {
   EXPECT_NE(json.find("\"bench\":\"unit_bench\""), std::string::npos);
   EXPECT_NE(json.find("\"schema_version\":5"), std::string::npos);
   EXPECT_NE(json.find("\"machine_runs\":[]"), std::string::npos);
-  EXPECT_NE(json.find("\"anomalies\":[]"), std::string::npos);
+  // The "anomalies" array of older reports is no longer written.
+  EXPECT_EQ(json.find("\"anomalies\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"label\":\"one_proc\""), std::string::npos);
   EXPECT_NE(json.find("\"test.ops\":11"), std::string::npos);
   EXPECT_NE(json.find("\"test.level\":0.5"), std::string::npos);
@@ -182,7 +183,7 @@ TEST(RunReport, JsonContainsRowsConfigAndRegistrySnapshot) {
   // Without a live bus there is no host section, not an empty one.
   EXPECT_EQ(json.find("\"host\""), std::string::npos) << json;
 
-  // With one, the host section follows anomalies and closes the report:
+  // With one, the host section follows machine_runs and closes the report:
   // the six host-resource fields, then the scheduler totals.
   HostResUsage usage;
   usage.wall_seconds = 1.5;
@@ -199,7 +200,7 @@ TEST(RunReport, JsonContainsRowsConfigAndRegistrySnapshot) {
   report.write_json(with_host, reg);
   const std::string hjson = with_host.str();
   ASSERT_FALSE(json_validate(hjson).has_value()) << *json_validate(hjson);
-  EXPECT_NE(hjson.find("\"anomalies\":[],\"host\":{\"wall_seconds\":1.5,"
+  EXPECT_NE(hjson.find("\"machine_runs\":[],\"host\":{\"wall_seconds\":1.5,"
                        "\"user_cpu_seconds\":2.5,\"sys_cpu_seconds\":0,"
                        "\"max_rss_kb\":4096,\"minor_faults\":7,"
                        "\"major_faults\":0,\"sched\":{\"sweeps\":1,"

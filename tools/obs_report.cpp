@@ -1,11 +1,10 @@
-// One reader for every report and status file the benches write.
+// One reader for every report the benches write.
 //
 //   obs_report <subcommand> [args...]
 //
 //   bottleneck  issue-slot verdicts of a RunReport
 //   sweep       per-group rollup table of a RunReport's machine runs
 //   diff        structural diff of two reports under numeric tolerances
-//   monitor     live status file (--status-out), once or followed
 //   trend       perf-trend history: append a run, or gate the newest runs
 //
 // Each subcommand's arguments, output and exit codes are documented at its
@@ -16,22 +15,17 @@
 //
 // json_check stays a separate binary: it is the schema gate, this is the
 // reader.
-#include <unistd.h>
-
 #include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <initializer_list>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -54,11 +48,9 @@ constexpr int kUsage = -1;
 
 /// What a flag takes after it, and the range a numeric value must lie in.
 enum class Value : std::uint8_t {
-  kNone,           ///< a switch (--once)
-  kText,           ///< any string (--ignore PREFIX)
-  kNonNegative,    ///< a number >= 0 (--abs-tol, --timeout)
-  kPositive,       ///< a number > 0 (--scale)
-  kPositiveInteger,  ///< an integer >= 1 (--interval)
+  kText,         ///< any string (--ignore PREFIX)
+  kNonNegative,  ///< a number >= 0 (--abs-tol)
+  kPositive,     ///< a number > 0 (--scale)
 };
 
 struct FlagSpec {
@@ -68,7 +60,7 @@ struct FlagSpec {
 
 struct Flag {
   std::string name;
-  std::string text;     ///< the value as given ("" for a switch)
+  std::string text;     ///< the value as given
   double number = 0.0;  ///< the parsed value of a numeric flag
 };
 
@@ -96,21 +88,16 @@ struct Args {
 /// flag's range.
 bool parse_number(const FlagSpec& spec, const std::string& text,
                   double* out) {
-  const bool integer = spec.value == Value::kPositiveInteger;
-  const double min = integer ? 1.0 : 0.0;
   const bool strict = spec.value == Value::kPositive;
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(text.c_str(), &end);
-  // Integers stay exact in a double up to 2^53.
   const bool ok = !text.empty() && end == text.c_str() + text.size() &&
                   errno == 0 && std::isfinite(v) &&
-                  (strict ? v > min : v >= min) &&
-                  (!integer || (v == std::floor(v) && v <= 9007199254740992.0));
+                  (strict ? v > 0.0 : v >= 0.0);
   if (!ok)
-    std::fprintf(stderr, "%s needs %s %s %g, got '%s'\n", spec.name,
-                 integer ? "an integer" : "a number", strict ? ">" : ">=",
-                 min, text.c_str());
+    std::fprintf(stderr, "%s needs a number %s 0, got '%s'\n", spec.name,
+                 strict ? ">" : ">=", text.c_str());
   *out = v;
   return ok;
 }
@@ -133,17 +120,14 @@ bool parse_args(const std::vector<FlagSpec>& specs, int first, int argc,
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
       return false;
     }
-    Flag flag{arg, "", 0.0};
-    if (spec->value != Value::kNone) {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "%s needs a value\n", arg.c_str());
-        return false;
-      }
-      flag.text = argv[++i];
-      if (spec->value != Value::kText &&
-          !parse_number(*spec, flag.text, &flag.number))
-        return false;
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "%s needs a value\n", arg.c_str());
+      return false;
     }
+    Flag flag{arg, argv[++i], 0.0};
+    if (spec->value != Value::kText &&
+        !parse_number(*spec, flag.text, &flag.number))
+      return false;
     args->flags.push_back(std::move(flag));
   }
   return true;
@@ -161,39 +145,17 @@ std::optional<std::string> read_file(const std::string& path) {
 }
 
 /// Reads and parses one JSON file. On failure prints "<path>: <why>" to
-/// stderr and returns nullopt; with `missing` given, a file that cannot be
-/// opened is not reported but flagged there (a status file nobody has
-/// published yet).
-std::optional<JsonValue> load_json(const std::string& path,
-                                   bool* missing = nullptr) {
+/// stderr and returns nullopt.
+std::optional<JsonValue> load_json(const std::string& path) {
   const std::optional<std::string> text = read_file(path);
-  if (missing != nullptr) *missing = !text.has_value();
   if (!text) {
-    if (missing == nullptr)
-      std::fprintf(stderr, "%s: cannot open\n", path.c_str());
+    std::fprintf(stderr, "%s: cannot open\n", path.c_str());
     return std::nullopt;
   }
   std::string error;
   std::optional<JsonValue> doc = obs::json_parse(*text, &error);
   if (!doc) std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
   return doc;
-}
-
-/// Number at a path of nested object members ({"points", "done"}),
-/// or `fallback` when any step is absent or of the wrong kind.
-double number_at(const JsonValue& v, std::initializer_list<const char*> path,
-                 double fallback = 0.0) {
-  const JsonValue* at = &v;
-  const char* const* leaf = path.end() - 1;
-  for (const char* const* key = path.begin(); key != leaf && at != nullptr;
-       ++key)
-    at = at->find_object(*key);
-  return at == nullptr ? fallback : at->number_or(*leaf, fallback);
-}
-
-std::size_t array_size(const JsonValue& v, const char* key) {
-  const JsonValue* a = v.find_array(key);
-  return a == nullptr ? 0 : a->array.size();
 }
 
 /// The report's machine runs; nullopt (after printing "<path>: <why>")
@@ -264,10 +226,9 @@ int run_bottleneck(const Args& args) {
 ///
 /// Aggregates the report's machine_runs by (model, name, scenario,
 /// processors) and prints one row per group: run count, wall time p50 /
-/// p90 / max (cycles for MTA runs, seconds for SMP runs), mean
-/// utilization, and how many runs lie beyond k x MAD of the group's median
-/// wall time. A report written under a live bus (--status-out, --progress
-/// or --sweep-trace-out) also carries a host section, printed as a `host:`
+/// p90 / max (cycles for MTA runs, seconds for SMP runs) and mean
+/// utilization. A report written under a live bus (--progress or
+/// --sweep-trace-out) also carries a host section, printed as a `host:`
 /// line (with the testbed cache hits and misses from "counters") and a
 /// `sched:` line. Exits 0 on success, 2 on usage or read errors, a corrupt
 /// machine run, or a report without machine_runs.
@@ -289,29 +250,31 @@ int run_sweep(const Args& args) {
               doc->string_or("bench", "?").c_str(),
               static_cast<unsigned long long>(agg.runs()),
               agg.groups().size());
-  std::printf("  %-44s %5s %12s %12s %12s %6s %8s\n", "group", "count",
-              "wall p50", "wall p90", "wall max", "util", "outliers");
+  std::printf("  %-44s %5s %12s %12s %12s %6s\n", "group", "count",
+              "wall p50", "wall p90", "wall max", "util");
   for (const obs::SweepGroup& g : agg.groups()) {
     const std::string key = g.key.model + "/" + g.key.name + "/" +
                             g.key.scenario + "/p" +
                             std::to_string(g.key.processors);
-    std::printf("  %-44s %5llu %12.4g %12.4g %12.4g %6.3f %8zu\n",
+    std::printf("  %-44s %5llu %12.4g %12.4g %12.4g %6.3f\n",
                 key.c_str(), static_cast<unsigned long long>(g.wall.count),
                 g.wall.quantile(0.50), g.wall.quantile(0.90), g.wall.max,
-                g.utilization.mean(), agg.outlier_runs(g).size());
+                g.utilization.mean());
   }
   const JsonValue* host = doc->find_object("host");
   if (host == nullptr) return 0;
+  const JsonValue* counters = doc->find_object("counters");
+  const auto counter = [counters](const char* name) {
+    return static_cast<long long>(
+        counters == nullptr ? 0.0 : counters->number_or(name, 0.0));
+  };
   std::printf("  host: wall %.2fs user %.2fs sys %.2fs rss %lld KB "
               "cache %lld hit / %lld miss\n",
               host->number_or("wall_seconds", 0.0),
               host->number_or("user_cpu_seconds", 0.0),
               host->number_or("sys_cpu_seconds", 0.0),
               static_cast<long long>(host->number_or("max_rss_kb", 0)),
-              static_cast<long long>(
-                  number_at(*doc, {"counters", "testbed.cache.hit"})),
-              static_cast<long long>(
-                  number_at(*doc, {"counters", "testbed.cache.miss"})));
+              counter("testbed.cache.hit"), counter("testbed.cache.miss"));
   if (const JsonValue* sched = host->find_object("sched"))
     std::printf("  sched: %lld points on %lld jobs, queue-wait %.3fs, "
                 "execute %.3fs\n",
@@ -346,9 +309,9 @@ bool ignore_matches(const std::string& path, const std::string& pattern) {
 }
 
 /// Context appended to "only in first/second report" messages so a whole
-/// section appearing on one side (e.g. "machine_runs" or "anomalies" from a
-/// newer-schema report) is visibly an array or object presence difference,
-/// not a stray scalar.
+/// section appearing on one side (e.g. "machine_runs" from a newer-schema
+/// report, or "anomalies" from an older one) is visibly an array or object
+/// presence difference, not a stray scalar.
 std::string presence_detail(const JsonValue& v) {
   switch (v.kind) {
     case JsonValue::Kind::Array:
@@ -468,8 +431,8 @@ void expand_machine_run_reps(JsonValue& doc) {
 /// length changes, and numbers differing by more than
 /// abs_tol + rel_tol * max(|a|, |b|). The default is exact comparison, so
 /// `diff r.json r.json` is a determinism check. A member present on one
-/// side only is a difference like any other (a "machine_runs" or
-/// "anomalies" array is reported with its size, never skipped). `--ignore`
+/// side only is a difference like any other (a "machine_runs" array or a
+/// "host" object is reported with its size, never skipped). `--ignore`
 /// (repeatable) drops every difference whose path starts with the pattern
 /// or contains it as a whole component: `--ignore regions` also drops
 /// `machine_runs[3].regions[0].streams`. "machine_runs" entries with a
@@ -500,194 +463,6 @@ int run_diff(const Args& args) {
   }
   std::printf("%d difference%s\n", diff.count, diff.count == 1 ? "" : "s");
   return 1;
-}
-
-// --- monitor -----------------------------------------------------------------
-
-bool is_done(const JsonValue& s) {
-  const JsonValue* done = s.find("done");
-  return done != nullptr && done->is_bool() && done->boolean;
-}
-
-void print_status_line(const JsonValue& s) {
-  const std::string bench = s.string_or("bench", "");
-  const std::string phase = s.string_or("phase", "");
-  std::printf("status bench=%s phase=%s version=%llu done=%d "
-              "points=%.0f/%.0f pts_per_sec=%.2f eta_s=%.1f workers=%zu "
-              "anomalies=%zu\n",
-              bench.empty() ? "-" : bench.c_str(),
-              phase.empty() ? "-" : phase.c_str(),
-              static_cast<unsigned long long>(s.number_or("version", 0.0)),
-              is_done(s) ? 1 : 0,
-              number_at(s, {"points", "done"}),
-              number_at(s, {"points", "total"}),
-              number_at(s, {"points", "throughput_per_sec"}),
-              number_at(s, {"points", "eta_seconds"}),
-              array_size(s, "workers"), array_size(s, "anomalies"));
-}
-
-void print_anomaly_lines(const JsonValue& s) {
-  const JsonValue* anomalies = s.find_array("anomalies");
-  if (anomalies == nullptr) return;
-  for (const JsonValue& a : anomalies->array) {
-    const std::string kind = a.string_or("kind", "?");
-    const double point = a.number_or("point", -1.0);
-    if (point >= 0.0)
-      std::printf("anomaly kind=%s worker=%.0f point=%.0f "
-                  "observed_s=%.2f threshold_s=%.2f\n",
-                  kind.c_str(), a.number_or("worker", 0.0), point,
-                  a.number_or("observed_seconds", 0.0),
-                  a.number_or("threshold_seconds", 0.0));
-    else
-      std::printf("anomaly kind=%s worker=%.0f observed_s=%.2f "
-                  "threshold_s=%.2f\n",
-                  kind.c_str(), a.number_or("worker", 0.0),
-                  a.number_or("observed_seconds", 0.0),
-                  a.number_or("threshold_seconds", 0.0));
-  }
-}
-
-/// Redraws the --follow view on a TTY. Returns the number of lines printed
-/// so the next frame can move the cursor back up.
-int render_frame(const JsonValue& s) {
-  const std::string bench = s.string_or("bench", "");
-  const std::string phase = s.string_or("phase", "");
-  const double total = number_at(s, {"points", "total"});
-  const double points_done = number_at(s, {"points", "done"});
-  const double hits = number_at(s, {"cache", "hits"});
-  int lines = 2;
-  std::printf("\x1b[K%s · %s · snapshot %llu%s\n",
-              bench.empty() ? "(bench?)" : bench.c_str(),
-              phase.empty() ? "(no phase)" : phase.c_str(),
-              static_cast<unsigned long long>(s.number_or("version", 0.0)),
-              is_done(s) ? " · DONE" : "");
-  std::printf("\x1b[K  points %.0f/%.0f (%.0f%%)  %.2f pts/s  eta %.1fs  "
-              "rss %.0f MiB  cache %.0f/%.0f\n",
-              points_done, total,
-              total > 0.0 ? 100.0 * points_done / total : 0.0,
-              number_at(s, {"points", "throughput_per_sec"}),
-              number_at(s, {"points", "eta_seconds"}),
-              number_at(s, {"host", "max_rss_kb"}) / 1024.0, hits,
-              hits + number_at(s, {"cache", "misses"}));
-  if (const JsonValue* workers = s.find_array("workers"))
-    for (const JsonValue& w : workers->array) {
-      const std::string state = w.string_or("state", "?");
-      if (state == "running")
-        std::printf("\x1b[K  w%-3.0f running p%-6.0f done %-5.0f "
-                    "hb %.1fs  age %.1fs\n",
-                    w.number_or("worker", 0.0), w.number_or("point", -1.0),
-                    w.number_or("points_done", 0.0),
-                    w.number_or("heartbeat_age_seconds", 0.0),
-                    w.number_or("point_age_seconds", 0.0));
-      else
-        std::printf("\x1b[K  w%-3.0f %-7s %7s done %-5.0f hb %.1fs\n",
-                    w.number_or("worker", 0.0), state.c_str(), "",
-                    w.number_or("points_done", 0.0),
-                    w.number_or("heartbeat_age_seconds", 0.0));
-      ++lines;
-    }
-  if (const JsonValue* anomalies = s.find_array("anomalies"))
-    for (const JsonValue& a : anomalies->array) {
-      const double point = a.number_or("point", -1.0);
-      std::printf("\x1b[K  !! %s worker %.0f%s%s observed %.2fs "
-                  "(threshold %.2fs)\n",
-                  a.string_or("kind", "?").c_str(), a.number_or("worker", 0.0),
-                  point >= 0.0 ? " point " : "",
-                  point >= 0.0
-                      ? std::to_string(static_cast<long long>(point)).c_str()
-                      : "",
-                  a.number_or("observed_seconds", 0.0),
-                  a.number_or("threshold_seconds", 0.0));
-      ++lines;
-    }
-  std::fflush(stdout);
-  return lines;
-}
-
-/// Reads the status file; nullopt (after printing why, unless the file is
-/// merely absent and `missing` is given) when it is not a live status.
-std::optional<JsonValue> load_status(const std::string& path,
-                                     bool* missing = nullptr) {
-  std::optional<JsonValue> doc = load_json(path, missing);
-  if (doc && (!doc->is_object() ||
-              doc->string_or("kind", "") != "live_status")) {
-    std::fprintf(stderr, "%s: not a live_status file\n", path.c_str());
-    return std::nullopt;
-  }
-  return doc;
-}
-
-/// monitor <status.json> [--once]
-/// monitor <status.json> --follow [--interval MS] [--timeout S]
-///
-/// --once (the default) reads the live status file (--status-out) once and
-/// prints one summary line
-///   status bench=<b> phase=<p> version=<v> done=<0|1> points=<done>/<total>
-///          pts_per_sec=<r> eta_s=<e> workers=<n> anomalies=<k>
-/// then one `anomaly kind=... worker=...` line per watchdog finding, for
-/// CI to grep like bottleneck's verdict lines. --follow polls the file
-/// every --interval ms (default 500) and redraws a live per-worker view
-/// until a done=true snapshot lands; on a non-TTY stdout it prints one
-/// summary line per new snapshot version. --timeout (default 0 = none)
-/// bounds the wait. The publisher renames complete snapshots into place,
-/// so a read never sees a torn file; a missing file means nothing is
-/// published yet and --follow keeps waiting. Exits 0 healthy (done reached
-/// under --follow), 3 when the last snapshot read carries anomalies, 1 on
-/// read errors or a --follow timeout.
-int run_monitor(const Args& args) {
-  if (args.files.size() != 1) return kUsage;
-  const std::string& path = args.files[0];
-  bool follow = false;
-  for (const Flag& f : args.flags)
-    if (f.name == "--once" || f.name == "--follow")
-      follow = f.name == "--follow";
-  const auto interval = std::chrono::milliseconds(
-      static_cast<long long>(args.number("--interval", 500.0)));
-  const double timeout_s = args.number("--timeout", 0.0);
-
-  if (!follow) {
-    const std::optional<JsonValue> s = load_status(path);
-    if (!s) return 1;
-    print_status_line(*s);
-    print_anomaly_lines(*s);
-    return array_size(*s, "anomalies") == 0 ? 0 : 3;
-  }
-
-  const bool tty = ::isatty(STDOUT_FILENO) != 0;
-  const auto start = std::chrono::steady_clock::now();
-  std::uint64_t last_version = 0;
-  int last_lines = 0;
-  for (;;) {
-    bool missing = false;
-    if (const std::optional<JsonValue> s = load_status(path, &missing)) {
-      const auto version =
-          static_cast<std::uint64_t>(s->number_or("version", 0.0));
-      if (version != last_version) {
-        last_version = version;
-        if (tty) {
-          if (last_lines > 0) std::printf("\x1b[%dA", last_lines);
-          last_lines = render_frame(*s);
-        } else {
-          print_status_line(*s);
-        }
-      }
-      if (is_done(*s)) {
-        if (tty) print_anomaly_lines(*s);
-        return array_size(*s, "anomalies") == 0 ? 0 : 3;
-      }
-    } else if (!missing) {
-      // A present-but-unparsable file is a real error: the publisher
-      // renames complete snapshots into place, so this never races.
-      return 1;
-    }
-    const std::chrono::duration<double> waited =
-        std::chrono::steady_clock::now() - start;
-    if (timeout_s > 0.0 && waited.count() >= timeout_s) {
-      std::fprintf(stderr, "no done=true snapshot within %.1fs\n", timeout_s);
-      return 1;
-    }
-    std::this_thread::sleep_for(interval);
-  }
 }
 
 // --- trend -------------------------------------------------------------------
@@ -933,15 +708,6 @@ const Command kCommands[] = {
       {"--ignore", Value::kText}},
      "  obs_report diff <a.json> <b.json> [--rel-tol R] [--abs-tol A] "
      "[--ignore PATTERN]...\n"},
-    {"monitor",
-     run_monitor,
-     {{"--once", Value::kNone},
-      {"--follow", Value::kNone},
-      {"--interval", Value::kPositiveInteger},
-      {"--timeout", Value::kNonNegative}},
-     "  obs_report monitor <status.json> [--once]\n"
-     "  obs_report monitor <status.json> --follow [--interval MS] "
-     "[--timeout S]\n"},
     {"trend", run_trend, {{"--scale", Value::kPositive}},
      "  obs_report trend append <history.jsonl> <runreport.json> "
      "[--scale F]\n"
