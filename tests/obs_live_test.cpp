@@ -45,9 +45,6 @@ TEST(LiveBusTest, ProgressComputesMedianEtaAndThroughput) {
 }
 
 TEST(LiveBusTest, EtaFallsBackToCumulativeRateBeforeFirstCompletion) {
-  // A fold before any point completes must not divide by zero: the rate
-  // and the ETA stay 0 (rendered as "eta ?" by the --progress ticker)
-  // instead of going NaN or inf.
   obs::LiveBus bus;
   const std::uint32_t sweep = bus.begin_sweep(100, 1, 0.0);
   bus.begin_point(0, sweep, 0, 0.0);
@@ -55,8 +52,20 @@ TEST(LiveBusTest, EtaFallsBackToCumulativeRateBeforeFirstCompletion) {
   EXPECT_EQ(p.done, 0u);
   EXPECT_EQ(p.total, 100u);
   EXPECT_EQ(p.median_point_seconds, 0.0);
-  EXPECT_EQ(p.points_per_sec, 0.0);
   EXPECT_EQ(p.eta_seconds, 0.0);  // no completions, no rate yet
+}
+
+TEST(LiveBusTest, SnapshotWithZeroCompletedPointsHasFiniteRates) {
+  // Regression: a progress fold taken before any point completes must
+  // not divide by zero — throughput and ETA stay 0 (rendered as "eta ?"
+  // by the --progress ticker) instead of going NaN or inf.
+  obs::LiveBus bus;
+  const std::uint32_t sweep = bus.begin_sweep(50, 1, 0.0);
+  bus.begin_point(0, sweep, 0, 0.0);
+  const obs::LiveBus::Progress p = bus.progress(0.001);
+  EXPECT_EQ(p.done, 0u);
+  EXPECT_EQ(p.points_per_sec, 0.0);
+  EXPECT_EQ(p.eta_seconds, 0.0);
   EXPECT_TRUE(std::isfinite(p.points_per_sec));
   EXPECT_TRUE(std::isfinite(p.eta_seconds));
 }
