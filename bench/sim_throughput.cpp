@@ -19,10 +19,12 @@
 // first bare (no bus, so no clock reads of run_sweep's own and nothing
 // recorded), then with the full sweep-telemetry stack active (the live bus
 // recording each point once, per-run records, and RunReport (machine
-// runs, host section) + sweep-trace serialization); scripts/check.sh
-// gates the telemetry regime at >= 0.95x the plain one (< 5% overhead).
+// runs, host section) + sweep-trace serialization). The two sweeps
+// alternate for at least 1 s and at least `--reps` pairs, and each
+// regime reports its median; scripts/check.sh gates the telemetry regime
+// at >= 0.95x the plain one (< 5% overhead).
 //
-// Each scenario runs `--reps` times (default 3); the median wall time
+// Each other scenario runs `--reps` times (default 3); the median wall time
 // produces two RunReport rows per scenario ("<name>.cycles_per_sec" and
 // "<name>.instr_per_sec", stored in the "measured" field with paper = 1).
 // With --report-out this becomes BENCH_sim_throughput.json; scripts/check.sh
@@ -193,54 +195,76 @@ std::uint64_t sweep_point(std::size_t index) {
   return machine.run().cycles;
 }
 
-/// Median wall seconds for one 100-point sweep at `jobs`, with the full
+/// Wall seconds of one `points`-point sweep at `jobs`, with the full
 /// sweep-telemetry stack active when `telemetry` is set: a live bus
 /// recording every point (what --progress and --sweep-trace-out install),
 /// per-run records, and — after the sweep — what a session then writes:
 /// the RunReport with its machine runs and host section and the sweep
 /// Chrome trace (to in-memory sinks), i.e. everything those flags add to
 /// a real sweep.
-double measure_sweep_regime(int reps, int jobs, std::size_t points,
-                            bool telemetry) {
-  std::vector<double> times;
+double time_sweep(int jobs, std::size_t points, bool telemetry) {
+  obs::RunRecordStore records;
+  obs::ScopedRunRecords rec_scope(records);
+  obs::LiveBus bus;
+  obs::set_live_bus(telemetry ? &bus : nullptr);
+  const auto start = std::chrono::steady_clock::now();
+  const obs::HostResUsage host_begin =
+      telemetry ? obs::sample_host_usage() : obs::HostResUsage{};
+  sim::run_sweep(points, jobs, [](std::size_t i) { return sweep_point(i); });
+  if (telemetry) {
+    obs::RunReport report("sim_throughput");
+    report.set_machine_runs(records.records());
+    report.set_host(
+        obs::host_usage_delta(host_begin, obs::sample_host_usage()),
+        bus.summary());
+    std::ostringstream report_sink;
+    report.write_json(report_sink, obs::default_registry());
+    std::ostringstream trace_sink;
+    bus.write_chrome_trace(trace_sink);
+  }
+  const auto stop = std::chrono::steady_clock::now();
+  obs::set_live_bus(nullptr);
+  return std::chrono::duration<double>(stop - start).count();
+}
+
+struct SweepPair {
+  double plain = 0.0;      ///< median wall seconds, telemetry off
+  double telemetry = 0.0;  ///< median wall seconds, telemetry on
+  int pairs = 0;
+};
+
+/// Times plain and telemetry sweeps alternately in one loop, for at least
+/// `min_pairs` pairs and at least `min_seconds`, so both regimes see the
+/// same host phases; the side that goes first flips every pair.
+SweepPair measure_sweep_pair(int min_pairs, double min_seconds, int jobs,
+                             std::size_t points) {
   obs::LiveBus* prev_bus = obs::live_bus();
   // Untimed warm-up sweep: the first sweep of the process pays thread
-  // startup and page-fault costs that would otherwise land entirely on
-  // whichever regime runs first and swamp the <5% telemetry budget.
-  obs::set_live_bus(nullptr);
-  {
-    obs::RunRecordStore warmup_records;
-    obs::ScopedRunRecords warmup_scope(warmup_records);
-    sim::run_sweep(points, jobs, [](std::size_t i) { return sweep_point(i); });
-  }
-  for (int rep = 0; rep < reps; ++rep) {
-    obs::RunRecordStore records;
-    obs::ScopedRunRecords rec_scope(records);
-    obs::LiveBus bus;
-    obs::set_live_bus(telemetry ? &bus : nullptr);
-    const auto start = std::chrono::steady_clock::now();
-    const obs::HostResUsage host_begin =
-        telemetry ? obs::sample_host_usage() : obs::HostResUsage{};
-    sim::run_sweep(points, jobs, [](std::size_t i) {
-      return sweep_point(i);
-    });
-    if (telemetry) {
-      obs::RunReport report("sim_throughput");
-      report.set_machine_runs(records.records());
-      report.set_host(
-          obs::host_usage_delta(host_begin, obs::sample_host_usage()),
-          bus.summary());
-      std::ostringstream report_sink;
-      report.write_json(report_sink, obs::default_registry());
-      std::ostringstream trace_sink;
-      bus.write_chrome_trace(trace_sink);
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    times.push_back(std::chrono::duration<double>(stop - start).count());
+  // startup and page-fault costs that would otherwise land on whichever
+  // regime runs first.
+  (void)time_sweep(jobs, points, /*telemetry=*/false);
+  std::vector<double> plain;
+  std::vector<double> telem;
+  const auto begin = std::chrono::steady_clock::now();
+  while (static_cast<int>(plain.size()) < min_pairs ||
+         std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       begin)
+                 .count() < min_seconds) {
+    const bool telemetry_first = plain.size() % 2 == 1;
+    for (const bool telemetry : {telemetry_first, !telemetry_first})
+      (telemetry ? telem : plain)
+          .push_back(time_sweep(jobs, points, telemetry));
   }
   obs::set_live_bus(prev_bus);
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
+  const auto median = [](std::vector<double>& v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  SweepPair out;
+  out.pairs = static_cast<int>(plain.size());
+  out.plain = median(plain);
+  out.telemetry = median(telem);
+  return out;
 }
 
 /// {label -> measured} from a RunReport JSON's "rows" array; empty when
@@ -326,16 +350,18 @@ int main(int argc, char** argv) {
 
   {
     // Sweep-telemetry regime pair: the same 100-point sweep measured bare
-    // and with the full --report-out + --sweep-trace-out stack active (see
-    // measure_sweep_regime). The points_per_sec ratio is the
-    // telemetry overhead; scripts/check.sh gates it at >= 0.95.
+    // and with the full --report-out + --sweep-trace-out stack active,
+    // alternately for at least 1 s (see measure_sweep_pair). The
+    // points_per_sec ratio is the telemetry overhead; scripts/check.sh
+    // gates it at >= 0.95.
     constexpr std::size_t kPoints = 100;
     const int sweep_jobs = run.jobs();
     run.report().set_config("sweep_jobs", static_cast<double>(sweep_jobs));
-    const double plain =
-        measure_sweep_regime(reps, sweep_jobs, kPoints, /*telemetry=*/false);
-    const double telem =
-        measure_sweep_regime(reps, sweep_jobs, kPoints, /*telemetry=*/true);
+    const SweepPair sweeps =
+        measure_sweep_pair(reps, /*min_seconds=*/1.0, sweep_jobs, kPoints);
+    run.report().set_config("sweep_pairs", static_cast<double>(sweeps.pairs));
+    const double plain = sweeps.plain;
+    const double telem = sweeps.telemetry;
     table.row({"sweep_plain", "-", "-", TextTable::num(plain * 1e3, 2),
                "-", "-"});
     table.row({"sweep_telemetry", "-", "-", TextTable::num(telem * 1e3, 2),

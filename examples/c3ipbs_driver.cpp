@@ -1,6 +1,8 @@
 // A driver in the spirit of the original C3IPBS harness: list the suite's
 // problems, run any problem/variant across the five standard scenarios,
-// and report the built-in correctness verdicts.
+// and report the built-in correctness verdicts. It runs the native
+// variants only (no machine model, no sweep), so it takes none of the
+// benches' instrumentation flags.
 //
 //   ./build/examples/c3ipbs_driver --list
 //   ./build/examples/c3ipbs_driver --problem=terrain-masking
@@ -13,7 +15,6 @@
 #include "c3i/suite.hpp"
 #include "core/cli.hpp"
 #include "core/table.hpp"
-#include "obs/session.hpp"
 
 using namespace tc3i;
 
@@ -24,11 +25,10 @@ int main(int argc, char** argv) {
   cli.add_flag("variant", "all", "variant name, or 'all'");
   cli.add_flag("threads", "4", "host threads for parallel variants");
   cli.add_flag("scale", "medium", "'small' or 'medium'");
-  obs::RunSession::add_cli_flags(cli);
   if (!cli.parse(argc, argv)) return 1;
-  // Usage errors exit 2 before any work, as RunSession's do: --threads 0
-  // would trip the chunked variants' precondition mid-run, and an unknown
-  // --scale would silently run at medium.
+  // Bad values exit 2 before any work: --threads 0 would trip the chunked
+  // variants' precondition mid-run, and an unknown --scale would silently
+  // run at medium.
   const std::int64_t threads_flag = cli.get_int("threads");
   const std::string scale_name = cli.get("scale");
   constexpr int kMaxThreads = std::numeric_limits<int>::max();
@@ -42,7 +42,6 @@ int main(int argc, char** argv) {
               << scale_name << "')\n";
     return 2;
   }
-  obs::RunSession obs_session("c3ipbs_driver", cli);
 
   const c3i::Scale scale =
       scale_name == "small" ? c3i::Scale::Small : c3i::Scale::Medium;

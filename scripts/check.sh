@@ -213,20 +213,21 @@ else
   echo "skipped: toolchain lacks -fsanitize=thread support"
 fi
 
-echo "== ASan smoke (obs_live_test + sim_sweep_test + sim_wake_queue_test + mta_fuzz_test + testbed_cache_test under -fsanitize=address) =="
+echo "== ASan smoke (obs_live_test + sim_sweep_test + sim_wake_queue_test + mta_sync_memory_test + mta_machine_test + mta_fuzz_test + testbed_cache_test under -fsanitize=address) =="
 # Prove the sweep bus, run_sweep's pooled path with a bus installed, the
-# wake queue's lane rings, the MTA core's fast path (fuzzed against its
-# slow reference), and the testbed cache with the parallel kernel
-# profiling behind it free of memory errors under AddressSanitizer where
-# the toolchain supports it.
+# wake queue's lane rings, the full/empty memory's mapping, the MTA core
+# (its machine tests, and its fast path fuzzed against its slow
+# reference), and the testbed cache with the parallel kernel profiling
+# behind it free of memory errors under AddressSanitizer where the
+# toolchain supports it.
 if printf 'int main(){return 0;}' |
     c++ -fsanitize=address -x c++ - -o "$SMOKE_DIR/asan_probe" 2>/dev/null &&
     "$SMOKE_DIR/asan_probe" 2>/dev/null; then
   ASAN_DIR="build-asan"
   cmake -B "$ASAN_DIR" -S . -DTC3I_SANITIZE=address -DTC3I_WERROR=ON \
       >/dev/null
-  ASAN_TESTS="obs_live_test sim_sweep_test sim_wake_queue_test mta_fuzz_test \
-testbed_cache_test"
+  ASAN_TESTS="obs_live_test sim_sweep_test sim_wake_queue_test \
+mta_sync_memory_test mta_machine_test mta_fuzz_test testbed_cache_test"
   cmake --build "$ASAN_DIR" --target $ASAN_TESTS -j >/dev/null
   for T in $ASAN_TESTS; do
     "$ASAN_DIR"/tests/"$T" >/dev/null ||

@@ -101,7 +101,6 @@ void Machine::push_wake(std::uint64_t at, StreamId sid, StallReason why) {
   } else if (why == StallReason::kMemory && config_.lookahead == 0) {
     wakes_.push_in_order(kMemoryLane, at, sid);
   } else {
-    if (at < pushed_min_) pushed_min_ = at;
     wakes_.push(at, sid);
   }
 }
@@ -273,8 +272,9 @@ void Machine::complete_memory_op(StreamId sid, std::uint64_t now,
   // `lookahead` memory operations are outstanding; otherwise it waits for
   // the oldest one that must retire first.
   auto& outstanding = streams_[static_cast<std::size_t>(sid)].outstanding;
-  while (!outstanding.empty() && outstanding.front() <= now)
-    outstanding.pop_front();
+  outstanding.erase(outstanding.begin(),
+                    std::find_if(outstanding.begin(), outstanding.end(),
+                                 [now](std::uint64_t d) { return d > now; }));
   outstanding.push_back(done);
   std::uint64_t wake = spacing;
   if (outstanding.size() > lookahead)
@@ -662,81 +662,52 @@ std::uint64_t Machine::run_fast_loop() {
   // Hoisted so the issue loop branches on register-resident locals instead
   // of reloading members every iteration (issue() may alias them).
   const std::uint64_t max_cycles = max_cycles_;
-  {
-    const auto spacing =
-        static_cast<std::uint64_t>(config_.issue_spacing_cycles);
-    while (live_streams_ > 0 || !pending_.empty()) {
-      if (now >= max_cycles) runaway_abort(now);
+  const auto spacing = static_cast<std::uint64_t>(config_.issue_spacing_cycles);
+  while (live_streams_ > 0 || !pending_.empty()) {
+    if (now >= max_cycles) runaway_abort(now);
 
-      wakes_.drain_due(now, [this](std::uint64_t, StreamId sid) {
-        make_stream_ready(sid);
-      });
+    wakes_.drain_due(now, [this](std::uint64_t, StreamId sid) {
+      make_stream_ready(sid);
+    });
 
-      // Solo fast-forward: with one ready stream machine-wide (and no
-      // timeline sampling, which tracing implies), whole instruction runs
-      // retire analytically.
-      if (ready_count_ == 1 && sample_period_ == 0) {
-        now = run_solo(now, max_cycles);
-        continue;
+    // Solo fast-forward: with one ready stream machine-wide (and no
+    // timeline sampling, which tracing implies), whole instruction runs
+    // retire analytically. With a wake due within one spacing window it
+    // would retire exactly one instruction, as the scan below does.
+    if (ready_count_ == 1 && sample_period_ == 0 &&
+        wakes_.next_due() - now > spacing) {
+      now = run_solo(now, max_cycles);
+      continue;
+    }
+
+    if (sample_period_ != 0) {
+      if (now >= sample_next_) flush_samples(now);
+      sample_ready_sum_ += ready_count_;
+    }
+    bool any_ready = false;
+    for (auto& p : procs_) {
+      if (p.has_ready()) {
+        any_ready = true;
+        --ready_count_;
+        issue(p.pop_ready(), now);
+      } else {
+        account_idle(p.id(), 1);
       }
+    }
 
-      // Window batching: a stream issuing at cycle c re-wakes no earlier
-      // than c + spacing, so between drains the only wakes that can land
-      // inside the window come from spawns (spawn cost < spacing). Issue
-      // up to min(next_due, now + spacing) cycles on the existing ready
-      // queues without re-draining the wake queue, shrinking the window
-      // whenever an issued instruction pushes an earlier wake.
-      std::uint64_t limit = now + spacing;
-      const std::uint64_t nd = wakes_.next_due();
-      if (nd < limit) limit = nd;
-      if (limit <= now) limit = now + 1;
-
-      // The live-stream check mirrors the outer loop: when the last stream
-      // quits mid-window the machine is dead, and scanning another cycle
-      // would attribute a phantom idle slot past the end of the run.
-      bool any_ready = true;
-      while (any_ready && now < limit &&
-             (live_streams_ > 0 || !pending_.empty())) {
-        if (now >= max_cycles) runaway_abort(now);
-        if (sample_period_ != 0) {
-          if (now >= sample_next_) flush_samples(now);
-          sample_ready_sum_ += ready_count_;
-        }
-        any_ready = false;
-        pushed_min_ = sim::WakeQueue<StreamId>::kNone;
-        for (auto& p : procs_) {
-          if (p.has_ready()) {
-            any_ready = true;
-            --ready_count_;
-            issue(p.pop_ready(), now);
-          } else {
-            account_idle(p.id(), 1);
-          }
-        }
-        if (any_ready) {
-          // A wake due at d must be delivered at the start of cycle
-          // max(d, now + 1); end the window there if that is sooner.
-          const std::uint64_t due = std::max(pushed_min_, now + 1);
-          if (due < limit) limit = due;
-          ++now;
-        }
-      }
-
-      if (!any_ready) {
-        if (!wakes_.empty()) {
-          const std::uint64_t next = std::max(now + 1, wakes_.next_due());
-          // The last scan attributed cycle `now`; the skipped span up to
-          // the next wake is idle for every processor under an unchanged
-          // census.
-          if (next - now > 1)
-            for (auto& p : procs_) account_idle(p.id(), next - now - 1);
-          now = next;
-        } else {
-          // No stream can ever become ready again: every remaining stream
-          // is blocked on a full/empty bit that nobody will flip.
-          TC3I_ASSERT(live_streams_ == 0 && pending_.empty());
-        }
-      }
+    if (any_ready) {
+      ++now;
+    } else if (!wakes_.empty()) {
+      const std::uint64_t next = std::max(now + 1, wakes_.next_due());
+      // The scan above attributed cycle `now`; the skipped span up to the
+      // next wake is idle for every processor under an unchanged census.
+      if (next - now > 1)
+        for (auto& p : procs_) account_idle(p.id(), next - now - 1);
+      now = next;
+    } else {
+      // No stream can ever become ready again: every remaining stream is
+      // blocked on a full/empty bit that nobody will flip.
+      TC3I_ASSERT(live_streams_ == 0 && pending_.empty());
     }
   }
   return now;

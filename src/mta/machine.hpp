@@ -22,7 +22,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <queue>
 #include <set>
 #include <string>
@@ -133,19 +132,22 @@ class Machine {
   };
   static constexpr std::size_t kNumStallReasons = 4;
 
+  /// The fields issue(), push_wake() and make_stream_ready() read come
+  /// first, in the stream's first 64 bytes.
   struct Stream {
-    StreamProgram* program = nullptr;
+    Instr cur;
     VectorProgram* vec = nullptr;  ///< program->as_vector(), fetch fast path
     int proc = -1;
-    Instr cur;
     bool has_cur = false;
     bool dead = false;
     StallReason wait_reason = StallReason::kSpacing;  ///< valid while parked
     std::uint64_t issued = 0;     ///< instructions this stream issued
+    StreamProgram* program = nullptr;
     std::uint64_t activated = 0;  ///< cycle activate() ran
-    /// Completion cycles of outstanding memory ops (lookahead > 0 only;
-    /// monotonically increasing, bounded by lookahead + 1).
-    std::deque<std::uint64_t> outstanding;
+    /// Completion cycles of outstanding memory ops, oldest first (lookahead
+    /// > 0 only, so it never allocates at lookahead 0; bounded by
+    /// lookahead + 1).
+    std::vector<std::uint64_t> outstanding;
   };
 
   /// Per-processor issue-slot account plus the census of parked streams by
@@ -295,14 +297,15 @@ class Machine {
   /// store, if any.
   void finish_timeline(std::uint64_t now);
   /// Fast-forwards the machine while exactly one stream is ready
-  /// machine-wide (see docs/PERFORMANCE.md for the legality argument).
+  /// machine-wide and no wake is due within one issue spacing (see
+  /// docs/PERFORMANCE.md for the legality argument).
   /// Returns the cycle the generic loop resumes at.
   std::uint64_t run_solo(std::uint64_t now, std::uint64_t max_cycles);
   /// The reference simulation loop (slow_ only): binary-heap wake queue,
   /// one cycle at a time. Returns the final cycle.
   std::uint64_t run_slow_loop();
-  /// The fast simulation loop: in-order wake lanes, run_solo
-  /// fast-forwarding and issue-window batching. Returns the final cycle.
+  /// The fast simulation loop: in-order wake lanes and run_solo
+  /// fast-forwarding. Returns the final cycle.
   std::uint64_t run_fast_loop();
   /// Finalizes a completed run at cycle `now`: slot-account invariants,
   /// counter publication, RunRecord emission.
@@ -338,10 +341,6 @@ class Machine {
   LoadTracker load_tracker_;
   int free_slots_ = 0;  ///< machine-wide free hardware stream slots
   std::uint64_t ready_count_ = 0;  ///< streams in ready queues, fast path
-  /// Earliest heap wake pushed during the current issue cycle (fast path);
-  /// run()'s window batching uses it to end a drain-free window early when
-  /// a spawn schedules a wake inside it (lane wakes land past the window).
-  std::uint64_t pushed_min_ = ~0ull;
 
   std::vector<ProcAcct> acct_;  // sized num_processors
   std::vector<RegionTally> region_tallies_;

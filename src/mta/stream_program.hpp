@@ -49,13 +49,16 @@ struct Instr {
     Quit,       ///< stream terminates
   };
 
-  Op op = Op::Quit;
+  // The one-byte fields follow the 8-byte ones, so no padding sits
+  // between them: programs hold millions of these.
   std::uint64_t count = 1;        ///< Compute/Load/Store: repeat count
   Address addr = 0;               ///< memory ops
   Word value = 0;                 ///< stores
   StreamProgram* spawn = nullptr; ///< Spawn only (non-owning)
+  Op op = Op::Quit;
   bool software_spawn = false;    ///< 50-100 cycle software thread creation
 };
+static_assert(sizeof(Instr) <= 40);
 
 /// Interface: yields the next instruction, returns false at end of stream
 /// (equivalent to an implicit Quit).

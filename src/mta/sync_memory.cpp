@@ -1,25 +1,38 @@
 #include "mta/sync_memory.hpp"
 
+#include <sys/mman.h>
+
+#include <new>
+
 #include "core/contracts.hpp"
 
 namespace tc3i::mta {
 
-SyncMemory::SyncMemory(std::size_t size) {
+// An anonymous mapping rather than a zero-filled vector: the kernel hands
+// out zero pages on first touch, whereas the allocator recycles freed heap
+// (glibc raises its mmap threshold after the first large free) and must
+// zero all of it on every construction.
+SyncMemory::SyncMemory(std::size_t size) : size_(size) {
   TC3I_EXPECTS(size > 0);
-  words_.resize(size);
   obs::CounterRegistry& reg = obs::default_registry();
   c_ops_ = &reg.counter("mta.syncmem.ops");
   c_retries_ = &reg.counter("mta.syncmem.failed_attempts");
   c_handoffs_ = &reg.counter("mta.syncmem.handoffs");
+  void* p = mmap(nullptr, size * sizeof(Cell), PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  words_ = static_cast<Cell*>(p);
 }
 
+SyncMemory::~SyncMemory() { munmap(words_, size_ * sizeof(Cell)); }
+
 SyncMemory::Cell& SyncMemory::cell(Address addr) {
-  TC3I_EXPECTS(addr < words_.size());
+  TC3I_EXPECTS(addr < size_);
   return words_[addr];
 }
 
 Word SyncMemory::load(Address addr) const {
-  TC3I_EXPECTS(addr < words_.size());
+  TC3I_EXPECTS(addr < size_);
   return words_[addr].value;
 }
 
@@ -42,7 +55,7 @@ void SyncMemory::reset_empty(Address addr) {
 }
 
 bool SyncMemory::is_full(Address addr) const {
-  TC3I_EXPECTS(addr < words_.size());
+  TC3I_EXPECTS(addr < size_);
   return words_[addr].full;
 }
 

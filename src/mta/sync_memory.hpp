@@ -35,21 +35,23 @@ struct SyncAttempt {
 
 class SyncMemory {
  private:
-  // Deliberately no default member initializers: a trivially-default-
-  // constructible Cell lets the 16 MiB `words_` fill lower to one memset
-  // (measurably faster than the per-member store loop NSDMIs force), and
-  // the vector resize that creates the cells value-initializes them, which
-  // zeroes all members anyway.
+  // All-zero bytes are an EMPTY word holding 0, so fresh zero pages are
+  // valid cells and nothing initializes them.
   struct Cell {
     Word value;
     bool full;
   };
 
  public:
-  /// Creates a memory of `size` words, all EMPTY with value 0.
+  /// Creates a memory of `size` words, all EMPTY with value 0. The cells
+  /// live in an anonymous mapping, so a run pays (in page faults and
+  /// resident memory) only for the pages it touches.
   explicit SyncMemory(std::size_t size);
+  ~SyncMemory();
+  SyncMemory(const SyncMemory&) = delete;
+  SyncMemory& operator=(const SyncMemory&) = delete;
 
-  [[nodiscard]] std::size_t size() const { return words_.size(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
 
   // --- unsynchronized access (ignores full/empty bits) -------------------
   [[nodiscard]] Word load(Address addr) const;
@@ -105,7 +107,8 @@ class SyncMemory {
   /// Bounds-checked mutable access.
   Cell& cell(Address addr);
 
-  std::vector<Cell> words_;
+  Cell* words_ = nullptr;  ///< `size_` cells, mmap'ed, owned
+  std::size_t size_ = 0;
   // Waiter queues are sparse: only contended addresses ever allocate one.
   std::unordered_map<Address, std::deque<StreamId>> load_waiters_;
   std::unordered_map<Address, std::deque<std::pair<StreamId, Word>>>

@@ -1,6 +1,8 @@
 #include "obs/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -10,10 +12,19 @@
 
 namespace tc3i::obs {
 
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
+namespace {
+
+/// Appends `s` to `out` as a JSON string literal.
+void append_escaped(std::string& out, std::string_view s) {
   out.push_back('"');
+  const auto plain = [](char c) {
+    return c != '"' && c != '\\' && static_cast<unsigned char>(c) >= 0x20;
+  };
+  if (std::all_of(s.begin(), s.end(), plain)) {
+    out.append(s);
+    out.push_back('"');
+    return;
+  }
   for (const char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -33,8 +44,17 @@ std::string json_escape(std::string_view s) {
     }
   }
   out.push_back('"');
-  return out;
 }
+
+/// Appends `v` in decimal.
+template <typename T>
+void append_number(std::string& out, T v) {
+  char buf[32];
+  const auto r = std::to_chars(buf, buf + sizeof buf, v);
+  out.append(buf, r.ptr);
+}
+
+}  // namespace
 
 // --- JsonWriter --------------------------------------------------------------
 
@@ -44,12 +64,22 @@ void JsonWriter::separator() {
     have_key_ = false;
     return;  // key() already emitted "key": and any comma
   }
-  if (needs_comma_) out_ << ',';
+  if (needs_comma_) buf_.push_back(',');
+}
+
+void JsonWriter::finish_value() {
+  needs_comma_ = true;
+  // A long document (a traced run's Chrome trace runs to tens of MB) goes
+  // out in pieces, so the buffer stays small.
+  constexpr std::size_t kFlushBytes = std::size_t{1} << 16;
+  if (!stack_.empty() && buf_.size() < kFlushBytes) return;
+  out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+  buf_.clear();
 }
 
 void JsonWriter::begin_object() {
   separator();
-  out_ << '{';
+  buf_.push_back('{');
   stack_.push_back(Frame::Object);
   needs_comma_ = false;
 }
@@ -57,13 +87,13 @@ void JsonWriter::begin_object() {
 void JsonWriter::end_object() {
   TC3I_EXPECTS(!stack_.empty() && stack_.back() == Frame::Object && !have_key_);
   stack_.pop_back();
-  out_ << '}';
-  needs_comma_ = true;
+  buf_.push_back('}');
+  finish_value();
 }
 
 void JsonWriter::begin_array() {
   separator();
-  out_ << '[';
+  buf_.push_back('[');
   stack_.push_back(Frame::Array);
   needs_comma_ = false;
 }
@@ -71,58 +101,61 @@ void JsonWriter::begin_array() {
 void JsonWriter::end_array() {
   TC3I_EXPECTS(!stack_.empty() && stack_.back() == Frame::Array);
   stack_.pop_back();
-  out_ << ']';
-  needs_comma_ = true;
+  buf_.push_back(']');
+  finish_value();
 }
 
 void JsonWriter::key(std::string_view k) {
   TC3I_EXPECTS(!stack_.empty() && stack_.back() == Frame::Object && !have_key_);
-  if (needs_comma_) out_ << ',';
-  out_ << json_escape(k) << ':';
+  if (needs_comma_) buf_.push_back(',');
+  append_escaped(buf_, k);
+  buf_.push_back(':');
   have_key_ = true;
   needs_comma_ = false;
 }
 
 void JsonWriter::value(std::string_view v) {
   separator();
-  out_ << json_escape(v);
-  needs_comma_ = true;
+  append_escaped(buf_, v);
+  finish_value();
 }
 
 void JsonWriter::value(double v) {
   separator();
   if (!std::isfinite(v)) {
-    out_ << "null";
+    buf_ += "null";
   } else {
+    // The same bytes as "%.17g": general form, 17 significant digits.
     char buf[32];
-    std::snprintf(buf, sizeof buf, "%.17g", v);
-    out_ << buf;
+    const auto r = std::to_chars(buf, buf + sizeof buf, v,
+                                 std::chars_format::general, 17);
+    buf_.append(buf, r.ptr);
   }
-  needs_comma_ = true;
+  finish_value();
 }
 
 void JsonWriter::value(std::uint64_t v) {
   separator();
-  out_ << v;
-  needs_comma_ = true;
+  append_number(buf_, v);
+  finish_value();
 }
 
 void JsonWriter::value(std::int64_t v) {
   separator();
-  out_ << v;
-  needs_comma_ = true;
+  append_number(buf_, v);
+  finish_value();
 }
 
 void JsonWriter::value(bool v) {
   separator();
-  out_ << (v ? "true" : "false");
-  needs_comma_ = true;
+  buf_ += v ? "true" : "false";
+  finish_value();
 }
 
 void JsonWriter::null() {
   separator();
-  out_ << "null";
-  needs_comma_ = true;
+  buf_ += "null";
+  finish_value();
 }
 
 // --- json_validate / json_parse ----------------------------------------------

@@ -1,8 +1,8 @@
 // Minimal JSON emission, validation and parsing for the observability
 // layer.
 //
-// JsonWriter is a streaming writer (objects, arrays, scalars) with correct
-// string escaping and non-finite-number handling; json_validate is a strict
+// JsonWriter writes objects, arrays and scalars with correct string
+// escaping and non-finite-number handling; json_validate is a strict
 // recursive-descent syntax checker used by tests and tools/json_check to
 // confirm that exported traces and reports are well-formed; json_parse
 // builds a JsonValue tree for the tools that *read* reports
@@ -20,11 +20,11 @@
 
 namespace tc3i::obs {
 
-/// Escapes `s` as a JSON string literal, including the surrounding quotes.
-[[nodiscard]] std::string json_escape(std::string_view s);
-
-/// Streaming JSON writer. Structural sanity (matched begin/end, keys only
-/// inside objects) is contract-checked.
+/// JSON writer. Structural sanity (matched begin/end, keys only inside
+/// objects) is contract-checked. Text accumulates in one buffer that is
+/// written to the stream whenever it passes 64 KiB and as each top-level
+/// value completes, so the stream holds the whole value as soon as its
+/// last call returns.
 class JsonWriter {
  public:
   explicit JsonWriter(std::ostream& out) : out_(out) {}
@@ -57,8 +57,12 @@ class JsonWriter {
   enum class Frame : std::uint8_t { Object, Array };
 
   void separator();
+  /// Ends a value: marks a comma as due and, at the top level or past
+  /// 64 KiB, writes the buffer out.
+  void finish_value();
 
   std::ostream& out_;
+  std::string buf_;
   std::vector<Frame> stack_;
   bool needs_comma_ = false;
   bool have_key_ = false;

@@ -1,9 +1,21 @@
 #include "mta/sync_memory.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <fstream>
 
 namespace tc3i::mta {
 namespace {
+
+/// This process's resident set in bytes (second field of /proc/self/statm).
+std::size_t resident_bytes() {
+  std::ifstream statm("/proc/self/statm");
+  std::size_t total_pages = 0;
+  std::size_t resident_pages = 0;
+  statm >> total_pages >> resident_pages;
+  return resident_pages * static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+}
 
 TEST(SyncMemory, WordsStartEmptyAndZero) {
   SyncMemory mem(16);
@@ -130,6 +142,24 @@ TEST(SyncMemory, CountsSyncOps) {
   (void)mem.try_sync_load(0, 0);
   (void)mem.try_sync_store(0, 2, 1);
   EXPECT_EQ(mem.sync_ops(), 2u);
+}
+
+TEST(SyncMemory, UntouchedWordsStayOutOfTheResidentSet) {
+  // A default-sized machine memory (2^20 words, 16 MiB of cells) touched at
+  // both ends costs a few pages, not the whole array.
+  constexpr std::size_t kWords = std::size_t{1} << 20;
+  const std::size_t before = resident_bytes();
+  ASSERT_GT(before, 0u);
+  SyncMemory mem(kWords);
+  mem.store(0, 7);
+  const Address last = kWords - 1;
+  EXPECT_FALSE(mem.is_full(last));
+  EXPECT_EQ(mem.load(last), 0);
+  EXPECT_TRUE(mem.try_sync_store(last, 9, /*stream=*/0).succeeded);
+  EXPECT_TRUE(mem.is_full(last));
+  EXPECT_EQ(mem.load(last), 9);
+  EXPECT_EQ(mem.load(0), 7);
+  EXPECT_LT(resident_bytes(), before + (std::size_t{2} << 20));
 }
 
 TEST(SyncMemoryDeathTest, OutOfRangeAddressAborts) {
