@@ -1,7 +1,6 @@
 #include "harness.hpp"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "core/cli.hpp"
 #include "core/contracts.hpp"
@@ -12,13 +11,7 @@ namespace tc3i::bench {
 Session::Session(std::string bench_name, int argc, const char* const* argv) {
   CliParser cli(bench_name);
   obs::RunSession::add_cli_flags(cli);
-  if (!cli.parse(argc, argv)) {
-    // parse() already printed usage; --help is a clean exit, a bad flag
-    // is not.
-    for (int i = 1; i < argc; ++i)
-      if (std::strcmp(argv[i], "--help") == 0) std::exit(0);
-    std::exit(2);
-  }
+  if (!cli.parse(argc, argv)) std::exit(cli.exit_code());
   run_ = std::make_unique<obs::RunSession>(std::move(bench_name), cli);
 }
 

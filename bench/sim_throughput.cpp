@@ -295,11 +295,7 @@ int main(int argc, char** argv) {
   cli.add_flag("min-ratio", "0.7",
                "fail (exit 1) when any metric drops below this fraction of "
                "the baseline");
-  if (!cli.parse(argc, argv)) {
-    for (int i = 1; i < argc; ++i)
-      if (std::string(argv[i]) == "--help") return 0;
-    return 2;
-  }
+  if (!cli.parse(argc, argv)) return cli.exit_code();
   obs::RunSession run("sim_throughput", cli);
   const int reps = static_cast<int>(cli.get_int("reps"));
   if (reps < 1) {

@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   cli.add_flag("variant", "all", "variant name, or 'all'");
   cli.add_flag("threads", "4", "host threads for parallel variants");
   cli.add_flag("scale", "medium", "'small' or 'medium'");
-  if (!cli.parse(argc, argv)) return 1;
+  if (!cli.parse(argc, argv)) return cli.exit_code();
   // Bad values exit 2 before any work: --threads 0 would trip the chunked
   // variants' precondition mid-run, and an unknown --scale would silently
   // run at medium.

@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   cli.add_flag("seed", "1998", "generator seed");
   cli.add_flag("threats", "100", "threat count (Threat Analysis)");
   cli.add_flag("size", "160", "terrain side (Terrain Masking)");
-  if (!cli.parse(argc, argv)) return 1;
+  if (!cli.parse(argc, argv)) return cli.exit_code();
   const std::string prefix = cli.get("out");
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   std::string error;

@@ -18,12 +18,14 @@ int main(int argc, char** argv) {
   CliParser cli("Cross-platform shootout on the calibrated 1998 testbed");
   cli.add_flag("benchmark", "threat", "'threat' or 'terrain'");
   cli.add_flag("chunks", "256", "MTA chunk count (threat only)");
-  if (!cli.parse(argc, argv)) return 1;
+  if (!cli.parse(argc, argv)) return cli.exit_code();
   const std::string which = cli.get("benchmark");
   const int chunks = static_cast<int>(cli.get_int("chunks"));
   if (which != "threat" && which != "terrain") {
-    std::fprintf(stderr, "unknown --benchmark '%s'\n", which.c_str());
-    return 1;
+    std::fprintf(stderr,
+                 "error: --benchmark must be 'threat' or 'terrain' (got '%s')\n",
+                 which.c_str());
+    return 2;
   }
 
   std::printf("Calibrating testbed (runs the instrumented kernels)...\n");

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
   cli.add_flag("threats", "20", "number of ground threats");
   cli.add_flag("threads", "4", "host threads for the parallel variants");
   cli.add_flag("seed", "1998", "scenario seed");
-  if (!cli.parse(argc, argv)) return 1;
+  if (!cli.parse(argc, argv)) return cli.exit_code();
 
   terrain::ScenarioParams params;
   params.x_size = static_cast<int>(cli.get_int("size"));

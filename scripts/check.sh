@@ -213,13 +213,15 @@ else
   echo "skipped: toolchain lacks -fsanitize=thread support"
 fi
 
-echo "== ASan smoke (obs_live_test + sim_sweep_test + sim_wake_queue_test + mta_sync_memory_test + mta_machine_test + mta_fuzz_test + testbed_cache_test under -fsanitize=address) =="
+echo "== ASan smoke (obs_live_test + sim_sweep_test + sim_wake_queue_test + mta_sync_memory_test + mta_machine_test + mta_fuzz_test + testbed_cache_test + threat_physics_test + threat_variants_test + terrain_kernel_test + smp_machine_test under -fsanitize=address) =="
 # Prove the sweep bus, run_sweep's pooled path with a bus installed, the
 # wake queue's lane rings, the full/empty memory's mapping, the MTA core
 # (its machine tests, and its fast path fuzzed against its slow
-# reference), and the testbed cache with the parallel kernel profiling
-# behind it free of memory errors under AddressSanitizer where the
-# toolchain supports it.
+# reference), the testbed cache with the parallel kernel profiling
+# behind it, the threat kernel's per-threat step buffers (its physics
+# and variant tests), the terrain kernel, and the SMP engine's reused
+# settle and water-fill buffers free of memory errors under
+# AddressSanitizer where the toolchain supports it.
 if printf 'int main(){return 0;}' |
     c++ -fsanitize=address -x c++ - -o "$SMOKE_DIR/asan_probe" 2>/dev/null &&
     "$SMOKE_DIR/asan_probe" 2>/dev/null; then
@@ -227,7 +229,8 @@ if printf 'int main(){return 0;}' |
   cmake -B "$ASAN_DIR" -S . -DTC3I_SANITIZE=address -DTC3I_WERROR=ON \
       >/dev/null
   ASAN_TESTS="obs_live_test sim_sweep_test sim_wake_queue_test \
-mta_sync_memory_test mta_machine_test mta_fuzz_test testbed_cache_test"
+mta_sync_memory_test mta_machine_test mta_fuzz_test testbed_cache_test \
+threat_physics_test threat_variants_test terrain_kernel_test smp_machine_test"
   cmake --build "$ASAN_DIR" --target $ASAN_TESTS -j >/dev/null
   for T in $ASAN_TESTS; do
     "$ASAN_DIR"/tests/"$T" >/dev/null ||

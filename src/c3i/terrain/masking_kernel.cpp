@@ -60,6 +60,21 @@ void ring_cells(const Region& region, int cx, int cy, int r,
     for (int y = y_lo; y <= y_hi; ++y) out.emplace_back(cx + r, y);
 }
 
+std::uint32_t ring_size(const Region& region, int cx, int cy, int r) {
+  TC3I_EXPECTS(r >= 1);
+  // ring_cells' four clipped edges: each present edge adds its span.
+  const int width = std::max(
+      0, std::min(region.x1, cx + r) - std::max(region.x0, cx - r) + 1);
+  const int height = std::max(0, std::min(region.y1, cy + r - 1) -
+                                     std::max(region.y0, cy - r + 1) + 1);
+  int cells = 0;
+  if (cy - r >= region.y0) cells += width;
+  if (cy + r <= region.y1) cells += width;
+  if (cx - r >= region.x0) cells += height;
+  if (cx + r <= region.x1) cells += height;
+  return static_cast<std::uint32_t>(cells);
+}
+
 int max_ring(const Region& region, int cx, int cy) {
   int r = 0;
   r = std::max(r, cx - region.x0);

@@ -44,6 +44,10 @@ std::uint64_t compute_threat_masking(const Grid& terrain,
 void ring_cells(const Region& region, int cx, int cy, int r,
                 std::vector<std::pair<int, int>>& out);
 
+/// The number of cells ring_cells() lists, counted without listing them.
+[[nodiscard]] std::uint32_t ring_size(const Region& region, int cx, int cy,
+                                      int r);
+
 /// Largest Chebyshev ring index that intersects `region` from (cx, cy).
 [[nodiscard]] int max_ring(const Region& region, int cx, int cy);
 

@@ -50,7 +50,6 @@ TerrainProfile profile_impl(int x_size, int y_size,
   p.x_size = x_size;
   p.y_size = y_size;
   p.threats.reserve(threats.size());
-  std::vector<std::pair<int, int>> ring;
   for (const auto& threat : threats) {
     ThreatWork w;
     w.region = threat_region(x_size, y_size, threat);
@@ -62,10 +61,8 @@ TerrainProfile profile_impl(int x_size, int y_size,
     w.simple_cells = 3 * cells;
     const int rings = max_ring(w.region, threat.x, threat.y);
     w.ring_sizes.reserve(static_cast<std::size_t>(rings));
-    for (int r = 1; r <= rings; ++r) {
-      ring_cells(w.region, threat.x, threat.y, r, ring);
-      w.ring_sizes.push_back(static_cast<std::uint32_t>(ring.size()));
-    }
+    for (int r = 1; r <= rings; ++r)
+      w.ring_sizes.push_back(ring_size(w.region, threat.x, threat.y, r));
     p.threats.push_back(std::move(w));
   }
   return p;

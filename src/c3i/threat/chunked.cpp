@@ -12,7 +12,6 @@ AnalysisResult run_chunked(const Scenario& scenario, int num_chunks,
   TC3I_EXPECTS(num_chunks > 0);
   TC3I_EXPECTS(num_threads > 0);
 
-  const auto num_weapons = static_cast<std::int32_t>(scenario.weapons.size());
   std::vector<std::vector<Interval>> chunk_intervals(
       static_cast<std::size_t>(num_chunks));
   std::vector<std::uint64_t> chunk_steps(static_cast<std::size_t>(num_chunks),
@@ -23,14 +22,13 @@ AnalysisResult run_chunked(const Scenario& scenario, int num_chunks,
       [&](std::size_t first_threat, std::size_t last_threat, int chunk) {
         auto& local = chunk_intervals[static_cast<std::size_t>(chunk)];
         std::uint64_t steps = 0;
+        ThreatScan scan;
         for (std::size_t t = first_threat; t < last_threat; ++t) {
-          for (std::int32_t w = 0; w < num_weapons; ++w) {
-            PairScan scan = scan_pair(
-                scenario.threats[t], static_cast<std::int32_t>(t),
-                scenario.weapons[static_cast<std::size_t>(w)], w, scenario.dt);
-            steps += scan.steps;
-            for (const auto& iv : scan.intervals) local.push_back(iv);
-          }
+          scan_threat(scenario.threats[t], static_cast<std::int32_t>(t),
+                      scenario.weapons, scenario.dt, scan);
+          steps += scan.steps * scenario.weapons.size();
+          local.insert(local.end(), scan.intervals.begin(),
+                       scan.intervals.end());
         }
         chunk_steps[static_cast<std::size_t>(chunk)] = steps;
       });

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/units.hpp"
@@ -71,18 +72,25 @@ struct Interval {
 /// Canonical ordering used by the correctness checkers.
 [[nodiscard]] bool interval_less(const Interval& a, const Interval& b);
 
-/// Work accounting for one (threat, weapon) pair scan.
-struct PairScan {
-  std::vector<Interval> intervals;
-  std::uint64_t steps = 0;  ///< predicate evaluations (the unit of work)
+/// What scan_threat() leaves behind for one threat, in buffers reused from
+/// one threat to the next.
+struct ThreatScan {
+  /// Predicate evaluations per weapon (the unit of work): one per step
+  /// from detection to impact, the same for every weapon of the threat.
+  std::uint64_t steps = 0;
+  std::vector<double> times;     ///< the in-flight steps' times
+  std::vector<Vec3> positions;   ///< threat_position() at each of them
+  std::vector<Interval> intervals;   ///< every weapon's, in weapon order
+  std::vector<std::uint32_t> found;  ///< intervals per weapon
 };
 
-/// Runs the inner-loop time-stepped scan of Program 1 for one pair:
-/// starting at the threat's detection time, finds every maximal feasible
-/// interval with time step `dt`. This is *the* sequential kernel: all
-/// program variants call it so their outputs are bit-identical.
-[[nodiscard]] PairScan scan_pair(const Threat& threat, std::int32_t threat_id,
-                                 const Weapon& weapon, std::int32_t weapon_id,
-                                 double dt);
+/// Runs the two inner loops of Program 1 for one threat: starting at its
+/// detection time, steps the flight `dt` apart and finds, for each weapon,
+/// every maximal feasible interval. Each step's time and threat position
+/// are computed once and scanned by every weapon. This is *the* sequential
+/// kernel: all program variants and the profiler call it, so their outputs
+/// are bit-identical, and it decides feasibility exactly as can_intercept.
+void scan_threat(const Threat& threat, std::int32_t threat_id,
+                 std::span<const Weapon> weapons, double dt, ThreatScan& out);
 
 }  // namespace tc3i::c3i::threat

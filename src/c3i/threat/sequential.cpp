@@ -6,16 +6,13 @@ namespace tc3i::c3i::threat {
 
 AnalysisResult run_sequential(const Scenario& scenario) {
   AnalysisResult result;
-  const auto num_threats = static_cast<std::int32_t>(scenario.threats.size());
-  const auto num_weapons = static_cast<std::int32_t>(scenario.weapons.size());
-  for (std::int32_t t = 0; t < num_threats; ++t) {
-    for (std::int32_t w = 0; w < num_weapons; ++w) {
-      PairScan scan = scan_pair(scenario.threats[static_cast<std::size_t>(t)],
-                                t, scenario.weapons[static_cast<std::size_t>(w)],
-                                w, scenario.dt);
-      result.steps += scan.steps;
-      for (const auto& iv : scan.intervals) result.intervals.push_back(iv);
-    }
+  ThreatScan scan;
+  for (std::size_t t = 0; t < scenario.threats.size(); ++t) {
+    scan_threat(scenario.threats[t], static_cast<std::int32_t>(t),
+                scenario.weapons, scenario.dt, scan);
+    result.steps += scan.steps * scenario.weapons.size();
+    result.intervals.insert(result.intervals.end(), scan.intervals.begin(),
+                            scan.intervals.end());
   }
   return result;
 }
@@ -53,15 +50,13 @@ void profile_rows(const Scenario& scenario, std::size_t t_begin,
   TC3I_EXPECTS(out.num_threats == scenario.threats.size() &&
                out.num_weapons == scenario.weapons.size());
   const std::size_t num_weapons = out.num_weapons;
+  ThreatScan scan;
   for (std::size_t t = t_begin; t < t_end; ++t) {
+    scan_threat(scenario.threats[t], static_cast<std::int32_t>(t),
+                scenario.weapons, scenario.dt, scan);
     for (std::size_t w = 0; w < num_weapons; ++w) {
-      PairScan scan =
-          scan_pair(scenario.threats[t], static_cast<std::int32_t>(t),
-                    scenario.weapons[w], static_cast<std::int32_t>(w),
-                    scenario.dt);
       out.steps[t * num_weapons + w] = static_cast<std::uint32_t>(scan.steps);
-      out.intervals_found[t * num_weapons + w] =
-          static_cast<std::uint32_t>(scan.intervals.size());
+      out.intervals_found[t * num_weapons + w] = scan.found[w];
     }
   }
 }

@@ -26,6 +26,7 @@ bool CliParser::parse(int argc, const char* const* argv) {
     std::string arg = argv[i];
     if (arg == "--help" || arg == "-h") {
       std::fputs(usage().c_str(), stdout);
+      help_ = true;
       return false;
     }
     if (arg.rfind("--", 0) != 0) {

@@ -20,8 +20,13 @@ class CliParser {
   void add_flag(const std::string& name, const std::string& default_value,
                 const std::string& help);
 
-  /// Parses argv. Returns false (after printing usage) on --help or error.
+  /// Parses argv. Returns false (after printing usage) on --help, -h or a
+  /// usage error; exit_code() then says which.
   [[nodiscard]] bool parse(int argc, const char* const* argv);
+
+  /// How a program whose parse() returned false exits: 0 when help was
+  /// asked for, 2 on a usage error.
+  [[nodiscard]] int exit_code() const { return help_ ? 0 : 2; }
 
   /// True when the flag was explicitly given on the command line (as
   /// opposed to falling back to its default). Lets callers distinguish
@@ -47,6 +52,7 @@ class CliParser {
 
   std::string description_;
   std::map<std::string, Flag> flags_;
+  bool help_ = false;
 };
 
 }  // namespace tc3i

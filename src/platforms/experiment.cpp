@@ -91,17 +91,19 @@ TestbedScenarios testbed_scenarios() {
 }
 
 TestbedProfiles profile_testbed_kernels(const TestbedScenarios& scenarios) {
-  // The profiles are independent replications of two kernels, so they run
-  // on every host core. A full-size threat scenario costs several terrain
-  // geometries, so it is split into row blocks, and the blocks are claimed
-  // first. Each item writes only its own elements, sized here, so the
-  // profiles equal the serial ones at any worker count. Profiling stays
-  // off the live bus: a cold and a warm run schedule the same points.
+  // The threat profiles are independent replications of one kernel, so
+  // they run on every host core, each full-size scenario split into row
+  // blocks that are claimed first. Each item writes only its own elements,
+  // sized here, so the profiles equal the serial ones at any worker count.
+  // Profiling stays off the live bus: a cold and a warm run schedule the
+  // same points. The terrain profiles only count ring sizes (well under a
+  // millisecond for all of them), so the calling thread builds them: built
+  // by the workers, these long-lived vectors sat in the workers' heaps and
+  // the resident set crept up over repeated cold builds.
   constexpr std::size_t kThreatBlocks = 8;
   TestbedProfiles p;
   for (const auto& scenario : scenarios.threat)
     p.threat.push_back(threat::sized_profile(scenario));
-  p.terrain.resize(scenarios.terrain.size());
 
   std::vector<std::function<void()>> items;
   for (std::size_t s = 0; s < scenarios.threat.size(); ++s) {
@@ -112,16 +114,12 @@ TestbedProfiles profile_testbed_kernels(const TestbedScenarios& scenarios) {
         threat::profile_rows(scenarios.threat[s], begin, end, p.threat[s]);
       });
   }
-  for (std::size_t g = 0; g < scenarios.terrain.size(); ++g)
-    items.emplace_back([&scenarios, &p, g] {
-      p.terrain[g] = terrain::profile(scenarios.terrain[g]);
-    });
   items.emplace_back([&scenarios, &p] {
     p.threat_scaled = threat::profile(scenarios.threat_scaled);
   });
-  items.emplace_back([&scenarios, &p] {
-    p.terrain_scaled = terrain::profile(scenarios.terrain_scaled);
-  });
+  for (const auto& geometry : scenarios.terrain)
+    p.terrain.push_back(terrain::profile(geometry));
+  p.terrain_scaled = terrain::profile(scenarios.terrain_scaled);
 
   const int workers = static_cast<int>(std::min<std::size_t>(
       sthreads::Thread::hardware_concurrency(), items.size()));

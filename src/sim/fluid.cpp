@@ -1,7 +1,6 @@
 #include "sim/fluid.hpp"
 
 #include <algorithm>
-#include <numeric>
 
 #include "core/contracts.hpp"
 #include "obs/counters.hpp"
@@ -24,40 +23,39 @@ WaterFillCounters& water_fill_counters() {
 
 }  // namespace
 
-std::vector<double> water_fill(double total_capacity,
-                               std::span<const double> private_caps) {
+void water_fill(double total_capacity, std::span<const double> private_caps,
+                std::vector<double>& rates) {
   TC3I_EXPECTS(total_capacity >= 0.0);
   water_fill_counters().calls.add();
-  std::vector<double> rates(private_caps.size(), 0.0);
-  if (private_caps.empty()) return rates;
+  // A flow is open until granted: its rate reads kOpen, which no granted
+  // rate (a cap, never negative) can equal.
+  constexpr double kOpen = -1.0;
+  rates.assign(private_caps.size(), kOpen);
 
   // Iterate: grant every cap below the current fair share, then re-divide.
-  std::vector<std::size_t> open(private_caps.size());
-  std::iota(open.begin(), open.end(), std::size_t{0});
+  std::size_t open = private_caps.size();
   double remaining = total_capacity;
-  while (!open.empty()) {
-    const double fair = remaining / static_cast<double>(open.size());
+  while (open > 0) {
+    const double fair = remaining / static_cast<double>(open);
     bool granted_any = false;
-    for (auto it = open.begin(); it != open.end();) {
-      const std::size_t i = *it;
+    for (std::size_t i = 0; i < private_caps.size(); ++i) {
+      if (rates[i] != kOpen) continue;
       TC3I_EXPECTS(private_caps[i] >= 0.0);
       if (private_caps[i] <= fair) {
         rates[i] = private_caps[i];
         remaining -= private_caps[i];
-        it = open.erase(it);
+        --open;
         granted_any = true;
-      } else {
-        ++it;
       }
     }
     if (!granted_any) {
       // Every remaining flow is capacity-limited: split evenly.
-      for (std::size_t i : open) rates[i] = fair;
+      for (double& r : rates)
+        if (r == kOpen) r = fair;
       water_fill_counters().saturated.add();
       break;
     }
   }
-  return rates;
 }
 
 double water_fill_uniform(double total_capacity, int n_flows,

@@ -14,12 +14,13 @@
 namespace tc3i::sim {
 
 /// Computes per-flow rates for a shared resource of `total_capacity`,
-/// where flow i can consume at most `private_caps[i]`.
+/// where flow i can consume at most `private_caps[i]`, into `rates`
+/// (resized to match; its storage is reused from call to call).
 ///
 /// Postconditions: rates[i] <= private_caps[i]; sum(rates) <=
 /// total_capacity (with equality when the demand is binding); max-min fair.
-[[nodiscard]] std::vector<double> water_fill(double total_capacity,
-                                             std::span<const double> private_caps);
+void water_fill(double total_capacity, std::span<const double> private_caps,
+                std::vector<double>& rates);
 
 /// Convenience for the common homogeneous case: n identical flows with the
 /// same cap. Returns the per-flow rate.

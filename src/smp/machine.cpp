@@ -136,10 +136,10 @@ class Engine {
   /// Advances the worker past instantaneous jobs until it has a timed job,
   /// blocks, or finishes. May wake other workers (lock hand-off).
   void settle(int wi, Seconds now) {
-    std::deque<int> work{wi};
-    while (!work.empty()) {
-      const int idx = work.front();
-      work.pop_front();
+    // Workers to settle, first in first out; a lock hand-off appends.
+    settle_queue_.assign(1, wi);
+    for (std::size_t head = 0; head < settle_queue_.size(); ++head) {
+      const int idx = settle_queue_[head];
       Worker& w = workers_[static_cast<std::size_t>(idx)];
       while (w.status == Worker::Status::Run) {
         if (w.jobs.empty()) {
@@ -210,7 +210,7 @@ class Engine {
                                    now * 1e6, obs_.pid,
                                    static_cast<std::uint64_t>(next));
               }
-              work.push_back(next);
+              settle_queue_.push_back(next);
             }
             break;
           }
@@ -232,6 +232,7 @@ class Engine {
   std::vector<LockState> locks_;
   const std::vector<ThreadTrace>* pool_ = nullptr;
   std::size_t next_task_ = 0;
+  std::vector<int> settle_queue_;  ///< settle()'s work list, reused
 };
 
 void Engine::export_timeline(const std::vector<TimelineSample>& samples,
@@ -299,7 +300,7 @@ RunResult Engine::run() {
     settle(static_cast<int>(i), now);
 
   std::vector<double> mem_caps;
-  std::vector<int> mem_workers;
+  std::vector<double> mem_rates;
   std::vector<double> rates(workers_.size(), 0.0);
 
   for (;;) {
@@ -307,7 +308,6 @@ RunResult Engine::run() {
     int running = 0;
     int done = 0;
     mem_caps.clear();
-    mem_workers.clear();
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       const Worker& w = workers_[i];
       if (w.status == Worker::Status::Done) {
@@ -315,10 +315,8 @@ RunResult Engine::run() {
       } else if (w.status == Worker::Status::Run) {
         ++running;
         TC3I_ASSERT(!w.jobs.empty());
-        if (w.jobs.front().kind == Job::Kind::Mem) {
-          mem_workers.push_back(static_cast<int>(i));
+        if (w.jobs.front().kind == Job::Kind::Mem)
           mem_caps.push_back(cfg_.mem_bw_single);
-        }
       }
     }
     if (done == static_cast<int>(workers_.size())) break;
@@ -327,8 +325,7 @@ RunResult Engine::run() {
     const double cpu_share =
         std::min(1.0, static_cast<double>(cfg_.num_processors) /
                           static_cast<double>(running));
-    const std::vector<double> mem_rates =
-        sim::water_fill(cfg_.mem_bw_total, mem_caps);
+    sim::water_fill(cfg_.mem_bw_total, mem_caps, mem_rates);
 
     // Per-worker progress rate in its current job's unit.
     std::size_t mem_cursor = 0;

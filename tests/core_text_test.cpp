@@ -124,6 +124,26 @@ TEST(CliParser, HelpReturnsFalseAndUsageListsFlags) {
   EXPECT_NE(cli.usage().find("worker threads"), std::string::npos);
 }
 
+TEST(CliParser, HelpExitsZeroAndUsageErrorsExitTwo) {
+  const auto exit_code_for = [](std::vector<const char*> argv) {
+    CliParser cli("t");
+    cli.add_flag("known", "1", "");
+    argv.insert(argv.begin(), "prog");
+    EXPECT_FALSE(cli.parse(static_cast<int>(argv.size()), argv.data()));
+    return cli.exit_code();
+  };
+  testing::internal::CaptureStdout();
+  EXPECT_EQ(exit_code_for({"--help"}), 0);
+  EXPECT_EQ(exit_code_for({"-h"}), 0);
+  EXPECT_EQ(exit_code_for({"--known=2", "-h"}), 0);
+  (void)testing::internal::GetCapturedStdout();
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(exit_code_for({"--unknown=2"}), 2);
+  EXPECT_EQ(exit_code_for({"positional"}), 2);
+  EXPECT_EQ(exit_code_for({"--unknown", "--help"}), 2);
+  (void)testing::internal::GetCapturedStderr();
+}
+
 TEST(CliParser, BoolParsing) {
   CliParser cli("t");
   cli.add_flag("a", "true", "");

@@ -10,9 +10,16 @@
 namespace tc3i::sim {
 namespace {
 
+/// water_fill into a fresh buffer.
+std::vector<double> rates_for(double capacity, std::span<const double> caps) {
+  std::vector<double> rates;
+  water_fill(capacity, caps, rates);
+  return rates;
+}
+
 TEST(WaterFill, UnconstrainedFlowsGetTheirCaps) {
   const std::vector<double> caps = {1.0, 2.0, 3.0};
-  const auto rates = water_fill(100.0, caps);
+  const auto rates = rates_for(100.0, caps);
   EXPECT_DOUBLE_EQ(rates[0], 1.0);
   EXPECT_DOUBLE_EQ(rates[1], 2.0);
   EXPECT_DOUBLE_EQ(rates[2], 3.0);
@@ -20,33 +27,44 @@ TEST(WaterFill, UnconstrainedFlowsGetTheirCaps) {
 
 TEST(WaterFill, SaturatedSplitsEvenly) {
   const std::vector<double> caps = {10.0, 10.0, 10.0, 10.0};
-  const auto rates = water_fill(8.0, caps);
+  const auto rates = rates_for(8.0, caps);
   for (double r : rates) EXPECT_DOUBLE_EQ(r, 2.0);
 }
 
 TEST(WaterFill, SmallCapGrantedThenRemainderSplit) {
   // cap 1 flow takes 1; remaining 9 split between the two big flows.
   const std::vector<double> caps = {1.0, 100.0, 100.0};
-  const auto rates = water_fill(10.0, caps);
+  const auto rates = rates_for(10.0, caps);
   EXPECT_DOUBLE_EQ(rates[0], 1.0);
   EXPECT_DOUBLE_EQ(rates[1], 4.5);
   EXPECT_DOUBLE_EQ(rates[2], 4.5);
 }
 
 TEST(WaterFill, EmptyFlowsReturnsEmpty) {
-  EXPECT_TRUE(water_fill(10.0, std::vector<double>{}).empty());
+  EXPECT_TRUE(rates_for(10.0, std::vector<double>{}).empty());
 }
 
 TEST(WaterFill, ZeroCapacityGivesZeroRates) {
   const std::vector<double> caps = {1.0, 2.0};
-  for (double r : water_fill(0.0, caps)) EXPECT_DOUBLE_EQ(r, 0.0);
+  for (double r : rates_for(0.0, caps)) EXPECT_DOUBLE_EQ(r, 0.0);
 }
 
 TEST(WaterFill, ZeroCapFlowGetsZero) {
   const std::vector<double> caps = {0.0, 5.0};
-  const auto rates = water_fill(4.0, caps);
+  const auto rates = rates_for(4.0, caps);
   EXPECT_DOUBLE_EQ(rates[0], 0.0);
   EXPECT_DOUBLE_EQ(rates[1], 4.0);
+}
+
+TEST(WaterFill, ReusedBufferGivesFreshRates) {
+  // The SMP engine hands the same buffer to every call; what a previous,
+  // larger call left in it must not leak into the next result.
+  std::vector<double> rates;
+  water_fill(3.0, std::vector<double>{5.0, 0.5, 5.0, 5.0}, rates);
+  water_fill(10.0, std::vector<double>{1.0, 100.0, 100.0}, rates);
+  EXPECT_EQ(rates, rates_for(10.0, std::vector<double>{1.0, 100.0, 100.0}));
+  water_fill(10.0, std::vector<double>{}, rates);
+  EXPECT_TRUE(rates.empty());
 }
 
 class WaterFillPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
@@ -58,7 +76,7 @@ TEST_P(WaterFillPropertyTest, InvariantsHoldOnRandomInstances) {
     std::vector<double> caps;
     for (int i = 0; i < n; ++i) caps.push_back(rng.uniform(0.0, 10.0));
     const double capacity = rng.uniform(0.0, 40.0);
-    const auto rates = water_fill(capacity, caps);
+    const auto rates = rates_for(capacity, caps);
 
     ASSERT_EQ(rates.size(), caps.size());
     double total = 0.0;
@@ -92,7 +110,7 @@ TEST(WaterFillUniform, MatchesGeneralSolver) {
       const double capacity = 6.0;
       const double uniform = water_fill_uniform(capacity, n, cap);
       const std::vector<double> caps(static_cast<std::size_t>(n), cap);
-      const auto rates = water_fill(capacity, caps);
+      const auto rates = rates_for(capacity, caps);
       for (double r : rates) EXPECT_NEAR(r, uniform, 1e-12);
     }
   }

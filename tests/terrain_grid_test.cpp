@@ -172,6 +172,47 @@ TEST(RingCells, FullRingSizeIs8R) {
   }
 }
 
+/// ring_size() against the listed ring, for rings 1..last of `region`
+/// around (cx, cy).
+void expect_ring_sizes_match(const Region& region, int cx, int cy,
+                             int last) {
+  std::vector<std::pair<int, int>> ring;
+  for (int r = 1; r <= last; ++r) {
+    ring_cells(region, cx, cy, r, ring);
+    EXPECT_EQ(ring_size(region, cx, cy, r), ring.size())
+        << "region [" << region.x0 << ", " << region.x1 << "] x ["
+        << region.y0 << ", " << region.y1 << "], centre (" << cx << ", "
+        << cy << "), ring " << r;
+  }
+}
+
+/// The same for every ring of `threat`'s region and two rings past it.
+void expect_ring_sizes_match(int x_size, int y_size,
+                             const GroundThreat& threat) {
+  const Region region = threat_region(x_size, y_size, threat);
+  expect_ring_sizes_match(region, threat.x, threat.y,
+                          max_ring(region, threat.x, threat.y) + 2);
+}
+
+TEST(RingSize, MatchesRingCellsInteriorEdgeCornerAndBeyondGrid) {
+  expect_ring_sizes_match(100, 80, {50, 40, 15.0, 12});  // interior
+  expect_ring_sizes_match(100, 80, {3, 40, 15.0, 12});   // clipped left
+  expect_ring_sizes_match(100, 80, {50, 78, 15.0, 12});  // clipped bottom
+  expect_ring_sizes_match(100, 80, {1, 2, 15.0, 12});    // corner
+  expect_ring_sizes_match(100, 80, {97, 79, 15.0, 12});  // far corner
+  expect_ring_sizes_match(100, 80, {40, 30, 15.0, 500}); // radius > grid
+  expect_ring_sizes_match(1, 1, {0, 0, 15.0, 3});        // one-cell grid
+  // ring_cells also takes a centre outside the region.
+  expect_ring_sizes_match(Region{5, 5, 9, 9}, 0, 2, 12);
+}
+
+TEST(RingSize, MatchesRingCellsForEveryPositionOfASmallGrid) {
+  for (int y = 0; y < 9; ++y)
+    for (int x = 0; x < 12; ++x)
+      for (int radius = 0; radius <= 14; ++radius)
+        expect_ring_sizes_match(12, 9, {x, y, 15.0, radius});
+}
+
 TEST(MaxRing, CornersDominat) {
   const Region region{0, 0, 10, 10};
   EXPECT_EQ(max_ring(region, 0, 0), 10);
