@@ -170,8 +170,7 @@ echo "== machine-run model validation =="
 # Only the two machine models write machine_runs: a minimal valid report
 # must pass, and the same report with any other model must be rejected.
 cat > "$SMOKE_DIR/ok_model.json" <<'EOF'
-{"bench":"fixture","schema_version":5,"config":{},"counters":{},
- "gauges":{},"histograms":{},"rows":[],
+{"bench":"fixture","schema_version":5,"config":{},"counters":{},"rows":[],
  "machine_runs":[{"model":"smp","name":"p","processors":1,
                   "utilization":0.5}]}
 EOF
@@ -213,15 +212,18 @@ else
   echo "skipped: toolchain lacks -fsanitize=thread support"
 fi
 
-echo "== ASan smoke (obs_live_test + sim_sweep_test + sim_wake_queue_test + mta_sync_memory_test + mta_machine_test + mta_fuzz_test + testbed_cache_test + threat_physics_test + threat_variants_test + terrain_kernel_test + smp_machine_test under -fsanitize=address) =="
+echo "== ASan smoke (obs_live_test + sim_sweep_test + sim_wake_queue_test + mta_sync_memory_test + mta_machine_test + mta_fuzz_test + testbed_cache_test + threat_physics_test + threat_variants_test + terrain_kernel_test + smp_machine_test + obs_counters_test + obs_report_test under -fsanitize=address) =="
 # Prove the sweep bus, run_sweep's pooled path with a bus installed, the
 # wake queue's lane rings, the full/empty memory's mapping, the MTA core
 # (its machine tests, and its fast path fuzzed against its slow
 # reference), the testbed cache with the parallel kernel profiling
 # behind it, the threat kernel's per-threat step buffers (its physics
-# and variant tests), the terrain kernel, and the SMP engine's reused
-# settle and water-fill buffers free of memory errors under
-# AddressSanitizer where the toolchain supports it.
+# and variant tests), the terrain kernel, the SMP engine's reused
+# settle and water-fill buffers, the counter registry, and the report
+# readers (obs_report_test drives the ASan-built obs_report and
+# json_check) free of memory errors under AddressSanitizer where the
+# toolchain supports it. obs_counters_test stays out of the TSan stage:
+# its death test forks.
 if printf 'int main(){return 0;}' |
     c++ -fsanitize=address -x c++ - -o "$SMOKE_DIR/asan_probe" 2>/dev/null &&
     "$SMOKE_DIR/asan_probe" 2>/dev/null; then
@@ -230,7 +232,8 @@ if printf 'int main(){return 0;}' |
       >/dev/null
   ASAN_TESTS="obs_live_test sim_sweep_test sim_wake_queue_test \
 mta_sync_memory_test mta_machine_test mta_fuzz_test testbed_cache_test \
-threat_physics_test threat_variants_test terrain_kernel_test smp_machine_test"
+threat_physics_test threat_variants_test terrain_kernel_test smp_machine_test \
+obs_counters_test obs_report_test"
   cmake --build "$ASAN_DIR" --target $ASAN_TESTS -j >/dev/null
   for T in $ASAN_TESTS; do
     "$ASAN_DIR"/tests/"$T" >/dev/null ||

@@ -71,9 +71,6 @@ Machine::Machine(MtaConfig config)
   obs_.slot_spawn = &reg.counter("mta.slot.spawn");
   obs_.slot_memory = &reg.counter("mta.slot.memory");
   obs_.slot_sync = &reg.counter("mta.slot.sync");
-  obs_.peak_live = &reg.gauge("mta.streams.peak_live");
-  obs_.run_utilization = &reg.histogram("mta.run.processor_utilization");
-  obs_.stream_instructions = &reg.histogram("mta.stream.instructions");
   obs_.registry = &reg;
   obs_.sink = obs::global_sink();
   if (obs_.sink != nullptr)
@@ -308,7 +305,6 @@ void Machine::finish_stream(StreamId sid, std::uint64_t now) {
   --live_streams_;
   ++completed_;
   obs_.streams_completed->add();
-  obs_.stream_instructions->record(static_cast<double>(s.issued));
   const auto rid = static_cast<std::size_t>(s.program->region());
   if (rid >= region_tallies_.size()) region_tallies_.resize(rid + 1);
   RegionTally& tally = region_tallies_[rid];
@@ -780,8 +776,6 @@ MtaRunResult Machine::finish_run(std::uint64_t now) {
   obs_.sync_blocks->add(sync_blocks_);
   obs_.sync_handoffs->add(sync_handoffs_);
   memory_.flush_counters();
-  obs_.peak_live->set(static_cast<double>(peak_live_));
-  obs_.run_utilization->record(result.processor_utilization);
 
   // Per-region counters (named after the regions actually used) and the
   // run's accounting record for the report's "machine_runs" section, in

@@ -203,9 +203,6 @@ class Machine {
     obs::Counter* slot_spawn = nullptr;
     obs::Counter* slot_memory = nullptr;
     obs::Counter* slot_sync = nullptr;
-    obs::Gauge* peak_live = nullptr;
-    obs::Histogram* run_utilization = nullptr;
-    obs::Histogram* stream_instructions = nullptr;
     /// The registry the metric pointers above resolve into; the end of
     /// run() publishes the dynamically named per-region counters there too.
     obs::CounterRegistry* registry = nullptr;

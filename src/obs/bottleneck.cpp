@@ -20,31 +20,47 @@ const char* verdict_name(Verdict v) {
 
 namespace {
 
-Verdict classify_mta(const RunRecord& r, const VerdictThresholds& t) {
+// Classification thresholds, shares in [0, 1] (docs/OBSERVABILITY.md).
+/// Used-slot (MTA) / compute-capacity (SMP) share at or above which a run
+/// counts as issue-limited.
+constexpr double kIssueShare = 0.80;
+/// Network service share at or above which dominant memory waits become
+/// memory-bank-limited rather than parallelism-limited.
+constexpr double kNetworkShare = 0.85;
+/// Sync-blocked slot share at or above which dominant sync waits become
+/// sync-limited.
+constexpr double kSyncShare = 0.10;
+/// SMP: bus occupancy at or above which a run is bus-limited.
+constexpr double kBusShare = 0.85;
+/// SMP: lock-wait share of processor capacity at or above which a run is
+/// lock-limited.
+constexpr double kLockShare = 0.25;
+
+Verdict classify_mta(const RunRecord& r) {
   const double total = static_cast<double>(r.slots.total());
   if (total <= 0.0) return Verdict::kParallelismLimited;  // nothing ran
-  if (static_cast<double>(r.slots.used) / total >= t.issue_share)
+  if (static_cast<double>(r.slots.used) / total >= kIssueShare)
     return Verdict::kIssueLimited;
   // The run stalled; name the dominant stall. Sync blocking wins when it is
   // at least as large as the memory waits it usually induces (a blocked
   // stream re-enters the network on hand-off).
-  if (static_cast<double>(r.slots.sync) / total >= t.sync_share &&
+  if (static_cast<double>(r.slots.sync) / total >= kSyncShare &&
       r.slots.sync >= r.slots.memory)
     return Verdict::kSyncLimited;
   const std::uint64_t starved = r.slots.no_stream + r.slots.spacing +
                                 r.slots.spawn;
   if (r.slots.memory >= starved && r.slots.memory >= r.slots.sync &&
-      r.network_utilization >= t.network_share)
+      r.network_utilization >= kNetworkShare)
     return Verdict::kMemoryBankLimited;
   // Memory waits under an idle network, spacing gaps, spawn ramps and empty
   // processors all mean the same thing: not enough concurrent streams.
   return Verdict::kParallelismLimited;
 }
 
-Verdict classify_smp(const RunRecord& r, const VerdictThresholds& t) {
-  if (r.bus_utilization >= t.bus_share) return Verdict::kBusLimited;
-  if (r.lock_wait_share >= t.lock_share) return Verdict::kLockLimited;
-  if (r.utilization >= t.issue_share) return Verdict::kIssueLimited;
+Verdict classify_smp(const RunRecord& r) {
+  if (r.bus_utilization >= kBusShare) return Verdict::kBusLimited;
+  if (r.lock_wait_share >= kLockShare) return Verdict::kLockLimited;
+  if (r.utilization >= kIssueShare) return Verdict::kIssueLimited;
   return Verdict::kParallelismLimited;
 }
 
@@ -54,9 +70,8 @@ double pct(double num, double den) {
 
 }  // namespace
 
-Verdict classify(const RunRecord& record, const VerdictThresholds& t) {
-  return record.model == "smp" ? classify_smp(record, t)
-                               : classify_mta(record, t);
+Verdict classify(const RunRecord& record) {
+  return record.model == "smp" ? classify_smp(record) : classify_mta(record);
 }
 
 std::string explain(const RunRecord& r) {

@@ -30,33 +30,14 @@ enum class Verdict : std::uint8_t {
 /// ("issue-limited", ...).
 [[nodiscard]] const char* verdict_name(Verdict v);
 
-/// Classification thresholds (shares in [0, 1]); the defaults are what the
-/// tools and tests use.
-struct VerdictThresholds {
-  /// Used-slot (MTA) / compute-capacity (SMP) share at or above which a
-  /// run counts as issue-limited.
-  double issue_share = 0.80;
-  /// Network service share at or above which dominant memory waits become
-  /// memory-bank-limited rather than parallelism-limited.
-  double network_share = 0.85;
-  /// Sync-blocked slot share at or above which dominant sync waits become
-  /// sync-limited.
-  double sync_share = 0.10;
-  /// SMP: bus occupancy at or above which a run is bus-limited.
-  double bus_share = 0.85;
-  /// SMP: lock-wait share of processor capacity at or above which a run is
-  /// lock-limited.
-  double lock_share = 0.25;
-};
-
-/// Classifies one machine run. For "mta" records the rule is, in order:
-/// used share >= issue_share -> issue-limited; else the largest stall
-/// category decides — sync (share >= sync_share) -> sync-limited, memory
-/// with a hot network -> memory-bank-limited, everything else (no-stream /
-/// spacing / spawn / cold-network memory waits) -> parallelism-limited.
-/// For "smp": bus -> lock -> issue -> parallelism, same ordering idea.
-[[nodiscard]] Verdict classify(const RunRecord& record,
-                               const VerdictThresholds& thresholds = {});
+/// Classifies one machine run against the fixed shares in bottleneck.cpp.
+/// For "mta" records the rule is, in order: used share >= 80% ->
+/// issue-limited; else the largest stall category decides — sync (share >=
+/// 10%) -> sync-limited, memory with the network at >= 85% ->
+/// memory-bank-limited, everything else (no-stream / spacing / spawn /
+/// cold-network memory waits) -> parallelism-limited. For "smp": bus
+/// (>= 85%) -> lock wait (>= 25%) -> compute (>= 80%) -> parallelism.
+[[nodiscard]] Verdict classify(const RunRecord& record);
 
 /// One-line human summary of the shares behind classify()'s decision, e.g.
 /// "slots: used 91.2% | no-stream 0.0% | spacing 5.1% | ...; network 71%".

@@ -120,8 +120,6 @@ void RunReport::set_host(const HostResUsage& usage,
 
 void RunReport::write_json(std::ostream& out,
                            const CounterRegistry& registry) const {
-  const std::vector<MetricSnapshot> metrics = registry.snapshot();
-
   JsonWriter w(out);
   w.begin_object();
   w.field("bench", bench_);
@@ -147,30 +145,7 @@ void RunReport::write_json(std::ostream& out,
 
   w.key("counters");
   w.begin_object();
-  for (const MetricSnapshot& m : metrics)
-    if (m.kind == MetricSnapshot::Kind::Counter) w.field(m.name, m.count);
-  w.end_object();
-
-  w.key("gauges");
-  w.begin_object();
-  for (const MetricSnapshot& m : metrics)
-    if (m.kind == MetricSnapshot::Kind::Gauge) w.field(m.name, m.value);
-  w.end_object();
-
-  w.key("histograms");
-  w.begin_object();
-  for (const MetricSnapshot& m : metrics) {
-    if (m.kind != MetricSnapshot::Kind::Histogram) continue;
-    w.key(m.name);
-    w.begin_object();
-    w.field("count", m.count);
-    w.field("sum", m.value);
-    w.field("p50", m.p50);
-    w.field("p90", m.p90);
-    w.field("p99", m.p99);
-    w.field("max", m.max);
-    w.end_object();
-  }
+  for (const MetricSnapshot& m : registry.snapshot()) w.field(m.name, m.count);
   w.end_object();
 
   w.key("machine_runs");

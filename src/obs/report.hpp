@@ -2,21 +2,22 @@
 //
 // A RunReport collects everything a bench binary prints as a table —
 // paper-vs-measured rows and configuration — plus a snapshot of the
-// counter registry, and serializes it as JSON (schema below) so result
-// trajectories can be produced and diffed mechanically.
+// counter registry and one accounting record per machine run, and
+// serializes it as JSON (schema below) so result trajectories can be
+// produced and diffed mechanically. The per-run records are the one place
+// a run's peak streams, utilization, elapsed time and bus and lock shares
+// are written; the counters are totals over the whole process.
 //
 // Schema (schema_version 5; version 1 lacked "machine_runs", and 4 was
 // the retired sweep report's; older reports could also carry a per-run
-// critical-path section (versions 3 and 5), a "notes" array and an
-// "anomalies" array (version 5), none of which is written any more and
-// which readers ignore):
+// critical-path section (versions 3 and 5), a "notes" array, an
+// "anomalies" array (version 5) and "gauges" and "histograms" objects,
+// none of which is written any more and which readers ignore):
 //   {
 //     "bench": "<name>", "schema_version": 5,
 //     "config": { "<key>": "<value>", ... },
 //     "rows": [ { "label": ..., "paper": s, "measured": s, "ratio": r } ],
 //     "counters": { "<name>": u64, ... },
-//     "gauges": { "<name>": double, ... },
-//     "histograms": { "<name>": {"count","sum","p50","p90","p99","max"} },
 //     "machine_runs": [ per-run accounting records, see set_machine_runs() ],
 //     "host": { optional, see set_host(): "wall_seconds",
 //               "user_cpu_seconds", "sys_cpu_seconds", "max_rss_kb",
@@ -66,7 +67,7 @@ inline constexpr std::uint64_t kMaxMachineRunReps = 1000000;
 /// array (the inverse of write_json's emission; absent fields keep their
 /// defaults, non-array / absent "machine_runs" yields an empty vector).
 /// Returns nullopt with *error naming the first entry whose "reps" count
-/// is corrupt. Used by `obs_report bottleneck` and `obs_report sweep`.
+/// is corrupt. Used by `obs_report bottleneck`.
 [[nodiscard]] std::optional<std::vector<RunRecord>> machine_runs_from_json(
     const JsonValue& report, std::string* error);
 

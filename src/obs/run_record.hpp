@@ -70,7 +70,8 @@ struct RunRecord {
   std::string name;   ///< machine config name
   /// Workload scenario the run belonged to, taken from the calling
   /// thread's ScopedScenarioLabel when the record is added (empty when no
-  /// label is active). Sweep aggregation (obs/aggregate.hpp) groups by it.
+  /// label is active). It names the run in the report's "machine_runs"
+  /// (the "scenario" member), beside the machine config's `name`.
   std::string scenario;
   int processors = 1;
   std::uint64_t threads = 0;  ///< peak live streams (mta) / workers (smp)

@@ -190,22 +190,9 @@ void RunSession::finish() {
 
   if (dump_counters_) {
     std::printf("[obs] counters (%s):\n", name_.c_str());
-    for (const MetricSnapshot& m : default_registry().snapshot()) {
-      switch (m.kind) {
-        case MetricSnapshot::Kind::Counter:
-          std::printf("  %-44s %llu\n", m.name.c_str(),
-                      static_cast<unsigned long long>(m.count));
-          break;
-        case MetricSnapshot::Kind::Gauge:
-          std::printf("  %-44s %g\n", m.name.c_str(), m.value);
-          break;
-        case MetricSnapshot::Kind::Histogram:
-          std::printf("  %-44s n=%llu sum=%g p50=%g p99=%g max=%g\n",
-                      m.name.c_str(), static_cast<unsigned long long>(m.count),
-                      m.value, m.p50, m.p99, m.max);
-          break;
-      }
-    }
+    for (const MetricSnapshot& m : default_registry().snapshot())
+      std::printf("  %-44s %llu\n", m.name.c_str(),
+                  static_cast<unsigned long long>(m.count));
   }
 }
 

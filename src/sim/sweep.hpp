@@ -7,8 +7,8 @@
 // jobs > 1 every point runs under its own obs::CounterRegistry
 // (obs::ScopedRegistry, inherited by any sthreads the point spawns) and the
 // per-point registries are merged into the caller's registry in submission
-// order after all points finish — counters sum, gauges keep the
-// last-submitted point's value, exactly as a serial run would leave them.
+// order after all points finish — the counters sum, exactly as a serial
+// run would leave them.
 // Run records and sampled timelines get the same treatment: when the caller
 // has an active RunRecordStore / TimelineStore, each point runs under its
 // own store (obs::ScopedRunRecords / obs::ScopedTimeline) and the stores

@@ -441,9 +441,6 @@ RunResult Engine::run() {
 
   obs_.ops_executed->add(result.ops_executed);
   obs_.bytes_transferred->add(result.bytes_transferred);
-  obs_.run_elapsed_seconds->record(result.elapsed);
-  obs_.lock_wait_seconds->record(result.lock_wait_total);
-  obs_.last_bus_utilization->set(result.bus_utilization);
   return result;
 }
 
@@ -463,9 +460,6 @@ Machine::Machine(SmpConfig config) : config_(std::move(config)) {
   obs_.lock_releases = &reg.counter("smp.lock.releases");
   obs_.ops_executed = &reg.counter("smp.ops_executed");
   obs_.bytes_transferred = &reg.counter("smp.bytes_transferred");
-  obs_.run_elapsed_seconds = &reg.histogram("smp.run.elapsed_seconds");
-  obs_.lock_wait_seconds = &reg.histogram("smp.run.lock_wait_seconds");
-  obs_.last_bus_utilization = &reg.gauge("smp.last.bus_utilization");
   obs_.sink = obs::global_sink();
   obs_.records = obs::active_run_records();
   obs_.timeline = obs::active_timeline();

@@ -42,9 +42,6 @@ struct ObsHooks {
   obs::Counter* lock_releases = nullptr;
   obs::Counter* ops_executed = nullptr;
   obs::Counter* bytes_transferred = nullptr;
-  obs::Histogram* run_elapsed_seconds = nullptr;
-  obs::Histogram* lock_wait_seconds = nullptr;
-  obs::Gauge* last_bus_utilization = nullptr;
   obs::TraceSink* sink = nullptr;
   obs::RunRecordStore* records = nullptr;  ///< active_run_records() at ctor
   obs::TimelineStore* timeline = nullptr;  ///< active_timeline() at ctor

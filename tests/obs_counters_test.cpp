@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <thread>
 #include <vector>
 
@@ -32,96 +31,6 @@ TEST(Counter, ConcurrentAddsDoNotLoseIncrements) {
   EXPECT_EQ(c.value(), static_cast<std::uint64_t>(kThreads * kPerThread));
 }
 
-TEST(Gauge, LastWriteWins) {
-  Gauge g;
-  EXPECT_EQ(g.value(), 0.0);
-  g.set(3.25);
-  g.set(-1.5);
-  EXPECT_EQ(g.value(), -1.5);
-}
-
-TEST(Histogram, CountSumMinMax) {
-  Histogram h;
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.percentile(50), 0.0);
-  h.record(2.0);
-  h.record(8.0);
-  h.record(4.0);
-  EXPECT_EQ(h.count(), 3u);
-  EXPECT_DOUBLE_EQ(h.sum(), 14.0);
-  EXPECT_DOUBLE_EQ(h.min(), 2.0);
-  EXPECT_DOUBLE_EQ(h.max(), 8.0);
-}
-
-TEST(Histogram, PercentilesWithinBucketError) {
-  // 8 sub-buckets per octave bounds the relative error of a percentile
-  // estimate by one bucket width (2^(1/8) - 1 ~= 9% of the value).
-  Histogram h;
-  for (int i = 1; i <= 1000; ++i) h.record(static_cast<double>(i));
-  EXPECT_NEAR(h.percentile(50), 500.0, 0.10 * 500.0);
-  EXPECT_NEAR(h.percentile(90), 900.0, 0.10 * 900.0);
-  EXPECT_NEAR(h.percentile(99), 990.0, 0.10 * 990.0);
-  // Extremes clamp to the exact observed min/max.
-  EXPECT_DOUBLE_EQ(h.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.percentile(100), 1000.0);
-}
-
-TEST(Histogram, PercentileRelativeErrorBoundedBySubBucketWidth) {
-  // Pin the estimator's accuracy contract: with 8 sub-buckets per octave a
-  // bucket spans a 2^(1/8) ratio, so the midpoint estimate of any recorded
-  // value is within (2^(1/8) - 1) / 2 ~= 4.5% — comfortably under 7%
-  // relative error at every magnitude and every percentile.
-  for (const double scale : {1e-6, 1.0, 1e6}) {
-    Histogram h;
-    for (int i = 1; i <= 1000; ++i) h.record(scale * static_cast<double>(i));
-    for (const double p : {10.0, 25.0, 50.0, 75.0, 90.0, 99.0}) {
-      // True percentile of 1000 distinct equally-likely values (rank-choice
-      // ambiguity is at most one value, well under the bucket width).
-      const double exact = scale * 10.0 * p;
-      EXPECT_NEAR(h.percentile(p), exact, 0.07 * exact)
-          << "p=" << p << " scale=" << scale;
-    }
-  }
-}
-
-TEST(Histogram, PercentileEdgeCases) {
-  Histogram empty;
-  EXPECT_EQ(empty.percentile(0), 0.0);
-  EXPECT_EQ(empty.percentile(50), 0.0);
-  EXPECT_EQ(empty.percentile(100), 0.0);
-
-  Histogram single;
-  single.record(42.0);
-  // A single sample answers every percentile, within one bucket's width.
-  EXPECT_NEAR(single.percentile(50), 42.0, 0.07 * 42.0);
-  EXPECT_DOUBLE_EQ(single.percentile(0), 42.0);
-  EXPECT_DOUBLE_EQ(single.percentile(100), 42.0);
-
-  Histogram repeated;
-  for (int i = 0; i < 1000; ++i) repeated.record(8.0);
-  EXPECT_NEAR(repeated.percentile(1), 8.0, 0.07 * 8.0);
-  EXPECT_NEAR(repeated.percentile(99), 8.0, 0.07 * 8.0);
-}
-
-TEST(Histogram, TinyAndHugeValuesClampToEndBuckets) {
-  Histogram h;
-  h.record(1e-300);
-  h.record(1e300);
-  h.record(0.0);
-  h.record(-5.0);  // non-positive values land in bucket 0
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_DOUBLE_EQ(h.max(), 1e300);
-}
-
-TEST(Histogram, Reset) {
-  Histogram h;
-  h.record(7.0);
-  h.reset();
-  EXPECT_EQ(h.count(), 0u);
-  EXPECT_EQ(h.sum(), 0.0);
-  EXPECT_EQ(h.percentile(50), 0.0);
-}
-
 TEST(CounterRegistry, GetOrCreateReturnsStableAddresses) {
   CounterRegistry reg;
   Counter& a = reg.counter("mta.issue.total");
@@ -136,18 +45,9 @@ TEST(CounterRegistry, DistinctNamesAreDistinctMetrics) {
   CounterRegistry reg;
   reg.counter("a.x").add(1);
   reg.counter("a.y").add(2);
-  reg.gauge("a.z").set(9.0);
-  reg.histogram("a.h").record(1.0);
-  EXPECT_EQ(reg.size(), 4u);
+  EXPECT_EQ(reg.size(), 2u);
   EXPECT_EQ(reg.counter("a.x").value(), 1u);
   EXPECT_EQ(reg.counter("a.y").value(), 2u);
-}
-
-TEST(CounterRegistryDeathTest, KindMismatchIsRejected) {
-  CounterRegistry reg;
-  (void)reg.counter("dual.use");
-  EXPECT_DEATH((void)reg.gauge("dual.use"), "kind");
-  EXPECT_DEATH((void)reg.histogram("dual.use"), "kind");
 }
 
 TEST(CounterRegistryDeathTest, MalformedNamesAreRejected) {
@@ -163,16 +63,13 @@ TEST(CounterRegistryDeathTest, MalformedNamesAreRejected) {
 TEST(CounterRegistry, ResetValuesKeepsEntriesAndReferences) {
   CounterRegistry reg;
   Counter& c = reg.counter("keep.me");
-  Gauge& g = reg.gauge("keep.gauge");
-  Histogram& h = reg.histogram("keep.hist");
+  Counter& d = reg.counter("keep.too");
   c.add(5);
-  g.set(2.0);
-  h.record(3.0);
+  d.add(2);
   reg.reset_values();
-  EXPECT_EQ(reg.size(), 3u);
+  EXPECT_EQ(reg.size(), 2u);
   EXPECT_EQ(c.value(), 0u);
-  EXPECT_EQ(g.value(), 0.0);
-  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(d.value(), 0u);
   // References stay valid: writing after reset works.
   c.add(1);
   EXPECT_EQ(reg.counter("keep.me").value(), 1u);
@@ -181,19 +78,12 @@ TEST(CounterRegistry, ResetValuesKeepsEntriesAndReferences) {
 TEST(CounterRegistry, SnapshotIsNameSortedAndTyped) {
   CounterRegistry reg;
   reg.counter("b.count").add(3);
-  reg.gauge("a.gauge").set(1.5);
-  reg.histogram("c.hist").record(2.0);
-  const std::vector<MetricSnapshot> snap = reg.snapshot();
-  ASSERT_EQ(snap.size(), 3u);
-  EXPECT_EQ(snap[0].name, "a.gauge");
-  EXPECT_EQ(snap[0].kind, MetricSnapshot::Kind::Gauge);
-  EXPECT_EQ(snap[0].value, 1.5);
-  EXPECT_EQ(snap[1].name, "b.count");
-  EXPECT_EQ(snap[1].kind, MetricSnapshot::Kind::Counter);
-  EXPECT_EQ(snap[1].count, 3u);
-  EXPECT_EQ(snap[2].name, "c.hist");
-  EXPECT_EQ(snap[2].kind, MetricSnapshot::Kind::Histogram);
-  EXPECT_EQ(snap[2].count, 1u);
+  (void)reg.counter("c.zero");
+  reg.counter("a.count").add(1);
+  // Every entry is a counter: name-sorted, zero-valued ones included.
+  const std::vector<MetricSnapshot> expected = {
+      {"a.count", 1}, {"b.count", 3}, {"c.zero", 0}};
+  EXPECT_EQ(reg.snapshot(), expected);
 }
 
 TEST(DefaultRegistry, IsProcessGlobalSingleton) {

@@ -69,15 +69,15 @@ class ObsReportTest : public ::testing::Test {
   std::filesystem::path dir_;
 };
 
-/// A complete RunReport with two groups — two runs (one entry with the
-/// given "reps") of the MTA at one processor and one run at two — and
-/// testbed cache counters. `members` (each starting with a comma) go in
+/// A complete RunReport with three MTA runs — two at one processor (one
+/// entry with the given "reps") and one at two — and testbed cache
+/// counters. `members` (each starting with a comma) go in
 /// after "machine_runs", where RunSession writes the host section.
 std::string full_report(const std::string& members = "",
                         const std::string& reps = "2") {
   return R"({"bench":"fixture","schema_version":5,"config":{},"rows":[],
-    "counters":{"testbed.cache.hit":3,"testbed.cache.miss":1},"gauges":{},
-    "histograms":{},"machine_runs":[
+    "counters":{"testbed.cache.hit":3,"testbed.cache.miss":1},
+    "machine_runs":[
       {"model":"mta","name":"Tera MTA","reps":)" + reps + R"(,
        "scenario":"threat","processors":1,"threads":4,"utilization":0.9,
        "cycles":100,"slots":{"used":90,"no_stream":0,"spacing":5,"spawn":0,
@@ -93,18 +93,6 @@ const char* const kHost = R"(,"host":{"wall_seconds":1.5,
   "user_cpu_seconds":2,"sys_cpu_seconds":0.1,"max_rss_kb":4096,
   "minor_faults":10,"major_faults":0,"sched":{"sweeps":1,"points":3,
   "jobs":2,"queue_wait_seconds":0.01,"execute_seconds":0.5}})";
-
-std::size_t count_lines_starting(const std::string& text,
-                                 const std::string& prefix) {
-  std::size_t n = 0;
-  for (std::size_t pos = 0; pos < text.size();) {
-    if (text.compare(pos, prefix.size(), prefix) == 0) ++n;
-    const std::size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) break;
-    pos = eol + 1;
-  }
-  return n;
-}
 
 const char* const kSubcommands[] = {"bottleneck", "sweep", "diff", "trend"};
 
@@ -127,9 +115,34 @@ TEST_F(ObsReportTest, DiffSelfMatchesAndRejectsBadTolerances) {
   const Result same = run("diff " + f + " " + f);
   EXPECT_EQ(same.code, 0) << same.output;
   EXPECT_NE(same.output.find("reports match"), std::string::npos);
-  for (const char* bad : {"--abs-tol -1", "--rel-tol -0.5", "--rel-tol abc",
-                          "--abs-tol 1e-2x", "--abs-tol nan", "--abs-tol"})
-    EXPECT_EQ(run("diff " + f + " " + f + " " + bad).code, 2) << bad;
+  // diff compares exactly: a tolerance of any value is an unknown flag.
+  for (const char* bad : {"--rel-tol 0", "--abs-tol 0"}) {
+    const Result r = run("diff " + f + " " + f + " " + bad);
+    EXPECT_EQ(r.code, 2) << bad;
+    EXPECT_NE(r.output.find("unknown flag"), std::string::npos) << r.output;
+  }
+}
+
+TEST_F(ObsReportTest, TrendAppendRejectsBadScale) {
+  const std::string report = write(
+      "rows.json", R"({"bench":"b","rows":[{"label":"r.per_sec",
+      "paper":1,"measured":100,"ratio":100}]})");
+  const std::string history = write("history.jsonl", "");
+  for (const char* bad : {"0", "-1", "abc", "1e-2x", "nan", ""}) {
+    const Result r =
+        run("trend append " + history + " " + report + " --scale " + bad);
+    EXPECT_EQ(r.code, 2) << "--scale '" << bad << "': " << r.output;
+  }
+  std::ifstream untouched(dir_ / "history.jsonl");
+  EXPECT_EQ(untouched.peek(), std::ifstream::traits_type::eof());
+
+  const Result ok =
+      run("trend append " + history + " " + report + " --scale 2");
+  EXPECT_EQ(ok.code, 0) << ok.output;
+  std::ifstream appended(dir_ / "history.jsonl");
+  std::string line;
+  std::getline(appended, line);
+  EXPECT_EQ(line, R"({"bench":"b","rows":{"r.per_sec":200}})");
 }
 
 TEST_F(ObsReportTest, DiffAcceptsFlagAfterFiles) {
@@ -177,38 +190,23 @@ TEST_F(ObsReportTest, SweepRendersRunReport) {
   const std::string f = write("host.json", full_report(kHost));
   const Result r = run("sweep " + f);
   ASSERT_EQ(r.code, 0) << r.output;
-  EXPECT_NE(r.output.find(": fixture, 3 runs, 2 groups\n"), std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("  group "), std::string::npos) << r.output;
-  EXPECT_EQ(count_lines_starting(r.output, "  mta/Tera MTA/threat/p"), 2u)
-      << r.output;
-  EXPECT_NE(r.output.find("  mta/Tera MTA/threat/p1 "), std::string::npos);
-  EXPECT_NE(r.output.find("  mta/Tera MTA/threat/p2 "), std::string::npos);
-  EXPECT_NE(r.output.find("  host: wall 1.50s user 2.00s sys 0.10s rss 4096 "
-                          "KB cache 3 hit / 1 miss\n"),
-            std::string::npos)
-      << r.output;
-  EXPECT_NE(r.output.find("  sched: 3 points on 2 jobs, queue-wait 0.010s, "
-                          "execute 0.500s\n"),
-            std::string::npos)
-      << r.output;
+  EXPECT_EQ(r.output,
+            (dir_ / "host.json").string() + ": fixture\n"
+            "  host: wall 1.50s user 2.00s sys 0.10s rss 4096 KB "
+            "cache 3 hit / 1 miss\n"
+            "  sched: 3 points on 2 jobs, queue-wait 0.010s, "
+            "execute 0.500s\n");
 
-  // Without a host section: the same table and nothing after it.
+  // Without a host section there is nothing to show: each run's own
+  // accounting is `bottleneck`'s.
   const Result bare = run("sweep " + write("bare.json", full_report()));
-  ASSERT_EQ(bare.code, 0) << bare.output;
-  EXPECT_EQ(count_lines_starting(bare.output, "  mta/Tera MTA/threat/p"), 2u)
+  EXPECT_EQ(bare.code, 2) << bare.output;
+  EXPECT_NE(bare.output.find("bare.json: no host section"), std::string::npos)
       << bare.output;
   EXPECT_EQ(bare.output.find("host:"), std::string::npos) << bare.output;
-  EXPECT_EQ(bare.output.find("sched:"), std::string::npos) << bare.output;
 
-  // The recomputation form is gone, and a report without machine runs
-  // (such as the retired sweep report) has nothing to aggregate.
+  // The recomputation form is gone.
   EXPECT_EQ(run("sweep --from-runs " + f).code, 2);
-  const Result groups_only = run(
-      "sweep " + write("groups.json", R"({"bench":"b","groups":[]})"));
-  EXPECT_EQ(groups_only.code, 2);
-  EXPECT_NE(groups_only.output.find("no machine_runs"), std::string::npos)
-      << groups_only.output;
 }
 
 TEST_F(ObsReportTest, JsonCheckValidatesHostSection) {
@@ -231,27 +229,33 @@ TEST_F(ObsReportTest, JsonCheckValidatesHostSection) {
       << neg.output;
 
   // An older report carries an "anomalies" array in front of its host
-  // section; readers ignore it, so it passes whatever it holds (here a
-  // worker past host.sched.jobs).
+  // section, and "gauges" and "histograms" objects; readers ignore them,
+  // so it passes whatever they hold (here a worker past host.sched.jobs
+  // and names outside the metric charset).
   const Result older = json_check(
       "anomalies.json",
-      full_report(R"(,"anomalies":[{"kind":"slow_point","worker":7}])" +
+      full_report(R"(,"anomalies":[{"kind":"slow_point","worker":7}],)"
+                  R"("gauges":{"Peak Live":-1},)"
+                  R"("histograms":{"mta.stream.instructions":{"count":2}})" +
                   std::string(kHost)));
   EXPECT_EQ(older.code, 0) << older.output;
 }
 
 TEST_F(ObsReportTest, CorruptRepsIsReportedNotAborted) {
+  // A valid count stands for that many runs: two plus one.
+  const Result valid =
+      run("bottleneck " + write("valid.json", full_report(kHost)));
+  EXPECT_EQ(valid.code, 0) << valid.output;
+  EXPECT_NE(valid.output.find(": bench fixture, 3 machine runs\n"),
+            std::string::npos)
+      << valid.output;
+
   const std::string f = write("reps.json", full_report(kHost, "2000000"));
   const Result bottleneck = run("bottleneck " + f);
   EXPECT_EQ(bottleneck.code, 1) << bottleneck.output;
   EXPECT_NE(bottleneck.output.find("reps.json: machine_runs[0].reps"),
             std::string::npos)
       << bottleneck.output;
-  const Result sweep = run("sweep " + f);
-  EXPECT_EQ(sweep.code, 2) << sweep.output;
-  EXPECT_NE(sweep.output.find("reps.json: machine_runs[0].reps"),
-            std::string::npos)
-      << sweep.output;
   for (const char* bad : {"2000000", "0", "2.5", "\"2\""}) {
     const Result check =
         run(write("bad.json", full_report("", bad)), JSON_CHECK_BIN);

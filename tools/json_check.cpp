@@ -10,15 +10,15 @@
 // must sum to cycles x processors, a "reps" count must be an integer in
 // [1, 10^6], and the optional "host" section must carry non-negative host
 // and "sched" fields. Members the writer no longer emits (an older
-// report's "anomalies" or "notes") are ignored. Arguments ending in .csv
-// are validated as --timeline-out output instead (exact header, six
-// columns, strictly increasing cycle grid per run+series, non-negative
-// values — see obs::validate_timeline_csv). Exits 0 when every file
-// passes, 1 otherwise (printing the first error per file). Used by
-// scripts/check.sh to validate --trace-out / --report-out /
-// --timeline-out / --sweep-trace-out output without a JSON library. It is
-// the schema gate only; `obs_report` (tools/obs_report.cpp) reads and
-// renders the same files.
+// report's "anomalies", "notes", "gauges" or "histograms") are ignored.
+// Arguments ending in .csv are validated as --timeline-out output instead
+// (exact header, six columns, strictly increasing cycle grid per
+// run+series, non-negative values — see obs::validate_timeline_csv).
+// Exits 0 when every file passes, 1 otherwise (printing the first error
+// per file). Used by scripts/check.sh to validate --trace-out /
+// --report-out / --timeline-out / --sweep-trace-out output without a JSON
+// library. It is the schema gate only; `obs_report`
+// (tools/obs_report.cpp) reads and renders the same files.
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -48,29 +48,16 @@ std::string check_report_schema(const JsonValue& doc) {
   if (doc.find_string("bench") == nullptr) return "missing string \"bench\"";
   const JsonValue* version = doc.find_number("schema_version");
   if (version == nullptr) return "missing number \"schema_version\"";
-  for (const char* section : {"config", "counters", "gauges", "histograms"})
+  for (const char* section : {"config", "counters"})
     if (doc.find_object(section) == nullptr)
       return std::string("missing object \"") + section + "\"";
   if (doc.find_array("rows") == nullptr) return "missing array \"rows\"";
 
-  for (const char* section : {"counters", "gauges"}) {
-    for (const auto& [name, value] : doc.find_object(section)->object) {
-      if (!valid_metric_name(name))
-        return std::string(section) + " name \"" + name +
-               "\" outside [a-z0-9_.]";
-      if (!value.is_number())
-        return std::string(section) + "." + name + " is not a number";
-      if (section == std::string("counters") && value.number < 0.0)
-        return "counters." + name + " is negative";
-    }
-  }
-  for (const auto& [name, value] : doc.find_object("histograms")->object) {
+  for (const auto& [name, value] : doc.find_object("counters")->object) {
     if (!valid_metric_name(name))
-      return "histogram name \"" + name + "\" outside [a-z0-9_.]";
-    if (!value.is_object()) return "histograms." + name + " is not an object";
-    for (const char* field : {"count", "sum", "p50", "p90", "p99", "max"})
-      if (value.find(field) == nullptr)
-        return "histograms." + name + " missing \"" + field + "\"";
+      return "counters name \"" + name + "\" outside [a-z0-9_.]";
+    if (!value.is_number()) return "counters." + name + " is not a number";
+    if (value.number < 0.0) return "counters." + name + " is negative";
   }
 
   if (version->number < 2.0) return "";

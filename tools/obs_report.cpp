@@ -3,15 +3,15 @@
 //   obs_report <subcommand> [args...]
 //
 //   bottleneck  issue-slot verdicts of a RunReport
-//   sweep       per-group rollup table of a RunReport's machine runs
-//   diff        structural diff of two reports under numeric tolerances
+//   sweep       host and scheduler lines of a RunReport
+//   diff        exact structural diff of two reports
 //   trend       perf-trend history: append a run, or gate the newest runs
 //
 // Each subcommand's arguments, output and exit codes are documented at its
 // run_* function below. Flags may appear anywhere after the subcommand.
-// Every numeric flag value is parsed in parse_args and rejected (exit 2)
-// when it is not a finite number, has trailing characters or is out of
-// the flag's range. Exit code 2 always means a usage error.
+// The one numeric flag value (trend's --scale) is parsed in parse_args and
+// rejected (exit 2) unless it is wholly a finite number > 0. Exit code 2
+// always means a usage error.
 //
 // json_check stays a separate binary: it is the schema gate, this is the
 // reader.
@@ -29,7 +29,6 @@
 #include <utility>
 #include <vector>
 
-#include "obs/aggregate.hpp"
 #include "obs/bottleneck.hpp"
 #include "obs/json.hpp"
 #include "obs/report.hpp"
@@ -46,16 +45,11 @@ constexpr int kUsage = -1;
 
 // --- arguments ---------------------------------------------------------------
 
-/// What a flag takes after it, and the range a numeric value must lie in.
-enum class Value : std::uint8_t {
-  kText,         ///< any string (--ignore PREFIX)
-  kNonNegative,  ///< a number >= 0 (--abs-tol)
-  kPositive,     ///< a number > 0 (--scale)
-};
-
+/// A flag and what it takes after it: a number > 0 (--scale) or any
+/// string (--ignore PATTERN).
 struct FlagSpec {
   const char* name;
-  Value value;
+  bool positive_number;
 };
 
 struct Flag {
@@ -83,21 +77,17 @@ struct Args {
   }
 };
 
-/// Parses `text` as the value of `spec`; false (after printing why) when it
-/// is not a finite number, has trailing characters, or is outside the
-/// flag's range.
-bool parse_number(const FlagSpec& spec, const std::string& text,
-                  double* out) {
-  const bool strict = spec.value == Value::kPositive;
+/// Parses `text` as the value of flag `name`; false (after printing why)
+/// when it is not a finite number > 0 or has trailing characters.
+bool parse_positive(const char* name, const std::string& text, double* out) {
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(text.c_str(), &end);
   const bool ok = !text.empty() && end == text.c_str() + text.size() &&
-                  errno == 0 && std::isfinite(v) &&
-                  (strict ? v > 0.0 : v >= 0.0);
+                  errno == 0 && std::isfinite(v) && v > 0.0;
   if (!ok)
-    std::fprintf(stderr, "%s needs a number %s 0, got '%s'\n", spec.name,
-                 strict ? ">" : ">=", text.c_str());
+    std::fprintf(stderr, "%s needs a number > 0, got '%s'\n", name,
+                 text.c_str());
   *out = v;
   return ok;
 }
@@ -125,8 +115,8 @@ bool parse_args(const std::vector<FlagSpec>& specs, int first, int argc,
       return false;
     }
     Flag flag{arg, argv[++i], 0.0};
-    if (spec->value != Value::kText &&
-        !parse_number(*spec, flag.text, &flag.number))
+    if (spec->positive_number &&
+        !parse_positive(spec->name, flag.text, &flag.number))
       return false;
     args->flags.push_back(std::move(flag));
   }
@@ -158,25 +148,18 @@ std::optional<JsonValue> load_json(const std::string& path) {
   return doc;
 }
 
-/// The report's machine runs; nullopt (after printing "<path>: <why>")
-/// when an entry is corrupt.
-std::optional<std::vector<obs::RunRecord>> load_machine_runs(
-    const std::string& path, const JsonValue& doc) {
-  std::string error;
-  std::optional<std::vector<obs::RunRecord>> runs =
-      obs::machine_runs_from_json(doc, &error);
-  if (!runs) std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
-  return runs;
-}
-
 // --- bottleneck --------------------------------------------------------------
 
 int bottleneck_one(const std::string& path) {
   const std::optional<JsonValue> doc = load_json(path);
   if (!doc) return 1;
+  std::string error;
   const std::optional<std::vector<obs::RunRecord>> loaded =
-      load_machine_runs(path, *doc);
-  if (!loaded) return 1;
+      obs::machine_runs_from_json(*doc, &error);
+  if (!loaded) {
+    std::fprintf(stderr, "%s: %s\n", path.c_str(), error.c_str());
+    return 1;
+  }
   const std::vector<obs::RunRecord>& runs = *loaded;
   std::printf("%s: bench %s, %zu machine run%s\n", path.c_str(),
               doc->string_or("bench", "?").c_str(), runs.size(),
@@ -209,8 +192,8 @@ int bottleneck_one(const std::string& path) {
 /// line naming the limiting resource in the paper's vocabulary
 /// (issue-limited, parallelism-limited, sync-limited, memory-bank-limited,
 /// bus-limited, lock-limited) and the shares it rests on, then one
-/// aggregate verdict per model. Thresholds are the obs::VerdictThresholds
-/// defaults (docs/OBSERVABILITY.md). Exits 0 when every report parses and
+/// aggregate verdict per model. The thresholds are fixed
+/// (docs/OBSERVABILITY.md). Exits 0 when every report parses and
 /// has a run to classify, 1 otherwise (including a corrupt machine run).
 int run_bottleneck(const Args& args) {
   if (args.files.empty()) return kUsage;
@@ -224,45 +207,25 @@ int run_bottleneck(const Args& args) {
 
 /// sweep <runreport.json>
 ///
-/// Aggregates the report's machine_runs by (model, name, scenario,
-/// processors) and prints one row per group: run count, wall time p50 /
-/// p90 / max (cycles for MTA runs, seconds for SMP runs) and mean
-/// utilization. A report written under a live bus (--progress or
-/// --sweep-trace-out) also carries a host section, printed as a `host:`
-/// line (with the testbed cache hits and misses from "counters") and a
-/// `sched:` line. Exits 0 on success, 2 on usage or read errors, a corrupt
-/// machine run, or a report without machine_runs.
+/// Prints a `<path>: <bench>` header, then the host section a report
+/// written under a live bus (--progress or --sweep-trace-out) carries: a
+/// `host:` line (with the testbed cache hits and misses from "counters")
+/// and a `sched:` line. Each run's own accounting is in "machine_runs"
+/// (see `bottleneck`). Exits 0 on success, 2 on usage or read errors or a
+/// report without a host section.
 int run_sweep(const Args& args) {
   if (args.files.size() != 1) return kUsage;
   const std::string& path = args.files[0];
   const std::optional<JsonValue> doc = load_json(path);
   if (!doc) return 2;
-  const std::optional<std::vector<obs::RunRecord>> records =
-      load_machine_runs(path, *doc);
-  if (!records) return 2;
-  if (records->empty()) {
-    std::fprintf(stderr, "%s: no machine_runs to aggregate (write one with "
-                 "--report-out)\n", path.c_str());
+  const JsonValue* host = doc->find_object("host");
+  if (host == nullptr) {
+    std::fprintf(stderr, "%s: no host section (write the report with "
+                 "--progress or --sweep-trace-out)\n", path.c_str());
     return 2;
   }
-  const obs::SweepAggregator agg = obs::aggregate_records(*records);
-  std::printf("%s: %s, %llu runs, %zu groups\n", path.c_str(),
-              doc->string_or("bench", "?").c_str(),
-              static_cast<unsigned long long>(agg.runs()),
-              agg.groups().size());
-  std::printf("  %-44s %5s %12s %12s %12s %6s\n", "group", "count",
-              "wall p50", "wall p90", "wall max", "util");
-  for (const obs::SweepGroup& g : agg.groups()) {
-    const std::string key = g.key.model + "/" + g.key.name + "/" +
-                            g.key.scenario + "/p" +
-                            std::to_string(g.key.processors);
-    std::printf("  %-44s %5llu %12.4g %12.4g %12.4g %6.3f\n",
-                key.c_str(), static_cast<unsigned long long>(g.wall.count),
-                g.wall.quantile(0.50), g.wall.quantile(0.90), g.wall.max,
-                g.utilization.mean());
-  }
-  const JsonValue* host = doc->find_object("host");
-  if (host == nullptr) return 0;
+  std::printf("%s: %s\n", path.c_str(),
+              doc->string_or("bench", "?").c_str());
   const JsonValue* counters = doc->find_object("counters");
   const auto counter = [counters](const char* name) {
     return static_cast<long long>(
@@ -326,8 +289,6 @@ std::string presence_detail(const JsonValue& v) {
 }
 
 struct Diff {
-  double rel_tol = 0.0;
-  double abs_tol = 0.0;
   std::vector<std::string> ignore;
   int count = 0;
 
@@ -353,10 +314,7 @@ struct Diff {
           report(path, a.boolean ? "true -> false" : "false -> true");
         return;
       case JsonValue::Kind::Number: {
-        const double tol =
-            abs_tol + rel_tol * std::max(std::fabs(a.number),
-                                         std::fabs(b.number));
-        if (std::fabs(a.number - b.number) > tol) {
+        if (a.number != b.number) {
           char buf[96];
           std::snprintf(buf, sizeof buf, "%.17g != %.17g", a.number, b.number);
           report(path, buf);
@@ -424,12 +382,11 @@ void expand_machine_run_reps(JsonValue& doc) {
   runs->array = std::move(expanded);
 }
 
-/// diff <a.json> <b.json> [--rel-tol R] [--abs-tol A] [--ignore PATTERN]...
+/// diff <a.json> <b.json> [--ignore PATTERN]...
 ///
 /// Walks both JSON trees in parallel and prints every difference with its
 /// path: missing/extra members, kind mismatches, string/bool changes, array
-/// length changes, and numbers differing by more than
-/// abs_tol + rel_tol * max(|a|, |b|). The default is exact comparison, so
+/// length changes, and unequal numbers. Comparison is exact, so
 /// `diff r.json r.json` is a determinism check. A member present on one
 /// side only is a difference like any other (a "machine_runs" array or a
 /// "host" object is reported with its size, never skipped). `--ignore`
@@ -449,13 +406,10 @@ int run_diff(const Args& args) {
   expand_machine_run_reps(*b);
 
   Diff diff;
-  diff.rel_tol = args.number("--rel-tol", 0.0);
-  diff.abs_tol = args.number("--abs-tol", 0.0);
   for (const Flag& f : args.flags)
     if (f.name == "--ignore") diff.ignore.push_back(f.text);
-  std::printf("obs_report diff %s vs %s (rel-tol %g, abs-tol %g)\n",
-              args.files[0].c_str(), args.files[1].c_str(), diff.rel_tol,
-              diff.abs_tol);
+  std::printf("obs_report diff %s vs %s\n", args.files[0].c_str(),
+              args.files[1].c_str());
   diff.compare("", *a, *b);
   if (diff.count == 0) {
     std::printf("reports match\n");
@@ -701,14 +655,9 @@ const Command kCommands[] = {
     {"bottleneck", run_bottleneck, {},
      "  obs_report bottleneck <report.json>...\n"},
     {"sweep", run_sweep, {}, "  obs_report sweep <runreport.json>\n"},
-    {"diff",
-     run_diff,
-     {{"--rel-tol", Value::kNonNegative},
-      {"--abs-tol", Value::kNonNegative},
-      {"--ignore", Value::kText}},
-     "  obs_report diff <a.json> <b.json> [--rel-tol R] [--abs-tol A] "
-     "[--ignore PATTERN]...\n"},
-    {"trend", run_trend, {{"--scale", Value::kPositive}},
+    {"diff", run_diff, {{"--ignore", false}},
+     "  obs_report diff <a.json> <b.json> [--ignore PATTERN]...\n"},
+    {"trend", run_trend, {{"--scale", true}},
      "  obs_report trend append <history.jsonl> <runreport.json> "
      "[--scale F]\n"
      "  obs_report trend check <history.jsonl>\n"},
