@@ -24,9 +24,12 @@
 // regime reports its median; scripts/check.sh gates the telemetry regime
 // at >= 0.95x the plain one (< 5% overhead).
 //
-// Each other scenario runs `--reps` times (default 3); the median wall time
-// produces two RunReport rows per scenario ("<name>.cycles_per_sec" and
-// "<name>.instr_per_sec", stored in the "measured" field with paper = 1).
+// Each other scenario repeats for at least `--reps` runs (default 3) and at
+// least 0.25 s, so a scenario that runs in about a millisecond (solo) is
+// not timed on whichever host phase three runs landed in; the median wall
+// time produces two RunReport rows per scenario ("<name>.cycles_per_sec"
+// and "<name>.instr_per_sec", stored in the "measured" field with
+// paper = 1).
 // With --report-out this becomes BENCH_sim_throughput.json; scripts/check.sh
 // compares a fresh run against the committed bench/BENCH_sim_throughput.json
 // via --baseline/--min-ratio (exit 1 when any metric falls below
@@ -151,16 +154,26 @@ std::vector<Scenario> scenarios() {
   return out;
 }
 
+/// Every scenario repeats for at least this long (see measure).
+constexpr double kMinScenarioSeconds = 0.25;
+
 struct Measurement {
   std::uint64_t cycles = 0;
   std::uint64_t instructions = 0;
   double median_seconds = 0.0;
 };
 
-Measurement measure(const Scenario& s, int reps) {
+/// Runs the scenario at least `min_reps` times and for at least
+/// `min_seconds` of repetitions (set-up included), and reports the median
+/// wall time of its runs.
+Measurement measure(const Scenario& s, int min_reps, double min_seconds) {
   Measurement out;
   std::vector<double> times;
-  for (int rep = 0; rep < reps; ++rep) {
+  const auto begin = std::chrono::steady_clock::now();
+  while (static_cast<int>(times.size()) < min_reps ||
+         std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       begin)
+                 .count() < min_seconds) {
     mta::Machine machine(s.cfg);
     mta::ProgramPool pool;
     s.build(machine, pool);
@@ -289,7 +302,9 @@ int main(int argc, char** argv) {
       "sim_throughput: simulated cycles and instructions per host second "
       "on fixed synthetic MTA scenarios");
   obs::RunSession::add_cli_flags(cli);
-  cli.add_flag("reps", "3", "repetitions per scenario (median wall time)");
+  cli.add_flag("reps", "3",
+               "minimum repetitions per scenario (median wall time over at "
+               "least 0.25 s of them)");
   cli.add_flag("baseline", "",
                "committed BENCH_sim_throughput.json to compare against");
   cli.add_flag("min-ratio", "0.7",
@@ -303,14 +318,15 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  TextTable table("Simulator throughput (median of " + std::to_string(reps) +
-                  " reps)");
+  TextTable table("Simulator throughput (median of >= " +
+                  std::to_string(reps) + " reps and >= " +
+                  TextTable::num(kMinScenarioSeconds, 2) + " s)");
   table.header({"Scenario", "Sim cycles", "Instructions", "Wall (ms)",
                 "Mcycles/s", "Minstr/s"});
   run.report().set_config("reps", static_cast<double>(reps));
 
   for (const Scenario& s : scenarios()) {
-    const Measurement m = measure(s, reps);
+    const Measurement m = measure(s, reps, kMinScenarioSeconds);
     const double cps = static_cast<double>(m.cycles) / m.median_seconds;
     const double ips = static_cast<double>(m.instructions) / m.median_seconds;
     table.row({s.name, std::to_string(m.cycles),
@@ -332,7 +348,7 @@ int main(int argc, char** argv) {
     {
       obs::TimelineStore store(obs::kDefaultSamplePeriodCycles);
       obs::ScopedTimeline scope(store);
-      m = measure(sat, reps);
+      m = measure(sat, reps, kMinScenarioSeconds);
     }
     const double cps = static_cast<double>(m.cycles) / m.median_seconds;
     const double ips = static_cast<double>(m.instructions) / m.median_seconds;

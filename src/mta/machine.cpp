@@ -45,10 +45,8 @@ Machine::Machine(MtaConfig config)
   service_fp_ = static_cast<std::uint64_t>(
       std::llround(std::ldexp(1.0 / config_.network_ops_per_cycle, kFpBits)));
   TC3I_ASSERT(service_fp_ >= 1);
-  load_tracker_.init(config_.num_processors, config_.streams_per_processor);
+  load_tracker_.init(config_.num_processors);
   free_slots_ = config_.num_processors * config_.streams_per_processor;
-  if (!slow_)  // a lane holds at most one wake per hardware stream slot
-    wakes_ = sim::WakeQueue<StreamId>(static_cast<std::size_t>(free_slots_));
   acct_.resize(static_cast<std::size_t>(config_.num_processors));
 
   obs::CounterRegistry& reg = obs::default_registry();
@@ -86,19 +84,25 @@ Machine::Machine(MtaConfig config)
   sample_next_ = sample_period_;
 }
 
-void Machine::push_wake(std::uint64_t at, StreamId sid, StallReason why) {
+void Machine::push_wake(std::uint64_t at, StreamId sid, StallReason why,
+                        bool half_late) {
   Stream& s = streams_[static_cast<std::size_t>(sid)];
   s.wait_reason = why;
   ++acct_[static_cast<std::size_t>(s.proc)]
         .waiting[static_cast<std::size_t>(why)];
   if (slow_) {
     heap_.push(Wake{at, sid});
-  } else if (why == StallReason::kSpacing) {
-    wakes_.push_in_order(kSpacingLane, at, sid);
+    return;
+  }
+  ++queued_;
+  auto& q = procs_[static_cast<std::size_t>(s.proc)].wakes();
+  const std::uint64_t key = (at << 1) | static_cast<std::uint64_t>(half_late);
+  if (why == StallReason::kSpacing) {
+    q.push_in_order(kSpacingLane, key, sid);
   } else if (why == StallReason::kMemory && config_.lookahead == 0) {
-    wakes_.push_in_order(kMemoryLane, at, sid);
+    q.push_in_order(kMemoryLane, key, sid);
   } else {
-    wakes_.push(at, sid);
+    q.push(key, sid);
   }
 }
 
@@ -132,10 +136,32 @@ void Machine::runaway_abort(std::uint64_t now) const {
   contract_failure("Machine::run", "now < max_cycles", __FILE__, __LINE__);
 }
 
-void Machine::make_stream_ready(StreamId sid) {
+void Machine::unpark(StreamId sid) {
   const Stream& s = streams_[static_cast<std::size_t>(sid)];
   --acct_[static_cast<std::size_t>(s.proc)]
         .waiting[static_cast<std::size_t>(s.wait_reason)];
+}
+
+bool Machine::pop_due(Processor& p, std::uint64_t now, StreamId& sid) {
+  const std::uint64_t key = p.wakes().next_due();  // the entry it would pop
+  if (!p.wakes().pop_due(now << 1, sid)) return false;  // half-cycle key
+  if (sample_period_ != 0) {
+    // The stream was ready from its due cycle through `now`. Its cycles in
+    // the open sample bucket count here; those in earlier buckets counted
+    // when they closed (count_waiting_ready).
+    sample_ready_sum_ +=
+        now + 1 - std::max((key + 1) >> 1, sample_next_ - sample_period_);
+  }
+  --queued_;
+  settle_idle(p.id(), now);
+  acct_[static_cast<std::size_t>(p.id())].idle_from = now + 1;
+  unpark(sid);
+  return true;
+}
+
+void Machine::make_stream_ready(StreamId sid) {
+  unpark(sid);
+  const Stream& s = streams_[static_cast<std::size_t>(sid)];
   procs_[static_cast<std::size_t>(s.proc)].make_ready(sid);
   ++ready_count_;
 }
@@ -156,6 +182,18 @@ void Machine::account_idle(int proc, std::uint64_t n) {
     a.acct.spawn += n;
   else
     a.acct.spacing += n;
+}
+
+void Machine::settle_idle(int proc, std::uint64_t upto) {
+  const std::uint64_t from = acct_[static_cast<std::size_t>(proc)].idle_from;
+  if (upto <= from) return;
+  account_idle(proc, upto - from);
+  acct_[static_cast<std::size_t>(proc)].idle_from = upto;
+}
+
+void Machine::settle_before_foreign_change(int proc, std::uint64_t now) {
+  if (slow_ || !ran_) return;
+  settle_idle(proc, proc < issuer_ ? now + 1 : now);
 }
 
 void Machine::account_solo_idle(int proc, std::uint64_t n, StallReason solo) {
@@ -196,6 +234,7 @@ void Machine::activate(StreamProgram* program, bool software,
   const int proc = load_tracker_.least_loaded();
   Processor& p = procs_[static_cast<std::size_t>(proc)];
   TC3I_ASSERT(p.has_free_slot());
+  settle_before_foreign_change(proc, now);
   p.occupy_slot();
   load_tracker_.change(proc, +1);
   --free_slots_;
@@ -212,7 +251,10 @@ void Machine::activate(StreamProgram* program, bool software,
 
   const std::uint64_t spawn_cost = static_cast<std::uint64_t>(
       software ? config_.sw_spawn_cycles : config_.hw_spawn_cycles);
-  push_wake(now + spawn_cost, sid, StallReason::kSpawn);
+  // Once run() has started, activation happens inside a scanned cycle, so a
+  // free spawn is due half a cycle late (see push_wake).
+  push_wake(now + spawn_cost, sid, StallReason::kSpawn,
+            /*half_late=*/ran_ && spawn_cost == 0);
 
   (software ? obs_.spawns_sw : obs_.spawns_hw)->add();
   if (obs_.sink != nullptr) {
@@ -286,8 +328,8 @@ void Machine::process_handoffs(std::uint64_t now) {
     TC3I_ASSERT(!s.dead);
     // The stream stops being sync-parked here; complete_memory_op re-parks
     // it for the network trip the hand-off triggers.
-    --acct_[static_cast<std::size_t>(s.proc)]
-          .waiting[static_cast<std::size_t>(s.wait_reason)];
+    settle_before_foreign_change(s.proc, now);
+    unpark(h.stream);
     if (h.was_load) s.program->deliver(h.value);
     ++sync_handoffs_;
     if (obs_.sink != nullptr)
@@ -327,14 +369,15 @@ void Machine::finish_stream(StreamId sid, std::uint64_t now) {
 void Machine::issue(StreamId sid, std::uint64_t now) {
   Stream& s = streams_[static_cast<std::size_t>(sid)];
   TC3I_ASSERT(!s.dead);
+  issuer_ = s.proc;
   ++s.issued;
   if (!s.has_cur) fetch_next(s);
 
   const std::uint64_t spacing =
       now + static_cast<std::uint64_t>(config_.issue_spacing_cycles);
 
-  // The per-processor issue counters already tally every instruction
-  // (pop_ready() increments them); instructions_ is derived from their sum
+  // The per-processor issue counters already tally every instruction (the
+  // loops count each issue there); instructions_ is derived from their sum
   // at the end of run() to keep this switch store-free beyond its tallies.
   switch (s.cur.op) {
     case Instr::Op::Compute: {
@@ -421,84 +464,50 @@ void Machine::issue(StreamId sid, std::uint64_t now) {
   }
 }
 
-std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
-  // Exactly one stream is ready machine-wide and the wake queue is drained
-  // to `now`, so no other stream issues before the queue's next due cycle.
-  // Until then this stream's instructions retire without a trip through
-  // the queue, whole Compute runs collapse to arithmetic, and memory ops
-  // complete inline, so `next_due` is loop-invariant.
-  Processor* proc = nullptr;
-  for (auto& p : procs_)
-    if (p.has_ready()) proc = &p;
-  TC3I_ASSERT(proc != nullptr);
-  Processor& p = *proc;
-  const StreamId sid = p.front_ready();
+std::uint64_t Machine::run_solo(Processor& p, StreamId sid, std::uint64_t now,
+                                std::uint64_t max_cycles) {
+  // `sid`'s wake was the machine's only queued one, so no other stream can
+  // become due until `sid` issues an instruction that wakes or creates one:
+  // a sync operation (hand-offs), a spawn or a quit (a virtualized spawn
+  // takes the freed slot). Until then its instructions retire without a
+  // trip through the queue, whole Compute runs collapse to arithmetic, and
+  // lookahead-0 memory operations complete inline.
   Stream& s = streams_[static_cast<std::size_t>(sid)];
   const auto spacing =
       static_cast<std::uint64_t>(config_.issue_spacing_cycles);
-  const std::uint64_t next_due = wakes_.next_due();  // kNone bounds nothing
   const bool la0 = config_.lookahead == 0;
 
   // Slot accounting: every processor but p idles the whole span with a
   // census that cannot change in here (no foreign issues, no wake
   // deliveries, no spawns/hand-offs outside the generic exit), so the
-  // foreign span is attributed in one shot at exit. p's own gap cycles are
+  // fast loop's lazy attribution covers it. p's own gap cycles are
   // credited per instruction run via account_solo_idle, which supplies the
-  // reason the solo stream would have been parked with.
-  const std::uint64_t entry = now;
-  const auto foreign_idle = [&](std::uint64_t upto) {
-    if (upto == entry) return;
-    for (auto& q : procs_)
-      if (q.id() != p.id()) account_idle(q.id(), upto - entry);
-  };
-
-  // The first issue consumes the ready-queue entry (counting one issue);
-  // later ones are credited analytically.
-  bool popped = false;
-  const auto charge = [&](std::uint64_t n) {
-    if (!popped) {
-      (void)p.pop_ready();
-      --ready_count_;
-      popped = true;
-      --n;
-    }
-    if (n > 0) p.add_issues(n);
-  };
+  // reason the solo stream would have been parked with, and p's idle_from
+  // follows them.
+  ProcAcct& pa = acct_[static_cast<std::size_t>(p.id())];
 
   while (true) {
     if (now >= max_cycles) runaway_abort(now);
     if (!s.has_cur) fetch_next(s);
 
     if (s.cur.op == Instr::Op::Compute) {
-      // Issues land at now, now+S, ...; every issue after the first is
-      // only sole-ready if it comes strictly before the next foreign wake.
-      const std::uint64_t k =
-          std::min(s.cur.count, 1 + (next_due - 1 - now) / spacing);
-      charge(k);
+      // The whole run issues at now, now+S, ..., and its spacing gaps,
+      // the trailing one included, are covered.
+      const std::uint64_t k = s.cur.count;
+      TC3I_ASSERT(k > 0);
+      p.add_issues(k);
       issued_compute_ += k;
       s.issued += k;
-      s.cur.count -= k;
-      if (s.cur.count == 0) s.has_cur = false;
-      const std::uint64_t last = now + (k - 1) * spacing;
-      const std::uint64_t wake = last + spacing;
-      if (s.cur.count > 0 || next_due <= wake) {
-        // A foreign wake lands before (or at) our next issue: queue our
-        // wake and let the generic loop arbitrate. Covered cycles end at
-        // `last`: k issues plus the k-1 spacing gaps between them.
-        account_solo_idle(p.id(), (k - 1) * (spacing - 1),
-                          StallReason::kSpacing);
-        push_wake(wake, sid, StallReason::kSpacing);
-        foreign_idle(last + 1);
-        return last + 1;
-      }
-      // Continuing: the trailing spacing gap up to `wake` is covered too.
+      s.cur.count = 0;
+      s.has_cur = false;
       account_solo_idle(p.id(), k * (spacing - 1), StallReason::kSpacing);
-      now = wake;
+      now += k * spacing;
+      pa.idle_from = now;
       continue;
     }
 
     if (la0 && (s.cur.op == Instr::Op::Load || s.cur.op == Instr::Op::Store)) {
-      charge(1);
+      p.add_issues(1);
       ++issued_memory_;
       ++s.issued;
       if (s.cur.op == Instr::Op::Store) memory_.store(s.cur.addr, s.cur.value);
@@ -506,38 +515,36 @@ std::uint64_t Machine::run_solo(std::uint64_t now, std::uint64_t max_cycles) {
       if (--s.cur.count == 0) s.has_cur = false;
       const std::uint64_t done = network_service(now, s.cur.addr);
       const std::uint64_t wake = std::max(done, now + spacing);
-      const StallReason why = done > now + spacing ? StallReason::kMemory
-                                                   : StallReason::kSpacing;
-      if (next_due <= wake) {
-        push_wake(wake, sid, why);
-        foreign_idle(now + 1);
-        return now + 1;
-      }
-      account_solo_idle(p.id(), wake - now - 1, why);
+      account_solo_idle(p.id(), wake - now - 1,
+                        done > now + spacing ? StallReason::kMemory
+                                             : StallReason::kSpacing);
       now = wake;
+      pa.idle_from = now;
       continue;
     }
 
     // Sync ops, spawns, quits and lookahead>0 memory ops take the generic
     // path for one instruction, then the generic loop resumes (they can
-    // wake other streams or change stream structure). issue() can change
-    // foreign censuses (spawn placement, hand-offs), so the exit cycle is
-    // attributed in the slow loop's processor-scan order: processors before
-    // p see the pre-issue census, processors after it the post-issue one.
-    foreign_idle(now);
-    if (!popped) {
-      (void)p.pop_ready();
-      --ready_count_;
-      popped = true;
-    } else {
-      p.add_issues(1);
-    }
-    for (auto& q : procs_)
-      if (q.id() < p.id()) account_idle(q.id(), 1);
+    // wake other streams or change stream structure; issue() settles a
+    // processor whose census it changes).
+    p.add_issues(1);
+    pa.idle_from = now + 1;
     issue(sid, now);
-    for (auto& q : procs_)
-      if (q.id() > p.id()) account_idle(q.id(), 1);
     return now + 1;
+  }
+}
+
+void Machine::count_waiting_ready() {
+  // Run at the scanned cycle that closes the bucket [start, end): that is
+  // `end` itself unless the loop jumped there, and a jump lands where no
+  // stream was due before it.
+  const std::uint64_t end = sample_next_;
+  const std::uint64_t start = end - sample_period_;
+  for (const auto& p : procs_) {
+    // Keys up to 2 end - 2 are due before `end` (push_wake's half cycles).
+    p.wakes().for_each_due(2 * end - 2, [&](std::uint64_t key, StreamId) {
+      sample_ready_sum_ += end - std::max((key + 1) >> 1, start);
+    });
   }
 }
 
@@ -655,57 +662,59 @@ std::uint64_t Machine::run_slow_loop() {
 
 std::uint64_t Machine::run_fast_loop() {
   std::uint64_t now = 0;
-  // Hoisted so the issue loop branches on register-resident locals instead
-  // of reloading members every iteration (issue() may alias them).
+  // Hoisted so the issue loop branches on a register-resident local instead
+  // of reloading a member every iteration (issue() may alias it).
   const std::uint64_t max_cycles = max_cycles_;
-  const auto spacing = static_cast<std::uint64_t>(config_.issue_spacing_cycles);
   while (live_streams_ > 0 || !pending_.empty()) {
     if (now >= max_cycles) runaway_abort(now);
+    const std::uint64_t due = now << 1;  // half-cycle key (push_wake)
 
-    wakes_.drain_due(now, [this](std::uint64_t, StreamId sid) {
-      make_stream_ready(sid);
-    });
-
-    // Solo fast-forward: with one ready stream machine-wide (and no
+    // Solo fast-forward: with the machine's only queued wake due (and no
     // timeline sampling, which tracing implies), whole instruction runs
-    // retire analytically. With a wake due within one spacing window it
-    // would retire exactly one instruction, as the scan below does.
-    if (ready_count_ == 1 && sample_period_ == 0 &&
-        wakes_.next_due() - now > spacing) {
-      now = run_solo(now, max_cycles);
-      continue;
-    }
-
-    if (sample_period_ != 0) {
-      if (now >= sample_next_) flush_samples(now);
-      sample_ready_sum_ += ready_count_;
-    }
-    bool any_ready = false;
-    for (auto& p : procs_) {
-      if (p.has_ready()) {
-        any_ready = true;
-        --ready_count_;
-        issue(p.pop_ready(), now);
-      } else {
-        account_idle(p.id(), 1);
+    // retire analytically.
+    if (queued_ == 1 && sample_period_ == 0) {
+      Processor& p = *std::find_if(procs_.begin(), procs_.end(),
+                                   [](const Processor& q) {
+                                     return !q.wakes().empty();
+                                   });
+      StreamId sid = 0;
+      if (pop_due(p, now, sid)) {
+        now = run_solo(p, sid, now, max_cycles);
+        continue;
       }
     }
 
-    if (any_ready) {
-      ++now;
-    } else if (!wakes_.empty()) {
-      const std::uint64_t next = std::max(now + 1, wakes_.next_due());
-      // The scan above attributed cycle `now`; the skipped span up to the
-      // next wake is idle for every processor under an unchanged census.
-      if (next - now > 1)
-        for (auto& p : procs_) account_idle(p.id(), next - now - 1);
-      now = next;
-    } else {
-      // No stream can ever become ready again: every remaining stream is
-      // blocked on a full/empty bit that nobody will flip.
-      TC3I_ASSERT(live_streams_ == 0 && pending_.empty());
+    if (sample_period_ != 0 && now >= sample_next_) {
+      count_waiting_ready();
+      flush_samples(now);
     }
+    std::uint64_t least = sim::WakeQueue<StreamId>::kNone;
+    for (const auto& p : procs_) least = std::min(least, p.wakes().next_due());
+    if (least > due) {
+      // Nothing is due: every processor idles, under an unchanged census,
+      // up to the earliest wake. With no wake queued, no stream can ever
+      // become ready again: every remaining stream is blocked on a
+      // full/empty bit that nobody will flip.
+      TC3I_ASSERT(least != sim::WakeQueue<StreamId>::kNone &&
+                  "deadlock: every live stream is blocked on a full/empty bit");
+      now = (least + 1) >> 1;
+      continue;
+    }
+
+    // Each processor issues its least due (cycle, stream id) wake: the
+    // stream the reference loop's ready ring holds at its front. A
+    // processor with nothing due idles; pop_due and foreign census changes
+    // attribute its idle cycles later (settle_idle).
+    for (auto& p : procs_) {
+      StreamId sid = 0;
+      if (pop_due(p, now, sid)) {
+        p.add_issues(1);
+        issue(sid, now);
+      }
+    }
+    ++now;
   }
+  for (const auto& p : procs_) settle_idle(p.id(), now);
   return now;
 }
 

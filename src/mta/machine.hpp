@@ -2,7 +2,8 @@
 //
 // Mechanisms modeled (the ones the paper's MTA results hinge on):
 //   - each processor issues at most one instruction per cycle, chosen from
-//     its ready streams (FIFO arbitration);
+//     its ready streams (FIFO arbitration: the stream due longest, lowest
+//     stream id first among streams due in the same cycle);
 //   - a stream that issues cannot issue again for `issue_spacing_cycles`
 //     (21 on the MTA-1: the paper's "one instruction every 21 cycles" for a
 //     lone stream, i.e. ~5% utilization single-threaded);
@@ -20,10 +21,10 @@
 //     frees.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <queue>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -132,8 +133,8 @@ class Machine {
   };
   static constexpr std::size_t kNumStallReasons = 4;
 
-  /// The fields issue(), push_wake() and make_stream_ready() read come
-  /// first, in the stream's first 64 bytes.
+  /// The fields issue(), push_wake() and unpark() read come first, in the
+  /// stream's first 64 bytes.
   struct Stream {
     Instr cur;
     VectorProgram* vec = nullptr;  ///< program->as_vector(), fetch fast path
@@ -155,6 +156,9 @@ class Machine {
   struct ProcAcct {
     obs::IssueSlotAccount acct;
     std::array<std::uint32_t, kNumStallReasons> waiting{};
+    /// Fast path: the first cycle not yet attributed. The processor has
+    /// idled from here to the current cycle under its current census.
+    std::uint64_t idle_from = 0;
   };
 
   /// Per-region tallies accumulated at stream completion (index = region
@@ -217,37 +221,26 @@ class Machine {
     return static_cast<double>(cycle) / config_.clock_hz * 1e6;
   }
 
-  /// O(1) least-loaded-processor selection: processors indexed by live
-  /// stream count, lowest processor id breaking ties (matching the linear
-  /// scan it replaced). Loads change by +-1 on activate/finish.
+  /// Least-loaded-processor selection: a scan of the live stream counts,
+  /// lowest processor id breaking ties. Loads change by +-1 on
+  /// activate/finish; a machine has at most a few dozen processors (every
+  /// bench uses at most 16), so the scan allocates nothing and stays
+  /// cheap.
   class LoadTracker {
    public:
-    void init(int num_procs, int max_load) {
+    void init(int num_procs) {
       loads_.assign(static_cast<std::size_t>(num_procs), 0);
-      by_load_.assign(static_cast<std::size_t>(max_load) + 1, {});
-      for (int p = 0; p < num_procs; ++p) by_load_[0].insert(p);
-      min_load_ = 0;
     }
     [[nodiscard]] int least_loaded() const {
-      return *by_load_[static_cast<std::size_t>(min_load_)].begin();
+      return static_cast<int>(std::min_element(loads_.begin(), loads_.end()) -
+                              loads_.begin());
     }
     void change(int proc, int delta) {
-      int& load = loads_[static_cast<std::size_t>(proc)];
-      by_load_[static_cast<std::size_t>(load)].erase(proc);
-      load += delta;
-      by_load_[static_cast<std::size_t>(load)].insert(proc);
-      if (load < min_load_) {
-        min_load_ = load;
-      } else {
-        while (by_load_[static_cast<std::size_t>(min_load_)].empty())
-          ++min_load_;
-      }
+      loads_[static_cast<std::size_t>(proc)] += delta;
     }
 
    private:
     std::vector<int> loads_;
-    std::vector<std::set<int>> by_load_;
-    int min_load_ = 0;
   };
 
   /// Loads the stream's next instruction into `cur` (implicit Quit at end
@@ -264,15 +257,31 @@ class Machine {
   }
 
   void activate(StreamProgram* program, bool software, std::uint64_t now);
-  void issue(StreamId sid, std::uint64_t now);
+  /// issue() and push_wake() run once per simulated instruction; both are
+  /// inlined into their callers, all in machine.cpp.
+  [[gnu::always_inline]] inline void issue(StreamId sid, std::uint64_t now);
   void finish_stream(StreamId sid, std::uint64_t now);
   std::uint64_t network_service(std::uint64_t now, Address addr);
   void complete_memory_op(StreamId sid, std::uint64_t now, Address addr);
   void process_handoffs(std::uint64_t now);
-  /// Parks `sid` (census +1 under `why`) and queues its wake.
-  void push_wake(std::uint64_t at, StreamId sid, StallReason why);
+  /// Parks `sid` (census +1 under `why`) and queues its wake for cycle
+  /// `at`. On the fast path the wake goes to the stream's processor's
+  /// queue keyed in half cycles: 2 x at, plus one when `half_late` (a
+  /// stream spawned at no cost in the cycle being scanned, which must
+  /// issue after every stream already due and before those due next
+  /// cycle, as the reference loop's ready ring orders it).
+  [[gnu::always_inline]] inline void push_wake(std::uint64_t at, StreamId sid,
+                                               StallReason why,
+                                               bool half_late = false);
   /// Parks `sid` with no wake: it waits in memory on a full/empty bit.
   void park_sync(StreamId sid);
+  /// Takes `sid` out of its processor's parked-stream census.
+  void unpark(StreamId sid);
+  /// Fast path: pops p's least wake due at cycle `now` into `sid`, settles
+  /// p's idle cycles before `now` and unparks the stream; false when none
+  /// is due.
+  bool pop_due(Processor& p, std::uint64_t now, StreamId& sid);
+  /// Reference path: unparks `sid` into its processor's ready ring.
   void make_stream_ready(StreamId sid);
   /// Attributes `n` idle cycles of processor `proc` to one stall category:
   /// no_stream when the processor has no live streams, otherwise the
@@ -282,10 +291,27 @@ class Machine {
   /// account_idle over the census plus the solo stream virtually parked
   /// with `solo` (run_solo does not park between fast-forwarded issues).
   void account_solo_idle(int proc, std::uint64_t n, StallReason solo);
+  /// Fast path: attributes processor `proc`'s cycles from its idle_from up
+  /// to `upto` (exclusive) to account_idle under its current census. The
+  /// fast loop attributes idle cycles only here, when the census changes
+  /// or the processor issues, not cycle by cycle.
+  void settle_idle(int proc, std::uint64_t upto);
+  /// Fast path: settles processor `proc` before the issue in progress at
+  /// cycle `now` changes its census from another processor (a spawn placed
+  /// on it, a hand-off to one of its streams): through `now` when the
+  /// reference loop scans `proc` before the issuing processor, which then
+  /// sees the old census, else up to `now`.
+  void settle_before_foreign_change(int proc, std::uint64_t now);
   /// Timeline sampling (active under a TimelineStore or a trace sink):
   /// called per scanned cycle; emits every complete sample bucket ending at
   /// or before `now` from the deltas accumulated since the previous flush.
   void flush_samples(std::uint64_t now);
+  /// Fast path, before flush_samples closes the open bucket: adds the
+  /// bucket's ready cycles of the streams still queued whose wakes fell
+  /// due inside it or earlier. The fast loop counts a stream's ready
+  /// cycles when it pops it (pop_due) instead of counting due wakes every
+  /// cycle, so the streams still waiting at a bucket's end count here.
+  void count_waiting_ready();
   /// Appends one point per series for the bucket ending at `end`, `width`
   /// cycles wide, and writes each as a trace counter under a sink; then
   /// restarts the accumulation.
@@ -293,16 +319,19 @@ class Machine {
   /// Emits the trailing partial bucket and hands the run's timeline to the
   /// store, if any.
   void finish_timeline(std::uint64_t now);
-  /// Fast-forwards the machine while exactly one stream is ready
-  /// machine-wide and no wake is due within one issue spacing (see
+  /// Fast-forwards stream `sid` of processor `p`, whose wake was the
+  /// machine's only queued one and was popped at `now`, until it issues an
+  /// instruction that can wake or create another stream (see
   /// docs/PERFORMANCE.md for the legality argument).
   /// Returns the cycle the generic loop resumes at.
-  std::uint64_t run_solo(std::uint64_t now, std::uint64_t max_cycles);
+  std::uint64_t run_solo(Processor& p, StreamId sid, std::uint64_t now,
+                         std::uint64_t max_cycles);
   /// The reference simulation loop (slow_ only): binary-heap wake queue,
   /// one cycle at a time. Returns the final cycle.
   std::uint64_t run_slow_loop();
-  /// The fast simulation loop: in-order wake lanes and run_solo
-  /// fast-forwarding. Returns the final cycle.
+  /// The fast simulation loop: each processor issues straight from its own
+  /// wake queue, and run_solo fast-forwards a lone stream. Returns the
+  /// final cycle.
   std::uint64_t run_fast_loop();
   /// Finalizes a completed run at cycle `now`: slot-account invariants,
   /// counter publication, RunRecord emission.
@@ -324,9 +353,9 @@ class Machine {
   SyncMemory memory_;
   std::vector<Processor> procs_;
   std::vector<Stream> streams_;
-  /// Wake queue, fast path: one lane for kSpacing wakes, one for kMemory
-  /// wakes at lookahead 0, the heap for the rest (docs/PERFORMANCE.md).
-  sim::WakeQueue<StreamId> wakes_;
+  /// Lanes of each processor's wake queue (fast path): one for kSpacing
+  /// wakes, one for kMemory wakes at lookahead 0; the heap takes the rest
+  /// (docs/PERFORMANCE.md).
   static constexpr std::size_t kSpacingLane = 0;
   static constexpr std::size_t kMemoryLane = 1;
   /// Wake queue, reference path (slow_ == true only).
@@ -337,7 +366,9 @@ class Machine {
   std::vector<std::uint64_t> bank_free_fp_;  // sized memory_banks when enabled
   LoadTracker load_tracker_;
   int free_slots_ = 0;  ///< machine-wide free hardware stream slots
-  std::uint64_t ready_count_ = 0;  ///< streams in ready queues, fast path
+  std::uint64_t queued_ = 0;  ///< wakes in processors' queues, fast path
+  int issuer_ = 0;  ///< processor of the issue() in progress
+  std::uint64_t ready_count_ = 0;  ///< streams in ready rings, slow path
 
   std::vector<ProcAcct> acct_;  // sized num_processors
   std::vector<RegionTally> region_tallies_;

@@ -1,14 +1,16 @@
 // Wake scheduling for a simulator whose wakes mostly arrive in due order:
 // two in-order lanes (FIFO rings whose heads are their earliest entries)
-// plus a binary heap for the rest, drained in a min-heap's (cycle, payload)
-// order whichever container held a wake. See docs/PERFORMANCE.md.
+// plus a binary heap for the rest, popped in a min-heap's (cycle, payload)
+// order whichever container held a wake. The least entry and its container
+// are cached, so asking whether anything is due costs one comparison. See
+// docs/PERFORMANCE.md.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "core/contracts.hpp"
@@ -29,10 +31,18 @@ class WakeQueue {
     }
   }
 
-  [[nodiscard]] bool empty() const { return next_due() == kNone; }
+  [[nodiscard]] bool empty() const { return least_.at == kNone; }
 
   /// Schedules `payload` for cycle `at`, in any order.
-  void push(std::uint64_t at, Payload payload) { heap_.push({at, payload}); }
+  void push(std::uint64_t at, Payload payload) {
+    const Entry e{at, payload};
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+    if (least_ > e) {
+      least_ = e;
+      from_ = kHeap;
+    }
+  }
 
   /// Schedules `payload` for cycle `at` on lane 0 or 1. Successive pushes
   /// to one lane must not decrease `at`; a push that ties the lane's last
@@ -45,36 +55,51 @@ class WakeQueue {
     std::uint64_t i = l.tail++;
     for (; i != l.head && l.slot(i - 1) > e; --i) l.slot(i) = l.slot(i - 1);
     l.slot(i) = e;
+    if (least_ > e) {  // then e went to the lane's head
+      least_ = e;
+      from_ = lane;
+    }
   }
 
   /// Earliest pending due cycle, or kNone when empty.
-  [[nodiscard]] std::uint64_t next_due() const {
-    std::uint64_t best = heap_.empty() ? kNone : heap_.top().at;
-    for (const Lane& l : lanes_)
-      if (!l.empty() && l.front().at < best) best = l.front().at;
-    return best;
+  [[nodiscard]] std::uint64_t next_due() const { return least_.at; }
+
+  /// Pops the least (at, payload) entry into `out` if it is due at cycle
+  /// <= now and returns true; otherwise returns false and changes nothing.
+  bool pop_due(std::uint64_t now, Payload& out) {
+    if (least_.at > now) return false;
+    out = least_.payload;
+    if (from_ == kHeap) {
+      std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+      heap_.pop_back();
+    } else {
+      ++lanes_[from_].head;
+    }
+    least_ = heap_.empty() ? Entry{kNone, Payload{}} : heap_.front();
+    from_ = kHeap;
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      const Lane& l = lanes_[i];
+      if (!l.empty() && least_ > l.front()) {
+        least_ = l.front();
+        from_ = i;
+      }
+    }
+    return true;
   }
 
-  /// Invokes fn(at, payload) for every entry due at cycle <= now, in
-  /// ascending (at, payload) order. fn must not push.
+  /// Invokes fn(at, payload) for every entry due at cycle <= now, in no
+  /// particular order, at a cost proportional to their number. fn must not
+  /// push or pop.
   template <typename Fn>
-  void drain_due(std::uint64_t now, Fn&& fn) {
-    while (true) {
-      Entry e = heap_.empty() ? Entry{kNone, Payload{}} : heap_.top();
-      Lane* from = nullptr;  // null: the heap
-      for (Lane& l : lanes_) {
-        if (!l.empty() && e > l.front()) {
-          e = l.front();
-          from = &l;
-        }
+  void for_each_due(std::uint64_t now, Fn&& fn) const {
+    for (const Lane& l : lanes_) {
+      for (std::uint64_t i = l.head; i != l.tail; ++i) {
+        const Entry& e = l.ring[i & l.mask];
+        if (e.at > now) break;  // a lane is sorted
+        fn(e.at, e.payload);
       }
-      if (e.at > now) return;
-      if (from != nullptr)
-        ++from->head;
-      else
-        heap_.pop();
-      fn(e.at, e.payload);
     }
+    for_each_heap_due(0, now, fn);
   }
 
  private:
@@ -95,8 +120,23 @@ class WakeQueue {
     Entry& slot(std::uint64_t index) { return ring[index & mask]; }
   };
 
+  /// for_each_due over the heap subtree rooted at index i: a subtree
+  /// whose root is not due holds nothing due.
+  template <typename Fn>
+  void for_each_heap_due(std::size_t i, std::uint64_t now, Fn& fn) const {
+    if (i >= heap_.size() || heap_[i].at > now) return;
+    fn(heap_[i].at, heap_[i].payload);
+    for_each_heap_due(2 * i + 1, now, fn);
+    for_each_heap_due(2 * i + 2, now, fn);
+  }
+
+  static constexpr std::size_t kHeap = 2;  ///< from_ when the heap holds it
+
   std::array<Lane, 2> lanes_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
+  std::vector<Entry> heap_;  ///< binary min-heap (std::push_heap order)
+  Entry least_{kNone, Payload{}};  ///< the least entry; at == kNone: empty
+  std::size_t from_ = kHeap;       ///< the lane holding least_, or kHeap
+
 };
 
 }  // namespace tc3i::sim

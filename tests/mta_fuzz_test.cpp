@@ -3,12 +3,14 @@
 // machine executes (both deadlock-free by construction), must always
 // terminate, deterministically, with conserved instruction counts —
 // across random configurations — and the fast path must match the slow
-// reference loop on every one of them.
+// reference loop on every one of them, sampled timelines included.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "mta/machine.hpp"
 #include "obs/counters.hpp"
 #include "obs/run_record.hpp"
+#include "obs/timeline.hpp"
 
 namespace tc3i::mta {
 namespace {
@@ -186,6 +189,7 @@ struct RandomCase {
   /// Per program: expected issues, its Quit included.
   std::vector<std::uint64_t> program_instructions;
   std::uint64_t instructions = 0;  ///< their sum
+  std::uint64_t sample_period = 1;  ///< timeline grid of the sampled runs
 };
 
 Step op(Instr::Op o, std::uint64_t count = 1, Address addr = 0,
@@ -233,6 +237,8 @@ class CaseBuilder {
       c_.program_instructions.push_back(n);
       c_.instructions += n;
     }
+    // Drawn last, so the programs and configuration stay those of the seed.
+    c_.sample_period = 1 + rng_.next_below(64);
     return std::move(c_);
   }
 
@@ -364,18 +370,24 @@ struct RandomOutcome {
   MtaRunResult result;
   std::vector<obs::RunRecord> records;
   std::vector<obs::MetricSnapshot> counters;
+  std::string timeline_csv;  ///< sampled runs only
 };
 
 /// Builds the case's programs (spawn targets first: a child always has a
 /// higher index than its parent) and runs them on a fresh machine under a
-/// private counter registry and record store.
-RandomOutcome run_case(const RandomCase& c, bool slow_reference) {
+/// private counter registry and record store, and when `sampled` under a
+/// timeline store on the case's sample period.
+RandomOutcome run_case(const RandomCase& c, bool slow_reference,
+                       bool sampled = false) {
   obs::CounterRegistry registry;
   obs::RunRecordStore records;
+  obs::TimelineStore timeline(c.sample_period);
   RandomOutcome out;
   {
     const obs::ScopedRegistry reg(registry);
     const obs::ScopedRunRecords rec(records);
+    std::optional<obs::ScopedTimeline> tl;
+    if (sampled) tl.emplace(timeline);
     MtaConfig cfg = c.cfg;
     cfg.slow_reference = slow_reference;
     Machine machine(cfg);
@@ -412,7 +424,29 @@ RandomOutcome run_case(const RandomCase& c, bool slow_reference) {
   }
   out.records = records.records();
   out.counters = registry.snapshot();
+  if (sampled) {
+    std::ostringstream csv;
+    timeline.write_csv(csv);
+    out.timeline_csv = csv.str();
+  }
   return out;
+}
+
+/// The first line where two CSV texts differ, both sides quoted; empty when
+/// the texts are equal.
+std::string first_difference(const std::string& a, const std::string& b) {
+  std::istringstream sa(a);
+  std::istringstream sb(b);
+  std::string la;
+  std::string lb;
+  for (int line = 1;; ++line) {
+    const bool more_a = static_cast<bool>(std::getline(sa, la));
+    const bool more_b = static_cast<bool>(std::getline(sb, lb));
+    if (!more_a && !more_b) return "";
+    if (!more_a || !more_b || la != lb)
+      return "line " + std::to_string(line) + ": fast '" + la + "', slow '" +
+             lb + "'";
+  }
 }
 
 /// Requires the run's one RunRecord to roll up exactly the case's programs:
@@ -436,7 +470,8 @@ void expect_regions_match_programs(const RandomCase& c,
 
 /// Runs the case drawn from `seed` on both simulation loops and requires
 /// identical results, records and counters, plus conserved instruction,
-/// spawn and stream counts, in total and per region.
+/// spawn and stream counts, in total and per region; then runs it sampled
+/// on both loops and requires byte-identical timeline CSVs.
 void expect_random_case_matches(std::uint64_t seed) {
   SCOPED_TRACE("seed " + std::to_string(seed));
   const RandomCase c = CaseBuilder(seed).build();
@@ -467,6 +502,15 @@ void expect_random_case_matches(std::uint64_t seed) {
     EXPECT_EQ(a.name, b.name);
     EXPECT_EQ(a.count, b.count) << a.name;
   }
+
+  // Sampling turns run_solo off, so the sampled runs come on top of the
+  // unsampled ones above. The ready_streams series counts due wakes in a
+  // way of its own on each loop.
+  const RandomOutcome fast_tl = run_case(c, /*slow_reference=*/false, true);
+  const RandomOutcome slow_tl = run_case(c, /*slow_reference=*/true, true);
+  EXPECT_EQ(fast_tl.result.cycles, s.cycles);
+  EXPECT_FALSE(fast_tl.timeline_csv.empty());
+  EXPECT_EQ(first_difference(fast_tl.timeline_csv, slow_tl.timeline_csv), "");
 }
 
 /// 512 seeds in 8 shards, so ctest can spread them over its workers.

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -16,11 +17,26 @@ namespace {
 using Queue = WakeQueue<std::uint32_t>;
 using Due = std::pair<std::uint64_t, std::uint32_t>;
 
-std::vector<Due> drain(Queue& q, std::uint64_t now) {
+/// Every entry for_each_due visits at `now`, sorted.
+std::vector<Due> visit_due(const Queue& q, std::uint64_t now) {
   std::vector<Due> out;
-  q.drain_due(now, [&](std::uint64_t at, std::uint32_t p) {
+  q.for_each_due(now, [&](std::uint64_t at, std::uint32_t p) {
     out.emplace_back(at, p);
   });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Pops every entry due at `now`, with the cycle each was due at, and
+/// checks that for_each_due visited exactly those.
+std::vector<Due> drain(Queue& q, std::uint64_t now) {
+  const std::vector<Due> visited = visit_due(q, now);
+  std::vector<Due> out;
+  std::uint32_t p = 0;
+  for (std::uint64_t at = q.next_due(); q.pop_due(now, p); at = q.next_due())
+    out.emplace_back(at, p);
+  EXPECT_EQ(out, visited);  // pops come out sorted
+  EXPECT_TRUE(visit_due(q, now).empty());
   return out;
 }
 
@@ -160,6 +176,68 @@ TEST(WakeQueue, MatchesReferenceHeapOnRandomSchedules) {
       if (!heap.empty()) {
         ASSERT_EQ(q.next_due(), heap.top().first);
       }
+    }
+  }
+}
+
+// One pop at a time, as each MTA processor takes one stream per cycle, with
+// pushes between the pops: every pop must return the reference heap's least
+// due entry, including entries pushed for the current cycle after earlier
+// pops of that cycle, and for_each_due must visit the reference's due
+// entries.
+TEST(WakeQueue, PopsMatchReferenceHeapWithCurrentCyclePushes) {
+  struct Greater {
+    bool operator()(const Due& a, const Due& b) const { return a > b; }
+  };
+  SplitMix64 rng(0xc0ffeeu);
+  for (int round = 0; round < 20; ++round) {
+    Queue q(64);
+    std::priority_queue<Due, std::vector<Due>, Greater> heap;
+    const std::uint64_t spacing = 1 + rng.next() % 30;
+    const std::uint64_t latency = 1 + rng.next() % 150;
+    std::uint64_t now = 0;
+    std::uint64_t start = 0;
+    for (int step = 0; step < 4000; ++step) {
+      if (heap.size() < 48) {
+        const auto payload = static_cast<std::uint32_t>(rng.next() % 16);
+        std::uint64_t at = 0;
+        switch (rng.next() % 4) {
+          case 0:
+            at = now + spacing;
+            q.push_in_order(0, at, payload);
+            break;
+          case 1:
+            start = std::max(start + rng.next() % 3, now + 1);
+            at = start + latency;
+            q.push_in_order(1, at, payload);
+            break;
+          case 2:
+            at = now;  // due in the cycle that pushes it
+            q.push(at, payload);
+            break;
+          default:
+            at = now + rng.next() % 40;
+            q.push(at, payload);
+            break;
+        }
+        heap.emplace(at, payload);
+      }
+      std::vector<Due> due;
+      for (auto copy = heap; !copy.empty() && copy.top().first <= now;
+           copy.pop())
+        due.push_back(copy.top());
+      SCOPED_TRACE("round " + std::to_string(round) + " step " +
+                   std::to_string(step));
+      ASSERT_EQ(visit_due(q, now), due);
+      std::uint32_t got = 0;
+      const bool popped = q.pop_due(now, got);
+      ASSERT_EQ(popped, !due.empty());
+      if (popped) {
+        ASSERT_EQ(got, heap.top().second);
+        heap.pop();
+      }
+      if (rng.next() % 3 == 0) ++now;
+      if (heap.empty()) now += rng.next() % 5;
     }
   }
 }
