@@ -34,6 +34,10 @@ void add_comparison_row(TextTable& table, const std::string& label,
     s->report().add_row(label, paper_seconds, measured_seconds);
 }
 
+namespace {
+
+/// Renders a speedup figure (the paper's Figures 1-4) for a series of
+/// (processors, seconds) pairs, paper and measured side by side.
 void print_speedup_figure(
     const std::string& title,
     const std::vector<platforms::paper::ScalingRow>& paper_rows,
@@ -56,6 +60,42 @@ void print_speedup_figure(
   chart.add_series(std::move(paper_series));
   chart.add_series(std::move(measured_series));
   chart.render(std::cout);
+}
+
+}  // namespace
+
+ScalingTimes run_scaling_experiment(Session& session,
+                                    const ScalingExperiment& e) {
+  const platforms::Testbed& tb = testbed();
+  const smp::SmpConfig& cfg = tb.*e.platform;
+  const auto& rows = e.paper_rows;
+  // Point 0 is the sequential baseline, points 1.. the scaling rows.
+  const std::vector<double> swept =
+      sim::run_sweep(rows.size() + 1, session.jobs(), [&](std::size_t i) {
+        if (i == 0) return e.seq_seconds(tb, cfg);
+        return e.parallel_seconds(tb, cfg, rows[i - 1].processors);
+      });
+  const ScalingTimes times{swept[0], {swept.begin() + 1, swept.end()}};
+
+  TextTable table(e.table_title);
+  table.header({"Processors", "Paper (s)", "Measured (s)", "Paper speedup",
+                "Measured speedup"});
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const auto& row = rows[i];
+    const double t = times.parallel[i];
+    session.obs().report().add_row(
+        e.row_prefix + "_" + std::to_string(row.processors) + "proc",
+        row.seconds, t);
+    table.row({std::to_string(row.processors), TextTable::num(row.seconds, 0),
+               TextTable::num(t, 1),
+               TextTable::num(e.paper_seq_seconds / row.seconds, 1),
+               TextTable::num(times.seq / t, 1)});
+  }
+  table.render(std::cout);
+  std::cout << '\n';
+  print_speedup_figure(e.figure_title, rows, times.parallel,
+                       e.paper_seq_seconds, times.seq);
+  return times;
 }
 
 }  // namespace tc3i::bench

@@ -44,11 +44,31 @@ class Session {
 void add_comparison_row(TextTable& table, const std::string& label,
                         double paper_seconds, double measured_seconds);
 
-/// Renders a speedup figure (the paper's Figures 1-4) for a series of
-/// (processors, seconds) pairs, paper and measured side by side.
-void print_speedup_figure(const std::string& title,
-                          const std::vector<platforms::paper::ScalingRow>& paper_rows,
-                          const std::vector<double>& measured_seconds,
-                          double paper_seq_seconds, double measured_seq_seconds);
+/// A conventional-platform scaling experiment: one of the paper's Tables
+/// 3, 4, 9 and 10 with its Figure 1-4.
+struct ScalingExperiment {
+  std::string table_title;
+  std::string figure_title;
+  std::string row_prefix;  ///< report rows are "<row_prefix>_<p>proc"
+  smp::SmpConfig platforms::Testbed::*platform;
+  double (*seq_seconds)(const platforms::Testbed&, const smp::SmpConfig&);
+  /// Seconds on `processors` processors, one thread per processor.
+  double (*parallel_seconds)(const platforms::Testbed&, const smp::SmpConfig&,
+                             int processors);
+  const std::vector<platforms::paper::ScalingRow>& paper_rows;
+  double paper_seq_seconds;
+};
+
+/// Measured seconds of a ScalingExperiment.
+struct ScalingTimes {
+  double seq = 0.0;
+  std::vector<double> parallel;  ///< one per paper row
+};
+
+/// Sweeps the sequential baseline and the scaling rows, adds one report
+/// row per scaling row, and prints the paper-vs-measured table and the
+/// speedup figure (paper and measured side by side).
+ScalingTimes run_scaling_experiment(Session& session,
+                                    const ScalingExperiment& e);
 
 }  // namespace tc3i::bench

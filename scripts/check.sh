@@ -212,29 +212,31 @@ else
   echo "skipped: toolchain lacks -fsanitize=thread support"
 fi
 
-echo "== ASan smoke (obs_live_test + sim_sweep_test + sim_wake_queue_test + mta_sync_memory_test + mta_machine_test + mta_fuzz_test + mta_slot_accounting_test + obs_timeline_test + testbed_cache_test + threat_physics_test + threat_variants_test + terrain_kernel_test + smp_machine_test + obs_counters_test + obs_report_test under -fsanitize=address) =="
+echo "== ASan smoke (obs_live_test + sim_sweep_test + sim_wake_queue_test + sim_fluid_test + mta_sync_memory_test + mta_machine_test + mta_fuzz_test + mta_slot_accounting_test + obs_timeline_test + testbed_cache_test + threat_physics_test + threat_variants_test + terrain_kernel_test + smp_machine_test + sthreads_test + obs_counters_test + obs_report_test under -fsanitize=address) =="
 # Prove the sweep bus, run_sweep's pooled path with a bus installed, the
 # wake queue's lane rings, the full/empty memory's mapping, the MTA core
 # (its machine tests, its fast path fuzzed against its slow reference,
 # its idle-slot census and its sampled ready count), the testbed cache
 # with the parallel kernel profiling behind it, the threat kernel's
 # per-threat step buffers (its physics and variant tests), the terrain
-# kernel, the SMP engine's reused settle and water-fill buffers, the
-# counter registry, and the report readers (obs_report_test drives the
-# ASan-built obs_report and json_check) free of memory errors under
-# AddressSanitizer where the toolchain supports it. obs_counters_test
-# stays out of the TSan stage: its death test forks.
+# kernel, the SMP engine's reused settle and water-fill buffers and the
+# water fill itself, the sthreads primitives, the counter registry (every
+# layer adds to it by name when its work ends, also after a parallel
+# sweep has freed its points' registries), and the report readers
+# (obs_report_test drives the ASan-built obs_report and json_check) free
+# of memory errors under AddressSanitizer where the toolchain supports
+# it. obs_counters_test stays out of the TSan stage: its death test forks.
 if printf 'int main(){return 0;}' |
     c++ -fsanitize=address -x c++ - -o "$SMOKE_DIR/asan_probe" 2>/dev/null &&
     "$SMOKE_DIR/asan_probe" 2>/dev/null; then
   ASAN_DIR="build-asan"
   cmake -B "$ASAN_DIR" -S . -DTC3I_SANITIZE=address -DTC3I_WERROR=ON \
       >/dev/null
-  ASAN_TESTS="obs_live_test sim_sweep_test sim_wake_queue_test \
+  ASAN_TESTS="obs_live_test sim_sweep_test sim_wake_queue_test sim_fluid_test \
 mta_sync_memory_test mta_machine_test mta_fuzz_test mta_slot_accounting_test \
 obs_timeline_test testbed_cache_test \
 threat_physics_test threat_variants_test terrain_kernel_test smp_machine_test \
-obs_counters_test obs_report_test"
+sthreads_test obs_counters_test obs_report_test"
   cmake --build "$ASAN_DIR" --target $ASAN_TESTS -j >/dev/null
   for T in $ASAN_TESTS; do
     "$ASAN_DIR"/tests/"$T" >/dev/null ||

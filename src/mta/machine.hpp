@@ -21,7 +21,6 @@
 //     frees.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <queue>
@@ -32,7 +31,6 @@
 #include "mta/processor.hpp"
 #include "mta/stream_program.hpp"
 #include "mta/sync_memory.hpp"
-#include "obs/counters.hpp"
 #include "obs/run_record.hpp"
 #include "obs/timeline.hpp"
 #include "sim/wake_queue.hpp"
@@ -182,34 +180,11 @@ class Machine {
     bool software;
   };
 
-  /// Always-on counters (obs::default_registry(), "mta." prefix) plus the
-  /// optional trace sink captured from obs::global_sink() at construction.
-  /// Per-instruction paths only bump plain tally members; the registry
-  /// counters are published once at the end of run() so instrumentation
-  /// costs nothing in the issue loop.
+  /// The optional trace sink captured from obs::global_sink() and the
+  /// run-record and timeline stores active at construction. The run's
+  /// counters are plain tally members, added to obs::default_registry()
+  /// once, by name, at the end of run() (finish_run).
   struct Obs {
-    obs::Counter* issue_total = nullptr;
-    obs::Counter* issue_compute = nullptr;
-    obs::Counter* issue_memory = nullptr;
-    obs::Counter* issue_sync = nullptr;
-    obs::Counter* issue_spawn = nullptr;
-    obs::Counter* network_ops = nullptr;
-    obs::Counter* sync_blocks = nullptr;
-    obs::Counter* sync_handoffs = nullptr;
-    obs::Counter* spawns_hw = nullptr;
-    obs::Counter* spawns_sw = nullptr;
-    obs::Counter* spawns_virtualized = nullptr;
-    obs::Counter* streams_completed = nullptr;
-    obs::Counter* runs = nullptr;
-    obs::Counter* slot_used = nullptr;
-    obs::Counter* slot_no_stream = nullptr;
-    obs::Counter* slot_spacing = nullptr;
-    obs::Counter* slot_spawn = nullptr;
-    obs::Counter* slot_memory = nullptr;
-    obs::Counter* slot_sync = nullptr;
-    /// The registry the metric pointers above resolve into; the end of
-    /// run() publishes the dynamically named per-region counters there too.
-    obs::CounterRegistry* registry = nullptr;
     obs::TraceSink* sink = nullptr;
     obs::RunRecordStore* records = nullptr;  ///< active_run_records() at ctor
     obs::TimelineStore* timeline = nullptr;  ///< active_timeline() at ctor
@@ -220,28 +195,6 @@ class Machine {
   [[nodiscard]] double ts_us(std::uint64_t cycle) const {
     return static_cast<double>(cycle) / config_.clock_hz * 1e6;
   }
-
-  /// Least-loaded-processor selection: a scan of the live stream counts,
-  /// lowest processor id breaking ties. Loads change by +-1 on
-  /// activate/finish; a machine has at most a few dozen processors (every
-  /// bench uses at most 16), so the scan allocates nothing and stays
-  /// cheap.
-  class LoadTracker {
-   public:
-    void init(int num_procs) {
-      loads_.assign(static_cast<std::size_t>(num_procs), 0);
-    }
-    [[nodiscard]] int least_loaded() const {
-      return static_cast<int>(std::min_element(loads_.begin(), loads_.end()) -
-                              loads_.begin());
-    }
-    void change(int proc, int delta) {
-      loads_[static_cast<std::size_t>(proc)] += delta;
-    }
-
-   private:
-    std::vector<int> loads_;
-  };
 
   /// Loads the stream's next instruction into `cur` (implicit Quit at end
   /// of program), dispatching directly when the program is a
@@ -364,7 +317,10 @@ class Machine {
   std::uint64_t network_free_fp_ = 0;
   std::uint64_t service_fp_ = 0;  ///< kFpOne / network_ops_per_cycle
   std::vector<std::uint64_t> bank_free_fp_;  // sized memory_banks when enabled
-  LoadTracker load_tracker_;
+  // Streams activated per kind, and spawns left waiting for a free slot.
+  std::uint64_t spawns_hw_ = 0;
+  std::uint64_t spawns_sw_ = 0;
+  std::uint64_t virtualized_ = 0;
   int free_slots_ = 0;  ///< machine-wide free hardware stream slots
   std::uint64_t queued_ = 0;  ///< wakes in processors' queues, fast path
   int issuer_ = 0;  ///< processor of the issue() in progress
@@ -386,14 +342,13 @@ class Machine {
   std::vector<obs::TimelinePoint> tl_ready_;
   std::vector<obs::TimelinePoint> tl_net_;
 
-  Obs obs_;
   int live_streams_ = 0;
   std::uint64_t instructions_ = 0;
   std::uint64_t memory_ops_ = 0;
   std::uint64_t spawns_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t peak_live_ = 0;
-  // Plain per-class issue tallies, published to the registry at run() end.
+  // Plain per-class issue tallies.
   std::uint64_t issued_compute_ = 0;
   std::uint64_t issued_memory_ = 0;
   std::uint64_t issued_sync_ = 0;
@@ -405,6 +360,8 @@ class Machine {
   // Per-run state set at the start of run(). The loops keep the clock in a
   // local so the hot path holds it in a register.
   std::uint64_t max_cycles_ = 0;  ///< runaway guard (runaway_abort)
+
+  Obs obs_;
 };
 
 }  // namespace tc3i::mta

@@ -14,10 +14,6 @@ namespace tc3i::mta {
 // zero all of it on every construction.
 SyncMemory::SyncMemory(std::size_t size) : size_(size) {
   TC3I_EXPECTS(size > 0);
-  obs::CounterRegistry& reg = obs::default_registry();
-  c_ops_ = &reg.counter("mta.syncmem.ops");
-  c_retries_ = &reg.counter("mta.syncmem.failed_attempts");
-  c_handoffs_ = &reg.counter("mta.syncmem.handoffs");
   void* p = mmap(nullptr, size * sizeof(Cell), PROT_READ | PROT_WRITE,
                  MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc();
@@ -70,7 +66,6 @@ SyncAttempt SyncMemory::try_sync_load(Address addr, StreamId stream) {
   }
   load_waiters_[addr].push_back(stream);
   ++blocked_count_;
-  ++failed_attempts_;
   return SyncAttempt{false, 0};
 }
 
@@ -86,7 +81,6 @@ SyncAttempt SyncMemory::try_sync_store(Address addr, Word value,
   }
   store_waiters_[addr].emplace_back(stream, value);
   ++blocked_count_;
-  ++failed_attempts_;
   return SyncAttempt{false, 0};
 }
 
@@ -103,7 +97,6 @@ void SyncMemory::cascade(Address addr) {
       --blocked_count_;
       const Word v = c.value;
       c.full = false;
-      ++handoffs_total_;
       pending_handoffs_.push_back(Handoff{s, v, true, addr});
     } else {
       const auto it = store_waiters_.find(addr);
@@ -113,19 +106,9 @@ void SyncMemory::cascade(Address addr) {
       --blocked_count_;
       c.value = v;
       c.full = true;
-      ++handoffs_total_;
       pending_handoffs_.push_back(Handoff{s, 0, false, addr});
     }
   }
-}
-
-void SyncMemory::flush_counters() {
-  c_ops_->add(sync_ops_ - flushed_ops_);
-  c_retries_->add(failed_attempts_ - flushed_failed_);
-  c_handoffs_->add(handoffs_total_ - flushed_handoffs_);
-  flushed_ops_ = sync_ops_;
-  flushed_failed_ = failed_attempts_;
-  flushed_handoffs_ = handoffs_total_;
 }
 
 std::vector<SyncMemory::Handoff> SyncMemory::drain_handoffs() {

@@ -9,7 +9,8 @@
 // structure".
 //
 // This class models the state machine and the waiter queues; the machine
-// simulator decides *when* operations are attempted and charges latency.
+// simulator decides *when* operations are attempted, charges latency and
+// counts blocks and hand-offs (mta.sync.*).
 #pragma once
 
 #include <cstdint>
@@ -18,8 +19,6 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
-
-#include "obs/counters.hpp"
 
 namespace tc3i::mta {
 
@@ -92,14 +91,8 @@ class SyncMemory {
   /// Number of streams currently blocked on any word.
   [[nodiscard]] std::size_t blocked_streams() const { return blocked_count_; }
 
-  /// Counts of operations performed (for utilization reporting).
+  /// Synchronized operations attempted, successful or not.
   [[nodiscard]] std::uint64_t sync_ops() const { return sync_ops_; }
-
-  /// Publishes tallies accumulated since the last flush into the
-  /// "mta.syncmem." registry counters. The hot paths only bump plain
-  /// members; the machine calls this once at the end of a run so the
-  /// always-on counters cost nothing per operation.
-  void flush_counters();
 
  private:
   void cascade(Address addr);
@@ -116,17 +109,6 @@ class SyncMemory {
   std::vector<Handoff> pending_handoffs_;
   std::size_t blocked_count_ = 0;
   std::uint64_t sync_ops_ = 0;
-  std::uint64_t failed_attempts_ = 0;
-  std::uint64_t handoffs_total_ = 0;
-  // High-water marks of what flush_counters() already published.
-  std::uint64_t flushed_ops_ = 0;
-  std::uint64_t flushed_failed_ = 0;
-  std::uint64_t flushed_handoffs_ = 0;
-  // Always-on counters ("mta.syncmem." in obs::default_registry()),
-  // updated only by flush_counters() to keep the per-op paths atomic-free.
-  obs::Counter* c_ops_ = nullptr;
-  obs::Counter* c_retries_ = nullptr;
-  obs::Counter* c_handoffs_ = nullptr;
 };
 
 }  // namespace tc3i::mta

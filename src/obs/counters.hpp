@@ -4,13 +4,15 @@
 // "smp.lock.contended") to monotonically increasing u64 Counters (relaxed
 // atomic adds). Per-run quantities — peak live streams, utilization,
 // elapsed time, bus and lock shares — are not counters: each machine run
-// records them once in its RunRecord (obs/run_record.hpp). Counters have
-// stable addresses for the registry's lifetime, so hot paths resolve a
-// name once (typically at machine construction) and then increment
-// through a raw pointer — cheap enough to leave on in every run.
+// records them once in its RunRecord (obs/run_record.hpp). A layer
+// tallies in plain integers and, when its unit of work ends (a machine
+// run, a parallel_for call, a SyncCounter's lifetime), adds each counter
+// once, by name, to default_registry() — cheap enough to leave on in
+// every run. No layer keeps a Counter reference: the registry active at
+// one call (a sweep point's own) may be gone by the next.
 //
-// The process-global default_registry() is what the machine models and the
-// sthreads library write into; bench RunReports snapshot it at exit.
+// default_registry() is what the machine models and the sthreads library
+// add into; bench RunReports snapshot it at exit.
 #pragma once
 
 #include <atomic>
@@ -79,10 +81,10 @@ class CounterRegistry {
   std::map<std::string, std::unique_ptr<Counter>> counters_;
 };
 
-/// The registry built-in instrumentation writes to: the calling thread's
+/// The registry built-in instrumentation adds to: the calling thread's
 /// override when a ScopedRegistry is active, otherwise the process-wide
-/// registry. Hot paths resolve metric pointers once per machine
-/// construction, so the indirection is off the per-instruction path.
+/// registry. Layers look it up when their unit of work ends, so the
+/// indirection is off the per-instruction path.
 [[nodiscard]] CounterRegistry& default_registry();
 
 /// The process-wide registry, ignoring any thread-local override.

@@ -3,30 +3,12 @@
 #include <algorithm>
 
 #include "core/contracts.hpp"
-#include "obs/counters.hpp"
 
 namespace tc3i::sim {
 
-namespace {
-
-struct WaterFillCounters {
-  obs::Counter& calls;
-  obs::Counter& saturated;
-};
-
-WaterFillCounters& water_fill_counters() {
-  static WaterFillCounters c{
-      obs::default_registry().counter("sim.fluid.water_fill.calls"),
-      obs::default_registry().counter("sim.fluid.water_fill.saturated")};
-  return c;
-}
-
-}  // namespace
-
-void water_fill(double total_capacity, std::span<const double> private_caps,
+bool water_fill(double total_capacity, std::span<const double> private_caps,
                 std::vector<double>& rates) {
   TC3I_EXPECTS(total_capacity >= 0.0);
-  water_fill_counters().calls.add();
   // A flow is open until granted: its rate reads kOpen, which no granted
   // rate (a cap, never negative) can equal.
   constexpr double kOpen = -1.0;
@@ -52,10 +34,10 @@ void water_fill(double total_capacity, std::span<const double> private_caps,
       // Every remaining flow is capacity-limited: split evenly.
       for (double& r : rates)
         if (r == kOpen) r = fair;
-      water_fill_counters().saturated.add();
-      break;
+      return true;
     }
   }
+  return false;
 }
 
 double water_fill_uniform(double total_capacity, int n_flows,

@@ -15,11 +15,14 @@ namespace tc3i::sim {
 
 /// Computes per-flow rates for a shared resource of `total_capacity`,
 /// where flow i can consume at most `private_caps[i]`, into `rates`
-/// (resized to match; its storage is reused from call to call).
+/// (resized to match; its storage is reused from call to call). Returns
+/// true when the resource saturated: the flows whose caps exceed the fair
+/// share split what the others left evenly. The caller counts calls and
+/// saturations (the SMP engine's sim.fluid.water_fill.* counters).
 ///
 /// Postconditions: rates[i] <= private_caps[i]; sum(rates) <=
 /// total_capacity (with equality when the demand is binding); max-min fair.
-void water_fill(double total_capacity, std::span<const double> private_caps,
+bool water_fill(double total_capacity, std::span<const double> private_caps,
                 std::vector<double>& rates);
 
 /// Convenience for the common homogeneous case: n identical flows with the

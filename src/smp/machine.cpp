@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "core/contracts.hpp"
+#include "obs/counters.hpp"
 #include "obs/run_record.hpp"
 #include "obs/timeline.hpp"
 #include "obs/trace_sink.hpp"
@@ -80,7 +81,7 @@ class Engine {
           cfg_.spawn_seconds() * static_cast<double>(i + 1);
       if (delay > 0.0)
         workers_[i].jobs.push_front(Job{Job::Kind::Sleep, delay});
-      obs_.threads_spawned->add();
+      ++tally_.threads_spawned;
       if (obs_.sink != nullptr)
         obs_.sink->instant(obs::Category::Spawn, "thread_spawn", delay * 1e6,
                            obs_.pid, i);
@@ -145,7 +146,7 @@ class Engine {
         if (w.jobs.empty()) {
           refill(w, now);
           if (w.status == Worker::Status::Done) {
-            obs_.threads_finished->add();
+            ++tally_.threads_finished;
             if (obs_.sink != nullptr)
               obs_.sink->end(obs::Category::Sched, "worker", now * 1e6,
                              obs_.pid, static_cast<std::uint64_t>(idx));
@@ -165,7 +166,7 @@ class Engine {
             LockState& lk = locks_[static_cast<std::size_t>(job.lock_id)];
             if (lk.owner < 0) {
               lk.owner = idx;
-              obs_.lock_acquires->add();
+              ++tally_.lock_acquires;
               if (obs_.sink != nullptr)
                 obs_.sink->instant(obs::Category::Sync, "lock_acquire",
                                    now * 1e6, obs_.pid,
@@ -174,7 +175,7 @@ class Engine {
             } else {
               lk.waiters.push_back(idx);
               w.status = Worker::Status::Blocked;
-              obs_.lock_contended->add();
+              ++tally_.lock_contended;
               if (obs_.sink != nullptr)
                 obs_.sink->begin(obs::Category::Sync, "lock_wait", now * 1e6,
                                  obs_.pid, static_cast<std::uint64_t>(idx));
@@ -185,7 +186,7 @@ class Engine {
             LockState& lk = locks_[static_cast<std::size_t>(job.lock_id)];
             TC3I_ASSERT(lk.owner == idx);
             w.jobs.pop_front();
-            obs_.lock_releases->add();
+            ++tally_.lock_releases;
             if (obs_.sink != nullptr)
               obs_.sink->instant(obs::Category::Sync, "lock_release",
                                  now * 1e6, obs_.pid,
@@ -202,7 +203,7 @@ class Engine {
                           nw.jobs.front().kind == Job::Kind::Grab);
               nw.jobs.pop_front();
               nw.status = Worker::Status::Run;
-              obs_.lock_acquires->add();
+              ++tally_.lock_acquires;
               if (obs_.sink != nullptr) {
                 obs_.sink->end(obs::Category::Sync, "lock_wait", now * 1e6,
                                obs_.pid, static_cast<std::uint64_t>(next));
@@ -226,8 +227,20 @@ class Engine {
   void export_timeline(const std::vector<TimelineSample>& samples,
                        Seconds elapsed);
 
+  /// The run's event counts, added to the registry when run() ends.
+  struct Tally {
+    std::uint64_t threads_spawned = 0;
+    std::uint64_t threads_finished = 0;
+    std::uint64_t lock_acquires = 0;
+    std::uint64_t lock_contended = 0;
+    std::uint64_t lock_releases = 0;
+    std::uint64_t water_fills = 0;
+    std::uint64_t saturated_fills = 0;
+  };
+
   const SmpConfig& cfg_;
   const ObsHooks& obs_;
+  Tally tally_;
   std::vector<Worker> workers_;
   std::vector<LockState> locks_;
   const std::vector<ThreadTrace>* pool_ = nullptr;
@@ -325,7 +338,9 @@ RunResult Engine::run() {
     const double cpu_share =
         std::min(1.0, static_cast<double>(cfg_.num_processors) /
                           static_cast<double>(running));
-    sim::water_fill(cfg_.mem_bw_total, mem_caps, mem_rates);
+    ++tally_.water_fills;
+    if (sim::water_fill(cfg_.mem_bw_total, mem_caps, mem_rates))
+      ++tally_.saturated_fills;
 
     // Per-worker progress rate in its current job's unit.
     std::size_t mem_cursor = 0;
@@ -439,8 +454,20 @@ RunResult Engine::run() {
     obs_.records->add(std::move(rec));
   }
 
-  obs_.ops_executed->add(result.ops_executed);
-  obs_.bytes_transferred->add(result.bytes_transferred);
+  const std::pair<const char*, std::uint64_t> counts[] = {
+      {"smp.runs", 1},
+      {"smp.threads.spawned", tally_.threads_spawned},
+      {"smp.threads.finished", tally_.threads_finished},
+      {"smp.lock.acquires", tally_.lock_acquires},
+      {"smp.lock.contended", tally_.lock_contended},
+      {"smp.lock.releases", tally_.lock_releases},
+      {"smp.ops_executed", result.ops_executed},
+      {"smp.bytes_transferred", result.bytes_transferred},
+      {"sim.fluid.water_fill.calls", tally_.water_fills},
+      {"sim.fluid.water_fill.saturated", tally_.saturated_fills},
+  };
+  obs::CounterRegistry& reg = obs::default_registry();
+  for (const auto& [name, n] : counts) reg.counter(name).add(n);
   return result;
 }
 
@@ -451,15 +478,6 @@ Machine::Machine(SmpConfig config) : config_(std::move(config)) {
   if (!err.empty())
     contract_failure("SmpConfig", err.c_str(), __FILE__, __LINE__);
 
-  obs::CounterRegistry& reg = obs::default_registry();
-  obs_.runs = &reg.counter("smp.runs");
-  obs_.threads_spawned = &reg.counter("smp.threads.spawned");
-  obs_.threads_finished = &reg.counter("smp.threads.finished");
-  obs_.lock_acquires = &reg.counter("smp.lock.acquires");
-  obs_.lock_contended = &reg.counter("smp.lock.contended");
-  obs_.lock_releases = &reg.counter("smp.lock.releases");
-  obs_.ops_executed = &reg.counter("smp.ops_executed");
-  obs_.bytes_transferred = &reg.counter("smp.bytes_transferred");
   obs_.sink = obs::global_sink();
   obs_.records = obs::active_run_records();
   obs_.timeline = obs::active_timeline();
@@ -469,7 +487,6 @@ Machine::Machine(SmpConfig config) : config_(std::move(config)) {
 }
 
 RunResult Machine::run_sequential(const sim::ThreadTrace& trace) const {
-  obs_.runs->add();
   Engine engine(config_, obs_, 1, 0, nullptr);
   engine.assign(0, trace);
   return engine.run();
@@ -480,7 +497,6 @@ RunResult Machine::run(const sim::WorkloadTrace& workload) const {
   if (!err.empty())
     contract_failure("WorkloadTrace", err.c_str(), __FILE__, __LINE__);
   TC3I_EXPECTS(!workload.threads.empty());
-  obs_.runs->add();
   Engine engine(config_, obs_, static_cast<int>(workload.threads.size()),
                 workload.num_locks, nullptr);
   for (std::size_t i = 0; i < workload.threads.size(); ++i)
@@ -493,7 +509,6 @@ RunResult Machine::run_pool(const PoolWorkload& workload) const {
   const std::string err = workload.validate();
   if (!err.empty())
     contract_failure("PoolWorkload", err.c_str(), __FILE__, __LINE__);
-  obs_.runs->add();
   Engine engine(config_, obs_, workload.num_workers, workload.num_locks,
                 &workload.tasks);
   engine.add_spawn_stagger();

@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "core/units.hpp"
-#include "obs/counters.hpp"
 #include "sim/trace.hpp"
 #include "smp/config.hpp"
 #include "smp/workload.hpp"
@@ -30,18 +29,13 @@ class TimelineStore;
 
 namespace tc3i::smp {
 
-/// Instrumentation hooks shared by Machine and its internal engine:
-/// always-on counters ("smp." prefix in obs::default_registry()) plus the
-/// optional trace sink captured from obs::global_sink() at construction.
+/// Instrumentation hooks shared by Machine and its internal engine: the
+/// optional trace sink captured from obs::global_sink() and the run-record
+/// and timeline stores active at construction. Each run tallies its
+/// counters ("smp." and "sim.fluid.water_fill." prefixes) in plain
+/// integers and adds them once, by name, to obs::default_registry() when
+/// it ends.
 struct ObsHooks {
-  obs::Counter* runs = nullptr;
-  obs::Counter* threads_spawned = nullptr;
-  obs::Counter* threads_finished = nullptr;
-  obs::Counter* lock_acquires = nullptr;
-  obs::Counter* lock_contended = nullptr;
-  obs::Counter* lock_releases = nullptr;
-  obs::Counter* ops_executed = nullptr;
-  obs::Counter* bytes_transferred = nullptr;
   obs::TraceSink* sink = nullptr;
   obs::RunRecordStore* records = nullptr;  ///< active_run_records() at ctor
   obs::TimelineStore* timeline = nullptr;  ///< active_timeline() at ctor

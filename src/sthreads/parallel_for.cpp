@@ -13,9 +13,7 @@ void parallel_for_chunked(
     const std::function<void(std::size_t, std::size_t, int)>& body) {
   TC3I_EXPECTS(num_chunks > 0);
   TC3I_EXPECTS(num_threads > 0);
-  static obs::Counter& calls =
-      obs::default_registry().counter("sthreads.parallel_for.chunked");
-  calls.add();
+  obs::default_registry().counter("sthreads.parallel_for.chunked").add();
   if (num_threads == 1) {
     for (int c = 0; c < num_chunks; ++c) {
       const std::size_t begin = static_cast<std::size_t>(c) * n /
@@ -43,9 +41,7 @@ void parallel_for_dynamic(
     std::size_t n, int num_threads,
     const std::function<void(std::size_t, int)>& body) {
   TC3I_EXPECTS(num_threads > 0);
-  static obs::Counter& calls =
-      obs::default_registry().counter("sthreads.parallel_for.dynamic");
-  calls.add();
+  obs::default_registry().counter("sthreads.parallel_for.dynamic").add();
   if (num_threads == 1) {
     for (std::size_t i = 0; i < n; ++i) body(i, 0);
     return;

@@ -15,11 +15,16 @@ void fork_join(int count, const std::function<void(int)>& fn) {
 
 SyncCounter::SyncCounter(long initial) : value_(initial) {}
 
+SyncCounter::~SyncCounter() {
+  if (fetch_adds_ > 0)
+    obs::default_registry()
+        .counter("sthreads.synccounter.fetch_add")
+        .add(fetch_adds_);
+}
+
 long SyncCounter::fetch_add(long delta) {
-  static obs::Counter& ops =
-      obs::default_registry().counter("sthreads.synccounter.fetch_add");
-  ops.add();
   std::lock_guard<std::mutex> lock(mu_);
+  ++fetch_adds_;
   const long previous = value_;
   value_ += delta;
   return previous;

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <atomic>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -82,6 +83,9 @@ class SpinLock {
 class SyncCounter {
  public:
   explicit SyncCounter(long initial = 0);
+  /// Adds the fetch_adds this object made to the destroying thread's
+  /// registry ("sthreads.synccounter.fetch_add").
+  ~SyncCounter();
 
   /// Atomically adds `delta` and returns the pre-add value.
   long fetch_add(long delta);
@@ -91,6 +95,7 @@ class SyncCounter {
  private:
   mutable std::mutex mu_;
   long value_;
+  std::uint64_t fetch_adds_ = 0;  ///< guarded by mu_
 };
 
 }  // namespace tc3i::sthreads

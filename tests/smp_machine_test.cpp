@@ -5,11 +5,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 
+#include "obs/counters.hpp"
 #include "obs/timeline.hpp"
+#include "sim/sweep.hpp"
 #include "smp/config.hpp"
 #include "smp/workload.hpp"
+#include "sthreads/parallel_for.hpp"
+#include "sthreads/thread.hpp"
 
 namespace tc3i::smp {
 namespace {
@@ -286,6 +292,53 @@ TEST(SmpMachine, DeterministicAcrossRuns) {
   const auto r2 = m.run_pool(pool);
   EXPECT_DOUBLE_EQ(r1.elapsed, r2.elapsed);
   EXPECT_EQ(r1.ops_executed, r2.ops_executed);
+}
+
+/// One point of the registry-lifetime test: a 2-thread SMP run whose
+/// threads share the bus, a dynamic parallel-for on 2 host threads and one
+/// SyncCounter fetch_add. Returns the items the parallel-for visited.
+int counted_work() {
+  const Machine m(test_config(2));
+  sim::WorkloadTrace w;
+  for (int i = 0; i < 2; ++i) w.threads.push_back(compute_trace(1000, 4000));
+  (void)m.run(w);
+  std::atomic<int> visited{0};
+  sthreads::parallel_for_dynamic(8, 2, [&](std::size_t, int) { ++visited; });
+  sthreads::SyncCounter c(0);
+  c.fetch_add(1);
+  return visited.load();
+}
+
+TEST(SmpMachine, EveryCallCountsInTheRegistryActiveAtIt) {
+  // The parallel sweep runs first: each of its points counts under a
+  // registry of its own that is freed when the sweep returns, so a layer
+  // that kept a counter from the first registry it saw would count the
+  // later calls into freed memory instead of the caller's registry.
+  obs::CounterRegistry caller;
+  const obs::ScopedRegistry scope(caller);
+  EXPECT_EQ(sim::run_sweep(4, 2, [](std::size_t) { return counted_work(); }),
+            std::vector<int>(4, 8));
+  const std::vector<obs::MetricSnapshot> swept = caller.snapshot();
+  EXPECT_EQ(counted_work(), 8);
+  for (const char* name :
+       {"sim.fluid.water_fill.calls", "sthreads.parallel_for.dynamic",
+        "sthreads.synccounter.fetch_add"}) {
+    const auto it = std::find_if(
+        swept.begin(), swept.end(),
+        [&](const obs::MetricSnapshot& m) { return m.name == name; });
+    ASSERT_NE(it, swept.end()) << name;
+    EXPECT_GT(it->count, 0u) << name;
+    EXPECT_EQ(it->count % 4, 0u) << name;
+    EXPECT_EQ(caller.counter(name).value(), it->count + it->count / 4)
+        << name;
+  }
+
+  obs::CounterRegistry serial;
+  {
+    const obs::ScopedRegistry inline_scope(serial);
+    (void)sim::run_sweep(4, 1, [](std::size_t) { return counted_work(); });
+  }
+  EXPECT_EQ(swept, serial.snapshot());
 }
 
 }  // namespace
